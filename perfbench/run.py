@@ -9,7 +9,10 @@ every request pays import and the process-global caches cold, as a command
 line user does.  A pass is one full workload (one verify run for the grid
 workloads, fourteen queries for `queries`); passes repeat while the next one
 is expected to finish within --seconds, and the reported figures are medians
-over passes.
+over passes.  Times are scaled to a host of fixed speed, gauged with the
+reference kernel of reference.py on the CPU the requests run on, between
+requests and every GAUGE_PERIOD_S inside them (see perfbench/README.md,
+"Scaling to the reference host").
 
 --trace 0 prints the end-to-end metrics, --trace 1 the per-layer metrics of
 a traced pass (see perfbench/README.md).  The last line of stdout is the
@@ -31,6 +34,8 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+import reference
 
 BENCH = Path(__file__).resolve().parent
 ROOT = BENCH.parent
@@ -81,9 +86,12 @@ QUERY_POOLS = (
 
 WORKLOADS = ("operators", "gl-modules", "queries")
 
-# Launches that only import and parse, per run, so that set-up time has a
-# median even when a pass is a single process.
-SETUP_PROBES = 20
+# Launches that only import and parse, per run: set-up time is their median.
+SETUP_PROBES = 30
+# Reference kernel samples in one gauge of the host's speed.
+GAUGE_SAMPLES = 3
+# Interval of the reference samples taken inside a timed request.
+GAUGE_PERIOD_S = 0.25
 
 # A request still running after this long is killed and the run fails, so
 # a pathological slowdown cannot hang the benchmark.
@@ -172,6 +180,8 @@ class Launch:
         self.stderr = proc.stderr
         self.meta = meta
         self.report = report
+        # set by setup_probes
+        self.setup_scaled_s = None
 
     @property
     def setup_s(self):
@@ -180,12 +190,14 @@ class Launch:
         return self.meta["parsed_at"] - self.started
 
 
-def launch(argv, work, tag, trace=False, probe=False):
+def launch(argv, work, tag, trace=False, probe=False, gauge=False):
     """Run one request in a fresh interpreter and wait for it to end."""
     meta_path = work / f"meta-{tag}.json"
     cmd = [sys.executable, str(BENCH / "child.py"), str(meta_path)]
     if trace:
         cmd += ["--trace", str(work / f"spans-{tag}.json")]
+    if gauge:
+        cmd += ["--gauge", str(GAUGE_PERIOD_S)]
     if probe:
         cmd.append("--probe")
     report_path = None
@@ -265,61 +277,118 @@ def check(pin, got):
 # passes
 
 
-def run_pass(ops, pins, work, tag, trace=False):
-    """One full workload, request after request; wall time ends when the
-    last answer has been checked."""
+def gauge():
+    """The host's speed now: seconds per reference sample, the median of
+    GAUGE_SAMPLES samples taken back to back."""
+    return statistics.median(reference.block(GAUGE_SAMPLES))
+
+
+def scaled(t0, t1, inside, before, after):
+    """Seconds from t0 to t1 at the reference speed, less the reference
+    samples taken inside.
+
+    inside: the [(start, seconds)] samples the request took; before and
+    after: the speed gauged right before t0 and right after t1.  Each
+    stretch between two consecutive samples is scaled by the mean of the
+    two, so a slow spell weighs only on the stretch it fell into."""
+    edges = ([(t0, 0.0, before)] + [(t, g, g) for t, g in inside]
+             + [(t1, 0.0, after)])
+    total = 0.0
+    for (ta, skip, ga), (tb, _, gb) in zip(edges, edges[1:]):
+        total += (tb - ta - skip) * 2 / (ga + gb)
+    return total * reference.NOMINAL_S
+
+
+def run_pass(ops, pins, work, tag, trace=False, timed=False):
+    """One full workload, request after request.  A request's time runs
+    from its launch until its answer has been checked; the pass's wall time
+    is their sum.
+
+    When timed, the host's speed is gauged before the first request and
+    after each one, and sampled inside each request every GAUGE_PERIOD_S;
+    the pass's time is then also scaled to the reference speed (`scaled`),
+    into `scaled_s`."""
     launches = []
     attempted = failed = 0
-    t0 = time.perf_counter()
+    wall = scaled_wall = 0.0
+    before = gauge() if timed else None
     for i, (key, argv) in enumerate(ops):
-        ln = launch(argv, work, f"{tag}-{i}", trace=trace)
+        t0 = time.perf_counter()
+        ln = launch(argv, work, f"{tag}-{i}", trace=trace, gauge=timed)
         a, f = check(pins[key], answer(ln))
+        t1 = time.perf_counter()
         attempted += a
         failed += f
         launches.append(ln)
-    wall = time.perf_counter() - t0
-    return {"wall_s": wall, "attempted": attempted, "failed": failed,
-            "launches": launches}
+        if not timed:
+            wall += t1 - t0
+            continue
+        after = gauge()
+        inside = [tuple(x) for x in (ln.meta or {}).get("gauge", [])]
+        wall += t1 - t0 - sum(g for _, g in inside)
+        scaled_wall += scaled(t0, t1, inside, before, after)
+        before = after
+    return {"wall_s": wall, "scaled_s": scaled_wall, "attempted": attempted,
+            "failed": failed, "launches": launches}
 
 
-def _keep_going(started, seconds, pass_walls):
+def _keep_going(started, seconds, pass_times):
     """Start another pass only if it is expected to end within --seconds."""
     elapsed = time.perf_counter() - started
-    return elapsed + statistics.median(pass_walls) <= seconds
+    return elapsed + statistics.median(pass_times) <= seconds
 
 
-def timed_run(ops, pins, work, seconds):
-    started = time.perf_counter()
-    setups, rss, passes = [], [], []
+def setup_probes(ops, work):
+    """SETUP_PROBES launches that stop after parsing, each between two
+    reference spawns (`reference.spawn`), with their set-up time scaled to
+    the reference spawn time by the mean of the two."""
+    probes = []
+    env = child_env()
+    before = reference.spawn(env, ROOT)
     for i in range(SETUP_PROBES):
         ln = launch(ops[i % len(ops)][1], work, f"probe-{i}", probe=True)
         if ln.returncode != 0 or ln.setup_s is None:
             raise RuntimeError("set-up probe failed:\n"
                                + ln.stderr.decode(errors="replace"))
-        setups.append(ln.setup_s)
-        rss.append(ln.meta["maxrss_kb"])
-    while not passes or _keep_going(started, seconds,
-                                    [p["wall_s"] for p in passes]):
-        p = run_pass(ops, pins, work, f"pass{len(passes)}")
-        passes.append(p)
-        for ln in p["launches"]:
-            if ln.setup_s is not None:
-                setups.append(ln.setup_s)
-            if ln.meta:
-                rss.append(ln.meta["maxrss_kb"])
+        after = reference.spawn(env, ROOT)
+        ln.setup_scaled_s = (ln.setup_s * reference.SPAWN_NOMINAL_S * 2
+                             / (before + after))
+        before = after
+        probes.append(ln)
+    return probes
+
+
+def timed_run(ops, pins, work, seconds):
+    """End-to-end figures.  Times are scaled to the reference host by the
+    speed gauged while they ran, so that a slow spell of the shared host
+    does not read as a slower program: pass times by the reference kernel
+    (`scaled`), set-up times by reference spawns (`setup_probes`).  The
+    unscaled figures go into the samples."""
+    started = time.perf_counter()
+    probes = setup_probes(ops, work)
+    passes, pass_times = [], []
+    while not passes or _keep_going(started, seconds, pass_times):
+        t0 = time.perf_counter()
+        passes.append(run_pass(ops, pins, work, f"pass{len(passes)}",
+                               timed=True))
+        pass_times.append(time.perf_counter() - t0)
+    launches = probes + [ln for p in passes for ln in p["launches"]]
+    rss = [ln.meta["maxrss_kb"] for ln in launches if ln.meta]
     attempted = sum(p["attempted"] for p in passes)
     failed = sum(p["failed"] for p in passes)
     values = {
-        "wall_s": statistics.median(p["wall_s"] for p in passes),
-        "setup_s": statistics.median(setups),
+        "wall_s": statistics.median(p["scaled_s"] for p in passes),
+        "setup_s": statistics.median(ln.setup_scaled_s for ln in probes),
         "peak_rss_mb": max(rss) / 1024,
         "ok_share": (attempted - failed) / attempted,
     }
     metrics = {k: (v, END_TO_END[k]) for k, v in values.items()}
-    samples = {"wall_s": len(passes), "setup_s": len(setups),
-               "peak_rss_mb": len(rss), "ok_share": attempted,
-               "pass_walls_s": [p["wall_s"] for p in passes]}
-    return attempted, failed, metrics, samples
+    counts = {"wall_s": len(passes), "setup_s": len(probes),
+              "peak_rss_mb": len(rss), "ok_share": attempted,
+              "unscaled": {"pass_walls_s": [p["wall_s"] for p in passes],
+                           "setup_s": statistics.median(ln.setup_s
+                                                        for ln in probes)}}
+    return attempted, failed, metrics, counts
 
 
 # ---------------------------------------------------------------------------
@@ -424,10 +493,11 @@ def _src_digest():
     return h.hexdigest()
 
 
-def environment(args, load):
+def environment(args, load, cpu):
     return {
         "python": platform.python_version(),
-        "nproc": len(os.sched_getaffinity(0)),
+        "nproc": os.cpu_count(),
+        "pinned_cpu": cpu,
         "cpu": _cpu_model(),
         "git_sha": _git_sha(),
         "src_sha256": _src_digest(),
@@ -456,6 +526,10 @@ def main(argv=None):
     pins = json.loads(PINS.read_text(encoding="utf-8"))
     ops = make_ops(args.workload, args.seed)
     load = os.getloadavg()
+    # The requests and the gauges of the host's speed share one CPU, so
+    # that each gauge measures the CPU its request ran on.
+    cpu = max(os.sched_getaffinity(0))
+    os.sched_setaffinity(0, {cpu})
     work = WORK / f"{os.getpid()}"
     work.mkdir(parents=True, exist_ok=True)
     try:
@@ -485,7 +559,7 @@ def main(argv=None):
         "metrics": {k: {"value": v, "unit": u}
                     for k, (v, u) in metrics.items()},
     }
-    context = {"env": environment(args, load), "samples": samples}
+    context = {"env": environment(args, load, cpu), "samples": samples}
     OUT.mkdir(parents=True, exist_ok=True)
     with open(OUT / "results.jsonl", "a", encoding="utf-8") as fh:
         fh.write(json.dumps({**context, "result": result}) + "\n")

@@ -9,8 +9,9 @@
 3. After `spans.install`, no reference to an unwrapped function is left in
    any superkoszul module or class, aliases such as SparseMap.__matmul__
    and names imported into other modules included.
-
-4. BENCHMARK.json declares exactly the metrics the runner prints.
+4. A request that samples the reference kernel inside itself (--gauge)
+   answers as pinned and records its samples.
+5. BENCHMARK.json declares exactly the metrics the runner prints.
 
 Exits 0 when every check holds, 1 otherwise.
 """
@@ -91,6 +92,20 @@ def check_tracing(work):
            + (f"; never fired: {sorted(missing)}" if missing else ""))
 
 
+def check_gauge(pins, work):
+    period, run.GAUGE_PERIOD_S = run.GAUGE_PERIOD_S, 0.05
+    try:
+        ln = run.launch("construct ImD 2 3".split(), work, "gauged", gauge=True)
+    finally:
+        run.GAUGE_PERIOD_S = period
+    expect(run.check(pins["construct ImD 2 3"], run.answer(ln)) == (1, 0),
+           "gauged request answers as pinned")
+    samples = (ln.meta or {}).get("gauge", [])
+    expect(len(samples) >= 2
+           and all(ln.started < t and g > 0 for t, g in samples),
+           f"gauged request records reference samples ({len(samples)})")
+
+
 def check_patching():
     sys.path.insert(0, str(run.SRC))
     originals = {id(spans.original(spec)[0]) for spec in spans.SPECS}
@@ -145,6 +160,7 @@ def main():
     try:
         check_perturbations(pins, work)
         check_tracing(work)
+        check_gauge(pins, work)
     finally:
         shutil.rmtree(run.WORK, ignore_errors=True)
     check_patching()
