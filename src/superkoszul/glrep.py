@@ -62,10 +62,6 @@ def generator_matrix(basis, gi, gj):
     return SparseMap.from_columns(basis.dim, basis.dim, cols)
 
 
-def _basis_key(basis):
-    return (basis.space.m, basis.space.n, basis.kind, basis.degree, basis.dual)
-
-
 class GLAction:
     """Cached generator matrices on power bases and their products.
 
@@ -78,14 +74,14 @@ class GLAction:
         self._product = {}
 
     def on_basis(self, basis, gi, gj):
-        key = (_basis_key(basis), gi, gj)
+        key = (basis.key(), gi, gj)
         if key not in self._factor:
             self._factor[key] = generator_matrix(basis, gi, gj)
         return self._factor[key]
 
     def on_product(self, product, gi, gj):
         """Derivation across the factors with parity-crossing signs."""
-        key = (tuple(_basis_key(f) for f in product.factors), gi, gj)
+        key = (tuple(f.key() for f in product.factors), gi, gj)
         if key in self._product:
             return self._product[key]
         pe = (self.space.parity(gi) + self.space.parity(gj)) % 2
@@ -534,10 +530,7 @@ class Constructor:
 
     def mmp(self, m, p):
         """Im d_(m+2,m+p) twisted by the berezinian-like line m-1 times."""
-        base = self.image_module(m + 2, m + p)
-        out = base
-        for _ in range(m - 1):
-            out = out.twist((1, 1, 1, -1), 1)
+        out = berezinian_twist(self.image_module(m + 2, m + p), m - 1)
         out.name = f"M({m},{p})"
         return out
 
@@ -602,21 +595,29 @@ class Constructor:
         )
 
     def construct(self, name, params):
-        name = name.lower()
-        if name == "h31":
-            return self.h31()
-        if name == "imd":
-            return self.image_module(*params)
-        if name == "mmp":
-            return self.mmp(*params)
-        if name in ("y", "ysummand"):
-            return self.y_summand(*params)
-        if name == "z1":
-            return self.z1(*params)
-        if name == "zk":
-            return self.zk(*params)
-        if name == "mfinal":
-            return self.mfinal(*params)
-        if name == "ilambda":
-            return self.ilambda(params)
-        raise ValueError(f"unknown construction {name!r}")
+        try:
+            method, arity = CONSTRUCTIONS[name.lower()]
+        except KeyError:
+            raise ValueError(f"unknown construction {name!r}") from None
+        if arity is None:
+            return getattr(self, method)(params)
+        if len(params) != arity:
+            raise ValueError(
+                f"{name} takes {arity} parameters, got {len(params)}"
+            )
+        return getattr(self, method)(*params)
+
+
+# lower-case construction name -> (Constructor method, parameter count);
+# None hands the whole parameter tuple over as one shape
+CONSTRUCTIONS = {
+    "h31": ("h31", 0),
+    "imd": ("image_module", 2),
+    "mmp": ("mmp", 2),
+    "y": ("y_summand", 2),
+    "ysummand": ("y_summand", 2),
+    "z1": ("z1", 1),
+    "zk": ("zk", 3),
+    "mfinal": ("mfinal", 3),
+    "ilambda": ("ilambda", None),
+}

@@ -1025,6 +1025,8 @@ def character_report(formula, label):
 
 
 def export_matrix(which, pair, alphabet, cache_dir=None):
+    if len(pair) != 2:
+        raise ValueError(f"matrix export needs a degree pair, got {pair!r}")
     m, n = alphabet
     root = resolve_cache_dir(cache_dir)
     if root:

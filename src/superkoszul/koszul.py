@@ -491,10 +491,10 @@ class KoszulContext:
     def loop_setup(self, kind, params):
         """(word, base spot, derived eigenvalue set, stated eigenvalue set).
 
-        derived is the set the operator identities force (used to verify the
-        spectrum by annihilation); stated is the closed form carried in the
-        claim registry for this loop, kept separate so disagreements surface
-        as findings.  For the insertion-side loop the two differ at i >= 1:
+        derived is the set the operator identities force (the spectrum is
+        verified against it by eigenspace dimensions); stated is the closed
+        form carried in the claim registry for this loop, kept separate so
+        disagreements surface as findings.  For the insertion-side loop the two differ at i >= 1:
         the stated numerator is a+i+3-j where the recursion forces a+2i+3-j.
         Both are (3|1)-specific; other alphabets get no prediction.
         """
@@ -689,73 +689,18 @@ def _match(spec_set, target, diag):
 def verify_spectrum(blocks, total_dim, derived, stated, kind, params):
     """Spectrum of a block-diagonal operator, prediction-first.
 
-    If the product of (M - lambda) over the derived set annihilates every
-    block, the operator is diagonalizable with spectrum inside the set, and
-    per-eigenvalue kernel dimensions finish the job.  Otherwise fall back to
-    exact characteristic polynomials per block.  The actual spectrum is then
-    compared against both candidate sets.
+    A block M is diagonalizable with spectrum inside the derived set exactly
+    when the dimensions n - rank(M - lambda) over the set add up to n, since
+    eigenspaces of distinct eigenvalues are independent; those dimensions are
+    then the multiplicities.  Otherwise fall back to exact characteristic
+    polynomials per block.  The actual spectrum is then compared against both
+    candidate sets.
     """
     blocks = [b for b in blocks if b.dom_dim > 0]
-    if derived is not None:
-        annihilated = True
-        for b in blocks:
-            prod = SparseMap.identity(b.dom_dim)
-            for lam in derived:
-                prod = (b + (-lam) * SparseMap.identity(b.dom_dim)) @ prod
-            if not prod.is_zero():
-                annihilated = False
-                break
-        if annihilated:
-            counts = {}
-            for lam in derived:
-                g = 0
-                for b in blocks:
-                    shifted = b + (-lam) * SparseMap.identity(b.dom_dim)
-                    g += b.dom_dim - shifted.rank()
-                if g:
-                    counts[lam] = g
-            assert sum(counts.values()) == total_dim
-            eig = tuple(sorted(counts.items()))
-            spec_set = set(counts)
-            return SpectrumReport(
-                kind=kind,
-                params=tuple(params),
-                dim=total_dim,
-                derived=derived,
-                stated=stated,
-                eigenvalues=eig,
-                diagonalizable=True,
-                invertible=ZERO not in spec_set,
-                matches_derived=spec_set == set(derived),
-                matches_stated=_match(spec_set, stated, True),
-            )
-    # fallback: exact spectra per block
-    counts = {}
-    diag = True
-    note = ""
-    for b in blocks:
-        try:
-            spec = b.rational_spectrum()
-        except SpectrumError as e:
-            return SpectrumReport(
-                kind=kind,
-                params=tuple(params),
-                dim=total_dim,
-                derived=derived,
-                stated=stated,
-                eigenvalues=(),
-                diagonalizable=False,
-                invertible=False,
-                matches_derived=False if derived is not None else None,
-                matches_stated=False if stated is not None else None,
-                note=f"irrational or unfactorable block spectrum: {e}",
-            )
-        diag = diag and spec.diagonalizable
-        for lam, alg, geo in spec.pairs:
-            counts[lam] = counts.get(lam, 0) + alg
-            if alg != geo:
-                note = "defective eigenvalue present"
-    eig = tuple(sorted(counts.items()))
+    counts = None if derived is None else _eigenspace_dims(blocks, derived)
+    diag, note = True, ""
+    if counts is None:
+        counts, diag, note = _block_spectra(blocks)
     spec_set = set(counts)
     return SpectrumReport(
         kind=kind,
@@ -763,13 +708,47 @@ def verify_spectrum(blocks, total_dim, derived, stated, kind, params):
         dim=total_dim,
         derived=derived,
         stated=stated,
-        eigenvalues=eig,
+        eigenvalues=tuple(sorted(counts.items())),
         diagonalizable=diag,
         invertible=ZERO not in spec_set and total_dim == sum(counts.values()),
         matches_derived=_match(spec_set, derived, diag),
         matches_stated=_match(spec_set, stated, diag),
         note=note,
     )
+
+
+def _eigenspace_dims(blocks, eigenvalues):
+    """eigenvalue -> total eigenspace dimension over the blocks, or None as
+    soon as one block is not diagonalizable with spectrum inside the set."""
+    counts = dict.fromkeys(eigenvalues, 0)
+    for b in blocks:
+        n = b.dom_dim
+        eye = SparseMap.identity(n)
+        geo = {lam: n - (b - lam * eye).rank() for lam in eigenvalues}
+        if sum(geo.values()) != n:
+            return None
+        for lam, g in geo.items():
+            counts[lam] += g
+    return {lam: g for lam, g in counts.items() if g}
+
+
+def _block_spectra(blocks):
+    """(eigenvalue -> algebraic multiplicity, diagonalizable, note) from exact
+    characteristic polynomials, block by block."""
+    counts = {}
+    diag = True
+    note = ""
+    for b in blocks:
+        try:
+            spec = b.rational_spectrum()
+        except SpectrumError as e:
+            return {}, False, f"irrational or unfactorable block spectrum: {e}"
+        diag = diag and spec.diagonalizable
+        for lam, alg, geo in spec.pairs:
+            counts[lam] = counts.get(lam, 0) + alg
+            if alg != geo:
+                note = "defective eigenvalue present"
+    return counts, diag, note
 
 
 # ---------------------------------------------------------------------------

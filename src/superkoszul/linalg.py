@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 __all__ = [
     "DimensionError",
@@ -247,22 +248,23 @@ class SparseMap:
         for (r, c), v in self.entries.items():
             rows.setdefault(r, {})[c] = v
         out = []
-        for r, row in rows.items():
-            den = 1
-            for v in row.values():
-                den = den * v.denominator // _gcd(den, v.denominator)
+        for row in rows.values():
+            den = lcm(*(v.denominator for v in row.values()))
             out.append({c: int(v * den) for c, v in row.items()})
         return out
 
-    def rank(self):
-        """Rank by fraction-free Bareiss elimination.
+    def _echelon(self):
+        """Row echelon form by fraction-free Bareiss elimination.
 
         Rows are cleared to integers first; at each step the pivot column is
         the smallest column index still present and the pivot row is chosen by
         minimal bit size of its pivot entry.  All divisions are exact.
+        Returns (rows, pivot_cols): the integer pivot rows in elimination
+        order, rows[i] starting at column pivot_cols[i], which increase.
         """
         rows = self._integer_rows()
-        rank = 0
+        done = []
+        pivots = []
         prev = 1
         while rows:
             col = min(min(row) for row in rows)
@@ -270,7 +272,8 @@ class SparseMap:
             piv_i = min(cand, key=lambda i: abs(rows[i][col]).bit_length())
             piv_row = rows.pop(piv_i)
             p = piv_row[col]
-            rank += 1
+            done.append(piv_row)
+            pivots.append(col)
             nxt = []
             for row in rows:
                 f = row.pop(col, 0)
@@ -294,55 +297,34 @@ class SparseMap:
                     nxt.append(new)
             rows = nxt
             prev = p
-        return rank
+        return done, pivots
 
-    def _rref(self):
-        """Reduced row echelon form over Fraction.
-
-        Returns (rows, pivot_cols) where rows is a list of sparse dicts and
-        pivot_cols[i] is the pivot column of rows[i].
-        """
-        rows = {}
-        for (r, c), v in self.entries.items():
-            rows.setdefault(r, {})[c] = v
-        work = [row for row in rows.values() if row]
-        done = []
-        pivots = []
-        while work:
-            col = min(min(row) for row in work)
-            piv_i = next(i for i, row in enumerate(work) if col in row)
-            piv = work.pop(piv_i)
-            inv = ONE / piv[col]
-            piv = {c: v * inv for c, v in piv.items()}
-            nxt = []
-            for row in work:
-                f = row.get(col)
-                row = vec_add(row, piv, -f) if f else row
-                if row:
-                    nxt.append(row)
-            work = nxt
-            done = [vec_add(r, piv, -r[col]) if col in r else r for r in done]
-            done.append(piv)
-            pivots.append(col)
-        order = sorted(range(len(pivots)), key=lambda i: pivots[i])
-        return [done[i] for i in order], [pivots[i] for i in order]
+    def rank(self):
+        """Number of pivots of the Bareiss echelon form."""
+        return len(self._echelon()[1])
 
     def kernel(self):
-        """Kernel as a Subspace of the domain.  Rank-nullity is asserted."""
-        rows, pivots = self._rref()
+        """Kernel as a Subspace of the domain.
+
+        Each free column, set to 1 with the other free columns 0, is
+        back-substituted through the echelon rows from the last pivot up.
+        """
+        rows, pivots = self._echelon()
         pivset = set(pivots)
-        free = [c for c in range(self.dom_dim) if c not in pivset]
+        steps = list(zip(rows, pivots))[::-1]
         basis = []
-        for f in free:
+        for f in range(self.dom_dim):
+            if f in pivset:
+                continue
             v = {f: ONE}
-            for row, p in zip(rows, pivots):
-                x = row.get(f)
-                if x:
-                    v[p] = -x
+            for row, p in steps:
+                if p > f:
+                    continue
+                s = sum(x * v[j] for j, x in row.items() if j in v)
+                if s:
+                    v[p] = -s / row[p]
             basis.append(v)
-        ker = Subspace.from_vectors(self.dom_dim, basis)
-        assert ker.dim + len(pivots) == self.dom_dim, "rank-nullity violated"
-        return ker
+        return Subspace.from_vectors(self.dom_dim, basis)
 
     def image(self):
         return Subspace.from_vectors(
@@ -420,8 +402,9 @@ class SparseMap:
 
         Candidate roots are bounded by divisors of the trailing and leading
         coefficients after clearing denominators, per the usual rational root
-        theorem.  Geometric multiplicities come from kernels of M - t*I and
-        the diagonalizable flag is the minimal-polynomial product test.
+        theorem.  The geometric multiplicity of t is n - rank(M - t*I); M is
+        diagonalizable exactly when these add up to n, since eigenspaces of
+        distinct eigenvalues are independent.
         """
         p = self.char_poly()
         n = self.dom_dim
@@ -452,16 +435,11 @@ class SparseMap:
             )
         pairs.sort(key=lambda t: t[0])
         out = []
-        prod = SparseMap.identity(n)
         for lam, alg in pairs:
-            shifted = self + (-lam) * SparseMap.identity(n)
-            geo = shifted.kernel().dim
+            geo = n - (self - lam * SparseMap.identity(n)).rank()
             assert 1 <= geo <= alg
             out.append((lam, alg, geo))
-            prod = prod @ shifted
-        diag = prod.is_zero()
-        assert diag == (sum(g for _, _, g in out) == n)
-        return Spectrum(tuple(out), diag)
+        return Spectrum(tuple(out), sum(g for _, _, g in out) == n)
 
 
 @dataclass(frozen=True)
@@ -641,13 +619,9 @@ def poly_eval(coeffs, x):
 
 def poly_clear(coeffs):
     """Scale a rational polynomial to primitive integer coefficients."""
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // _gcd(den, c.denominator)
+    den = lcm(*(c.denominator for c in coeffs))
     ints = [int(c * den) for c in coeffs]
-    g = 0
-    for c in ints:
-        g = _gcd(g, abs(c))
+    g = gcd(*ints)
     if g > 1:
         ints = [c // g for c in ints]
     return ints
@@ -663,12 +637,6 @@ def _deflate(coeffs, root):
     rem = out.pop()
     out.reverse()
     return out, rem
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _is_probable_prime(n):
@@ -746,7 +714,7 @@ def _rational_roots(int_coeffs):
     roots = []
     for p in _divisors(a0):
         for q in _divisors(an):
-            if _gcd(p, q) != 1:
+            if gcd(p, q) != 1:
                 continue
             for cand in (Fraction(p, q), Fraction(-p, q)):
                 if not poly_eval([Fraction(c) for c in int_coeffs], cand):

@@ -126,6 +126,20 @@ def test_construct_bad_params(capsys):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    "construct Zk 1 2",
+    "construct Y 1",
+    "construct ImD 1",
+    "construct H31 5",
+    "export matrix d 1",
+    "export matrix d 1,2,3",
+])
+def test_wrong_parameter_count_is_a_configuration_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 2 and "error:" in err and "got" in err
+    assert out == ""
+
+
 def test_spectrum_exit_codes(capsys):
     code, out, _ = run_cli(capsys, "spectrum", "delPQd", "0", "1")
     assert code == 0

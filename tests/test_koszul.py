@@ -388,6 +388,17 @@ def test_verify_spectrum_fallback_detects_bad_prediction():
     assert rep.diagonalizable
 
 
+def test_verify_spectrum_jordan_block_inside_prediction():
+    # eigenvalue 2 is predicted, but its eigenspace is a line in the plane
+    m = SparseMap.from_columns(2, 2, {0: {0: F(2)}, 1: {0: F(1), 1: F(2)}})
+    for derived in (frozenset({F(2)}), frozenset({F(2), F(3)})):
+        rep = verify_spectrum([m], 2, derived, derived, "x", ())
+        assert not rep.diagonalizable
+        assert not rep.matches_derived and not rep.matches_stated
+        assert dict(rep.eigenvalues) == {F(2): 2}
+        assert rep.note == "defective eigenvalue present"
+
+
 # ---------------------------------------------------------------------------
 # splittings
 

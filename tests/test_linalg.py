@@ -21,6 +21,7 @@ from superkoszul.linalg import (
     SubspaceError,
     poly_eval,
 )
+from superkoszul.koszul import verify_spectrum
 
 F = Fraction
 
@@ -487,7 +488,52 @@ def sparse_maps(draw, max_dim=5):
 @given(sparse_maps())
 @settings(max_examples=60, deadline=None)
 def test_prop_rank_nullity(m):
-    assert m.rank() + m.kernel().dim == m.dom_dim
+    # rank and kernel share one elimination, so both are pinned to the
+    # dense oracle rather than only to each other
+    rank = naive_rank(m)
+    assert m.rank() == rank
+    ker = m.kernel()
+    assert ker.dim == m.dom_dim - rank
+    for v in ker.vectors:
+        assert m.apply(v) == {}
+
+
+def annihilated(m, eigenvalues):
+    """Whether the product of (M - lambda) over the eigenvalues is zero."""
+    eye = SparseMap.identity(m.dom_dim)
+    prod = eye
+    for lam in eigenvalues:
+        prod = (m - lam * eye) @ prod
+    return prod.is_zero()
+
+
+@st.composite
+def upper_triangular(draw, max_dim=5):
+    n = draw(st.integers(1, max_dim))
+    diag = draw(st.lists(st.sampled_from([F(0), F(1), F(-2), F(3, 2)]),
+                         min_size=n, max_size=n))
+    ent = {(i, i): lam for i, lam in enumerate(diag)}
+    for i in range(n):
+        for j in range(i + 1, n):
+            ent[(i, j)] = F(draw(st.sampled_from([0, 0, 1, -1, 2])))
+    return SparseMap(n, n, ent)
+
+
+@given(upper_triangular(), st.sets(st.sampled_from([F(5), F(-1, 3)]), max_size=1))
+@settings(max_examples=80, deadline=None)
+def test_prop_diagonalizable_iff_annihilated(m, extra):
+    # the spectrum is the diagonal; the matrix is diagonalizable exactly when
+    # the product over its distinct eigenvalues vanishes
+    diag = [m.entry(i, i) for i in range(m.dom_dim)]
+    alg = {lam: diag.count(lam) for lam in diag}
+    diagonalizable = annihilated(m, set(alg))
+    spec = m.rational_spectrum()
+    assert spec.diagonalizable == diagonalizable
+    assert {lam: a for lam, a, _ in spec.pairs} == alg
+    rep = verify_spectrum([m], m.dom_dim, frozenset(alg) | extra, None, "x", ())
+    assert rep.diagonalizable == diagonalizable
+    assert dict(rep.eigenvalues) == alg
+    assert rep.matches_derived == (diagonalizable and not extra)
 
 
 @given(sparse_maps())
