@@ -1,5 +1,5 @@
 """Command line front end: verification runs, module construction, loop
-spectra, character formulas, and cache exports.
+spectra, character formulas, and matrix and basis exports.
 
 Exit codes: 0 everything checked out, 1 at least one failed check or
 recorded finding, 2 bad configuration or arguments.
@@ -38,12 +38,10 @@ def parse_ints(text):
 
 
 def _emit(obj, out_path=None):
-    blob = json.dumps(obj, indent=2, sort_keys=True)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(blob + "\n")
+        harness.store_report(obj, out_path)
     else:
-        print(blob)
+        print(json.dumps(obj, indent=2, sort_keys=True))
 
 
 def _build_parser():
@@ -68,7 +66,6 @@ def _build_parser():
                    help="comma separated subset of: "
                         + ", ".join(harness.CHECK_GROUPS))
     v.add_argument("--jobs", type=int, default=1)
-    v.add_argument("--cache-dir", default=None)
     v.add_argument("--json", dest="json_out", default=None,
                    help="write the full report to this file")
 
@@ -92,13 +89,12 @@ def _build_parser():
                     help='weight label "2,1,0|-1", or a partition for schur')
     ch.add_argument("--json", dest="json_out", default=None)
 
-    e = sub.add_parser("export", help="re-export a cached or computed object")
+    e = sub.add_parser("export", help="export an operator matrix or a basis")
     esub = e.add_subparsers(dest="what", required=True)
     em = esub.add_parser("matrix")
     em.add_argument("which", choices=["d", "del", "P", "Q"])
     em.add_argument("pair", help='degree pair "k,l"')
     em.add_argument("alphabet", nargs="?", default="3,1", help='"m,n"')
-    em.add_argument("--cache-dir", default=None)
     em.add_argument("--out", default=None)
     eb = esub.add_parser("basis")
     eb.add_argument("kind", choices=["sym", "alt"])
@@ -106,10 +102,6 @@ def _build_parser():
     eb.add_argument("alphabet", nargs="?", default="3,1")
     eb.add_argument("--dual", action="store_true")
     eb.add_argument("--out", default=None)
-    er = esub.add_parser("report")
-    er.add_argument("key", nargs="?", default="last")
-    er.add_argument("--cache-dir", default=None)
-    er.add_argument("--out", default=None)
     return ap
 
 
@@ -122,13 +114,10 @@ def _cmd_verify(args):
         dim_cap=args.dim_cap,
         checks=tuple(c.strip() for c in args.checks.split(",") if c.strip()),
         jobs=args.jobs,
-        cache_dir=args.cache_dir,
     )
     report = harness.run(plan)
-    blob = report.to_json()
-    harness.store_report(blob, args.cache_dir)
     if args.json_out:
-        _emit(blob, args.json_out)
+        _emit(report.to_json(), args.json_out)
     s = report.summary
     print(f"pass {s['pass']}  fail {s['fail']}  skip {s['skip']}  "
           f"findings {s['findings']}")
@@ -177,14 +166,11 @@ def _cmd_character(args):
 def _cmd_export(args):
     if args.what == "matrix":
         out = harness.export_matrix(
-            args.which, parse_ints(args.pair), parse_ints(args.alphabet),
-            cache_dir=args.cache_dir)
-    elif args.what == "basis":
+            args.which, parse_ints(args.pair), parse_ints(args.alphabet))
+    else:
         out = harness.export_basis(
             args.kind, args.degree, parse_ints(args.alphabet),
             dual=args.dual)
-    else:
-        out = harness.export_report(args.key, cache_dir=args.cache_dir)
     _emit(out, args.out)
     return 0
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import SparseMap, Subspace
+from .linalg import RestrictionError, SparseMap, Subspace
 from .superspace import ProductSpace, blocked_image
 from .koszul import Spot, op_target
 
@@ -25,6 +25,14 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 RAISING = ((0, 1), (1, 2), (2, 3))
+
+
+class ModuleError(ValueError):
+    """A module fails a structural invariant; the witness shows where."""
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness
 
 
 def generator_matrix(basis, gi, gj):
@@ -259,7 +267,9 @@ class GLModule:
         out = []
         for v in ker.vectors:
             ws = {self.weights[i] for i in v}
-            assert len(ws) == 1
+            if len(ws) != 1:
+                raise ModuleError("singular vector is not a weight vector",
+                                  witness={"vector": v, "weights": sorted(ws)})
             out.append(ws.pop())
         return ker, out
 
@@ -347,25 +357,31 @@ class GLModule:
 def module_from_subspace(act, product, sub, name):
     """Restrict the ambient action to an invariant subspace.
 
-    Raises RestrictionError (with a witness) if the subspace is not actually
-    invariant, so module claims are never assumed.
+    Raises ModuleError if a basis vector of the subspace mixes weights or
+    parities, and RestrictionError if the subspace is not actually invariant;
+    both carry a witness, so module claims are never assumed.
     """
+    weights = []
+    parities = []
+    pw = product.weights()
+    pp = product.parities()
+    for k, v in enumerate(sub.vectors):
+        ws = {pw[i] for i in v}
+        ps = {pp[i] for i in v}
+        if len(ws) != 1 or len(ps) != 1:
+            raise ModuleError(
+                "subspace basis vector is not homogeneous",
+                witness={"index": k, "vector": v, "weights": sorted(ws),
+                         "parities": sorted(ps)},
+            )
+        weights.append(ws.pop())
+        parities.append(ps.pop())
     space = act.space
     gens = {}
     for i in range(space.dim):
         for j in range(space.dim):
             amb = act.on_product(product, i, j)
             gens[(i, j)] = amb.restrict(sub, sub)
-    weights = []
-    parities = []
-    pw = product.weights()
-    pp = product.parities()
-    for v in sub.vectors:
-        ws = {pw[i] for i in v}
-        ps = {pp[i] for i in v}
-        assert len(ws) == 1 and len(ps) == 1, "subspace basis not homogeneous"
-        weights.append(ws.pop())
-        parities.append(ps.pop())
     return GLModule(space=space, name=name, gens=gens, weights=weights,
                     parities=parities)
 
@@ -381,10 +397,20 @@ def quotient_module(act, product, ker, im, name):
             cols = {}
             for c, v in enumerate(comp.vectors):
                 img = amb.apply(v)
-                assert ker.contains(img), "quotient action escapes the kernel"
+                if not ker.contains(img):
+                    raise RestrictionError(
+                        "quotient action escapes the kernel",
+                        witness={"generator": (i, j), "index": c,
+                                 "vector": v, "image": img},
+                    )
                 rem = im._reduce(img)
                 coords = comp.coordinates_of(rem)
-                assert coords is not None, "reduction left the complement"
+                if coords is None:
+                    raise RestrictionError(
+                        "reduction modulo the image left the complement",
+                        witness={"generator": (i, j), "index": c,
+                                 "vector": v, "remainder": rem},
+                    )
                 cols[c] = {r: v for r, v in enumerate(coords) if v}
             gens[(i, j)] = SparseMap.from_columns(comp.dim, comp.dim, cols)
     weights = []
@@ -436,7 +462,9 @@ def dual_module(mod):
 
 def tensor_modules(a, b):
     """E acts as a super derivation: E(u x v) = Eu x v + (-1)^(p(E)p(u)) u x Ev."""
-    assert a.space == b.space
+    if a.space != b.space:
+        raise ModuleError("tensor factors act over different spaces",
+                          witness={"left": a.space, "right": b.space})
     space = a.space
     idb = SparseMap.identity(b.dim)
     gens = {}
@@ -461,41 +489,12 @@ def tensor_modules(a, b):
 
 def berezinian_twist(mod, t):
     """Tensor t times with the one-dimensional weight-(1,1,1,-1) odd line."""
+    if t < 0:
+        raise ValueError(f"twist count must be at least 0, got {t}")
     out = mod
     for _ in range(t):
         out = out.twist((1, 1, 1, -1), 1)
     return out
-
-
-def supercommutator_check(act, product):
-    """[E_ab, E_cd] = delta_bc E_ad - (-1)^(p(ab)p(cd)) delta_da E_cb on the
-    product; returns the list of failing generator pairs."""
-    space = act.space
-    d = space.dim
-    mats = {
-        (i, j): act.on_product(product, i, j) for i in range(d) for j in range(d)
-    }
-    zero = SparseMap(product.dim, product.dim, {})
-    bad = []
-    for a in range(d):
-        for b in range(d):
-            pab = (space.parity(a) + space.parity(b)) % 2
-            for c in range(d):
-                for e in range(d):
-                    pcd = (space.parity(c) + space.parity(e)) % 2
-                    lhs = mats[(a, b)] @ mats[(c, e)]
-                    rl = mats[(c, e)] @ mats[(a, b)]
-                    lhs = lhs - rl.scaled(Fraction((-1) ** (pab * pcd)))
-                    rhs = zero
-                    if b == c:
-                        rhs = rhs + mats[(a, e)]
-                    if e == a:
-                        rhs = rhs - mats[(c, b)].scaled(
-                            Fraction((-1) ** (pab * pcd))
-                        )
-                    if not (lhs - rhs).is_zero():
-                        bad.append(((a, b), (c, e)))
-    return bad
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +512,9 @@ class Constructor:
         """One-dimensional top homology class of the offset-two complex."""
         ctx = self.ctx
         h, ker, im = ctx.k_homology(2, 3)
-        assert h == 1
+        if h != 1:
+            raise ModuleError("offset-two homology at k = 3 is not a line",
+                              witness={"homology_dim": h})
         return quotient_module(self.act, ctx.pair_space(3, 1), ker, im, "H31")
 
     def image_module(self, k, l):
@@ -530,6 +531,8 @@ class Constructor:
 
     def mmp(self, m, p):
         """Im d_(m+2,m+p) twisted by the berezinian-like line m-1 times."""
+        if min(m, p) < 1:
+            raise ValueError(f"parameters must be at least 1, got {(m, p)}")
         out = berezinian_twist(self.image_module(m + 2, m + p), m - 1)
         out.name = f"M({m},{p})"
         return out
@@ -562,7 +565,7 @@ class Constructor:
         """Z(t, m+1, p+m-1) twisted m-1 times; highest weight comes out
         (m+t, m, -p+1 | 1)."""
         if min(m, t, p) < 1:
-            raise ValueError("parameters must be at least 1")
+            raise ValueError(f"parameters must be at least 1, got {(m, t, p)}")
         out = berezinian_twist(self.zk(t, m + 1, p + m - 1), m - 1)
         out.name = f"M({m},{t},{p})"
         return out

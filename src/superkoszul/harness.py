@@ -1,4 +1,4 @@
-"""Verification grids, the on-disk matrix cache, and machine-readable reports.
+"""Verification grids, machine-readable reports, and JSON exports.
 
 Every checked fact is registered under a stable claim id with a plain
 mathematical statement, so reports stay meaningful on their own.  Checks are
@@ -9,9 +9,7 @@ runs of the same plan agree byte for byte outside the timing fields.
 
 from __future__ import annotations
 
-import hashlib
 import json
-import os
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -20,7 +18,6 @@ from fractions import Fraction
 from . import characters as chars
 from .glrep import Constructor, GLAction, check_equivariance, dual_module
 from .koszul import KoszulContext, Spot, op_applicable, op_target
-from .linalg import SparseMap
 from .superspace import SuperSpace, power_basis, weight_label
 
 
@@ -171,7 +168,6 @@ class VerificationPlan:
     dim_cap: int = 3000
     checks: tuple = CHECK_GROUPS
     jobs: int = 1
-    cache_dir: str | None = None
 
     def validate(self):
         bounds = (self.max_k, self.max_l, self.max_i, self.max_a,
@@ -286,105 +282,8 @@ def stable_body(report_json):
     return json.dumps(body, sort_keys=True, indent=1)
 
 
-# ---------------------------------------------------------------------------
-# disk cache
-
-
-def _payload_digest(payload):
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
-class DiskCache:
-    """One JSON file per key, checksummed; corrupt entries read as misses.
-
-    Writes go through a temp file and os.replace, so concurrent readers
-    never observe a torn entry.
-    """
-
-    def __init__(self, root):
-        self.root = root
-        os.makedirs(root, exist_ok=True)
-
-    def _path(self, key):
-        name = hashlib.sha256(key.encode()).hexdigest()[:24]
-        return os.path.join(self.root, name + ".json")
-
-    def get(self, key):
-        try:
-            with open(self._path(key), "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError):
-            return None
-        if data.get("key") != key:
-            return None
-        payload = data.get("payload")
-        if data.get("sha256") != _payload_digest(payload):
-            return None
-        return payload
-
-    def put(self, key, payload):
-        path = self._path(key)
-        blob = {"key": key, "payload": payload,
-                "sha256": _payload_digest(payload)}
-        tmp = f"{path}.{os.getpid()}.tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(blob, fh, sort_keys=True)
-        os.replace(tmp, path)
-        return path
-
-
-def resolve_cache_dir(explicit=None):
-    if explicit:
-        return explicit
-    env = os.environ.get("SUPERKOSZUL_CACHE")
-    if env:
-        return env
-    return None
-
-
-class CachedKoszulContext(KoszulContext):
-    """Context whose four differentials round-trip through a disk cache."""
-
-    def __init__(self, space, cache):
-        super().__init__(space)
-        self.cache = cache
-
-    def _through(self, name, i, j, compute):
-        if (name, i, j) in self._pair_ops:
-            return self._pair_ops[(name, i, j)]
-        key = f"matrix/{name}/{self.space.m},{self.space.n}/{i},{j}"
-        payload = self.cache.get(key)
-        if payload is not None:
-            try:
-                mat = SparseMap.from_triples(payload)
-                self._pair_ops[(name, i, j)] = mat
-                return mat
-            except (KeyError, TypeError, ValueError):
-                pass  # treat malformed payloads as misses
-        mat = compute(i, j)
-        self.cache.put(key, mat.to_triples())
-        return mat
-
-    def pair_d(self, k, l):
-        return self._through("d", k, l, super().pair_d)
-
-    def pair_del(self, k, l):
-        return self._through("del", k, l, super().pair_del)
-
-    def pair_p(self, p, r):
-        return self._through("P", p, r, super().pair_p)
-
-    def pair_q(self, p, r):
-        return self._through("Q", p, r, super().pair_q)
-
-
 def _context(plan):
-    space = SuperSpace(plan.m, plan.n)
-    root = resolve_cache_dir(plan.cache_dir)
-    if root:
-        return CachedKoszulContext(space, DiskCache(root))
-    return KoszulContext(space)
+    return KoszulContext(SuperSpace(plan.m, plan.n))
 
 
 # ---------------------------------------------------------------------------
@@ -1024,15 +923,11 @@ def character_report(formula, label):
 # exports
 
 
-def export_matrix(which, pair, alphabet, cache_dir=None):
+def export_matrix(which, pair, alphabet):
     if len(pair) != 2:
         raise ValueError(f"matrix export needs a degree pair, got {pair!r}")
     m, n = alphabet
-    root = resolve_cache_dir(cache_dir)
-    if root:
-        ctx = CachedKoszulContext(SuperSpace(m, n), DiskCache(root))
-    else:
-        ctx = KoszulContext(SuperSpace(m, n))
+    ctx = KoszulContext(SuperSpace(m, n))
     fns = {"d": ctx.pair_d, "del": ctx.pair_del,
            "P": ctx.pair_p, "Q": ctx.pair_q}
     if which not in fns:
@@ -1067,18 +962,8 @@ def export_basis(kind, degree, alphabet, dual=False):
     }
 
 
-def store_report(report_json, cache_dir=None):
-    root = resolve_cache_dir(cache_dir)
-    if not root:
-        return None
-    return DiskCache(root).put("report/last", report_json)
-
-
-def export_report(key="last", cache_dir=None):
-    root = resolve_cache_dir(cache_dir)
-    if not root:
-        raise KeyError("no cache directory configured")
-    payload = DiskCache(root).get(f"report/{key}")
-    if payload is None:
-        raise KeyError(f"no stored report under {key!r}")
-    return payload
+def store_report(obj, path):
+    """Write a JSON document to a file: two-space indent, sorted keys, and a
+    trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")

@@ -363,14 +363,6 @@ class SparseMap:
         ]
         return {"dom_dim": self.dom_dim, "cod_dim": self.cod_dim, "entries": ents}
 
-    @classmethod
-    def from_triples(cls, data):
-        ent = {
-            (int(r), int(c)): Fraction(int(num), int(den))
-            for r, c, num, den in data["entries"]
-        }
-        return cls(data["dom_dim"], data["cod_dim"], ent)
-
     # -- spectra ---------------------------------------------------------------
 
     def trace(self):

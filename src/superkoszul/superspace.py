@@ -220,17 +220,6 @@ class PowerBasis:
                 del out[idx]
         return out
 
-    def coords_from_tensor(self, tvec, check=True):
-        """Read coordinates off the ascending-word rows; verify membership."""
-        out = {}
-        for idx, mu in enumerate(self.multisets):
-            a = tvec.get(self.word_index(mu), ZERO)
-            if a:
-                out[idx] = a
-        if check and self.to_tensor(out) != tvec:
-            raise ValueError("tensor vector is not in the projected subspace")
-        return out
-
     def subspace(self):
         """Realized basis as a Subspace of the tensor power (small N only)."""
         return Subspace.from_vectors(
@@ -351,57 +340,6 @@ def _binom(n, k):
     if k < 0 or k > n:
         return 0
     return factorial(n) // (factorial(k) * factorial(n - k))
-
-
-# ---------------------------------------------------------------------------
-# full tensor-power symmetrizers (test-scale; production code never builds
-# these matrices)
-
-
-def tensor_permutation_map(space, perm, degree):
-    """Signed permutation of tensor factors; slot s moves to slot perm[s]."""
-    d = space.dim
-    dim = d ** degree
-    ent = {}
-    for flat in range(dim):
-        word = []
-        f = flat
-        for _ in range(degree):
-            word.append(f % d)
-            f //= d
-        word.reverse()
-        sign = 1
-        for s in range(degree):
-            for t in range(s + 1, degree):
-                if perm[s] > perm[t] and space.parity(word[s]) and space.parity(word[t]):
-                    sign = -sign
-        out = [0] * degree
-        for s, letter in enumerate(word):
-            out[perm[s]] = letter
-        oflat = 0
-        for letter in out:
-            oflat = oflat * d + letter
-        ent[(oflat, flat)] = Fraction(sign)
-    return SparseMap(dim, dim, ent)
-
-
-def symmetrizer_map(space, kind, degree):
-    """Group average X_N (sym) or signed average Y_N (alt) on the tensor power."""
-    dim = space.dim ** degree
-    acc = SparseMap.zero(dim, dim)
-    for perm in permutations(range(degree)):
-        t = tensor_permutation_map(space, perm, degree)
-        if kind == "alt":
-            inv = sum(
-                1
-                for s in range(degree)
-                for u in range(s + 1, degree)
-                if perm[s] > perm[u]
-            )
-            if inv % 2:
-                t = (-ONE) * t
-        acc = acc + t
-    return Fraction(1, factorial(degree)) * acc
 
 
 # ---------------------------------------------------------------------------
@@ -535,23 +473,3 @@ def blocked_image(mat, dom_weights, cod_weights):
         for v in block.image().vectors:
             vecs.append({cod_idx[i]: x for i, x in v.items()})
     return Subspace.from_vectors(mat.cod_dim, vecs)
-
-
-def blocked_char_poly(mat, weights):
-    if mat.dom_dim != mat.cod_dim:
-        raise DimensionError("char_poly of non-square map")
-    poly = [ONE]
-    for block, _, _ in split_graded(mat, weights, weights).values():
-        poly = poly_mul(poly, block.char_poly())
-    return poly
-
-
-def poly_mul(a, b):
-    out = [ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            if y:
-                out[i + j] += x * y
-    return out

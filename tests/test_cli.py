@@ -4,9 +4,9 @@ import json
 
 import pytest
 
+from oracles import from_triples
 from superkoszul.cli import main, parse_label, parse_ints
 from superkoszul.koszul import KoszulContext
-from superkoszul.linalg import SparseMap
 from superkoszul.superspace import SuperSpace
 
 
@@ -70,6 +70,18 @@ def test_verify_report_matches_schema(capsys, tmp_path):
     jsonschema.validate(json.loads(out_file.read_text()), schema)
 
 
+@pytest.mark.parametrize("argv", [
+    "verify --cache-dir x",
+    "export matrix d 1,1 --cache-dir x",
+    "export report",
+])
+def test_removed_cache_options_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_verify_spectra_exits_one_on_finding(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--checks", "spectra",
@@ -83,19 +95,6 @@ def test_verify_rejects_unknown_check(capsys):
     code, _, err = run_cli(capsys, "verify", "--checks", "bogus")
     assert code == 2
     assert "error:" in err
-
-
-def test_verify_stores_report_in_cache(capsys, tmp_path):
-    code, _, _ = run_cli(
-        capsys, "verify", "--checks", "identities",
-        "--max-k", "1", "--max-l", "1", "--max-p", "1", "--max-r", "1",
-        "--cache-dir", str(tmp_path),
-    )
-    assert code == 0
-    code, out, _ = run_cli(
-        capsys, "export", "report", "last", "--cache-dir", str(tmp_path))
-    assert code == 0
-    assert json.loads(out)["summary"]["ok"]
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +132,7 @@ def test_construct_bad_params(capsys):
     "construct H31 5",
     "export matrix d 1",
     "export matrix d 1,2,3",
+    "construct Mmp 0 1",
 ])
 def test_wrong_parameter_count_is_a_configuration_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv.split())
@@ -175,7 +175,7 @@ def test_character_schur(capsys):
 def test_export_matrix_cli(capsys):
     code, out, _ = run_cli(capsys, "export", "matrix", "d", "1,1")
     assert code == 0
-    mat = SparseMap.from_triples(json.loads(out))
+    mat = from_triples(json.loads(out))
     assert mat.entries == KoszulContext(SuperSpace(3, 1)).pair_d(1, 1).entries
 
 
@@ -185,9 +185,3 @@ def test_export_basis_cli(capsys, tmp_path):
         capsys, "export", "basis", "alt", "2", "3,1", "--out", str(out_file))
     assert code == 0
     assert json.loads(out_file.read_text())["dim"] == 7
-
-
-def test_export_report_without_cache(capsys, monkeypatch):
-    monkeypatch.delenv("SUPERKOSZUL_CACHE", raising=False)
-    code, _, err = run_cli(capsys, "export", "report")
-    assert code == 2 and "error:" in err

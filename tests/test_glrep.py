@@ -13,15 +13,16 @@ from superkoszul.glrep import (
     Constructor,
     GLAction,
     GradedSpan,
+    ModuleError,
     ambient_module,
     berezinian_twist,
     check_equivariance,
     dual_module,
     generator_matrix,
     module_from_subspace,
-    supercommutator_check,
     tensor_modules,
 )
+from oracles import supercommutator_check
 from superkoszul.koszul import KoszulContext, Spot
 from superkoszul.linalg import RestrictionError, SparseMap, Subspace
 from superkoszul.superspace import ProductSpace, SuperSpace, power_basis
@@ -364,6 +365,8 @@ def test_berezinian_twist_shifts_weights(con):
     assert tw.cartan_is_diagonal()
     assert tw.parities[0] == (base.parities[0] + 1) % 2
     assert berezinian_twist(base, 0) is base
+    with pytest.raises(ValueError):
+        berezinian_twist(base, -1)
 
 
 def test_non_invariant_subspace_raises(ctx, act):
@@ -371,6 +374,17 @@ def test_non_invariant_subspace_raises(ctx, act):
     line = Subspace.from_vectors(product.dim, [{0: F(1)}])
     with pytest.raises(RestrictionError):
         module_from_subspace(act, product, line, "bogus")
+
+
+def test_non_homogeneous_subspace_basis_raises(ctx, act):
+    # the whole of V, but with a first basis vector mixing two weights
+    product = ProductSpace(ctx.sym_basis(1))
+    mixed = Subspace(4, [{0: F(1), 1: F(1)}, {1: F(1)}, {2: F(1)}, {3: F(1)}],
+                     [0, 1, 2, 3])
+    with pytest.raises(ModuleError) as exc:
+        module_from_subspace(act, product, mixed, "mixed")
+    assert exc.value.witness["index"] == 0
+    assert len(exc.value.witness["weights"]) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,25 +1,21 @@
-"""Plan validation, disk cache behavior, report determinism, exports, and
-the per-command report builders."""
+"""Plan validation, report determinism, exports, and the per-command report
+builders."""
 
 import json
-import os
 
 import pytest
 
+from oracles import from_triples
 from superkoszul.harness import (
     CLAIMS,
-    DiskCache,
-    CachedKoszulContext,
     PlanError,
     VerificationPlan,
     character_report,
     construct_report,
     export_basis,
     export_matrix,
-    export_report,
     hook_to_label,
     record,
-    resolve_cache_dir,
     run,
     run_group,
     spectrum_report,
@@ -27,7 +23,6 @@ from superkoszul.harness import (
     store_report,
 )
 from superkoszul.koszul import KoszulContext
-from superkoszul.linalg import SparseMap
 from superkoszul.superspace import SuperSpace
 
 
@@ -73,59 +68,6 @@ def test_hook_to_label():
     assert hook_to_label((3,)) == (3, 0, 0, 0)
     assert hook_to_label((1, 1, 1, 1)) == (1, 1, 1, -1)
     assert hook_to_label((2, 1, 1, 1, 1)) == (2, 1, 1, -2)
-
-
-# ---------------------------------------------------------------------------
-# disk cache
-
-
-def test_cache_round_trip(tmp_path):
-    cache = DiskCache(str(tmp_path))
-    payload = {"dom_dim": 2, "cod_dim": 2, "entries": [["0", "1", "1", "2"]]}
-    cache.put("matrix/test", payload)
-    assert cache.get("matrix/test") == payload
-    assert cache.get("matrix/other") is None
-
-
-def test_cache_detects_corruption(tmp_path):
-    cache = DiskCache(str(tmp_path))
-    path = cache.put("k", {"a": 1})
-    blob = json.load(open(path))
-    blob["payload"]["a"] = 2  # content no longer matches the checksum
-    json.dump(blob, open(path, "w"))
-    assert cache.get("k") is None
-    cache.put("k", {"a": 3})
-    assert cache.get("k") == {"a": 3}
-
-
-def test_cache_ignores_truncated_files(tmp_path):
-    cache = DiskCache(str(tmp_path))
-    path = cache.put("k", [1, 2, 3])
-    open(path, "w").write('{"key": "k", "payl')
-    assert cache.get("k") is None
-
-
-def test_resolve_cache_dir_priority(monkeypatch):
-    monkeypatch.setenv("SUPERKOSZUL_CACHE", "/env/path")
-    assert resolve_cache_dir("/explicit") == "/explicit"
-    assert resolve_cache_dir(None) == "/env/path"
-    monkeypatch.delenv("SUPERKOSZUL_CACHE")
-    assert resolve_cache_dir(None) is None
-
-
-def test_cached_context_coherence(tmp_path):
-    space = SuperSpace(3, 1)
-    cache = DiskCache(str(tmp_path))
-    cached = CachedKoszulContext(space, cache)
-    fresh = KoszulContext(space)
-    first = cached.pair_d(1, 1)
-    assert first.entries == fresh.pair_d(1, 1).entries
-    # a second context with a cold RAM memo must reload identical entries
-    reload_ctx = CachedKoszulContext(space, DiskCache(str(tmp_path)))
-    assert reload_ctx.pair_d(1, 1).entries == first.entries
-    for name in ("del", "P", "Q"):
-        getattr(cached, {"del": "pair_del", "P": "pair_p", "Q": "pair_q"}[name])(1, 1)
-    assert len(os.listdir(tmp_path)) >= 4
 
 
 # ---------------------------------------------------------------------------
@@ -271,13 +213,13 @@ def test_character_report_formulas():
 # exports
 
 
-def test_export_matrix_round_trip(tmp_path):
-    out = export_matrix("d", (1, 1), (3, 1), cache_dir=str(tmp_path))
-    mat = SparseMap.from_triples(out)
+def test_export_matrix_round_trip():
+    out = export_matrix("d", (1, 1), (3, 1))
+    mat = from_triples(out)
     fresh = KoszulContext(SuperSpace(3, 1)).pair_d(1, 1)
     assert mat.entries == fresh.entries
-    # re-export reads the cached entry and must be bit-identical
-    again = export_matrix("d", (1, 1), (3, 1), cache_dir=str(tmp_path))
+    # a repeated export must be bit-identical
+    again = export_matrix("d", (1, 1), (3, 1))
     assert json.dumps(out, sort_keys=True) == json.dumps(again, sort_keys=True)
 
 
@@ -293,17 +235,10 @@ def test_export_basis_alt2():
         assert set(vec) == {"label", "weight", "parity", "expansion"}
 
 
-def test_export_report_round_trip(tmp_path):
-    plan = VerificationPlan(checks=("identities",), **SMALL)
-    blob = run(plan).to_json()
-    store_report(blob, str(tmp_path))
-    back = export_report("last", cache_dir=str(tmp_path))
-    assert json.dumps(back, sort_keys=True) == json.dumps(blob, sort_keys=True)
-    with pytest.raises(KeyError):
-        export_report("other", cache_dir=str(tmp_path))
-
-
-def test_export_report_requires_cache(monkeypatch):
-    monkeypatch.delenv("SUPERKOSZUL_CACHE", raising=False)
-    with pytest.raises(KeyError):
-        export_report("last")
+def test_store_report_writes_indented_sorted_json(tmp_path):
+    path = tmp_path / "out.json"
+    store_report({"b": [1, {"d": 2, "c": 3}], "a": "x"}, str(path))
+    assert path.read_text(encoding="utf-8") == (
+        '{\n  "a": "x",\n  "b": [\n    1,\n    {\n      "c": 3,\n'
+        '      "d": 2\n    }\n  ]\n}\n'
+    )
