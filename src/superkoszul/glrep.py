@@ -6,15 +6,20 @@ dual letters by E_ij xi^k = -(-1)^((p_i+p_j)p_k) delta_ki xi^j; it extends to
 words as a super derivation (crossing an earlier slot costs the sign
 (-1)^(p(E) p(slot))) and to tensor products of power bases the same way.
 
-Modules are handled in two shapes: a subspace of a product space with the
-generators restricted to it, or an abstract list of generator matrices (used
-for one-dimensional twists and their tensor products).  Both normalize to
-GLModule, which owns the singular-vector and irreducibility machinery.
+A module carries only the simple-root generators E_(i,i+1) and E_(i+1,i),
+2(m+n-1) matrices, together with the weight and parity of each basis vector.
+Every module here has a weight basis, so the Cartan E_jj acts diagonally by
+the weights and needs no matrix; gl(m|n) is generated by the Cartan and the
+simple-root generators (E_ac = [E_ab, E_bc] for distinct a, b, c).  The
+stabiliser of a subspace is a Lie sub-superalgebra, so a subspace spanned by
+weight vectors and invariant under the simple generators is invariant under
+all of gl(m|n): restricting the simple generators certifies the whole action.
+GLModule owns the singular-vector and irreducibility machinery.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import RestrictionError, SparseMap, Subspace
@@ -24,8 +29,6 @@ from .koszul import Spot, op_target
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-RAISING = ((0, 1), (1, 2), (2, 3))
-
 
 class ModuleError(ValueError):
     """A module fails a structural invariant; the witness shows where."""
@@ -33,6 +36,18 @@ class ModuleError(ValueError):
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
+
+
+def raising_pairs(space):
+    """Keys (i, i+1) of the simple raising generators E_(i,i+1)."""
+    return tuple((i, i + 1) for i in range(space.dim - 1))
+
+
+def simple_pairs(space):
+    """Keys of the simple-root generators: the raising pairs, then the
+    lowering pairs (i+1, i)."""
+    up = raising_pairs(space)
+    return up + tuple((j, i) for i, j in up)
 
 
 def generator_matrix(basis, gi, gj):
@@ -120,14 +135,6 @@ class GLAction:
         self._product[key] = total
         return total
 
-    def all_generators(self, product):
-        dim = self.space.dim
-        return {
-            (i, j): self.on_product(product, i, j)
-            for i in range(dim)
-            for j in range(dim)
-        }
-
 
 def check_equivariance(ctx, act, name, spot):
     """T E = E T for every elementary generator, T the named differential."""
@@ -207,10 +214,11 @@ class GradedSpan:
 
 @dataclass
 class GLModule:
-    """A gl(m|n)-module given by explicit generator matrices.
+    """A gl(m|n)-module given by its simple-root generator matrices.
 
-    weights[i] is the simultaneous Cartan eigenvalue tuple of basis index i
-    in internal coordinates (all entries are the honest E_jj eigenvalues).
+    gens maps each key of simple_pairs(space) to its matrix.  weights[i] is
+    the simultaneous Cartan eigenvalue tuple of basis index i in internal
+    coordinates: E_jj acts on basis vector i by weights[i][j].
     """
 
     space: object
@@ -222,18 +230,6 @@ class GLModule:
     @property
     def dim(self):
         return len(self.weights)
-
-    def cartan_is_diagonal(self):
-        """E_jj must act diagonally with the stored weights."""
-        for j in range(self.space.dim):
-            g = self.gens[(j, j)]
-            for (r, c), v in g.entries.items():
-                if r != c:
-                    return False
-            for i, w in enumerate(self.weights):
-                if g.entry(i, i) != w[j]:
-                    return False
-        return True
 
     def weight_multiset(self):
         out = {}
@@ -252,7 +248,7 @@ class GLModule:
             cols = {}
             for li, g in enumerate(idx):
                 col = {}
-                for t, pair in enumerate(RAISING):
+                for t, pair in enumerate(raising_pairs(self.space)):
                     for r, v in self.gens[pair].column(g).items():
                         rid = rows.setdefault((t, r), len(rows))
                         col[rid] = v
@@ -282,11 +278,13 @@ class GLModule:
         return ws[0]
 
     def submodule_span(self, vectors):
-        """Closure of the given vectors under all generators.
+        """Closure of the given vectors under the whole action.
 
         Seeds split into weight components first: the closure contains each
         component (separate them with Cartan polynomials), and generator
-        images of homogeneous vectors stay homogeneous.
+        images of homogeneous vectors stay homogeneous.  The span is graded
+        by weight, so it is Cartan-closed, and closing it under the simple
+        generators closes it under all of gl(m|n).
         """
         span = GradedSpan(self.dim, self.weights)
         queue = []
@@ -334,19 +332,14 @@ class GLModule:
     def twist(self, weight, parity):
         """Tensor with a one-dimensional module of the given weight/parity.
 
-        Off-diagonal generators kill the line, so only the Cartan matrices
-        shift; element parities flip when the line is odd.
+        Off-diagonal generators kill the line, so the generator matrices stay
+        as they are: only the weights shift, and element parities flip when
+        the line is odd.
         """
-        gens = dict(self.gens)
-        for j in range(self.space.dim):
-            if weight[j]:
-                gens[(j, j)] = gens[(j, j)] + Fraction(weight[j]) * SparseMap.identity(
-                    self.dim
-                )
         return GLModule(
             space=self.space,
             name=f"{self.name}*twist{tuple(weight)}",
-            gens=gens,
+            gens=dict(self.gens),
             weights=[
                 tuple(a + b for a, b in zip(w, weight)) for w in self.weights
             ],
@@ -354,13 +347,9 @@ class GLModule:
         )
 
 
-def module_from_subspace(act, product, sub, name):
-    """Restrict the ambient action to an invariant subspace.
-
-    Raises ModuleError if a basis vector of the subspace mixes weights or
-    parities, and RestrictionError if the subspace is not actually invariant;
-    both carry a witness, so module claims are never assumed.
-    """
+def _grading(product, sub):
+    """Weight and parity of each basis vector of sub; raises ModuleError
+    with a witness if one of them mixes weights or parities."""
     weights = []
     parities = []
     pw = product.weights()
@@ -376,69 +365,84 @@ def module_from_subspace(act, product, sub, name):
             )
         weights.append(ws.pop())
         parities.append(ps.pop())
-    space = act.space
-    gens = {}
-    for i in range(space.dim):
-        for j in range(space.dim):
-            amb = act.on_product(product, i, j)
-            gens[(i, j)] = amb.restrict(sub, sub)
-    return GLModule(space=space, name=name, gens=gens, weights=weights,
+    return weights, parities
+
+
+def module_from_subspace(act, product, sub, name):
+    """Restrict the ambient action to an invariant subspace.
+
+    Raises ModuleError if a basis vector of the subspace mixes weights or
+    parities, and RestrictionError if the subspace is not invariant under a
+    simple-root generator; both carry a witness, so module claims are never
+    assumed.  Together the two checks certify invariance under all of
+    gl(m|n): the weight basis makes the subspace Cartan-stable, and the
+    stabiliser of a subspace is a Lie sub-superalgebra, which then contains
+    the subalgebra generated by the Cartan and the simple-root generators,
+    the whole of gl(m|n).
+    """
+    weights, parities = _grading(product, sub)
+    gens = {
+        (i, j): act.on_product(product, i, j).restrict(sub, sub)
+        for i, j in simple_pairs(act.space)
+    }
+    return GLModule(space=act.space, name=name, gens=gens, weights=weights,
                     parities=parities)
 
 
 def quotient_module(act, product, ker, im, name):
-    """Action on ker/im, with the complement of im in ker as the basis."""
+    """Action on ker/im, with the complement of im in ker as the basis.
+
+    im is taken to be invariant (it is the image of an equivariant map).
+    A complement vector with mixed weights or parities raises ModuleError,
+    and a simple-root generator carrying a complement vector out of ker, or
+    out of the complement modulo im, raises RestrictionError.  As in
+    module_from_subspace, the weight basis and the simple-root generators
+    together certify that ker is invariant under all of gl(m|n).
+    """
     comp = ker.complement_of(im)
-    space = act.space
+    weights, parities = _grading(product, comp)
     gens = {}
-    for i in range(space.dim):
-        for j in range(space.dim):
-            amb = act.on_product(product, i, j)
-            cols = {}
-            for c, v in enumerate(comp.vectors):
-                img = amb.apply(v)
-                if not ker.contains(img):
-                    raise RestrictionError(
-                        "quotient action escapes the kernel",
-                        witness={"generator": (i, j), "index": c,
-                                 "vector": v, "image": img},
-                    )
-                rem = im._reduce(img)
-                coords = comp.coordinates_of(rem)
-                if coords is None:
-                    raise RestrictionError(
-                        "reduction modulo the image left the complement",
-                        witness={"generator": (i, j), "index": c,
-                                 "vector": v, "remainder": rem},
-                    )
-                cols[c] = {r: v for r, v in enumerate(coords) if v}
-            gens[(i, j)] = SparseMap.from_columns(comp.dim, comp.dim, cols)
-    weights = []
-    parities = []
-    pw = product.weights()
-    pp = product.parities()
-    for v in comp.vectors:
-        weights.append({pw[i] for i in v}.pop())
-        parities.append({pp[i] for i in v}.pop())
-    return GLModule(space=space, name=name, gens=gens, weights=weights,
+    for i, j in simple_pairs(act.space):
+        amb = act.on_product(product, i, j)
+        cols = {}
+        for c, v in enumerate(comp.vectors):
+            img = amb.apply(v)
+            if not ker.contains(img):
+                raise RestrictionError(
+                    "quotient action escapes the kernel",
+                    witness={"generator": (i, j), "index": c,
+                             "vector": v, "image": img},
+                )
+            rem = im._reduce(img)
+            coords = comp.coordinates_of(rem)
+            if coords is None:
+                raise RestrictionError(
+                    "reduction modulo the image left the complement",
+                    witness={"generator": (i, j), "index": c,
+                             "vector": v, "remainder": rem},
+                )
+            cols[c] = {r: x for r, x in enumerate(coords) if x}
+        gens[(i, j)] = SparseMap.from_columns(comp.dim, comp.dim, cols)
+    return GLModule(space=act.space, name=name, gens=gens, weights=weights,
                     parities=parities)
 
 
 def ambient_module(act, product, name):
     """The whole product space as a module."""
-    space = act.space
     gens = {
         (i, j): act.on_product(product, i, j)
-        for i in range(space.dim)
-        for j in range(space.dim)
+        for i, j in simple_pairs(act.space)
     }
-    return GLModule(space=space, name=name, gens=gens,
+    return GLModule(space=act.space, name=name, gens=gens,
                     weights=list(product.weights()),
                     parities=list(product.parities()))
 
 
 def dual_module(mod):
-    """Contragredient action: (E.f)(v) = -(-1)^(p(E)p(f)) f(E.v)."""
+    """Contragredient action: (E.f)(v) = -(-1)^(p(E)p(f)) f(E.v).
+
+    Each generator of the dual is built from the same generator of mod, so
+    the dual carries the same keys; its weights are the negated ones."""
     space = mod.space
     par = mod.parities
     gens = {}
@@ -461,7 +465,9 @@ def dual_module(mod):
 
 
 def tensor_modules(a, b):
-    """E acts as a super derivation: E(u x v) = Eu x v + (-1)^(p(E)p(u)) u x Ev."""
+    """E acts as a super derivation: E(u x v) = Eu x v + (-1)^(p(E)p(u)) u x Ev.
+
+    Runs over the generator keys of a; weights add."""
     if a.space != b.space:
         raise ModuleError("tensor factors act over different spaces",
                           witness={"left": a.space, "right": b.space})
@@ -539,7 +545,9 @@ class Constructor:
 
     def y_summand(self, n, p):
         """Complement summand of the two-column splitting at (i,a) =
-        (n-1, p-n)."""
+        (n-1, p-n), inside the triple spot S_n . S*_p."""
+        if min(n, p) < 1:
+            raise ValueError(f"parameters must be at least 1, got {(n, p)}")
         i, a = n - 1, p - n
         _, b_sub = self.ctx.splitting("prop1", (i, a))
         spot = Spot(i + 1, 0, a + i + 1)
@@ -548,7 +556,11 @@ class Constructor:
         )
 
     def zk(self, k, l, m):
-        """Z-summand of the kernel splitting inside S_k . Im d_(l,m)."""
+        """Z-summand of the kernel splitting inside S_k . Im d_(l,m); the
+        splitting reads Ker(P (x) id) on S_(k-1) . L_(l+1) . S*_m."""
+        if k < 1 or min(l, m) < 0:
+            raise ValueError(
+                f"k must be at least 1 and l, m at least 0, got {(k, l, m)}")
         i = k - 1
         kk = l
         a = m - i - kk - 1

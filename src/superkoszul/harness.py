@@ -531,8 +531,14 @@ def _check_splittings(plan):
     return records, []
 
 
-def _label(mod):
-    return list(weight_label(mod.highest_weight(), mod.space.m, mod.space.n))
+def _label(mod, info):
+    """Label of the highest weight, read off the singular weights that
+    is_irreducible already found; ValueError unless the singular space is a
+    line, as from GLModule.highest_weight."""
+    if info["singular_dim"] != 1:
+        raise ValueError(f"singular space has dimension {info['singular_dim']}")
+    weight = info["singular_weights"][0]
+    return list(weight_label(weight, mod.space.m, mod.space.n))
 
 
 def _char_legs(mod, closed, v_label):
@@ -557,7 +563,7 @@ def _module_record(claim, params, mod, closed, v_label, stated_label=None,
     """
     irr, info = mod.is_irreducible()
     legs = _char_legs(mod, closed, v_label)
-    derived = _label(mod)
+    derived = _label(mod, info)
     label_ok = stated_label is None or derived == list(stated_label)
     ok = (irr and legs["closed_formula"]["equal"]
           and legs["v_formula"]["equal"] and extra_ok
@@ -815,7 +821,7 @@ def construct_report(name, params):
     con = Constructor(ctx)
     mod = con.construct(name, params)
     irr, info = mod.is_irreducible()
-    label = _label(mod)
+    label = _label(mod, info)
     out = {
         "name": mod.name,
         "params": list(params),

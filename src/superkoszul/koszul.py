@@ -36,6 +36,14 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+class KoszulError(ValueError):
+    """A structural claim about the complex fails; the witness shows where."""
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness
+
+
 @dataclass(frozen=True)
 class Spot:
     """Indices of the triple product S_sym (x) Lambda_alt (x) S*_dual."""
@@ -225,7 +233,8 @@ class KoszulContext:
         return self._triple_ops[key]
 
     def composed(self, word, spot):
-        """Compose operators along the word, first entry applied first."""
+        """Compose operators along the word, first entry applied first;
+        returns the map and the spot it ends at."""
         cur = None
         s = spot
         for name in word:
@@ -236,6 +245,18 @@ class KoszulContext:
             dim = self.spot_space(spot).dim
             cur = SparseMap.identity(dim)
         return cur, s
+
+    def composed_to(self, word, spot, end):
+        """The composed map along the word, which must end at the given spot;
+        raises KoszulError with the spot it does reach otherwise."""
+        mat, reached = self.composed(word, spot)
+        if reached != end:
+            raise KoszulError(
+                "composed word ends at the wrong spot",
+                witness={"word": list(word), "start": repr(spot),
+                         "expected": repr(end), "reached": repr(reached)},
+            )
+        return mat
 
     # -- cached blocked ranks ------------------------------------------------------
 
@@ -396,7 +417,12 @@ class KoszulContext:
             )
         else:
             im = Subspace.zero(ps.dim)
-        assert im.le(ker)
+        for v in im.vectors:
+            if not ker.contains(v):
+                raise KoszulError(
+                    "image of the incoming d is not inside the kernel",
+                    witness={"a": a, "k": k, "vector": v},
+                )
         return ker.dim - im.dim, ker, im
 
     # -- kernels of the transfer map on triple spots ----------------------------------
@@ -418,9 +444,13 @@ class KoszulContext:
                 vectors.append({idx * ddim + j: x for idx, x in v.items()})
         vectors.sort(key=min)
         pivots = [min(v) for v in vectors]
-        sub = Subspace(space.dim, vectors, pivots)
-        assert sub.dim == ker.dim * ddim
-        return sub
+        if len(set(pivots)) != ker.dim * ddim:
+            raise KoszulError(
+                "tensored kernel basis has repeated pivots",
+                witness={"spot": (spot.sym, spot.alt, spot.dual),
+                         "pivots": pivots, "expected_dim": ker.dim * ddim},
+            )
+        return Subspace(space.dim, vectors, pivots)
 
     def kerp_is_incoming_image(self, spot):
         """Ker(P (x) id) = Im(P (x) id) from the spot one transfer step back."""
@@ -536,8 +566,7 @@ class KoszulContext:
         """Weight blocks of the loop operator, restricted to Ker(P (x) id)
         for the PdeldQ loop.  Returns (blocks, total_dim, spot)."""
         word, spot, _, _ = self.loop_setup(kind, params)
-        mat, end = self.composed(word, spot)
-        assert end == spot
+        mat = self.composed_to(word, spot, spot)
         weights = self.spot_space(spot).weights()
         if kind == "PdeldQ" and spot.sym >= 1:
             sub = self.kerp_space(spot)
@@ -588,12 +617,10 @@ class KoszulContext:
             i, a = params
             spot = Spot(i + 1, 0, a + i + 1)
             inner = Spot(i, 0, a + i)
-            qd, end = self.composed(["d", "Q"], inner)
-            assert end == spot
+            qd = self.composed_to(["d", "Q"], inner, spot)
             w = self.spot_space(spot).weights()
             a_sub = blocked_image(qd, self.spot_space(inner).weights(), w)
-            delp, end2 = self.composed(["P", "del"], spot)
-            assert end2 == inner
+            delp = self.composed_to(["P", "del"], spot, inner)
             b_sub = blocked_kernel(delp, w, self.spot_space(inner).weights())
             return a_sub, b_sub
         if which == "prop2":
@@ -603,16 +630,14 @@ class KoszulContext:
             w_weights = self.spot_space(wspot).weights()
             kspot = Spot(i, k + 1, l)
             ker = self.kerp_space(kspot)
-            dq, end = self.composed(["Q", "d"], kspot)
-            assert end == wspot
+            dq = self.composed_to(["Q", "d"], kspot, wspot)
             a_vecs = [dq.apply(v) for v in ker.vectors]
             a_sub = Subspace.from_vectors(dq.cod_dim, a_vecs)
             w_map = self.operator("d", Spot(i + 1, k, l))
             w_sub = blocked_image(
                 w_map, self.spot_space(Spot(i + 1, k, l)).weights(), w_weights
             )
-            pdel, end2 = self.composed(["del", "P"], wspot)
-            assert end2 == kspot
+            pdel = self.composed_to(["del", "P"], wspot, kspot)
             pk = blocked_kernel(pdel, w_weights, self.spot_space(kspot).weights())
             b_sub = _graded_intersect(w_sub, pk, w_weights)
             return a_sub, b_sub, w_sub

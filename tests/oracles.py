@@ -2,15 +2,16 @@
 
 None of these is used by the package itself: full tensor-power symmetrizers,
 a characteristic polynomial multiplied out block by block, reading power
-coordinates back off a tensor, the gl(m|n) supercommutator relations, and
-the inverse of SparseMap.to_triples.
+coordinates back off a tensor, the gl(m|n) supercommutator relations, the
+action of every E_ij (Cartan included) restricted to a module, and the
+inverse of SparseMap.to_triples.
 """
 
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
 
-from superkoszul.linalg import DimensionError, SparseMap
+from superkoszul.linalg import DimensionError, RestrictionError, SparseMap
 from superkoszul.superspace import split_graded
 
 ZERO = Fraction(0)
@@ -117,15 +118,13 @@ def blocked_char_poly(mat, weights):
 # gl(m|n) relations
 
 
-def supercommutator_check(act, product):
-    """[E_ab, E_cd] = delta_bc E_ad - (-1)^(p(ab)p(cd)) delta_da E_cb on the
-    product; returns the list of failing generator pairs."""
-    space = act.space
+def supercommutator_failures(space, mats):
+    """[E_ab, E_cd] = delta_bc E_ad - (-1)^(p(ab)p(cd)) delta_da E_cb for
+    mats, a dict holding the matrix of every E_ij; returns the list of
+    failing generator pairs."""
     d = space.dim
-    mats = {
-        (i, j): act.on_product(product, i, j) for i in range(d) for j in range(d)
-    }
-    zero = SparseMap(product.dim, product.dim, {})
+    n = mats[(0, 0)].dom_dim
+    zero = SparseMap(n, n, {})
     bad = []
     for a in range(d):
         for b in range(d):
@@ -146,3 +145,44 @@ def supercommutator_check(act, product):
                     if not (lhs - rhs).is_zero():
                         bad.append(((a, b), (c, e)))
     return bad
+
+
+def supercommutator_check(act, product):
+    """The supercommutator relations of the ambient action on the product."""
+    d = act.space.dim
+    mats = {
+        (i, j): act.on_product(product, i, j) for i in range(d) for j in range(d)
+    }
+    return supercommutator_failures(act.space, mats)
+
+
+# ---------------------------------------------------------------------------
+# the full action on a module
+
+
+def full_action(act, product, basis, modulo=None, pairs=None):
+    """Every E_ij of pairs (all (m+n)^2 by default) on the span of basis,
+    restricted from the ambient action on the product.
+
+    With modulo the action is the one on (span(basis) + modulo) / modulo in
+    the basis given, each image reduced modulo the subspace first.  Raises
+    RestrictionError if an image leaves the span.
+    """
+    d = act.space.dim
+    if pairs is None:
+        pairs = [(i, j) for i in range(d) for j in range(d)]
+    out = {}
+    for i, j in pairs:
+        amb = act.on_product(product, i, j)
+        if modulo is None:
+            out[(i, j)] = amb.restrict(basis, basis)
+            continue
+        cols = {}
+        for c, v in enumerate(basis.vectors):
+            coords = basis.coordinates_of(modulo._reduce(amb.apply(v)))
+            if coords is None:
+                raise RestrictionError("image leaves the span modulo the subspace",
+                                       witness={"generator": (i, j), "index": c})
+            cols[c] = {r: x for r, x in enumerate(coords) if x}
+        out[(i, j)] = SparseMap.from_columns(basis.dim, basis.dim, cols)
+    return out

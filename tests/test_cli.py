@@ -1,9 +1,14 @@
 """Argument parsing, exit codes, and JSON output of the command line."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import superkoszul
 from oracles import from_triples
 from superkoszul.cli import main, parse_label, parse_ints
 from superkoszul.koszul import KoszulContext
@@ -133,11 +138,32 @@ def test_construct_bad_params(capsys):
     "export matrix d 1",
     "export matrix d 1,2,3",
     "construct Mmp 0 1",
+    "construct Zk 0 2 2",
+    "construct Ysummand 0 1",
 ])
 def test_wrong_parameter_count_is_a_configuration_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv.split())
     assert code == 2 and "error:" in err and "got" in err
     assert out == ""
+
+
+def test_construct_is_unchanged_under_optimize():
+    # python -O strips assert statements: checks the construction path
+    # relies on must be typed errors, so both runs give the same answer
+    src = str(Path(superkoszul.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    runs = [
+        subprocess.run(
+            [sys.executable, *flags, "-m", "superkoszul.cli", "construct", "H31"],
+            capture_output=True, text=True, env=env, timeout=300)
+        for flags in ([], ["-O"])
+    ]
+    plain, optimized = runs
+    assert plain.returncode == 0 and json.loads(plain.stdout)["ok"]
+    assert optimized.returncode == plain.returncode
+    assert optimized.stdout == plain.stdout
 
 
 def test_spectrum_exit_codes(capsys):

@@ -9,9 +9,11 @@ from fractions import Fraction
 
 import pytest
 
+from superkoszul import glrep
 from superkoszul.glrep import (
     Constructor,
     GLAction,
+    GLModule,
     GradedSpan,
     ModuleError,
     ambient_module,
@@ -20,9 +22,11 @@ from superkoszul.glrep import (
     dual_module,
     generator_matrix,
     module_from_subspace,
+    raising_pairs,
+    simple_pairs,
     tensor_modules,
 )
-from oracles import supercommutator_check
+from oracles import full_action, supercommutator_check, supercommutator_failures
 from superkoszul.koszul import KoszulContext, Spot
 from superkoszul.linalg import RestrictionError, SparseMap, Subspace
 from superkoszul.superspace import ProductSpace, SuperSpace, power_basis
@@ -43,6 +47,42 @@ def act(ctx):
 @pytest.fixture(scope="module")
 def con(ctx):
     return Constructor(ctx)
+
+
+@pytest.fixture
+def origins(monkeypatch):
+    """(product, basis, modulo) of every module the constructors cut out of
+    an ambient product, in build order: what full_action restricts again."""
+    seen = []
+
+    def spy(build, basis_of):
+        def wrapped(act, product, *args):
+            seen.append((product, *basis_of(product, *args)))
+            return build(act, product, *args)
+        return wrapped
+
+    monkeypatch.setattr(glrep, "module_from_subspace", spy(
+        glrep.module_from_subspace, lambda product, sub, name: (sub, None)))
+    monkeypatch.setattr(glrep, "quotient_module", spy(
+        glrep.quotient_module,
+        lambda product, ker, im, name: (ker.complement_of(im), im)))
+    monkeypatch.setattr(glrep, "ambient_module", spy(
+        glrep.ambient_module,
+        lambda product, name: (Subspace.full(product.dim), None)))
+    return seen
+
+
+CARTAN = [(j, j) for j in range(4)]
+BEREZINIAN = (1, 1, 1, -1)
+
+
+def assert_cartan_is_weight_grading(mats, mod, twists=0):
+    """The restricted E_jj in mats act diagonally by the module's weights,
+    less the weight of the berezinian lines it was twisted by."""
+    for j in range(4):
+        diag = {(i, i): w[j] - twists * BEREZINIAN[j]
+                for i, w in enumerate(mod.weights)}
+        assert mats[(j, j)] == SparseMap(mod.dim, mod.dim, diag), j
 
 
 # ---------------------------------------------------------------------------
@@ -77,21 +117,50 @@ def test_supercommutators_on_mixed_ambient(ctx, act):
     assert supercommutator_check(act, ctx.spot_space(Spot(0, 1, 1))) == []
 
 
-def test_supercommutators_on_dual_module(ctx, con):
-    mod = dual_module(con.y_summand(1, 1))
-    sp = ctx.space
-    for (a, b), ga in mod.gens.items():
-        pab = (sp.parity(a) + sp.parity(b)) % 2
-        for (c, e), gc in mod.gens.items():
-            pcd = (sp.parity(c) + sp.parity(e)) % 2
-            sgn = F((-1) ** (pab * pcd))
-            lhs = ga @ gc - (gc @ ga).scaled(sgn)
-            rhs = SparseMap(mod.dim, mod.dim, {})
-            if b == c:
-                rhs = rhs + mod.gens[(a, e)]
-            if e == a:
-                rhs = rhs - mod.gens[(c, b)].scaled(sgn)
-            assert (lhs - rhs).is_zero(), ((a, b), (c, e))
+def test_supercommutators_on_dual_module(ctx, con, origins):
+    mod = con.y_summand(1, 1)
+    full = GLModule(space=ctx.space, name="full",
+                    gens=full_action(con.act, *origins[-1]),
+                    weights=mod.weights, parities=mod.parities)
+    full_dual = dual_module(full)
+    assert supercommutator_failures(ctx.space, full_dual.gens) == []
+    simple = {key: full_dual.gens[key] for key in simple_pairs(ctx.space)}
+    assert dual_module(mod).gens == simple
+
+
+def test_simple_pairs_follow_the_dimension():
+    assert raising_pairs(SuperSpace(3, 1)) == ((0, 1), (1, 2), (2, 3))
+    assert simple_pairs(SuperSpace(3, 1)) == (
+        (0, 1), (1, 2), (2, 3), (1, 0), (2, 1), (3, 2))
+    assert simple_pairs(SuperSpace(1, 1)) == ((0, 1), (1, 0))
+    assert len(simple_pairs(SuperSpace(2, 2))) == 2 * (2 + 2 - 1)
+
+
+FAMILY_CASES = [
+    # (construction, params, berezinian twists): one small case per family
+    ("h31", (), 0),
+    ("imd", (1, 1), 0),
+    ("y", (1, 1), 0),
+    ("zk", (1, 2, 1), 0),
+    ("mmp", (2, 1), 1),
+    ("mfinal", (2, 1, 1), 1),
+    ("ilambda", (2, 1), 0),
+    ("ilambda", (2,), 0),
+]
+
+
+@pytest.mark.parametrize("name,params,twists", FAMILY_CASES)
+def test_simple_generators_are_the_full_restriction(con, origins, name,
+                                                    params, twists):
+    # the oracle restricts all 16 E_ij: it raises if the module is not
+    # invariant under some non-simple generator
+    mod = con.construct(name, params)
+    (origin,) = origins
+    full = full_action(con.act, *origin)
+    assert list(mod.gens) == list(simple_pairs(con.ctx.space))
+    for key, g in mod.gens.items():
+        assert g == full[key], key
+    assert_cartan_is_weight_grading(full, mod, twists)
 
 
 # ---------------------------------------------------------------------------
@@ -161,11 +230,11 @@ def test_graded_span_rejects_mixed_weight():
 
 
 def test_h31_is_the_odd_berezinian_line(con):
+    # its Cartan is checked against the oracle in FAMILY_CASES
     h = con.h31()
     assert h.dim == 1
     assert h.weights == [(1, 1, 1, -1)]
     assert h.parities == [1]
-    assert h.cartan_is_diagonal()
     ok, info = h.is_irreducible()
     assert ok and info["dual_singular_dim"] == 1
 
@@ -179,10 +248,11 @@ IMD = [
 
 
 @pytest.mark.parametrize("k,l,dim,hw", IMD)
-def test_image_modules(con, k, l, dim, hw):
+def test_image_modules(con, origins, k, l, dim, hw):
     mod = con.image_module(k, l)
     assert mod.dim == dim
-    assert mod.cartan_is_diagonal()
+    assert_cartan_is_weight_grading(
+        full_action(con.act, *origins[-1], pairs=CARTAN), mod)
     assert mod.highest_weight() == hw
     ok, _ = mod.is_irreducible()
     assert ok
@@ -208,12 +278,13 @@ MMP = [
 
 
 @pytest.mark.parametrize("m,p,dim,hw", MMP)
-def test_mmp_grid(con, m, p, dim, hw):
+def test_mmp_grid(con, origins, m, p, dim, hw):
     mod = con.mmp(m, p)
     assert mod.dim == dim
     assert mod.highest_weight() == hw
     assert mod.is_irreducible()[0]
-    assert mod.cartan_is_diagonal()
+    assert_cartan_is_weight_grading(
+        full_action(con.act, *origins[-1], pairs=CARTAN), mod, m - 1)
 
 
 YS = [
@@ -265,13 +336,14 @@ MFINAL = [(m, t, p) for m in (1, 2) for t in (1, 2) for p in (1, 2)]
 
 
 @pytest.mark.parametrize("m,t,p", MFINAL)
-def test_mfinal_grid(con, m, t, p):
+def test_mfinal_grid(con, origins, m, t, p):
     mod = con.mfinal(m, t, p)
     a, b = m + t + p - 1, m + p - 1
     assert mod.dim == 8 * (a - b + 1) * (b + 1) * (a + 2) // 2
     assert mod.highest_weight() == (m + t, m, -p + 1, -1)
     assert mod.is_irreducible()[0]
-    assert mod.cartan_is_diagonal()
+    assert_cartan_is_weight_grading(
+        full_action(con.act, *origins[-1], pairs=CARTAN), mod, m - 1)
 
 
 def test_mfinal_rejects_zero_parameters(con):
@@ -358,11 +430,13 @@ def test_tensor_of_odd_lines_is_even(con):
     assert hh.weights == [(2, 2, 2, -2)] and hh.parities == [0]
 
 
-def test_berezinian_twist_shifts_weights(con):
+def test_berezinian_twist_shifts_weights(con, origins):
     base = con.image_module(2, 2)
     tw = berezinian_twist(base, 1)
     assert tw.highest_weight() == (2, 2, 0, -2)
-    assert tw.cartan_is_diagonal()
+    assert tw.gens == base.gens
+    assert_cartan_is_weight_grading(
+        full_action(con.act, *origins[-1], pairs=CARTAN), tw, 1)
     assert tw.parities[0] == (base.parities[0] + 1) % 2
     assert berezinian_twist(base, 0) is base
     with pytest.raises(ValueError):

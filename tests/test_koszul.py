@@ -9,7 +9,14 @@ from fractions import Fraction
 
 import pytest
 
-from superkoszul.koszul import KoszulContext, Spot, op_target, verify_spectrum
+from superkoszul import koszul
+from superkoszul.koszul import (
+    KoszulContext,
+    KoszulError,
+    Spot,
+    op_target,
+    verify_spectrum,
+)
 from superkoszul.linalg import SparseMap, Subspace
 from superkoszul.superspace import SuperSpace, power_basis
 
@@ -268,6 +275,19 @@ def test_k_complexes_21(ctx21):
             assert h == (1 if (a, k) == (1, 2) else 0), (a, k, h)
 
 
+def test_k_homology_rejects_an_image_outside_the_kernel():
+    class Broken(KoszulContext):
+        def pair_d(self, k, l):
+            if (k, l) == (0, 0):
+                # the weight-zero unit x_0 (x) xi^0 instead of the invariant
+                return SparseMap(1, 16, {(0, 0): 1})
+            return super().pair_d(k, l)
+
+    with pytest.raises(KoszulError) as exc:
+        Broken(SuperSpace(3, 1)).k_homology(0, 1)
+    assert exc.value.witness["vector"] == {0: 1}
+
+
 def test_l_complexes_exact_except_constants(ctx31):
     for a in range(0, 5):
         for p in range(0, a + 1):
@@ -289,6 +309,17 @@ def test_kerp_equals_incoming_transfer_image(ctx31):
     for spot in [Spot(1, 1, 1), Spot(0, 2, 1), Spot(1, 2, 1), Spot(0, 1, 2)]:
         rep = ctx31.kerp_is_incoming_image(spot)
         assert rep["ok"], rep
+
+
+def test_kerp_space_rejects_a_kernel_basis_with_repeated_pivots(monkeypatch):
+    def doubled(mat, dom_w, cod_w):
+        v = {0: Fraction(1)}
+        return Subspace(mat.dom_dim, [v, dict(v)], [0, 0])
+
+    monkeypatch.setattr(koszul, "blocked_kernel", doubled)
+    with pytest.raises(KoszulError) as exc:
+        KoszulContext(SuperSpace(3, 1)).kerp_space(Spot(1, 1, 1))
+    assert exc.value.witness["pivots"][:2] == [0, 0]
 
 
 def test_d_restricts_to_kerp(ctx31):
@@ -471,6 +502,14 @@ def test_composed_word_tracks_spots(ctx31):
     empty, end2 = ctx31.composed([], Spot(1, 1, 1))
     assert end2 == Spot(1, 1, 1)
     assert empty == SparseMap.identity(ctx31.spot_space(Spot(1, 1, 1)).dim)
+
+
+def test_composed_to_checks_the_end_spot(ctx31):
+    word, spot = ["d", "Q", "P", "del"], Spot(1, 0, 2)
+    assert ctx31.composed_to(word, spot, spot) == ctx31.composed(word, spot)[0]
+    with pytest.raises(KoszulError) as exc:
+        ctx31.composed_to(word, spot, Spot(2, 0, 2))
+    assert exc.value.witness["reached"] == repr(spot)
 
 
 def test_operator_cache_returns_same_object(ctx31):
