@@ -193,10 +193,6 @@ class CharFraction:
         self.num = num
         self.den = den
 
-    @classmethod
-    def from_poly(cls, p):
-        return cls(p)
-
     def __mul__(self, other):
         if isinstance(other, LaurentPoly):
             other = CharFraction(other)
@@ -280,10 +276,6 @@ def _perm_sign(perm):
             if perm[i] > perm[j]:
                 sign = -sign
     return sign
-
-
-def base_exprs():
-    return r_poly(), pi_poly(), a_det
 
 
 RHO = (Fraction(1, 2), Fraction(-1, 2), Fraction(-3, 2), Fraction(-3, 2))
@@ -372,10 +364,6 @@ def ch_v(label):
 
 # ---------------------------------------------------------------------------
 # Kac orbit sum
-
-
-def _doubled_monomial(xexps, yexp, coeff=1):
-    return LaurentPoly.monomial((xexps[0], xexps[1], xexps[2], yexp), coeff)
 
 
 def kac_orbit_sum(label):

@@ -8,9 +8,12 @@ signed sum over all distinct orderings of the multiset, normalized so the
 ascending word carries coefficient 1.
 
 Because distinct multisets hit disjoint sets of tensor words, these realized
-vectors are simultaneously a reduced column echelon basis of the projected
-subspace; projecting a tensor onto power coordinates is a per-word lookup and
-never needs a symmetrizer matrix.
+vectors are a reduced column echelon basis of the projected subspace.  The
+package never works in the tensor power itself: every map between powers is
+assembled from the single-letter factor maps below (multiply by one letter
+and reproject, or split one letter off), whose entries are read off the
+multisets.  expansion lists the words of a basis vector for export; the
+tests check the factor maps against full tensor-power projectors.
 """
 
 from __future__ import annotations
@@ -21,9 +24,6 @@ from itertools import combinations_with_replacement, permutations
 from math import factorial
 
 from .linalg import DimensionError, SparseMap, Subspace
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 KINDS = ("sym", "alt")
 
@@ -141,10 +141,6 @@ class PowerBasis:
         self._expansions = {}
         self._factor_maps = {}
 
-    @property
-    def tensor_dim(self):
-        return self.space.dim ** self.degree
-
     def key(self):
         return (self.space.m, self.space.n, self.kind, self.degree, self.dual)
 
@@ -153,13 +149,6 @@ class PowerBasis:
         return f"PowerBasis({self.kind}{star} deg={self.degree} of {self.space}, dim={self.dim})"
 
     # -- tensor realization ---------------------------------------------------
-
-    def norm_constant(self, mu):
-        """Coefficient of the ascending word under the bare group average."""
-        num = 1
-        for mult in Counter(mu).values():
-            num *= factorial(mult)
-        return Fraction(num, factorial(self.degree))
 
     def expansion(self, idx):
         """[(word, coeff)] over distinct orderings; ascending word has coeff 1."""
@@ -172,65 +161,6 @@ class PowerBasis:
                 )
             self._expansions[idx] = terms
         return self._expansions[idx]
-
-    def word_index(self, word):
-        flat = 0
-        for letter in word:
-            flat = flat * self.space.dim + letter
-        return flat
-
-    def unindex_word(self, flat):
-        word = []
-        for _ in range(self.degree):
-            word.append(flat % self.space.dim)
-            flat //= self.space.dim
-        return tuple(reversed(word))
-
-    def to_tensor(self, coords):
-        """Power coordinates -> vector in the full tensor power."""
-        out = {}
-        for idx, c in coords.items():
-            for word, k in self.expansion(idx):
-                flat = self.word_index(word)
-                s = out.get(flat, ZERO) + c * k
-                if s:
-                    out[flat] = s
-                else:
-                    del out[flat]
-        return out
-
-    def project_tensor(self, tvec):
-        """Apply the group-average projector, answer in power coordinates.
-
-        For a word w with admissible multiset mu the projector sends e_w to
-        sign(w) * norm(mu) * b_mu; inadmissible multisets die.
-        """
-        out = {}
-        for flat, a in tvec.items():
-            word = self.unindex_word(flat)
-            mu = tuple(sorted(word))
-            idx = self.index.get(mu)
-            if idx is None:
-                continue
-            k = sort_sign(self.space, self.kind, word)
-            s = out.get(idx, ZERO) + a * k * self.norm_constant(mu)
-            if s:
-                out[idx] = s
-            else:
-                del out[idx]
-        return out
-
-    def subspace(self):
-        """Realized basis as a Subspace of the tensor power (small N only)."""
-        return Subspace.from_vectors(
-            self.tensor_dim, [self.to_tensor({i: ONE}) for i in range(self.dim)]
-        )
-
-    def basis_matrix(self):
-        cols = {
-            i: self.to_tensor({i: ONE}) for i in range(self.dim)
-        }
-        return SparseMap.from_columns(self.dim, self.tensor_dim, cols)
 
     # -- single-letter factor maps ---------------------------------------------
     #
@@ -358,7 +288,6 @@ class ProductSpace:
             self.dim *= f.dim
         self._weights = None
         self._parities = None
-        self._blocks = None
 
     def index(self, idxs):
         if len(idxs) != len(self.factors):
@@ -397,14 +326,6 @@ class ProductSpace:
                 acc[flat] = p
             self._parities = acc
         return self._parities
-
-    def weight_blocks(self):
-        if self._blocks is None:
-            blocks = {}
-            for i, w in enumerate(self.weights()):
-                blocks.setdefault(w, []).append(i)
-            self._blocks = blocks
-        return self._blocks
 
     def __repr__(self):
         return " (x) ".join(repr(f) for f in self.factors)

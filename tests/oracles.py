@@ -1,18 +1,21 @@
 """Reference constructions the tests compare the package against.
 
-None of these is used by the package itself: full tensor-power symmetrizers,
-a characteristic polynomial multiplied out block by block, reading power
-coordinates back off a tensor, the gl(m|n) supercommutator relations, the
-action of every E_ij (Cartan included) restricted to a module, and the
-inverse of SparseMap.to_triples.
+None of these is used by the package itself: power bases realized in the
+full tensor power and tensors projected back word by word, E_ij acting on
+those words, full tensor-power symmetrizers, a characteristic polynomial
+multiplied out block by block, the gl(m|n) supercommutator relations, the
+action of every E_ij (Cartan included) restricted to a module or tested
+against an operator, and the inverse of SparseMap.to_triples.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
 
-from superkoszul.linalg import DimensionError, RestrictionError, SparseMap
-from superkoszul.superspace import split_graded
+from superkoszul.koszul import op_target
+from superkoszul.linalg import DimensionError, RestrictionError, SparseMap, Subspace
+from superkoszul.superspace import sort_sign, split_graded
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -27,17 +30,126 @@ def from_triples(data):
     return SparseMap(data["dom_dim"], data["cod_dim"], ent)
 
 
+# ---------------------------------------------------------------------------
+# power bases inside the full tensor power
+
+
+def tensor_dim(basis):
+    return basis.space.dim ** basis.degree
+
+
+def word_index(basis, word):
+    flat = 0
+    for letter in word:
+        flat = flat * basis.space.dim + letter
+    return flat
+
+
+def unindex_word(basis, flat):
+    word = []
+    for _ in range(basis.degree):
+        word.append(flat % basis.space.dim)
+        flat //= basis.space.dim
+    return tuple(reversed(word))
+
+
+def norm_constant(basis, mu):
+    """Coefficient of the ascending word under the bare group average."""
+    num = 1
+    for mult in Counter(mu).values():
+        num *= factorial(mult)
+    return Fraction(num, factorial(basis.degree))
+
+
+def to_tensor(basis, coords):
+    """Power coordinates -> vector in the full tensor power."""
+    out = {}
+    for idx, c in coords.items():
+        for word, k in basis.expansion(idx):
+            flat = word_index(basis, word)
+            s = out.get(flat, ZERO) + c * k
+            if s:
+                out[flat] = s
+            else:
+                del out[flat]
+    return out
+
+
+def project_tensor(basis, tvec):
+    """Apply the group-average projector, answer in power coordinates.
+
+    For a word w with admissible multiset mu the projector sends e_w to
+    sign(w) * norm(mu) * b_mu; inadmissible multisets die.
+    """
+    out = {}
+    for flat, a in tvec.items():
+        word = unindex_word(basis, flat)
+        mu = tuple(sorted(word))
+        idx = basis.index.get(mu)
+        if idx is None:
+            continue
+        k = sort_sign(basis.space, basis.kind, word)
+        s = out.get(idx, ZERO) + a * k * norm_constant(basis, mu)
+        if s:
+            out[idx] = s
+        else:
+            del out[idx]
+    return out
+
+
+def tensor_subspace(basis):
+    """Realized basis as a Subspace of the tensor power (small N only)."""
+    return Subspace.from_vectors(
+        tensor_dim(basis), [to_tensor(basis, {i: ONE}) for i in range(basis.dim)]
+    )
+
+
 def coords_from_tensor(basis, tvec):
     """Power-basis coordinates read off the ascending-word rows of a tensor
     vector; raises ValueError if the vector is not in the projected subspace."""
     out = {}
     for idx, mu in enumerate(basis.multisets):
-        a = tvec.get(basis.word_index(mu), ZERO)
+        a = tvec.get(word_index(basis, mu), ZERO)
         if a:
             out[idx] = a
-    if basis.to_tensor(out) != tvec:
+    if to_tensor(basis, out) != tvec:
         raise ValueError("tensor vector is not in the projected subspace")
     return out
+
+
+def word_generator_matrix(basis, gi, gj):
+    """E_(gi,gj) on a power basis, letter by letter on every word of every
+    basis vector and projected back: E_ij x_k = delta_jk x_i on letters,
+    E_ij xi^k = -(-1)^((p_i+p_j)p_k) delta_ki xi^j on dual letters, and
+    crossing an earlier slot costs (-1)^(p(E) p(slot))."""
+    space = basis.space
+    pe = (space.parity(gi) + space.parity(gj)) % 2
+    cols = {}
+    for idx in range(basis.dim):
+        acc = {}
+        for word, kappa in basis.expansion(idx):
+            cross = 0
+            for t, letter in enumerate(word):
+                if basis.dual:
+                    hit = letter == gi
+                    repl = gj
+                    coeff = -ONE if (pe * space.parity(gi)) % 2 == 0 else ONE
+                else:
+                    hit = letter == gj
+                    repl = gi
+                    coeff = ONE
+                if hit:
+                    new = word[:t] + (repl,) + word[t + 1 :]
+                    c = kappa * coeff
+                    if pe and cross % 2:
+                        c = -c
+                    flat = word_index(basis, new)
+                    acc[flat] = acc.get(flat, ZERO) + c
+                cross += space.parity(letter)
+        col = project_tensor(basis, acc)
+        if col:
+            cols[idx] = col
+    return SparseMap.from_columns(basis.dim, basis.dim, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +266,19 @@ def supercommutator_check(act, product):
         (i, j): act.on_product(product, i, j) for i in range(d) for j in range(d)
     }
     return supercommutator_failures(act.space, mats)
+
+
+def equivariance_failures(ctx, act, name, spot):
+    """Every E_ij that does not commute with the named operator at the spot,
+    each side multiplied out."""
+    mat = ctx.operator(name, spot)
+    dom = ctx.spot_space(spot)
+    cod = ctx.spot_space(op_target(name, spot))
+    d = ctx.space.dim
+    return [
+        (i, j) for i in range(d) for j in range(d)
+        if mat @ act.on_product(dom, i, j) != act.on_product(cod, i, j) @ mat
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import pytest
 import superkoszul
 from oracles import from_triples
 from superkoszul.cli import main, parse_label, parse_ints
+from superkoszul.harness import stable_body
 from superkoszul.koszul import KoszulContext
 from superkoszul.superspace import SuperSpace
 
@@ -140,6 +141,7 @@ def test_construct_bad_params(capsys):
     "construct Mmp 0 1",
     "construct Zk 0 2 2",
     "construct Ysummand 0 1",
+    "construct Zk 1 0 0",
 ])
 def test_wrong_parameter_count_is_a_configuration_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv.split())
@@ -147,23 +149,41 @@ def test_wrong_parameter_count_is_a_configuration_error(capsys, argv):
     assert out == ""
 
 
-def test_construct_is_unchanged_under_optimize():
-    # python -O strips assert statements: checks the construction path
-    # relies on must be typed errors, so both runs give the same answer
+def _run_cli_process(flags, *argv):
     src = str(Path(superkoszul.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    runs = [
-        subprocess.run(
-            [sys.executable, *flags, "-m", "superkoszul.cli", "construct", "H31"],
-            capture_output=True, text=True, env=env, timeout=300)
-        for flags in ([], ["-O"])
-    ]
-    plain, optimized = runs
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "superkoszul.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=300)
+
+
+def test_construct_is_unchanged_under_optimize():
+    # python -O strips assert statements: checks the construction path
+    # relies on must be typed errors, so both runs give the same answer
+    plain, optimized = (_run_cli_process(flags, "construct", "H31")
+                        for flags in ([], ["-O"]))
     assert plain.returncode == 0 and json.loads(plain.stdout)["ok"]
     assert optimized.returncode == plain.returncode
     assert optimized.stdout == plain.stdout
+
+
+def test_verify_is_unchanged_under_optimize(tmp_path):
+    # the identity, homology and commutativity checks and the Cartan
+    # equivariance test, run with and without assert statements
+    runs = []
+    for flags in ([], ["-O"]):
+        out = tmp_path / f"report{len(runs)}.json"
+        proc = _run_cli_process(
+            flags, "verify", "--max-k", "2", "--max-l", "2", "--max-i", "1",
+            "--max-a", "1", "--max-p", "1", "--max-r", "1", "--checks",
+            "identities,exactness,commutativity,equivariance",
+            "--json", str(out))
+        runs.append((proc.returncode, stable_body(json.loads(out.read_text()))))
+    (plain_code, plain_body), optimized = runs
+    assert plain_code == 0 and '"fail": 0' in plain_body
+    assert optimized == (plain_code, plain_body)
 
 
 def test_spectrum_exit_codes(capsys):

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from superkoszul import glrep
+from superkoszul import glrep, harness
 from superkoszul.glrep import (
     Constructor,
     GLAction,
@@ -26,8 +26,14 @@ from superkoszul.glrep import (
     simple_pairs,
     tensor_modules,
 )
-from oracles import full_action, supercommutator_check, supercommutator_failures
-from superkoszul.koszul import KoszulContext, Spot
+from oracles import (
+    equivariance_failures,
+    full_action,
+    supercommutator_check,
+    supercommutator_failures,
+    word_generator_matrix,
+)
+from superkoszul.koszul import KoszulContext, Spot, op_target
 from superkoszul.linalg import RestrictionError, SparseMap, Subspace
 from superkoszul.superspace import ProductSpace, SuperSpace, power_basis
 
@@ -102,6 +108,20 @@ def test_e44_on_dual_counts_odd_letters(ctx):
         word = s2d.multisets[i]
         assert g.entry(i, i) == -word.count(3)
     assert all(r == c for (r, c) in g.entries)
+
+
+@pytest.mark.parametrize("space,top", [(SuperSpace(3, 1), 4),
+                                       (SuperSpace(2, 2), 3)],
+                         ids=["3|1", "2|2"])
+@pytest.mark.parametrize("kind", ["sym", "alt"])
+@pytest.mark.parametrize("dual", [False, True], ids=["primal", "dual"])
+def test_generator_matrix_matches_word_action(space, top, kind, dual):
+    for degree in range(top + 1):
+        basis = power_basis(space, kind, degree, dual)
+        for i in range(space.dim):
+            for j in range(space.dim):
+                assert generator_matrix(basis, i, j) == word_generator_matrix(
+                    basis, i, j), (degree, i, j)
 
 
 def test_odd_anticommutator_on_v(ctx):
@@ -186,21 +206,77 @@ def test_differentials_are_equivariant(ctx, act, name, spot):
     assert report["generators_checked"] == 16
 
 
-def test_corrupted_differential_fails_equivariance(ctx, act):
+def test_default_grid_verdicts_match_all_sixteen_generators(monkeypatch):
+    seen = []
+
+    def spy(ctx, act, name, spot):
+        r = check_equivariance(ctx, act, name, spot)
+        seen.append((name, spot, r["ok"],
+                     not equivariance_failures(ctx, act, name, spot)))
+        return r
+
+    monkeypatch.setattr(harness, "check_equivariance", spy)
+    records, _ = harness._check_equivariance(harness.VerificationPlan())
+    assert len(seen) == sum(r["status"] != "skip" for r in records) > 0
+    for name, spot, ok, oracle_ok in seen:
+        assert ok == oracle_ok, (name, spot)
+
+
+@pytest.mark.parametrize("key", simple_pairs(SuperSpace(3, 1)),
+                         ids=lambda key: f"E{key[0]}{key[1]}")
+def test_each_simple_generator_is_multiplied_out(ctx, key):
+    # E_key doubled on the codomain only: the weights still match, and key
+    # is the one generator that sees it
+    spot = Spot(0, 1, 1)
+    cod = ctx.spot_space(op_target("d", spot))
+
+    class Skewed(GLAction):
+        def on_product(self, product, gi, gj):
+            m = super().on_product(product, gi, gj)
+            return 2 * m if product is cod and (gi, gj) == key else m
+
+    skewed = Skewed(ctx.space)
+    assert check_equivariance(ctx, skewed, "d", spot)["failing_generators"] == [key]
+    assert equivariance_failures(ctx, skewed, "d", spot) == [key]
+
+
+def _corrupt_d(ctx, monkeypatch, delta):
+    """Put d + delta at Spot(0, 1, 1) into the operator cache."""
     spot = Spot(0, 1, 1)
     mat = ctx.operator("d", spot)
-    (r, c), v = next(iter(mat.entries.items()))
-    bad = mat + SparseMap(mat.dom_dim, mat.cod_dim, {(r, c): -2 * v})
-    dom = ctx.spot_space(spot)
-    cod = ctx.spot_space(Spot(0, 2, 2))
-    broken = []
-    for i in range(4):
-        for j in range(4):
-            lhs = bad @ act.on_product(dom, i, j)
-            rhs = act.on_product(cod, i, j) @ bad
-            if lhs != rhs:
-                broken.append((i, j))
-    assert broken
+    bad = mat + SparseMap(mat.dom_dim, mat.cod_dim, delta(mat))
+    monkeypatch.setitem(ctx._triple_ops, ("d", spot), bad)
+    return spot
+
+
+def test_weight_crossing_corruption_fails_on_the_cartan(ctx, act, monkeypatch):
+    def cross(mat):
+        dw = ctx.spot_space(Spot(0, 1, 1)).weights()
+        cw = ctx.spot_space(Spot(0, 2, 2)).weights()
+        r = next(r for r in range(mat.cod_dim) if cw[r] != dw[0])
+        return {(r, 0): F(1)}
+
+    spot = _corrupt_d(ctx, monkeypatch, cross)
+    report = check_equivariance(ctx, act, "d", spot)
+    oracle = equivariance_failures(ctx, act, "d", spot)
+    assert report["ok"] is False and oracle
+    assert set(report["failing_generators"]) <= set(oracle)
+    assert set(report["failing_generators"]) & set(CARTAN)
+
+
+def test_corrupted_differential_fails_equivariance(ctx, act, monkeypatch):
+    # one entry rescaled: weights still match, so only a simple generator
+    # can see it
+    def rescale(mat):
+        (r, c), v = next(iter(mat.entries.items()))
+        return {(r, c): -2 * v}
+
+    spot = _corrupt_d(ctx, monkeypatch, rescale)
+    report = check_equivariance(ctx, act, "d", spot)
+    oracle = equivariance_failures(ctx, act, "d", spot)
+    assert report["ok"] is False and oracle
+    assert set(report["failing_generators"]) <= set(oracle)
+    assert set(report["failing_generators"]) <= set(simple_pairs(ctx.space))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Differentials, identities, exactness, spectra, and splittings.
 
-Oracle routes: d and del are rebuilt at raw tensor level from
+Oracle routes: d and del are rebuilt at raw tensor level from the oracles'
 to_tensor/project_tensor alone (no factor maps) and compared entrywise.
 Numeric values marked below were frozen from that independent route.
 """
@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import project_tensor, to_tensor, unindex_word
 from superkoszul import koszul
 from superkoszul.koszul import (
     KoszulContext,
@@ -56,15 +57,15 @@ def oracle_pair_d(space, k, l):
             col = {}
             for i in range(d):
                 left = {}
-                for widx, c in lam.to_tensor({a: F(1)}).items():
-                    w = lam.unindex_word(widx) + (i,)
+                for widx, c in to_tensor(lam, {a: F(1)}).items():
+                    w = unindex_word(lam, widx) + (i,)
                     left[flat(w, d)] = left.get(flat(w, d), F(0)) + c
                 right = {}
-                for widx, c in dual.to_tensor({b: F(1)}).items():
-                    w = (i,) + dual.unindex_word(widx)
+                for widx, c in to_tensor(dual, {b: F(1)}).items():
+                    w = (i,) + unindex_word(dual, widx)
                     right[flat(w, d)] = right.get(flat(w, d), F(0)) + c
-                for ra, ca in lam2.project_tensor(left).items():
-                    for rb, cb in dual2.project_tensor(right).items():
+                for ra, ca in project_tensor(lam2, left).items():
+                    for rb, cb in project_tensor(dual2, right).items():
                         key = ra * dual2.dim + rb
                         col[key] = col.get(key, F(0)) + ca * cb
             cols[a * dual.dim + b] = {k2: v for k2, v in col.items() if v}
@@ -81,15 +82,15 @@ def oracle_pair_del(space, k, l):
     for a in range(lam.dim):
         for b in range(dual.dim):
             col = {}
-            for wl, cl in lam.to_tensor({a: F(1)}).items():
-                word_l = lam.unindex_word(wl)
-                for wr, cr in dual.to_tensor({b: F(1)}).items():
-                    word_r = dual.unindex_word(wr)
+            for wl, cl in to_tensor(lam, {a: F(1)}).items():
+                word_l = unindex_word(lam, wl)
+                for wr, cr in to_tensor(dual, {b: F(1)}).items():
+                    word_r = unindex_word(dual, wr)
                     if word_l[-1] != word_r[0]:
                         continue
                     sgn = F(-1) if space.parity(word_l[-1]) else F(1)
-                    lco = lam2.project_tensor({flat(word_l[:-1], d): F(1)})
-                    rco = dual2.project_tensor({flat(word_r[1:], d): F(1)})
+                    lco = project_tensor(lam2, {flat(word_l[:-1], d): F(1)})
+                    rco = project_tensor(dual2, {flat(word_r[1:], d): F(1)})
                     for ra, ca in lco.items():
                         for rb, cb in rco.items():
                             key = ra * dual2.dim + rb
@@ -293,6 +294,26 @@ def test_l_complexes_exact_except_constants(ctx31):
         for p in range(0, a + 1):
             h = ctx31.l_homology_dim(a, p)
             assert h == (1 if (a, p) == (0, 0) else 0), (a, p, h)
+
+
+def test_k_homology_dim_rejects_ranks_above_the_dimension(monkeypatch):
+    # Lambda_1 (x) S*_1 has dimension 16: ranks 16 out and 1 in overshoot
+    ctx = KoszulContext(SuperSpace(3, 1))
+    monkeypatch.setattr(ctx, "d_rank", lambda k, l: 16 if (k, l) == (1, 1) else 1)
+    with pytest.raises(KoszulError) as exc:
+        ctx.k_homology_dim(0, 1)
+    assert exc.value.witness == {"a": 0, "k": 1, "dim": 16, "rank_out": 16,
+                                 "rank_in": 1}
+
+
+def test_l_homology_dim_rejects_ranks_above_the_dimension(monkeypatch):
+    # S_1 (x) Lambda_1 has dimension 16
+    ctx = KoszulContext(SuperSpace(3, 1))
+    monkeypatch.setattr(ctx, "p_rank", lambda p, r: 16 if (p, r) == (1, 1) else 1)
+    with pytest.raises(KoszulError) as exc:
+        ctx.l_homology_dim(2, 1)
+    assert exc.value.witness == {"a": 2, "p": 1, "dim": 16, "rank_out": 16,
+                                 "rank_in": 1}
 
 
 # ---------------------------------------------------------------------------
