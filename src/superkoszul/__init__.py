@@ -4,6 +4,7 @@ __version__ = "0.1.0"
 
 from .linalg import (
     DimensionError,
+    EliminationError,
     RestrictionError,
     SparseMap,
     Spectrum,
@@ -14,6 +15,7 @@ from .linalg import (
 
 __all__ = [
     "DimensionError",
+    "EliminationError",
     "RestrictionError",
     "SparseMap",
     "Spectrum",

@@ -87,33 +87,6 @@ class LaurentPoly:
         c = Fraction(c)
         return LaurentPoly({e: v * c for e, v in self.terms.items()})
 
-    def __pow__(self, n):
-        if n < 0:
-            raise CharacterError("negative power of a polynomial")
-        out = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def invert_vars(self):
-        """x_i -> 1/x_i, y -> 1/y (character of the dual)."""
-        return LaurentPoly({tuple(-x for x in e): c for e, c in self.terms.items()})
-
-    def permute_x(self, perm):
-        """Permute the three x variables by perm (a tuple image of 0,1,2)."""
-        out = {}
-        for e, c in self.terms.items():
-            ne = [0, 0, 0, e[3]]
-            for i in range(3):
-                ne[perm[i]] = e[i]
-            key = tuple(ne)
-            out[key] = out.get(key, ZERO) + c
-        return LaurentPoly(out)
-
     def sub_y_neg(self):
         """y -> -y."""
         return LaurentPoly(
@@ -217,14 +190,6 @@ class CharFraction:
 
     def __repr__(self):
         return f"CharFraction(({self.num.canonical()}) / ({self.den.canonical()}))"
-
-
-def char_equal(e1, e2):
-    if isinstance(e1, LaurentPoly):
-        e1 = CharFraction(e1)
-    if isinstance(e2, LaurentPoly):
-        e2 = CharFraction(e2)
-    return e1.equal(e2)
 
 
 # ---------------------------------------------------------------------------

@@ -32,19 +32,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import RestrictionError, SparseMap, Subspace
-from .superspace import ProductSpace, blocked_image, power_basis
+from .linalg import RestrictionError, SparseMap, Subspace, WitnessedError
+from .superspace import ProductSpace, blocked_image, join, power_basis, weight_blocks
 from .koszul import Spot, op_target
 
 ONE = Fraction(1)
 
 
-class ModuleError(ValueError):
+class ModuleError(WitnessedError, ValueError):
     """A module fails a structural invariant; the witness shows where."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 def raising_pairs(space):
@@ -212,12 +208,6 @@ class GradedSpan:
         block = self.blocks.get(w)
         return block is not None and block.contains(vec)
 
-    def as_subspace(self):
-        vecs = []
-        for b in self.blocks.values():
-            vecs.extend(b.vectors)
-        return Subspace.from_vectors(self.ambient_dim, vecs)
-
 
 # ---------------------------------------------------------------------------
 # modules
@@ -250,11 +240,8 @@ class GLModule:
 
     def raising_kernel(self):
         """Joint kernel of the simple raising generators, blocked by weight."""
-        blocks = {}
-        for i, w in enumerate(self.weights):
-            blocks.setdefault(w, []).append(i)
-        vecs = []
-        for idx in blocks.values():
+        parts = []
+        for idx in weight_blocks(self.weights)[0].values():
             rows = {}
             cols = {}
             for li, g in enumerate(idx):
@@ -265,9 +252,8 @@ class GLModule:
                         col[rid] = v
                 cols[li] = col
             m = SparseMap.from_columns(len(idx), max(len(rows), 1), cols)
-            for kv in m.kernel().vectors:
-                vecs.append({idx[i]: x for i, x in kv.items()})
-        return Subspace.from_vectors(self.dim, vecs)
+            parts.append((m.kernel(), idx))
+        return join(self.dim, parts)
 
     def singular_weights(self):
         ker = self.raising_kernel()

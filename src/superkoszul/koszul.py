@@ -22,26 +22,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import RestrictionError, SparseMap, SpectrumError, Subspace
+from .linalg import RestrictionError, SparseMap, SpectrumError, Subspace, WitnessedError
 from .superspace import (
     ProductSpace,
     blocked_image,
     blocked_kernel,
     blocked_rank,
+    join,
     power_basis,
+    split,
     split_graded,
 )
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
-class KoszulError(ValueError):
+class KoszulError(WitnessedError, ValueError):
     """A structural claim about the complex fails; the witness shows where."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 @dataclass(frozen=True)
@@ -66,6 +63,26 @@ OP_STEPS = {
     "del": (0, -1, -1),
     "P": (-1, 1, 0),
     "Q": (1, -1, 0),
+}
+
+
+# pair operator -> (left factor, right factor, sign of an odd letter); a
+# factor is (KoszulContext basis method, factor op, degree step), and the
+# operator is the sum over letters of
+# sign * left.factor_map(op, letter) (x) right.factor_map(op, letter)
+PAIR_FACTORS = {
+    "d": (("alt_basis", "append", 1), ("dual_basis", "prepend", 1), 1),
+    "del": (("alt_basis", "drop_last", -1), ("dual_basis", "drop_first", -1), -1),
+    "P": (("sym_basis", "drop_last", -1), ("alt_basis", "prepend", 1), 1),
+    "Q": (("sym_basis", "append", 1), ("alt_basis", "drop_first", -1), 1),
+}
+
+# triple operator -> (pair method, whether the identity factor is on the left)
+TRIPLE_FORMS = {
+    "d": ("pair_d", True),
+    "del": ("pair_del", True),
+    "P": ("pair_p", False),
+    "Q": ("pair_q", False),
 }
 
 
@@ -131,19 +148,7 @@ class KoszulContext:
 
     def pair_d(self, k, l):
         """Lambda_k (x) S*_l -> Lambda_{k+1} (x) S*_{l+1}."""
-        key = ("d", k, l)
-        if key not in self._pair_ops:
-            lam, dual = self.alt_basis(k), self.dual_basis(l)
-            acc = SparseMap.zero(
-                lam.dim * dual.dim,
-                self.alt_basis(k + 1).dim * self.dual_basis(l + 1).dim,
-            )
-            for letter in range(self.space.dim):
-                acc = acc + lam.factor_map("append", letter).kron(
-                    dual.factor_map("prepend", letter)
-                )
-            self._pair_ops[key] = acc
-        return self._pair_ops[key]
+        return self._pair_op("d", k, l)
 
     def pair_del(self, k, l):
         """Lambda_k (x) S*_l -> Lambda_{k-1} (x) S*_{l-1}, k,l >= 1.
@@ -154,56 +159,36 @@ class KoszulContext:
         """
         if k < 1 or l < 1:
             raise ValueError("del needs k >= 1 and l >= 1")
-        key = ("del", k, l)
-        if key not in self._pair_ops:
-            lam, dual = self.alt_basis(k), self.dual_basis(l)
-            acc = SparseMap.zero(
-                lam.dim * dual.dim,
-                self.alt_basis(k - 1).dim * self.dual_basis(l - 1).dim,
-            )
-            for letter in range(self.space.dim):
-                term = lam.factor_map("drop_last", letter).kron(
-                    dual.factor_map("drop_first", letter)
-                )
-                if self.space.parity(letter):
-                    term = (-ONE) * term
-                acc = acc + term
-            self._pair_ops[key] = acc
-        return self._pair_ops[key]
+        return self._pair_op("del", k, l)
 
     def pair_p(self, p, r):
         """S_p (x) Lambda_r -> S_{p-1} (x) Lambda_{r+1}, p >= 1."""
         if p < 1:
             raise ValueError("P needs p >= 1")
-        key = ("P", p, r)
-        if key not in self._pair_ops:
-            sym, lam = self.sym_basis(p), self.alt_basis(r)
-            acc = SparseMap.zero(
-                sym.dim * lam.dim,
-                self.sym_basis(p - 1).dim * self.alt_basis(r + 1).dim,
-            )
-            for letter in range(self.space.dim):
-                acc = acc + sym.factor_map("drop_last", letter).kron(
-                    lam.factor_map("prepend", letter)
-                )
-            self._pair_ops[key] = acc
-        return self._pair_ops[key]
+        return self._pair_op("P", p, r)
 
     def pair_q(self, p, r):
         """S_p (x) Lambda_r -> S_{p+1} (x) Lambda_{r-1}, r >= 1."""
         if r < 1:
             raise ValueError("Q needs r >= 1")
-        key = ("Q", p, r)
+        return self._pair_op("Q", p, r)
+
+    def _pair_op(self, name, a, b):
+        """Sum over letters of the two factor maps of PAIR_FACTORS[name], on
+        the left power of degree a and the right power of degree b."""
+        key = (name, a, b)
         if key not in self._pair_ops:
-            sym, lam = self.sym_basis(p), self.alt_basis(r)
+            (lname, lop, lstep), (rname, rop, rstep), odd_sign = PAIR_FACTORS[name]
+            lbasis, rbasis = getattr(self, lname), getattr(self, rname)
+            left, right = lbasis(a), rbasis(b)
             acc = SparseMap.zero(
-                sym.dim * lam.dim,
-                self.sym_basis(p + 1).dim * self.alt_basis(r - 1).dim,
+                left.dim * right.dim, lbasis(a + lstep).dim * rbasis(b + rstep).dim
             )
             for letter in range(self.space.dim):
-                acc = acc + sym.factor_map("append", letter).kron(
-                    lam.factor_map("drop_first", letter)
-                )
+                term = left.factor_map(lop, letter).kron(right.factor_map(rop, letter))
+                if odd_sign != 1 and self.space.parity(letter):
+                    term = odd_sign * term
+                acc = acc + term
             self._pair_ops[key] = acc
         return self._pair_ops[key]
 
@@ -215,20 +200,14 @@ class KoszulContext:
             raise ValueError(f"operator {name!r} not applicable at {spot}")
         key = (name, spot)
         if key not in self._triple_ops:
-            if name in ("d", "del"):
-                pair = (
-                    self.pair_d(spot.alt, spot.dual)
-                    if name == "d"
-                    else self.pair_del(spot.alt, spot.dual)
-                )
-                m = SparseMap.identity(self.sym_basis(spot.sym).dim).kron(pair)
+            method, identity_left = TRIPLE_FORMS[name]
+            pair = getattr(self, method)
+            if identity_left:
+                eye = SparseMap.identity(self.sym_basis(spot.sym).dim)
+                m = eye.kron(pair(spot.alt, spot.dual))
             else:
-                pair = (
-                    self.pair_p(spot.sym, spot.alt)
-                    if name == "P"
-                    else self.pair_q(spot.sym, spot.alt)
-                )
-                m = pair.kron(SparseMap.identity(self.dual_basis(spot.dual).dim))
+                eye = SparseMap.identity(self.dual_basis(spot.dual).dim)
+                m = pair(spot.sym, spot.alt).kron(eye)
             self._triple_ops[key] = m
         return self._triple_ops[key]
 
@@ -336,13 +315,6 @@ class KoszulContext:
             "ok": resid.is_zero(),
             "residual_nnz": resid.nnz(),
         }
-
-    def calibration_ratio(self):
-        """(del d)(1) divided by the super dimension; 1 iff the plain
-        projector normalization of d and del matches the identity's scalars."""
-        m = self.pair_del(1, 1) @ self.pair_d(0, 0)
-        sdim = self.space.m - self.space.n
-        return m.entry(0, 0) / sdim
 
     def d_squared_is_zero(self, k, l):
         m = self.pair_d(k + 1, l + 1) @ self.pair_d(k, l)
@@ -452,12 +424,11 @@ class KoszulContext:
         ker = blocked_kernel(pair, dom.weights(), cod.weights())
         ddim = self.dual_basis(spot.dual).dim
         vectors = []
-        pivots = []
         for v in ker.vectors:
             for j in range(ddim):
                 vectors.append({idx * ddim + j: x for idx, x in v.items()})
-        vectors.sort(key=min)
-        pivots = [min(v) for v in vectors]
+        vectors.sort(key=max)
+        pivots = [max(v) for v in vectors]
         if len(set(pivots)) != ker.dim * ddim:
             raise KoszulError(
                 "tensored kernel basis has repeated pivots",
@@ -485,22 +456,19 @@ class KoszulContext:
 
     def d_restricts_to_kerp(self, spot):
         """d carries Ker(P (x) id) into Ker(P (x) id) one insertion step up."""
-        sub = self.kerp_space(spot)
-        target = self.kerp_space(op_target("d", spot))
-        try:
-            self.operator("d", spot).restrict(sub, target)
-            return {"ok": True, "witness": None}
-        except RestrictionError as e:
-            return {"ok": False, "witness": e.witness}
+        return self._restricts_to_kerp("d", spot)
 
     def del_restricts_to_kerp(self, spot):
         """Whether del carries Ker(P (x) id) into Ker(P (x) id); generally not."""
-        if not op_applicable("del", spot):
-            raise ValueError("del not applicable here")
+        return self._restricts_to_kerp("del", spot)
+
+    def _restricts_to_kerp(self, name, spot):
+        if not op_applicable(name, spot):
+            raise ValueError(f"{name} not applicable here")
         sub = self.kerp_space(spot)
-        target = self.kerp_space(op_target("del", spot))
+        target = self.kerp_space(op_target(name, spot))
         try:
-            self.operator("del", spot).restrict(sub, target)
+            self.operator(name, spot).restrict(sub, target)
             return {"ok": True, "witness": None}
         except RestrictionError as e:
             return {"ok": False, "witness": e.witness}
@@ -794,50 +762,19 @@ def _block_spectra(blocks):
 # graded helpers over subspaces
 
 
-def _split_vectors_by_weight(vectors, weights):
-    by_w = {}
-    for v in vectors:
-        ws = {weights[i] for i in v}
-        if len(ws) != 1:
-            raise ValueError("subspace basis vector is not weight-homogeneous")
-        by_w.setdefault(ws.pop(), []).append(v)
-    return by_w
-
-
 def _restrict_blocked(mat, sub, weights):
     """Blocks of mat restricted to the graded subspace sub (square, graded)."""
-    by_w = _split_vectors_by_weight(sub.vectors, weights)
     graded = split_graded(mat, weights, weights)
-    out = []
-    for w, vecs in by_w.items():
-        block, dom_idx, _ = graded[w]
-        pos = {g: i for i, g in enumerate(dom_idx)}
-        local = Subspace.from_vectors(
-            len(dom_idx), [{pos[i]: x for i, x in v.items()} for v in vecs]
-        )
-        out.append(block.restrict(local, local))
-    return out
+    return [graded[w][0].restrict(local, local)
+            for w, (local, _) in split(sub, weights).items()]
 
 
 def _graded_intersect(a, b, weights):
     """Intersection of two weight-graded subspaces, block by block."""
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient mismatch")
-    by_a = _split_vectors_by_weight(a.vectors, weights)
-    by_b = _split_vectors_by_weight(b.vectors, weights)
-    blocks = {}
-    for i, w in enumerate(weights):
-        blocks.setdefault(w, []).append(i)
-    vectors = []
-    for w in set(by_a) & set(by_b):
-        idx = blocks[w]
-        pos = {g: i for i, g in enumerate(idx)}
-        la = Subspace.from_vectors(
-            len(idx), [{pos[i]: x for i, x in v.items()} for v in by_a[w]]
-        )
-        lb = Subspace.from_vectors(
-            len(idx), [{pos[i]: x for i, x in v.items()} for v in by_b[w]]
-        )
-        for v in la.intersect(lb).vectors:
-            vectors.append({idx[i]: x for i, x in v.items()})
-    return Subspace.from_vectors(a.ambient_dim, vectors)
+    parts_a, parts_b = split(a, weights), split(b, weights)
+    return join(a.ambient_dim, (
+        (la.intersect(parts_b[w][0]), idx)
+        for w, (la, idx) in parts_a.items() if w in parts_b
+    ))

@@ -3,6 +3,11 @@
 Everything in the package runs on top of this module: sparse matrices with
 Fraction entries, echelonized subspaces, characteristic polynomials and
 rational spectra.  No floats anywhere; a residual either is zero or it is not.
+
+A Subspace keeps the reduced echelon basis whose pivots are each vector's
+largest index.  That is the form back-substitution through the Bareiss
+echelon leaves a kernel basis in, so SparseMap.kernel hands its vectors to
+Subspace without reducing them again.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from math import gcd, lcm
 
 __all__ = [
     "DimensionError",
+    "EliminationError",
     "RestrictionError",
     "SpectrumError",
     "SubspaceError",
@@ -31,15 +37,24 @@ class DimensionError(ValueError):
     """Shapes do not line up."""
 
 
-class RestrictionError(ValueError):
-    """A map failed to carry a subspace where it was claimed to."""
+class WitnessedError(Exception):
+    """Base of the errors that carry a witness: the data showing where a
+    check failed (None when there is nothing to show)."""
 
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
 
 
-class SpectrumError(ArithmeticError):
+class RestrictionError(WitnessedError, ValueError):
+    """A map failed to carry a subspace where it was claimed to."""
+
+
+class EliminationError(WitnessedError, ArithmeticError):
+    """A Bareiss division left a remainder; the witness names the step."""
+
+
+class SpectrumError(WitnessedError, ArithmeticError):
     """The spectrum is not (provably) rational; never guessed."""
 
 
@@ -70,8 +85,8 @@ def vec_scale(u, c):
 
 
 def vec_pivot(u):
-    """Smallest index with a nonzero entry, or None."""
-    return min(u) if u else None
+    """Largest index with a nonzero entry, or None."""
+    return max(u) if u else None
 
 
 class SparseMap:
@@ -285,13 +300,19 @@ class SparseMap:
                         num = row.get(j, 0) * p - f * piv_row.get(j, 0)
                         if num:
                             q, rem = divmod(num, prev)
-                            assert rem == 0, "Bareiss division not exact"
+                            if rem:
+                                raise EliminationError(
+                                    "Bareiss division not exact",
+                                    {"pivot_col": col, "numerator": num, "divisor": prev})
                             new[j] = q
                 else:
                     for j, v in row.items():
                         num = v * p
                         q, rem = divmod(num, prev)
-                        assert rem == 0, "Bareiss division not exact"
+                        if rem:
+                            raise EliminationError(
+                                "Bareiss division not exact",
+                                {"pivot_col": col, "numerator": num, "divisor": prev})
                         new[j] = q
                 if new:
                     nxt.append(new)
@@ -306,16 +327,18 @@ class SparseMap:
     def kernel(self):
         """Kernel as a Subspace of the domain.
 
-        Each free column, set to 1 with the other free columns 0, is
+        Each free column f, set to 1 with the other free columns 0, is
         back-substituted through the echelon rows from the last pivot up.
+        The vector has its other entries on pivot columns below f, so f is
+        its largest index and it vanishes at every other free column: the
+        reduced echelon basis, with the free columns as pivots.
         """
         rows, pivots = self._echelon()
         pivset = set(pivots)
         steps = list(zip(rows, pivots))[::-1]
+        free = [f for f in range(self.dom_dim) if f not in pivset]
         basis = []
-        for f in range(self.dom_dim):
-            if f in pivset:
-                continue
+        for f in free:
             v = {f: ONE}
             for row, p in steps:
                 if p > f:
@@ -324,7 +347,7 @@ class SparseMap:
                 if s:
                     v[p] = -s / row[p]
             basis.append(v)
-        return Subspace.from_vectors(self.dom_dim, basis)
+        return Subspace(self.dom_dim, basis, free)
 
     def image(self):
         return Subspace.from_vectors(
@@ -429,7 +452,11 @@ class SparseMap:
         out = []
         for lam, alg in pairs:
             geo = n - (self - lam * SparseMap.identity(n)).rank()
-            assert 1 <= geo <= alg
+            if not 1 <= geo <= alg:
+                raise SpectrumError(
+                    "geometric multiplicity outside 1..algebraic multiplicity",
+                    witness={"eigenvalue": lam, "alg": alg, "geo": geo},
+                )
             out.append((lam, alg, geo))
         return Spectrum(tuple(out), sum(g for _, _, g in out) == n)
 
@@ -455,7 +482,7 @@ class Spectrum:
 class Subspace:
     """Subspace of Q^ambient_dim with a reduced echelon basis.
 
-    Basis vectors are sparse dicts, sorted by pivot (first nonzero index),
+    Basis vectors are sparse dicts, sorted by pivot (last nonzero index),
     pivot entries are 1 and every basis vector vanishes at the others' pivots.
     """
 
@@ -702,7 +729,7 @@ def _rational_roots(int_coeffs):
     a0 = int_coeffs[0]
     an = int_coeffs[-1]
     if a0 == 0:
-        raise AssertionError("zero root should be stripped before root search")
+        raise ValueError("zero root should be stripped before root search")
     roots = []
     for p in _divisors(a0):
         for q in _divisors(an):

@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 from math import factorial
 
-from .linalg import DimensionError, SparseMap, Subspace
+from .linalg import DimensionError, SparseMap, Subspace, SubspaceError
 
 KINDS = ("sym", "alt")
 
@@ -333,7 +333,21 @@ class ProductSpace:
 
 # ---------------------------------------------------------------------------
 # weight-graded fast paths: every structural map in the package preserves
-# weights, so rank/kernel/char-poly decompose over weight blocks
+# weights, so rank/kernel/image decompose over weight blocks.  A graded
+# subspace moves between the whole space and its blocks by re-indexing
+# alone: each block's index list increases, so a vector's largest index
+# stays its largest and the echelon basis stays reduced either way.
+
+
+def weight_blocks(weights):
+    """({weight: increasing indices}, position of each index in its block)."""
+    blocks = {}
+    local = []
+    for i, w in enumerate(weights):
+        idx = blocks.setdefault(w, [])
+        local.append(len(idx))
+        idx.append(i)
+    return blocks, local
 
 
 def split_graded(mat, dom_weights, cod_weights):
@@ -342,29 +356,16 @@ def split_graded(mat, dom_weights, cod_weights):
     Returns {weight: (block SparseMap, dom indices, cod indices)} covering
     every weight present on either side.
     """
-    dom_blocks = {}
-    for i, w in enumerate(dom_weights):
-        dom_blocks.setdefault(w, []).append(i)
-    cod_blocks = {}
-    for i, w in enumerate(cod_weights):
-        cod_blocks.setdefault(w, []).append(i)
-    dom_pos = {}
-    for w, idxs in dom_blocks.items():
-        for k, i in enumerate(idxs):
-            dom_pos[i] = (w, k)
-    cod_pos = {}
-    for w, idxs in cod_blocks.items():
-        for k, i in enumerate(idxs):
-            cod_pos[i] = (w, k)
+    dom_blocks, dom_local = weight_blocks(dom_weights)
+    cod_blocks, cod_local = weight_blocks(cod_weights)
     ents = {}
     for (r, c), v in mat.entries.items():
-        wr, kr = cod_pos[r]
-        wc, kc = dom_pos[c]
+        wr, wc = cod_weights[r], dom_weights[c]
         if wr != wc:
             raise ValueError(
                 f"map is not weight-graded: entry ({r},{c}) sends {wc} to {wr}"
             )
-        ents.setdefault(wc, {})[(kr, kc)] = v
+        ents.setdefault(wc, {})[(cod_local[r], dom_local[c])] = v
     out = {}
     for w in set(dom_blocks) | set(cod_blocks):
         dom_idx = dom_blocks.get(w, [])
@@ -374,6 +375,38 @@ def split_graded(mat, dom_weights, cod_weights):
     return out
 
 
+def split(sub, weights):
+    """{weight: (local Subspace, global indices)} of a graded subspace, one
+    entry per weight its basis meets; raises ValueError on a basis vector
+    that mixes weights."""
+    blocks, local = weight_blocks(weights)
+    parts = {}
+    for v, p in zip(sub.vectors, sub.pivots):
+        w = weights[p]
+        if any(weights[i] != w for i in v):
+            raise ValueError("subspace basis vector is not weight-homogeneous")
+        if w not in parts:
+            parts[w] = Subspace.zero(len(blocks[w]))
+        parts[w].vectors.append({local[i]: x for i, x in v.items()})
+        parts[w].pivots.append(local[p])
+    return {w: (part, blocks[w]) for w, part in parts.items()}
+
+
+def join(ambient_dim, parts):
+    """The subspace spanned by local subspaces mapped through increasing,
+    pairwise disjoint index lists: parts is an iterable of (local Subspace,
+    global indices).  Raises SubspaceError if two parts share a pivot."""
+    merged = {}
+    for part, idx in parts:
+        for v, p in zip(part.vectors, part.pivots):
+            g = idx[p]
+            if g in merged:
+                raise SubspaceError(f"two parts share the pivot {g}")
+            merged[g] = {idx[i]: x for i, x in v.items()}
+    pivots = sorted(merged)
+    return Subspace(ambient_dim, [merged[p] for p in pivots], pivots)
+
+
 def blocked_rank(mat, dom_weights, cod_weights):
     return sum(
         block.rank() for block, _, _ in split_graded(mat, dom_weights, cod_weights).values()
@@ -381,16 +414,10 @@ def blocked_rank(mat, dom_weights, cod_weights):
 
 
 def blocked_kernel(mat, dom_weights, cod_weights):
-    vecs = []
-    for block, dom_idx, _ in split_graded(mat, dom_weights, cod_weights).values():
-        for v in block.kernel().vectors:
-            vecs.append({dom_idx[i]: x for i, x in v.items()})
-    return Subspace.from_vectors(mat.dom_dim, vecs)
+    blocks = split_graded(mat, dom_weights, cod_weights).values()
+    return join(mat.dom_dim, ((b.kernel(), dom_idx) for b, dom_idx, _ in blocks))
 
 
 def blocked_image(mat, dom_weights, cod_weights):
-    vecs = []
-    for block, _, cod_idx in split_graded(mat, dom_weights, cod_weights).values():
-        for v in block.image().vectors:
-            vecs.append({cod_idx[i]: x for i, x in v.items()})
-    return Subspace.from_vectors(mat.cod_dim, vecs)
+    blocks = split_graded(mat, dom_weights, cod_weights).values()
+    return join(mat.cod_dim, ((b.image(), cod_idx) for b, _, cod_idx in blocks))

@@ -5,7 +5,9 @@ full tensor power and tensors projected back word by word, E_ij acting on
 those words, full tensor-power symmetrizers, a characteristic polynomial
 multiplied out block by block, the gl(m|n) supercommutator relations, the
 action of every E_ij (Cartan included) restricted to a module or tested
-against an operator, and the inverse of SparseMap.to_triples.
+against an operator, the inverse of SparseMap.to_triples, the calibration
+of d against del, and Laurent-polynomial helpers (powers, inverted and
+permuted variables, fraction equality).
 """
 
 from collections import Counter
@@ -13,6 +15,7 @@ from fractions import Fraction
 from itertools import permutations
 from math import factorial
 
+from superkoszul.characters import CharacterError, CharFraction, LaurentPoly
 from superkoszul.koszul import op_target
 from superkoszul.linalg import DimensionError, RestrictionError, SparseMap, Subspace
 from superkoszul.superspace import sort_sign, split_graded
@@ -311,3 +314,59 @@ def full_action(act, product, basis, modulo=None, pairs=None):
             cols[c] = {r: x for r, x in enumerate(coords) if x}
         out[(i, j)] = SparseMap.from_columns(basis.dim, basis.dim, cols)
     return out
+
+
+# ---------------------------------------------------------------------------
+# calibration of the pair differentials
+
+
+def calibration_ratio(ctx):
+    """(del d)(1) divided by the super dimension; 1 iff the plain projector
+    normalization of d and del matches the identity's scalars."""
+    m = ctx.pair_del(1, 1) @ ctx.pair_d(0, 0)
+    sdim = ctx.space.m - ctx.space.n
+    return m.entry(0, 0) / sdim
+
+
+# ---------------------------------------------------------------------------
+# Laurent polynomials
+
+
+def poly_pow(p, n):
+    """p ** n by repeated squaring; raises CharacterError for n < 0."""
+    if n < 0:
+        raise CharacterError("negative power of a polynomial")
+    out = LaurentPoly.one()
+    base = p
+    while n:
+        if n & 1:
+            out = out * base
+        base = base * base
+        n >>= 1
+    return out
+
+
+def invert_vars(p):
+    """x_i -> 1/x_i, y -> 1/y (character of the dual)."""
+    return LaurentPoly({tuple(-x for x in e): c for e, c in p.terms.items()})
+
+
+def permute_x(p, perm):
+    """Permute the three x variables by perm (a tuple image of 0,1,2)."""
+    out = {}
+    for e, c in p.terms.items():
+        ne = [0, 0, 0, e[3]]
+        for i in range(3):
+            ne[perm[i]] = e[i]
+        key = tuple(ne)
+        out[key] = out.get(key, ZERO) + c
+    return LaurentPoly(out)
+
+
+def char_equal(e1, e2):
+    """Equality of characters given as LaurentPoly or CharFraction."""
+    if isinstance(e1, LaurentPoly):
+        e1 = CharFraction(e1)
+    if isinstance(e2, LaurentPoly):
+        e2 = CharFraction(e2)
+    return e1.equal(e2)

@@ -292,7 +292,7 @@ def test_graded_span_insert_and_contains():
     assert span.contains({0: F(3), 1: F(3)})
     assert not span.contains({0: F(1)})
     assert span.insert({2: F(5)}) is not None
-    assert span.as_subspace().dim == 2
+    assert span.dim == 2
 
 
 def test_graded_span_rejects_mixed_weight():

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from oracles import from_triples
 from superkoszul.linalg import (
     DimensionError,
+    EliminationError,
     RestrictionError,
     SparseMap,
     SpectrumError,
@@ -286,6 +287,7 @@ def test_subspace_rcef_shape():
     assert s.pivots == sorted(s.pivots)
     for v, p in zip(s.vectors, s.pivots):
         assert v[p] == 1
+        assert p == max(v)
         for q in s.pivots:
             if q != p:
                 assert q not in v
@@ -447,6 +449,24 @@ def test_spectrum_rotation_raises():
         m.rational_spectrum()
 
 
+def test_spectrum_rejects_a_geometric_multiplicity_out_of_range(monkeypatch):
+    m = from_dense([[2, 0], [0, 3]])
+    monkeypatch.setattr(SparseMap, "rank", lambda self: self.dom_dim)
+    with pytest.raises(SpectrumError) as exc:
+        m.rational_spectrum()
+    assert exc.value.witness == {"eigenvalue": F(2), "alg": 1, "geo": 0}
+
+
+def test_bareiss_rejects_an_inexact_division(monkeypatch):
+    # the second row's update (0 * 1 - 1 * 1/2) / 1 leaves a remainder
+    rows = [{0: 1, 1: F(1, 2)}, {0: 1}]
+    monkeypatch.setattr(SparseMap, "_integer_rows",
+                        lambda self: [dict(r) for r in rows])
+    with pytest.raises(EliminationError) as exc:
+        from_dense([[1, 1], [1, 0]]).rank()
+    assert exc.value.witness == {"pivot_col": 0, "numerator": F(-1, 2), "divisor": 1}
+
+
 def test_poly_eval():
     assert poly_eval([F(1), F(2), F(3)], F(2)) == F(1) + F(4) + F(12)
 
@@ -497,6 +517,17 @@ def test_prop_rank_nullity(m):
     assert ker.dim == m.dom_dim - rank
     for v in ker.vectors:
         assert m.apply(v) == {}
+
+
+@given(sparse_maps())
+@settings(max_examples=60, deadline=None)
+def test_prop_kernel_is_canonical(m):
+    # back-substitution already gives the reduced echelon basis that
+    # from_vectors would build, each vector pivoted on its largest index
+    ker = m.kernel()
+    assert ker == Subspace.from_vectors(m.dom_dim, ker.vectors)
+    for v, p in zip(ker.vectors, ker.pivots):
+        assert p == max(v)
 
 
 def annihilated(m, eigenvalues):

@@ -9,7 +9,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -24,7 +24,7 @@ from oracles import (
     unindex_word,
     word_index,
 )
-from superkoszul.linalg import SparseMap, Subspace
+from superkoszul.linalg import SparseMap, Subspace, SubspaceError
 from superkoszul.superspace import (
     ProductSpace,
     SuperSpace,
@@ -33,8 +33,10 @@ from superkoszul.superspace import (
     blocked_image,
     blocked_kernel,
     blocked_rank,
+    join,
     power_basis,
     sort_sign,
+    split,
     split_graded,
     sym_dim,
     weight_label,
@@ -384,6 +386,58 @@ def test_prop_sign_of_sorted_is_one(letters):
     word = tuple(sorted(letters))
     assert sort_sign(V31, "sym", word) == 1
     assert sort_sign(V31, "alt", word) == 1
+
+
+@st.composite
+def graded_maps(draw, max_dim=6):
+    """(map, dom weights, cod weights) with entries only between equal
+    weights, the weights drawn from three labels."""
+    dom_w = draw(st.lists(st.sampled_from("abc"), max_size=max_dim))
+    cod_w = draw(st.lists(st.sampled_from("abc"), max_size=max_dim))
+    ent = {}
+    for r, wr in enumerate(cod_w):
+        for c, wc in enumerate(dom_w):
+            if wr == wc:
+                ent[(r, c)] = F(draw(st.integers(-2, 2)), draw(st.integers(1, 3)))
+    return SparseMap(len(dom_w), len(cod_w), ent), dom_w, cod_w
+
+
+@given(graded_maps())
+@settings(max_examples=80, deadline=None)
+def test_prop_blocked_kernel_and_image_match_plain(g):
+    m, wd, wc = g
+    assert blocked_kernel(m, wd, wc) == m.kernel()
+    assert blocked_image(m, wd, wc) == m.image()
+
+
+@given(graded_maps())
+@settings(max_examples=80, deadline=None)
+def test_prop_join_inverts_split(g):
+    m, wd, wc = g
+    for sub, weights in ((m.kernel(), wd), (m.image(), wc)):
+        parts = split(sub, weights)
+        for local, idx in parts.values():
+            # each block is already in reduced echelon form
+            assert local == Subspace.from_vectors(len(idx), local.vectors)
+            assert idx == sorted(idx)
+        assert join(sub.ambient_dim, parts.values()) == sub
+
+
+def test_split_rejects_a_vector_mixing_weights():
+    sub = Subspace.from_vectors(2, [{0: F(1), 1: F(1)}])
+    with pytest.raises(ValueError):
+        split(sub, ["a", "b"])
+
+
+@given(graded_maps(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_prop_join_rejects_parts_sharing_a_pivot(g, data):
+    m, wd, _ = g
+    parts = list(split(m.kernel(), wd).values())
+    assume(parts)
+    twice = data.draw(st.sampled_from(parts))
+    with pytest.raises(SubspaceError):
+        join(m.dom_dim, parts + [twice])
 
 
 @given(st.permutations(list(range(4))))
