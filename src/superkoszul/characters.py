@@ -461,11 +461,6 @@ def ch_schur_super(partition):
     return out
 
 
-def hook_partition(l1, l2, l3, l4):
-    """I-subscript (l1,l2,l3,1^l4) as a plain partition tuple."""
-    return (l1, l2, l3) + (1,) * l4
-
-
 # ---------------------------------------------------------------------------
 # enumerated characters of modules
 
@@ -481,6 +476,11 @@ def supercharacter(mod, signed=True):
 
 # ---------------------------------------------------------------------------
 # closed forms for the constructed modules
+
+
+def h31_char():
+    """x1x2x3 / y: the one weight (1,1,1|-1) of the homology line."""
+    return CharFraction(LaurentPoly.monomial((1, 1, 1, -1)))
 
 
 def image_char(k, l):

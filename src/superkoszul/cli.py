@@ -136,8 +136,6 @@ def _cmd_construct(args):
         if len(args.params) != 1:
             raise ValueError("Ilambda takes one comma-separated partition")
         params = parse_ints(args.params[0])
-        if args.params[0].strip() == "1,1,1,-1":
-            params = (1, 1, 1, -1)
     else:
         params = tuple(int(p) for p in args.params)
     out = harness.construct_report(name, params)

@@ -461,35 +461,6 @@ def dual_module(mod):
     )
 
 
-def tensor_modules(a, b):
-    """E acts as a super derivation: E(u x v) = Eu x v + (-1)^(p(E)p(u)) u x Ev.
-
-    Runs over the generator keys of a; weights add."""
-    if a.space != b.space:
-        raise ModuleError("tensor factors act over different spaces",
-                          witness={"left": a.space, "right": b.space})
-    space = a.space
-    idb = SparseMap.identity(b.dim)
-    gens = {}
-    for key, ga in a.gens.items():
-        gi, gj = key
-        pe = (space.parity(gi) + space.parity(gj)) % 2
-        left = ga.kron(idb)
-        sign = SparseMap(
-            a.dim, a.dim,
-            {(i, i): (-ONE if pe and a.parities[i] else ONE) for i in range(a.dim)},
-        )
-        gens[key] = left + sign.kron(b.gens[key])
-    weights = []
-    parities = []
-    for i in range(a.dim):
-        for j in range(b.dim):
-            weights.append(tuple(x + y for x, y in zip(a.weights[i], b.weights[j])))
-            parities.append((a.parities[i] + b.parities[j]) % 2)
-    return GLModule(space=space, name=f"{a.name}.{b.name}", gens=gens,
-                    weights=weights, parities=parities)
-
-
 def berezinian_twist(mod, t):
     """Tensor t times with the one-dimensional weight-(1,1,1,-1) odd line."""
     if t < 0:

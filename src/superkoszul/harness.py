@@ -1,22 +1,28 @@
 """Verification grids, machine-readable reports, and JSON exports.
 
 Every checked fact is registered under a stable claim id with a plain
-mathematical statement, so reports stay meaningful on their own.  Checks are
-grouped into independent units that can run in separate processes; report
-assembly is single threaded and the record order is fixed by sorting, so two
-runs of the same plan agree byte for byte outside the timing fields.
+mathematical statement, so reports stay meaningful on their own; `verdict`
+turns a check result into its pass or fail record.  Checks are grouped into
+independent units that can run in separate processes; report assembly is
+single threaded and the record order is fixed by sorting, so two runs of the
+same plan agree byte for byte outside the timing fields.
+
+`FAMILIES` holds, for each module construction, its claim, its closed
+character and its highest-weight label.  The constructions group and the
+single-module `construct_report` both read it, so each family's checks are
+written down once.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from fractions import Fraction
 
 from . import characters as chars
-from .glrep import Constructor, GLAction, check_equivariance, dual_module
+from .glrep import Constructor, GLAction, check_equivariance
 from .koszul import KoszulContext, Spot, op_applicable, op_target
 from .superspace import SuperSpace, power_basis, weight_label
 
@@ -143,6 +149,38 @@ SCHUR_GRID = (
     (3, 1),
 )
 
+_Y_FAMILY = ("Y-CHAR", "y_char", lambda n, p: (n, 0, 1 - p, 1))
+
+# lower-case construction name -> (claim, name of the closed character in
+# `characters`, highest-weight label as a function of the construction
+# parameters).  The character is named rather than held, so it is looked up
+# when a check runs.  Z1's label is the constructed one; the stated label
+# and the stated general Z character differ and are reported as findings.
+FAMILIES = {
+    "h31": ("H31", "h31_char", lambda: (1, 1, 1, 1)),
+    "imd": ("IMD-SIMPLE", "image_char", None),
+    "y": _Y_FAMILY,
+    "ysummand": _Y_FAMILY,
+    "z1": ("Z1-CHAR", "z1_char", lambda m: (2, 1, -m, 1)),
+    "zk": ("ZK-CHAR", "zk_char", lambda k, l, m: (k + 1, 1, 1 - m, 3 - l)),
+    "mmp": ("MMP-CHAR", "mmp_char", lambda m, p: (m, m, -p, 0)),
+    "mfinal": ("MFINAL-CHAR", "mfinal_char",
+               lambda m, t, p: (m + t, m, 1 - p, 1)),
+}
+
+# (construction, parameters) of each module the constructions group
+# certifies; the ImD cells follow the plan's bounds instead
+MODULE_CELLS = (
+    ("h31", {}),
+    *(("y", {"n": n, "p": p}) for n in (1, 2) for p in (1, 2)),
+    *(("z1", {"m": m}) for m in (1, 2)),
+    *(("zk", {"k": k, "l": l, "m": m})
+      for k, l, m in ((1, 2, 1), (1, 2, 2), (2, 2, 2))),
+    *(("mmp", {"m": m, "p": p}) for m in (1, 2) for p in (1, 2)),
+    *(("mfinal", {"m": m, "t": t, "p": p})
+      for m in (1, 2) for t in (1, 2) for p in (1, 2)),
+)
+
 
 def hook_to_label(shape):
     """Highest-weight label of the hook module: pad to three rows, each
@@ -186,15 +224,7 @@ class VerificationPlan:
         return self
 
     def as_dict(self):
-        return {
-            "m": self.m, "n": self.n,
-            "max_k": self.max_k, "max_l": self.max_l,
-            "max_i": self.max_i, "max_a": self.max_a,
-            "max_p": self.max_p, "max_r": self.max_r,
-            "dim_cap": self.dim_cap,
-            "checks": list(self.checks),
-            "jobs": self.jobs,
-        }
+        return {**asdict(self), "checks": list(self.checks)}
 
     @classmethod
     def from_dict(cls, d):
@@ -219,6 +249,13 @@ def record(claim, params, status, witness=None, dims=None, note=""):
         "dims": dims or {},
         "note": note,
     }
+
+
+def verdict(claim, params, ok, witness, dims=None, note=""):
+    """The pass or fail record of a check; the witness is kept on a failure
+    only."""
+    return record(claim, params, "pass" if ok else "fail",
+                  witness=None if ok else witness, dims=dims, note=note)
 
 
 def finding(claim, params, description, stated, derived):
@@ -258,14 +295,7 @@ class Report:
         return 0 if self.summary.get("ok") else 1
 
     def to_json(self):
-        return {
-            "plan": self.plan,
-            "records": self.records,
-            "findings": self.findings,
-            "summary": self.summary,
-            "timings": self.timings,
-            "meta": self.meta,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _param_key(params):
@@ -316,36 +346,24 @@ def _check_identities(plan):
     for k in range(plan.max_k + 1):
         for l in range(plan.max_l + 1):
             r = ctx.d_del_identity(k, l)
-            records.append(record(
-                "D-DEL-IDENTITY", {"k": k, "l": l},
-                "pass" if r["ok"] else "fail",
-                witness=None if r["ok"] else {"residual_nnz": r["residual_nnz"]},
-                dims={"dim": r["dim"]},
-                note=f"scalar {r['scalar']}",
-            ))
-            ok = ctx.d_squared_is_zero(k, l)
-            records.append(record(
-                "D-SQUARED", {"k": k, "l": l},
-                "pass" if ok else "fail",
-                witness=None if ok else {"nonzero": True},
-            ))
+            records.append(verdict(
+                "D-DEL-IDENTITY", {"k": k, "l": l}, r["ok"],
+                {"residual_nnz": r["residual_nnz"]},
+                dims={"dim": r["dim"]}, note=f"scalar {r['scalar']}"))
+            records.append(verdict(
+                "D-SQUARED", {"k": k, "l": l}, ctx.d_squared_is_zero(k, l),
+                {"nonzero": True}))
     for p in range(plan.max_p + plan.max_r + 1):
         for r_ in range(plan.max_p + plan.max_r + 1 - p):
             rr = ctx.p_q_identity(p, r_)
-            records.append(record(
-                "P-Q-IDENTITY", {"p": p, "r": r_},
-                "pass" if rr["ok"] else "fail",
-                witness=None if rr["ok"] else {"residual_nnz": rr["residual_nnz"]},
-                dims={"dim": rr["dim"]},
-                note=f"scalar {rr['scalar']}",
-            ))
+            records.append(verdict(
+                "P-Q-IDENTITY", {"p": p, "r": r_}, rr["ok"],
+                {"residual_nnz": rr["residual_nnz"]},
+                dims={"dim": rr["dim"]}, note=f"scalar {rr['scalar']}"))
             if p >= 2:
-                ok = ctx.p_squared_is_zero(p, r_)
-                records.append(record(
+                records.append(verdict(
                     "P-SQUARED", {"p": p, "r": r_},
-                    "pass" if ok else "fail",
-                    witness=None if ok else {"nonzero": True},
-                ))
+                    ctx.p_squared_is_zero(p, r_), {"nonzero": True}))
     return records, []
 
 
@@ -357,13 +375,10 @@ def _check_exactness(plan):
         for k in range(a, plan.max_k + 1):
             h = ctx.k_homology_dim(a, k)
             expected = 1 if (a == special and k == plan.m) else 0
-            ok = h == expected
-            records.append(record(
-                "K-EXACTNESS", {"offset": a, "k": k},
-                "pass" if ok else "fail",
-                witness=None if ok else {"homology_dim": h, "expected": expected},
-                dims={"dim": ctx.pair_space(k, k - a).dim},
-            ))
+            records.append(verdict(
+                "K-EXACTNESS", {"offset": a, "k": k}, h == expected,
+                {"homology_dim": h, "expected": expected},
+                dims={"dim": ctx.pair_space(k, k - a).dim}))
     return records, []
 
 
@@ -385,12 +400,9 @@ def _check_commutativity(plan):
                 records.append(record(
                     claim, params, "skip", note="a route is undefined here"))
                 continue
-            records.append(record(
-                claim, params,
-                "pass" if r["ok"] else "fail",
-                witness=None if r["ok"] else {"residual_nnz": r["residual_nnz"]},
-                dims={"dim": r["dim"]},
-            ))
+            records.append(verdict(
+                claim, params, r["ok"], {"residual_nnz": r["residual_nnz"]},
+                dims={"dim": r["dim"]}))
     return records, []
 
 
@@ -408,36 +420,29 @@ def _check_equivariance(plan):
                     "EQUIVARIANCE", params, "skip", note="op undefined here"))
                 continue
             r = check_equivariance(ctx, act, name, spot)
-            records.append(record(
-                "EQUIVARIANCE", params,
-                "pass" if r["ok"] else "fail",
-                witness=None if r["ok"] else {
-                    "failing_generators": [list(g) for g in r["failing_generators"]]
-                },
-                dims={"generators": r["generators_checked"]},
-            ))
+            records.append(verdict(
+                "EQUIVARIANCE", params, r["ok"],
+                {"failing_generators": [list(g) for g in r["failing_generators"]]},
+                dims={"generators": r["generators_checked"]}))
     return records, []
 
 
 def _check_spectra(plan):
+    if (plan.m, plan.n) != (3, 1):
+        return [record(
+            "SPECTRUM-DELPQD", {"m": plan.m, "n": plan.n}, "skip",
+            note="no eigenvalue prediction for this alphabet")], []
     ctx = _context(plan)
     records = []
     findings = []
-    if (plan.m, plan.n) != (3, 1):
-        records.append(record(
-            "SPECTRUM-DELPQD", {"m": plan.m, "n": plan.n}, "skip",
-            note="no eigenvalue prediction for this alphabet"))
-        return records, findings
     mismatch_cells = []
     example = None
     for i in range(plan.max_i + 1):
         for a in range(1, plan.max_a + 1):
             rep = ctx.loop_spectrum("delPQd", (i, a))
             ok = rep.diagonalizable and rep.invertible and rep.matches_derived
-            records.append(record(
-                "SPECTRUM-DELPQD", {"i": i, "a": a},
-                "pass" if ok else "fail",
-                witness=None if ok else _spectrum_json(rep),
+            records.append(verdict(
+                "SPECTRUM-DELPQD", {"i": i, "a": a}, ok, _spectrum_json(rep),
                 dims={"dim": rep.dim},
                 note="" if rep.matches_stated else "stated set differs; see findings",
             ))
@@ -469,12 +474,9 @@ def _check_spectra(plan):
                 rep = ctx.loop_spectrum("PdeldQ", (i, k, a))
                 ok = (rep.diagonalizable and rep.invertible
                       and rep.matches_stated)
-                records.append(record(
-                    "SPECTRUM-PDELDQ", params,
-                    "pass" if ok else "fail",
-                    witness=None if ok else _spectrum_json(rep),
-                    dims={"dim": rep.dim},
-                ))
+                records.append(verdict(
+                    "SPECTRUM-PDELDQ", params, ok, _spectrum_json(rep),
+                    dims={"dim": rep.dim}))
     return records, findings
 
 
@@ -491,43 +493,31 @@ def _check_splittings(plan):
                     note="splitting degenerates on this line"))
                 continue
             r = ctx.xdanh_check(k, l)
-            records.append(record(
-                "XDANH-SPLIT", params,
-                "pass" if r["ok"] else "fail",
-                witness=None if r["ok"] else {
-                    k_: r[k_] for k_ in
-                    ("dim", "rank_in", "rank_out", "rank_proj", "rank_sum")
-                },
-                dims={"dim": r["dim"]},
-            ))
+            records.append(verdict(
+                "XDANH-SPLIT", params, r["ok"],
+                {k_: r[k_] for k_ in
+                 ("dim", "rank_in", "rank_out", "rank_proj", "rank_sum")},
+                dims={"dim": r["dim"]}))
     cap = 2
     for spot in _spot_grid(cap, cap, cap):
         params = {"spot": list((spot.sym, spot.alt, spot.dual))}
         if spot.alt >= 1:
             r = ctx.kerp_is_incoming_image(spot)
-            records.append(record(
-                "KERP-IMP", params,
-                "pass" if r["ok"] else "fail",
-                witness=None if r["ok"] else {
-                    "ker_dim": r["ker_dim"], "im_dim": r["im_dim"]},
-            ))
+            records.append(verdict(
+                "KERP-IMP", params, r["ok"],
+                {"ker_dim": r["ker_dim"], "im_dim": r["im_dim"]}))
         r = ctx.d_restricts_to_kerp(spot)
-        records.append(record(
-            "DKERP-RESTRICT", params,
-            "pass" if r["ok"] else "fail",
-            witness=None if r["ok"] else {"escaping_vector": str(r["witness"])},
-        ))
+        records.append(verdict(
+            "DKERP-RESTRICT", params, r["ok"],
+            {"escaping_vector": str(r["witness"])}))
         if spot.sym >= 1 and spot.alt >= 1 and spot.dual >= 1:
             if ctx.kerp_space(spot).dim == 0:
                 records.append(record(
                     "DEL-NOT-RESTRICT", params, "skip", note="kernel trivial"))
                 continue
             r = ctx.del_restricts_to_kerp(spot)
-            records.append(record(
-                "DEL-NOT-RESTRICT", params,
-                "pass" if not r["ok"] else "fail",
-                witness=None if not r["ok"] else {"restricted": True},
-            ))
+            records.append(verdict(
+                "DEL-NOT-RESTRICT", params, not r["ok"], {"restricted": True}))
     return records, []
 
 
@@ -541,63 +531,49 @@ def _label(mod, info):
     return list(weight_label(weight, mod.space.m, mod.space.n))
 
 
-def _char_legs(mod, closed, v_label):
-    """Three-way comparison in the unsigned convention, signs recorded."""
-    enum = chars.CharFraction(chars.supercharacter(mod, signed=False))
-    disp = enum.compare(closed)
-    vs = enum.compare(chars.ch_v(v_label))
-    return {
-        "convention": "unsigned",
-        "closed_formula": disp,
-        "v_formula": {"label": list(v_label), **vs},
-    }
+def _closed_char(name, params):
+    """The closed character of a family at its construction parameters,
+    looked up in `characters` when called."""
+    return getattr(chars, FAMILIES[name][1])(*params)
 
 
-def _module_record(claim, params, mod, closed, v_label, stated_label=None,
-                   label_gates=True, extra_ok=True, note=""):
-    """Record irreducibility plus the three-way character comparison.
+def _module_cell(con, name, params, note=""):
+    """Record one constructed module: it is irreducible, its unsigned
+    enumeration equals the closed character and the V formula at the family
+    label, and its derived highest weight is that label.
 
-    stated_label is compared against the constructed highest weight; with
-    label_gates=False a mismatch is reported through the findings channel
-    by the caller instead of failing the record.
+    Returns the record, the enumerated character and the derived label.
     """
+    claim, _, label_of = FAMILIES[name]
+    args = tuple(params.values())
+    mod = con.construct(name, args)
     irr, info = mod.is_irreducible()
-    legs = _char_legs(mod, closed, v_label)
+    enum = chars.CharFraction(chars.supercharacter(mod, signed=False))
+    label = label_of(*args)
+    legs = {
+        "convention": "unsigned",
+        "closed_formula": enum.compare(_closed_char(name, args)),
+        "v_formula": {"label": list(label), **enum.compare(chars.ch_v(label))},
+    }
     derived = _label(mod, info)
-    label_ok = stated_label is None or derived == list(stated_label)
     ok = (irr and legs["closed_formula"]["equal"]
-          and legs["v_formula"]["equal"] and extra_ok
-          and (label_ok or not label_gates))
-    witness = None
-    if not ok:
-        witness = {"irreducible": irr, "singular_dim": info.get("singular_dim"),
-                   "highest_weight": derived, **legs}
-    return record(
-        claim, params,
-        "pass" if ok else "fail",
-        witness=witness,
-        dims={"dim": mod.dim},
-        note=note,
-    ), legs, derived, label_ok
+          and legs["v_formula"]["equal"] and derived == list(label))
+    witness = {"irreducible": irr, "singular_dim": info.get("singular_dim"),
+               "highest_weight": derived, **legs}
+    rec = verdict(claim, dict(params), ok, witness, dims={"dim": mod.dim},
+                  note=note)
+    return rec, enum, derived
 
 
 def _check_constructions(plan):
-    records = []
-    findings = []
     if (plan.m, plan.n) != (3, 1):
-        records.append(record(
+        return [record(
             "H31", {"m": plan.m, "n": plan.n}, "skip",
-            note="module families are specific to the (3|1) alphabet"))
-        return records, findings
+            note="module families are specific to the (3|1) alphabet")], []
     ctx = _context(plan)
     con = Constructor(ctx)
-
-    h = con.h31()
-    mono = chars.CharFraction(chars.LaurentPoly.monomial((1, 1, 1, -1)))
-    rec, _, _, _ = _module_record(
-        "H31", {}, h, mono, (1, 1, 1, 1),
-        stated_label=(1, 1, 1, 1), extra_ok=(h.dim == 1))
-    records.append(rec)
+    records = []
+    findings = []
 
     for k in range(2, plan.max_k + 1):
         for l in range(2, plan.max_l + 1):
@@ -615,40 +591,27 @@ def _check_constructions(plan):
             mod = con.image_module(k, l)
             irr, info = mod.is_irreducible()
             enum = chars.CharFraction(chars.supercharacter(mod, signed=False))
-            cmp = enum.compare(chars.image_char(k, l))
-            ok = irr and cmp["equal"]
-            records.append(record(
-                "IMD-SIMPLE", params,
-                "pass" if ok else "fail",
-                witness=None if ok else {
-                    "irreducible": irr,
-                    "singular_dim": info.get("singular_dim"),
-                    "closed_formula": cmp,
-                },
-                dims={"dim": mod.dim},
-            ))
-
-    for n in (1, 2):
-        for p in (1, 2):
-            mod = con.y_summand(n, p)
-            rec, _, _, _ = _module_record(
-                "Y-CHAR", {"n": n, "p": p}, mod,
-                chars.y_char(n, p), (n, 0, 1 - p, 1),
-                stated_label=(n, 0, 1 - p, 1))
-            records.append(rec)
+            cmp = enum.compare(_closed_char("imd", (k, l)))
+            records.append(verdict(
+                "IMD-SIMPLE", params, irr and cmp["equal"],
+                {"irreducible": irr, "singular_dim": info.get("singular_dim"),
+                 "closed_formula": cmp},
+                dims={"dim": mod.dim}))
 
     z1_cells = []
-    for m in (1, 2):
-        mod = con.z1(m)
-        derived_lab = (2, 1, -m, 1)
-        stated_lab = (2, 1, -m + 1, 1)
-        rec, _, derived, label_ok = _module_record(
-            "Z1-CHAR", {"m": m}, mod, chars.z1_char(m), derived_lab,
-            stated_label=stated_lab, label_gates=False,
-            note="stated label differs; see findings")
+    zk_cells = []
+    for name, params in MODULE_CELLS:
+        note = "stated label differs; see findings" if name == "z1" else ""
+        rec, enum, derived = _module_cell(con, name, params, note)
         records.append(rec)
-        if not label_ok:
-            z1_cells.append([m, list(stated_lab), derived])
+        if name == "z1":
+            stated = [2, 1, 1 - params["m"], 1]
+            if derived != stated:
+                z1_cells.append([params["m"], stated, derived])
+        elif name == "zk":
+            args = list(params.values())
+            if not enum.compare(chars.zk_char_stated(*args))["equal"]:
+                zk_cells.append(args)
     if z1_cells:
         findings.append(finding(
             "Z1-CHAR", {"cells": [c[0] for c in z1_cells]},
@@ -659,23 +622,6 @@ def _check_constructions(plan):
             stated=[c[1] for c in z1_cells],
             derived=[c[2] for c in z1_cells],
         ))
-
-    zk_cells = []
-    zk_pair = None
-    for (k, l, m) in ((1, 2, 1), (1, 2, 2), (2, 2, 2)):
-        mod = con.zk(k, l, m)
-        lab = (k + 1, 1, 1 - m, 3 - l)
-        rec, _, _, _ = _module_record(
-            "ZK-CHAR", {"k": k, "l": l, "m": m}, mod,
-            chars.zk_char(k, l, m), lab, stated_label=lab)
-        records.append(rec)
-        stated = chars.CharFraction(
-            chars.supercharacter(mod, signed=False)
-        ).compare(chars.zk_char_stated(k, l, m))
-        if not stated["equal"]:
-            zk_cells.append([k, l, m])
-            if zk_pair is None:
-                zk_pair = (chars.zk_char_stated(k, l, m), chars.zk_char(k, l, m))
     if zk_cells:
         findings.append(finding(
             "ZK-CHAR", {"cells": zk_cells},
@@ -685,61 +631,40 @@ def _check_constructions(plan):
             stated="second determinant column exponent m-1",
             derived="second determinant column exponent m",
         ))
-
-    for m in (1, 2):
-        for p in (1, 2):
-            mod = con.mmp(m, p)
-            rec, _, _, _ = _module_record(
-                "MMP-CHAR", {"m": m, "p": p}, mod,
-                chars.mmp_char(m, p), (m, m, -p, 0),
-                stated_label=(m, m, -p, 0))
-            records.append(rec)
-
-    for m in (1, 2):
-        for t in (1, 2):
-            for p in (1, 2):
-                mod = con.mfinal(m, t, p)
-                rec, _, _, _ = _module_record(
-                    "MFINAL-CHAR", {"m": m, "t": t, "p": p}, mod,
-                    chars.mfinal_char(m, t, p), (m + t, m, -p + 1, 1),
-                    stated_label=(m + t, m, -p + 1, 1))
-                records.append(rec)
-
     return records, findings
 
 
+def _jacobi_trudi(shape, signed):
+    """The hook determinant of h_r(x1+x2+x3-y) for shape, and how it compares
+    with the signed enumeration of the realized module."""
+    jt = chars.ch_schur_super(shape)
+    equal = jt == signed
+    return jt, {"equal": equal, "up_to_sign": equal or jt == -signed}
+
+
 def _check_characters(plan):
-    records = []
     if (plan.m, plan.n) != (3, 1):
-        records.append(record(
+        return [record(
             "KAC-TYPICAL-CONSISTENCY", {"m": plan.m, "n": plan.n}, "skip",
-            note="character ring is specific to the (3|1) alphabet"))
-        return records, []
+            note="character ring is specific to the (3|1) alphabet")], []
+    records = []
     for lab in KAC_GRID:
         cmp = chars.kac_sum(lab).compare(chars.ch_typical(lab))
-        records.append(record(
-            "KAC-TYPICAL-CONSISTENCY", {"label": list(lab)},
-            "pass" if cmp["equal"] else "fail",
-            witness=None if cmp["equal"] else cmp,
-        ))
+        records.append(verdict(
+            "KAC-TYPICAL-CONSISTENCY", {"label": list(lab)}, cmp["equal"], cmp))
     ctx = _context(plan)
     con = Constructor(ctx)
     for shape in SCHUR_GRID:
         mod = con.ilambda(shape)
-        jt = chars.ch_schur_super(shape)
-        signed_ok = jt == chars.supercharacter(mod, signed=True)
+        jt, signs = _jacobi_trudi(shape, chars.supercharacter(mod, signed=True))
         lab = hook_to_label(shape)
         cmp = chars.CharFraction(jt.sub_y_neg()).compare(chars.ch_v(lab))
-        ok = signed_ok and cmp["equal"]
-        records.append(record(
+        records.append(verdict(
             "SCHUR-CONSISTENCY", {"shape": list(shape)},
-            "pass" if ok else "fail",
-            witness=None if ok else {
-                "signed_matches_enumeration": signed_ok,
-                "v_formula": {"label": list(lab), **cmp},
-            },
-            dims={"dim": mod.dim},
-        ))
+            signs["equal"] and cmp["equal"],
+            {"signed_matches_enumeration": signs["equal"],
+             "v_formula": {"label": list(lab), **cmp}},
+            dims={"dim": mod.dim}))
     return records, []
 
 
@@ -802,19 +727,6 @@ def run(plan):
 # single-module reports for the construct command
 
 
-_CLOSED = {
-    "h31": ("H31", lambda params: chars.CharFraction(
-        chars.LaurentPoly.monomial((1, 1, 1, -1)))),
-    "imd": ("IMD-SIMPLE", lambda p: chars.image_char(*p)),
-    "mmp": ("MMP-CHAR", lambda p: chars.mmp_char(*p)),
-    "y": ("Y-CHAR", lambda p: chars.y_char(*p)),
-    "ysummand": ("Y-CHAR", lambda p: chars.y_char(*p)),
-    "z1": ("Z1-CHAR", lambda p: chars.z1_char(*p)),
-    "zk": ("ZK-CHAR", lambda p: chars.zk_char(*p)),
-    "mfinal": ("MFINAL-CHAR", lambda p: chars.mfinal_char(*p)),
-}
-
-
 def construct_report(name, params):
     """Build a named module and report the three-way character comparison."""
     ctx = KoszulContext(SuperSpace(3, 1))
@@ -822,6 +734,8 @@ def construct_report(name, params):
     mod = con.construct(name, params)
     irr, info = mod.is_irreducible()
     label = _label(mod, info)
+    unsigned = chars.supercharacter(mod, False)
+    signed = chars.supercharacter(mod, True)
     out = {
         "name": mod.name,
         "params": list(params),
@@ -833,47 +747,36 @@ def construct_report(name, params):
             ([list(w), c] for w, c in mod.weight_multiset().items()),
         ),
         "characters": {
-            "enumerated_unsigned": chars.supercharacter(mod, False).canonical(),
-            "enumerated_signed": chars.supercharacter(mod, True).canonical(),
+            "enumerated_unsigned": unsigned.canonical(),
+            "enumerated_signed": signed.canonical(),
         },
     }
     key = name.lower()
-    enum = chars.CharFraction(chars.supercharacter(mod, False))
-    if key in _CLOSED:
-        claim, fn = _CLOSED[key]
+    shape = tuple(params)
+    enum = chars.CharFraction(unsigned)
+    lab, closed = tuple(label), None
+    if key in FAMILIES:
+        claim = FAMILIES[key][0]
         if key == "imd" and params[0] < 2:
-            out["characters"]["closed_formula"] = {
-                "claim": claim, "skipped": "closed form needs k >= 2"}
+            closed = {"claim": claim, "skipped": "closed form needs k >= 2"}
         else:
-            cmp = enum.compare(fn(tuple(params)))
-            out["characters"]["closed_formula"] = {
-                "claim": claim, "convention": "unsigned", **cmp}
-    if key == "ilambda":
-        shape = tuple(params)
-        if shape == (1, 1, 1, -1):
-            lab = (1, 1, 1, 1)
-        else:
-            lab = hook_to_label(shape)
-            jt = chars.ch_schur_super(shape)
-            out["characters"]["closed_formula"] = {
-                "claim": "SCHUR-CONSISTENCY", "convention": "signed",
-                "equal": jt == chars.supercharacter(mod, True),
-                "up_to_sign": True,
-            }
-    else:
-        lab = tuple(label)
+            closed = {"claim": claim, "convention": "unsigned",
+                      **enum.compare(_closed_char(key, shape))}
+    elif shape != (1, 1, 1, -1):
+        # Ilambda at a hook shape; the weight-(1,1,1,-1) line is H31
+        lab = hook_to_label(shape)
+        _, signs = _jacobi_trudi(shape, signed)
+        closed = {"claim": "SCHUR-CONSISTENCY", "convention": "signed", **signs}
     try:
-        cmp = enum.compare(chars.ch_v(lab))
-        out["characters"]["v_formula"] = {
-            "label": list(lab), "convention": "unsigned", **cmp}
+        v_leg = {"label": list(lab), "convention": "unsigned",
+                 **enum.compare(chars.ch_v(lab))}
     except chars.CharacterError as e:
-        out["characters"]["v_formula"] = {"label": list(lab), "error": str(e)}
-    legs = (out["characters"].get("closed_formula"),
-            out["characters"].get("v_formula"))
-    out["ok"] = bool(irr and all(
-        leg is None or "skipped" in leg or leg.get("equal", False)
-        for leg in legs
-    ))
+        v_leg = {"label": list(lab), "error": str(e)}
+    if closed is not None:
+        out["characters"]["closed_formula"] = closed
+    out["characters"]["v_formula"] = v_leg
+    out["ok"] = bool(irr and v_leg.get("equal", False) and (
+        closed is None or "skipped" in closed or closed["equal"]))
     return out
 
 

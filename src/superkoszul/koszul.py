@@ -248,15 +248,6 @@ class KoszulContext:
             )
         return self._rank_cache[key]
 
-    def p_rank(self, p, r):
-        key = ("P", p, r)
-        if key not in self._rank_cache:
-            m = self.pair_p(p, r)
-            dom = ProductSpace(self.sym_basis(p), self.alt_basis(r))
-            cod = ProductSpace(self.sym_basis(p - 1), self.alt_basis(r + 1))
-            self._rank_cache[key] = blocked_rank(m, dom.weights(), cod.weights())
-        return self._rank_cache[key]
-
     # -- identities -------------------------------------------------------------
 
     def d_del_identity(self, k, l):
@@ -369,22 +360,6 @@ class KoszulContext:
             raise KoszulError(
                 "ranks exceed the dimension: image not inside the kernel",
                 witness={"a": a, "k": k, "dim": dim, "rank_out": rank_out,
-                         "rank_in": rank_in})
-        return h
-
-    def l_homology_dim(self, a, p):
-        """Homology of the transfer complex (terms S_p (x) Lambda_{a-p}) at p."""
-        r = a - p
-        if p < 0 or r < 0:
-            raise ValueError("spot outside the complex")
-        dim = self.sym_basis(p).dim * self.alt_basis(r).dim
-        rank_out = self.p_rank(p, r) if p >= 1 else 0
-        rank_in = self.p_rank(p + 1, r - 1) if r >= 1 else 0
-        h = dim - rank_out - rank_in
-        if h < 0:
-            raise KoszulError(
-                "ranks exceed the dimension: image not inside the kernel",
-                witness={"a": a, "p": p, "dim": dim, "rank_out": rank_out,
                          "rank_in": rank_in})
         return h
 

@@ -108,7 +108,8 @@ class SparseMap:
             for (r, c), v in entries.items():
                 if not (0 <= r < cod_dim and 0 <= c < dom_dim):
                     raise DimensionError(f"entry ({r},{c}) outside {cod_dim}x{dom_dim}")
-                v = Fraction(v)
+                if type(v) is not Fraction:
+                    v = Fraction(v)
                 if v:
                     clean[(r, c)] = v
         self.entries = clean
@@ -130,7 +131,7 @@ class SparseMap:
         for c, col in columns.items():
             for r, v in col.items():
                 if v:
-                    ent[(r, c)] = Fraction(v)
+                    ent[(r, c)] = v
         return cls(dom_dim, cod_dim, ent)
 
     # -- plumbing ------------------------------------------------------------
@@ -468,9 +469,6 @@ class Spectrum:
     pairs: tuple  # ((eigenvalue, alg, geo), ...)
     diagonalizable: bool
 
-    def eigenvalues(self):
-        return [lam for lam, _, _ in self.pairs]
-
     def as_set(self):
         return {lam for lam, _, _ in self.pairs}
 
@@ -564,13 +562,6 @@ class Subspace:
                 ent[(i, j)] = v
         return SparseMap(self.dim, self.ambient_dim, ent)
 
-    def sum_with(self, other):
-        self._check_ambient(other)
-        out = Subspace.from_vectors(self.ambient_dim, list(self.vectors))
-        for v in other.vectors:
-            out._insert(v)
-        return out
-
     def intersect(self, other):
         self._check_ambient(other)
         if not self.vectors or not other.vectors:
@@ -602,9 +593,6 @@ class Subspace:
         used = set(Subspace.from_vectors(self.dim, coords).pivots)
         vecs = [self.vectors[i] for i in range(self.dim) if i not in used]
         return Subspace.from_vectors(self.ambient_dim, vecs)
-
-    def le(self, other):
-        return all(other.contains(v) for v in self.vectors)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):

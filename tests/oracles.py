@@ -5,9 +5,10 @@ full tensor power and tensors projected back word by word, E_ij acting on
 those words, full tensor-power symmetrizers, a characteristic polynomial
 multiplied out block by block, the gl(m|n) supercommutator relations, the
 action of every E_ij (Cartan included) restricted to a module or tested
-against an operator, the inverse of SparseMap.to_triples, the calibration
-of d against del, and Laurent-polynomial helpers (powers, inverted and
-permuted variables, fraction equality).
+against an operator, the inverse of SparseMap.to_triples, subspace sums and
+containment, the homology of the transfer complex, tensor products of
+modules, the calibration of d against del, and Laurent-polynomial helpers
+(powers, inverted and permuted variables, fraction equality).
 """
 
 from collections import Counter
@@ -16,9 +17,16 @@ from itertools import permutations
 from math import factorial
 
 from superkoszul.characters import CharacterError, CharFraction, LaurentPoly
-from superkoszul.koszul import op_target
-from superkoszul.linalg import DimensionError, RestrictionError, SparseMap, Subspace
-from superkoszul.superspace import sort_sign, split_graded
+from superkoszul.glrep import GLModule, ModuleError
+from superkoszul.koszul import KoszulError, op_target
+from superkoszul.linalg import (
+    DimensionError,
+    RestrictionError,
+    SparseMap,
+    Subspace,
+    SubspaceError,
+)
+from superkoszul.superspace import ProductSpace, blocked_rank, sort_sign, split_graded
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -314,6 +322,87 @@ def full_action(act, product, basis, modulo=None, pairs=None):
             cols[c] = {r: x for r, x in enumerate(coords) if x}
         out[(i, j)] = SparseMap.from_columns(basis.dim, basis.dim, cols)
     return out
+
+
+# ---------------------------------------------------------------------------
+# subspace sums and containment
+
+
+def subspace_sum(a, b):
+    """a + b as one echelon subspace of their common ambient space."""
+    if a.ambient_dim != b.ambient_dim:
+        raise SubspaceError("ambient dimensions differ")
+    return Subspace.from_vectors(a.ambient_dim, a.vectors + b.vectors)
+
+
+def subspace_le(a, b):
+    """Whether a lies inside b."""
+    return all(b.contains(v) for v in a.vectors)
+
+
+# ---------------------------------------------------------------------------
+# homology of the transfer complex
+
+
+def p_rank(ctx, p, r):
+    """Rank of the transfer P on S_p (x) Lambda_r, weight block by block."""
+    dom = ProductSpace(ctx.sym_basis(p), ctx.alt_basis(r))
+    cod = ProductSpace(ctx.sym_basis(p - 1), ctx.alt_basis(r + 1))
+    return blocked_rank(ctx.pair_p(p, r), dom.weights(), cod.weights())
+
+
+def l_homology_dim(ctx, a, p):
+    """Homology of the transfer complex (terms S_p (x) Lambda_{a-p}) at p."""
+    r = a - p
+    if p < 0 or r < 0:
+        raise ValueError("spot outside the complex")
+    dim = ctx.sym_basis(p).dim * ctx.alt_basis(r).dim
+    rank_out = p_rank(ctx, p, r) if p >= 1 else 0
+    rank_in = p_rank(ctx, p + 1, r - 1) if r >= 1 else 0
+    h = dim - rank_out - rank_in
+    if h < 0:
+        raise KoszulError(
+            "ranks exceed the dimension: image not inside the kernel",
+            witness={"a": a, "p": p, "dim": dim, "rank_out": rank_out,
+                     "rank_in": rank_in})
+    return h
+
+
+# ---------------------------------------------------------------------------
+# tensor products of modules
+
+
+def tensor_modules(a, b):
+    """E acts as a super derivation: E(u x v) = Eu x v + (-1)^(p(E)p(u)) u x Ev.
+
+    Runs over the generator keys of a; weights add."""
+    if a.space != b.space:
+        raise ModuleError("tensor factors act over different spaces",
+                          witness={"left": a.space, "right": b.space})
+    space = a.space
+    idb = SparseMap.identity(b.dim)
+    gens = {}
+    for key, ga in a.gens.items():
+        gi, gj = key
+        pe = (space.parity(gi) + space.parity(gj)) % 2
+        sign = SparseMap(
+            a.dim, a.dim,
+            {(i, i): (-ONE if pe and a.parities[i] else ONE) for i in range(a.dim)},
+        )
+        gens[key] = ga.kron(idb) + sign.kron(b.gens[key])
+    weights = []
+    parities = []
+    for i in range(a.dim):
+        for j in range(b.dim):
+            weights.append(tuple(x + y for x, y in zip(a.weights[i], b.weights[j])))
+            parities.append((a.parities[i] + b.parities[j]) % 2)
+    return GLModule(space=space, name=f"{a.name}.{b.name}", gens=gens,
+                    weights=weights, parities=parities)
+
+
+def hook_partition(l1, l2, l3, l4):
+    """I-subscript (l1,l2,l3,1^l4) as a plain partition tuple."""
+    return (l1, l2, l3) + (1,) * l4
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from superkoszul.characters import (
     ch_v,
     classify_weight,
     divide_exact,
-    hook_partition,
     image_char,
     in_gamma31,
     kac_orbit_sum,
@@ -39,7 +38,14 @@ from superkoszul.characters import (
     zk_char,
     zk_char_stated,
 )
-from oracles import char_equal, invert_vars, permute_x, poly_pow
+from oracles import (
+    char_equal,
+    hook_partition,
+    invert_vars,
+    permute_x,
+    poly_pow,
+    tensor_modules,
+)
 from superkoszul.glrep import Constructor, ambient_module, dual_module
 from superkoszul.koszul import KoszulContext
 from superkoszul.superspace import SuperSpace
@@ -473,8 +479,6 @@ def test_splitting_additivity(con):
 
 
 def test_tensor_character_multiplies(con):
-    from superkoszul.glrep import tensor_modules
-
     a = con.ilambda((1,))
     t = tensor_modules(a, a)
     assert supercharacter(t, True) == poly_pow(ch_schur_super((1,)), 2)

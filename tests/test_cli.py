@@ -116,9 +116,10 @@ def test_construct_y(capsys):
 
 
 def test_construct_ilambda_partition(capsys):
-    code, out, _ = run_cli(capsys, "construct", "Ilambda", "2,1")
-    assert code == 0
-    assert json.loads(out)["highest_weight"] == [2, 1, 0, 0]
+    for shape, weight in (("2,1", [2, 1, 0, 0]), ("1,1,1,-1", [1, 1, 1, 1])):
+        code, out, _ = run_cli(capsys, "construct", "Ilambda", shape)
+        assert code == 0
+        assert json.loads(out)["highest_weight"] == weight
 
 
 def test_construct_unknown_name(capsys):

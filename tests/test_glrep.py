@@ -24,13 +24,13 @@ from superkoszul.glrep import (
     module_from_subspace,
     raising_pairs,
     simple_pairs,
-    tensor_modules,
 )
 from oracles import (
     equivariance_failures,
     full_action,
     supercommutator_check,
     supercommutator_failures,
+    tensor_modules,
     word_generator_matrix,
 )
 from superkoszul.koszul import KoszulContext, Spot, op_target

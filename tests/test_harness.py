@@ -6,8 +6,12 @@ import json
 import pytest
 
 from oracles import from_triples
+from superkoszul import characters
+from superkoszul.characters import LaurentPoly
+from superkoszul.glrep import CONSTRUCTIONS
 from superkoszul.harness import (
     CLAIMS,
+    FAMILIES,
     PlanError,
     VerificationPlan,
     character_report,
@@ -21,6 +25,7 @@ from superkoszul.harness import (
     spectrum_report,
     stable_body,
     store_report,
+    verdict,
 )
 from superkoszul.koszul import KoszulContext
 from superkoszul.superspace import SuperSpace
@@ -61,6 +66,33 @@ def test_record_requires_registered_claim_and_witness():
         record("H31", {}, "fail")
     r = record("H31", {}, "fail", witness={"bad": 1})
     assert r["statement"] == CLAIMS["H31"]
+
+
+def test_verdict_keeps_the_witness_of_a_failure_only():
+    ok = verdict("H31", {}, True, {"bad": 1}, dims={"dim": 1}, note="n")
+    assert ok == record("H31", {}, "pass", dims={"dim": 1}, note="n")
+    bad = verdict("H31", {}, False, {"bad": 1})
+    assert bad["status"] == "fail" and bad["witness"] == {"bad": 1}
+    with pytest.raises(ValueError):
+        verdict("H31", {}, False, None)
+
+
+def test_families_cover_the_constructions():
+    assert set(FAMILIES) == set(CONSTRUCTIONS) - {"ilambda"}
+    for claim, closed, _ in FAMILIES.values():
+        assert claim in CLAIMS
+        assert callable(getattr(characters, closed))
+
+
+def test_one_family_table_drives_verify_and_construct(monkeypatch):
+    claim, _, label = FAMILIES["mmp"]
+    monkeypatch.setitem(FAMILIES, "mmp", (claim, "y_char", label))
+    plan = VerificationPlan(checks=("constructions",), **SMALL)
+    _, records, _, _ = run_group(plan.as_dict(), "constructions")
+    mmp = [r for r in records if r["claim"] == "MMP-CHAR"]
+    assert mmp and all(r["status"] == "fail" for r in mmp)
+    assert all(not r["witness"]["closed_formula"]["equal"] for r in mmp)
+    assert not construct_report("mmp", (1, 2))["ok"]
 
 
 def test_hook_to_label():
@@ -180,6 +212,15 @@ def test_construct_report_ilambda():
     assert out["ok"]
     assert out["highest_weight"] == [2, 1, 0, 0]
     assert out["characters"]["closed_formula"]["convention"] == "signed"
+
+
+def test_construct_report_ilambda_checks_the_sign(monkeypatch):
+    monkeypatch.setattr(characters, "ch_schur_super",
+                        lambda shape: LaurentPoly.monomial((5, 0, 0, 0)))
+    out = construct_report("ilambda", (2, 1))
+    closed = out["characters"]["closed_formula"]
+    assert closed["equal"] is False and closed["up_to_sign"] is False
+    assert not out["ok"]
 
 
 def test_construct_report_imd_small_k_skips_closed_form():

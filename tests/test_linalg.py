@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import from_triples
+from oracles import from_triples, subspace_sum
 from superkoszul.linalg import (
     DimensionError,
     EliminationError,
@@ -238,6 +238,14 @@ def test_entry_bounds_checked():
         SparseMap(2, 2, {(2, 0): F(1)})
 
 
+def test_entries_stored_as_nonzero_fractions():
+    m = SparseMap(2, 2, {(0, 0): 3, (0, 1): 0.5, (1, 0): F(0), (1, 1): F(2, 3)})
+    assert m.entries == {(0, 0): F(3), (0, 1): F(1, 2), (1, 1): F(2, 3)}
+    assert all(type(v) is F for v in m.entries.values())
+    cols = SparseMap.from_columns(2, 2, {0: {1: 2, 0: 0}})
+    assert cols.entries == {(1, 0): F(2)} and type(cols.entries[(1, 0)]) is F
+
+
 # ---------------------------------------------------------------------------
 # rank / kernel / image vs the dense oracle
 
@@ -309,7 +317,7 @@ def test_contains_and_coordinates():
 def test_sum_and_intersect():
     a = Subspace.from_vectors(3, [{0: F(1)}, {1: F(1)}])
     b = Subspace.from_vectors(3, [{1: F(1)}, {2: F(1)}])
-    assert a.sum_with(b).dim == 3
+    assert subspace_sum(a, b).dim == 3
     cap = a.intersect(b)
     assert cap.dim == 1
     assert cap.contains({1: F(1)})
@@ -319,7 +327,7 @@ def test_intersect_dim_formula():
     # dim(A+B) + dim(A cap B) == dim A + dim B on a random-ish pair
     a = Subspace.from_vectors(5, [{0: F(1), 2: F(2)}, {1: F(1), 4: F(1)}, {3: F(1)}])
     b = Subspace.from_vectors(5, [{0: F(1), 2: F(2)}, {2: F(1), 3: F(5)}])
-    s = a.sum_with(b)
+    s = subspace_sum(a, b)
     c = a.intersect(b)
     assert s.dim + c.dim == a.dim + b.dim
     for v in c.vectors:
@@ -331,7 +339,7 @@ def test_complement_of():
     u = Subspace.from_vectors(4, [{0: F(1), 1: F(1)}])
     comp = w.complement_of(u)
     assert comp.dim == w.dim - u.dim
-    assert u.sum_with(comp) == w
+    assert subspace_sum(u, comp) == w
     assert u.intersect(comp).dim == 0
 
 
@@ -346,7 +354,7 @@ def test_ambient_mismatch():
     a = Subspace.from_vectors(3, [{0: F(1)}])
     b = Subspace.from_vectors(4, [{0: F(1)}])
     with pytest.raises(SubspaceError):
-        a.sum_with(b)
+        subspace_sum(a, b)
 
 
 # ---------------------------------------------------------------------------
