@@ -174,9 +174,6 @@ class CharFraction:
     def __neg__(self):
         return CharFraction(-self.num, self.den)
 
-    def equal(self, other):
-        return self.num * other.den == other.num * self.den
-
     def compare(self, other):
         """{'equal', 'up_to_sign'}: exact and global-sign equality."""
         cross1 = self.num * other.den

@@ -30,13 +30,11 @@ owns the singular-vector and irreducibility machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import prod
 
 from .linalg import RestrictionError, SparseMap, Subspace, WitnessedError
 from .superspace import ProductSpace, blocked_image, join, power_basis, weight_blocks
 from .koszul import Spot, op_target
-
-ONE = Fraction(1)
 
 
 class ModuleError(WitnessedError, ValueError):
@@ -100,35 +98,23 @@ class GLAction:
         return self._factor[key]
 
     def on_product(self, product, gi, gj):
-        """Derivation across the factors with parity-crossing signs."""
+        """The derivation: each factor's matrix lifted past the others, signed
+        where an odd E crosses an odd left part, and the terms added into one
+        dict (for E_jj they overlap on the diagonal)."""
         key = (tuple(f.key() for f in product.factors), gi, gj)
         if key in self._product:
             return self._product[key]
         pe = (self.space.parity(gi) + self.space.parity(gj)) % 2
-        total = SparseMap.zero(product.dim, product.dim)
+        left_parities = [0]
+        ent = {}
         for f, factor in enumerate(product.factors):
-            term = self.on_basis(factor, gi, gj)
-            left_dims = [g.dim for g in product.factors[:f]]
-            if left_dims:
-                ldim = 1
-                for x in left_dims:
-                    ldim *= x
-                if pe:
-                    lefts = ProductSpace(*product.factors[:f])
-                    ent = {
-                        (r, r): (-ONE if lefts.parities()[r] else ONE)
-                        for r in range(ldim)
-                    }
-                    left = SparseMap(ldim, ldim, ent)
-                else:
-                    left = SparseMap.identity(ldim)
-                term = left.kron(term)
-            rdim = 1
-            for g in product.factors[f + 1 :]:
-                rdim *= g.dim
-            if rdim > 1:
-                term = term.kron(SparseMap.identity(rdim))
-            total = total + term
+            rdim = prod(g.dim for g in product.factors[f + 1:])
+            term = self.on_basis(factor, gi, gj).lift(
+                len(left_parities), rdim, left_parities if pe else None)
+            for k, v in term.entries.items():
+                ent[k] = ent.get(k, 0) + v
+            left_parities = [p ^ q for p in left_parities for q in factor.parities]
+        total = SparseMap(product.dim, product.dim, ent)
         self._product[key] = total
         return total
 
@@ -190,16 +176,12 @@ class GradedSpan:
         return ws.pop()
 
     def insert(self, vec):
-        """Insert if independent; returns the reduced new vector or None."""
+        """Insert if independent; returns the new basis vector or None."""
         if not vec:
             return None
         w = self.weight_of(vec)
         block = self.blocks.setdefault(w, Subspace.zero(self.ambient_dim))
-        rem = block._reduce(vec)
-        if not rem:
-            return None
-        block._insert(rem)
-        return rem
+        return block._insert(vec)
 
     def contains(self, vec):
         if not vec:

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from . import characters as chars
 from .glrep import Constructor, GLAction, check_equivariance
-from .koszul import KoszulContext, Spot, op_applicable, op_target
+from .koszul import KoszulContext, Spot, op_applicable
 from .superspace import SuperSpace, power_basis, weight_label
 
 
@@ -415,7 +415,7 @@ def _check_equivariance(plan):
         for name in ("d", "del", "P", "Q"):
             params = {"op": name,
                       "spot": list((spot.sym, spot.alt, spot.dual))}
-            if not (op_applicable(name, spot) and op_target(name, spot).valid):
+            if not op_applicable(name, spot):
                 records.append(record(
                     "EQUIVARIANCE", params, "skip", note="op undefined here"))
                 continue
@@ -523,10 +523,10 @@ def _check_splittings(plan):
 
 def _label(mod, info):
     """Label of the highest weight, read off the singular weights that
-    is_irreducible already found; ValueError unless the singular space is a
-    line, as from GLModule.highest_weight."""
+    is_irreducible already found; None when the singular space is not a
+    line, so the module is reducible and has no highest weight."""
     if info["singular_dim"] != 1:
-        raise ValueError(f"singular space has dimension {info['singular_dim']}")
+        return None
     weight = info["singular_weights"][0]
     return list(weight_label(weight, mod.space.m, mod.space.n))
 
@@ -754,7 +754,7 @@ def construct_report(name, params):
     key = name.lower()
     shape = tuple(params)
     enum = chars.CharFraction(unsigned)
-    lab, closed = tuple(label), None
+    lab, closed = label, None
     if key in FAMILIES:
         claim = FAMILIES[key][0]
         if key == "imd" and params[0] < 2:
@@ -767,11 +767,15 @@ def construct_report(name, params):
         lab = hook_to_label(shape)
         _, signs = _jacobi_trudi(shape, signed)
         closed = {"claim": "SCHUR-CONSISTENCY", "convention": "signed", **signs}
-    try:
-        v_leg = {"label": list(lab), "convention": "unsigned",
-                 **enum.compare(chars.ch_v(lab))}
-    except chars.CharacterError as e:
-        v_leg = {"label": list(lab), "error": str(e)}
+    if lab is None:
+        v_leg = {"label": None, "error": "no highest weight: singular space "
+                 f"has dimension {info['singular_dim']}"}
+    else:
+        try:
+            v_leg = {"label": list(lab), "convention": "unsigned",
+                     **enum.compare(chars.ch_v(tuple(lab)))}
+        except chars.CharacterError as e:
+            v_leg = {"label": list(lab), "error": str(e)}
     if closed is not None:
         out["characters"]["closed_formula"] = closed
     out["characters"]["v_formula"] = v_leg

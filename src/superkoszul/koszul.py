@@ -8,9 +8,10 @@ triple products S_i (x) Lambda_k (x) S*_l:
   P    moves the last symmetric letter into the front of the exterior block,
   Q    moves the first exterior letter onto the back of the symmetric block.
 
-Everything is assembled from single-letter factor maps as plain Kronecker
-sums: every transferred or inserted letter only ever crosses the junction it
-acts at, so no Koszul signs appear beyond the contraction's evaluation sign.
+Pair maps are Kronecker sums of single-letter factor maps, lifted onto the
+third factor: every transferred or inserted letter only ever crosses the
+junction it acts at, so no Koszul signs appear beyond the contraction's
+evaluation sign.
 
 All maps preserve weights, so ranks, kernels and spectra decompose over
 weight blocks; the public checks use the blocked paths and the test suite
@@ -77,7 +78,7 @@ PAIR_FACTORS = {
     "Q": (("sym_basis", "append", 1), ("alt_basis", "drop_first", -1), 1),
 }
 
-# triple operator -> (pair method, whether the identity factor is on the left)
+# triple operator -> (pair method, True for id_S (x) pair, False for pair (x) id_S*)
 TRIPLE_FORMS = {
     "d": ("pair_d", True),
     "del": ("pair_del", True),
@@ -92,16 +93,11 @@ def op_target(name, spot):
 
 
 def op_applicable(name, spot):
-    """Whether the operator is defined at the spot (source letters exist)."""
-    if name == "d":
-        return True
-    if name == "del":
-        return spot.alt >= 1 and spot.dual >= 1
-    if name == "P":
-        return spot.sym >= 1
-    if name == "Q":
-        return spot.alt >= 1
-    raise ValueError(f"unknown operator {name!r}")
+    """Whether the operator is defined at the spot: the letters it takes
+    away exist exactly when the spot it lands on is valid."""
+    if name not in OP_STEPS:
+        raise ValueError(f"unknown operator {name!r}")
+    return op_target(name, spot).valid
 
 
 class KoszulContext:
@@ -181,33 +177,31 @@ class KoszulContext:
             (lname, lop, lstep), (rname, rop, rstep), odd_sign = PAIR_FACTORS[name]
             lbasis, rbasis = getattr(self, lname), getattr(self, rname)
             left, right = lbasis(a), rbasis(b)
-            acc = SparseMap.zero(
-                left.dim * right.dim, lbasis(a + lstep).dim * rbasis(b + rstep).dim
-            )
+            cod = lbasis(a + lstep).dim * rbasis(b + rstep).dim
+            ent = {}
             for letter in range(self.space.dim):
+                sign = odd_sign if self.space.parity(letter) else 1
                 term = left.factor_map(lop, letter).kron(right.factor_map(rop, letter))
-                if odd_sign != 1 and self.space.parity(letter):
-                    term = odd_sign * term
-                acc = acc + term
-            self._pair_ops[key] = acc
+                for k, v in term.entries.items():
+                    ent[k] = ent.get(k, ZERO) + sign * v
+            self._pair_ops[key] = SparseMap(left.dim * right.dim, cod, ent)
         return self._pair_ops[key]
 
     # -- triple-level operators ---------------------------------------------------
 
     def operator(self, name, spot):
-        """The named map on the triple spot (pair map extended by identity)."""
-        if not op_applicable(name, spot) or not op_target(name, spot).valid:
+        """The named map on the triple spot: its pair map lifted onto the
+        factor it leaves alone."""
+        if not op_applicable(name, spot):
             raise ValueError(f"operator {name!r} not applicable at {spot}")
         key = (name, spot)
         if key not in self._triple_ops:
-            method, identity_left = TRIPLE_FORMS[name]
+            method, lift_left = TRIPLE_FORMS[name]
             pair = getattr(self, method)
-            if identity_left:
-                eye = SparseMap.identity(self.sym_basis(spot.sym).dim)
-                m = eye.kron(pair(spot.alt, spot.dual))
+            if lift_left:
+                m = pair(spot.alt, spot.dual).lift(left=self.sym_basis(spot.sym).dim)
             else:
-                eye = SparseMap.identity(self.dual_basis(spot.dual).dim)
-                m = pair(spot.sym, spot.alt).kron(eye)
+                m = pair(spot.sym, spot.alt).lift(right=self.dual_basis(spot.dual).dim)
             self._triple_ops[key] = m
         return self._triple_ops[key]
 
@@ -331,7 +325,7 @@ class KoszulContext:
         for word in words:
             s = spot
             for name in word:
-                if not (op_applicable(name, s) and op_target(name, s).valid):
+                if not op_applicable(name, s):
                     return None
                 s = op_target(name, s)
         a, end = self.composed(words[0], spot)
@@ -389,7 +383,8 @@ class KoszulContext:
     # -- kernels of the transfer map on triple spots ----------------------------------
 
     def kerp_space(self, spot):
-        """Ker(P (x) id_dual) inside the triple spot; everything when sym = 0."""
+        """Ker(P (x) id_dual) inside the triple spot; everything when sym = 0.
+        The kernel basis lifted onto S*_dual is in pivot order already."""
         space = self.spot_space(spot)
         if spot.sym == 0:
             return Subspace.full(space.dim)
@@ -398,17 +393,15 @@ class KoszulContext:
         cod = ProductSpace(self.sym_basis(spot.sym - 1), self.alt_basis(spot.alt + 1))
         ker = blocked_kernel(pair, dom.weights(), cod.weights())
         ddim = self.dual_basis(spot.dual).dim
-        vectors = []
-        for v in ker.vectors:
-            for j in range(ddim):
-                vectors.append({idx * ddim + j: x for idx, x in v.items()})
-        vectors.sort(key=max)
+        lifted = ker.basis_matrix().lift(right=ddim)
+        cols = lifted.columns()
+        vectors = [cols[c] for c in range(lifted.dom_dim)]
         pivots = [max(v) for v in vectors]
         if len(set(pivots)) != ker.dim * ddim:
             raise KoszulError(
                 "tensored kernel basis has repeated pivots",
                 witness={"spot": (spot.sym, spot.alt, spot.dual),
-                         "pivots": pivots, "expected_dim": ker.dim * ddim},
+                         "pivots": sorted(pivots), "expected_dim": ker.dim * ddim},
             )
         return Subspace(space.dim, vectors, pivots)
 
@@ -546,30 +539,12 @@ class KoszulContext:
     def splitting(self, which, params):
         """Two complementary subspaces (A, B) with A + B direct.
 
-        which="xdanh": pair (k,l) with k-l != m-n; ambient Lambda_k (x) S*_l;
-            A = image of the incoming insertion, B = image of del.d.
         which="prop1": (i,a); ambient S_{i+1} (x) S*_{a+i+1} as the triple spot
             (i+1, 0, a+i+1); A = image of Q.d, B = Ker(del.P).
         which="prop2": (i,k,a); inside W = image of id (x) d on the spot
             (i+1, k, a+i+k+1); A = image of d.Q on Ker(P (x) id), B = W
             intersected with Ker(P.del).  A + B = W, not the whole spot.
         """
-        if which == "xdanh":
-            k, l = params
-            if k - l == self.space.m - self.space.n:
-                raise ValueError("splitting degenerates when k-l = m-n")
-            ps = self.pair_space(k, l)
-            if k >= 1 and l >= 1:
-                a_sub = blocked_image(
-                    self.pair_d(k - 1, l - 1),
-                    self.pair_space(k - 1, l - 1).weights(),
-                    ps.weights(),
-                )
-            else:
-                a_sub = Subspace.zero(ps.dim)
-            proj = self.pair_del(k + 1, l + 1) @ self.pair_d(k, l)
-            b_sub = blocked_image(proj, ps.weights(), ps.weights())
-            return a_sub, b_sub
         if which == "prop1":
             i, a = params
             spot = Spot(i + 1, 0, a + i + 1)

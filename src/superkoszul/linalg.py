@@ -66,16 +66,14 @@ class SubspaceError(ValueError):
 # sparse column vectors: dict index -> Fraction, zeros never stored
 
 
-def vec_add(u, v, c=ONE):
-    """u + c*v for sparse vectors."""
-    out = dict(u)
+def vec_add(u, v, c):
+    """u += c*v for sparse vectors, in place."""
     for i, x in v.items():
-        s = out.get(i, ZERO) + c * x
+        s = u.get(i, ZERO) + c * x
         if s:
-            out[i] = s
+            u[i] = s
         else:
-            out.pop(i, None)
-    return out
+            u.pop(i, None)
 
 
 def vec_scale(u, c):
@@ -243,11 +241,6 @@ class SparseMap:
     def __rmul__(self, c):
         return self.scaled(c)
 
-    def transpose(self):
-        return SparseMap(
-            self.cod_dim, self.dom_dim, {(c, r): v for (r, c), v in self.entries.items()}
-        )
-
     def kron(self, other):
         """Kronecker product, row-major index pairing."""
         ent = {}
@@ -255,6 +248,22 @@ class SparseMap:
             for (r2, c2), v2 in other.entries.items():
                 ent[(r1 * other.cod_dim + r2, c1 * other.dom_dim + c2)] = v1 * v2
         return SparseMap(self.dom_dim * other.dom_dim, self.cod_dim * other.cod_dim, ent)
+
+    def lift(self, left=1, right=1, left_parities=None):
+        """id_left (x) self (x) id_right, indexed as kron, by re-indexing each
+        entry.  Given the parity of each left index, the copies at odd ones
+        are negated: the sign of an odd map crossing the left factor."""
+        rows, cols = self.cod_dim * right, self.dom_dim * right
+        ent = {}
+        for a in range(left):
+            odd = left_parities is not None and left_parities[a]
+            for (r, c), v in self.entries.items():
+                r0, c0 = a * rows + r * right, a * cols + c * right
+                if odd:
+                    v = -v
+                for b in range(right):
+                    ent[(r0 + b, c0 + b)] = v
+        return SparseMap(cols * left, rows * left, ent)
 
     # -- elimination ---------------------------------------------------------
 
@@ -469,9 +478,6 @@ class Spectrum:
     pairs: tuple  # ((eigenvalue, alg, geo), ...)
     diagonalizable: bool
 
-    def as_set(self):
-        return {lam for lam, _, _ in self.pairs}
-
 
 # ---------------------------------------------------------------------------
 # subspaces in reduced column echelon form
@@ -519,16 +525,17 @@ class Subspace:
         for b, p in zip(self.vectors, self.pivots):
             x = v.get(p)
             if x:
-                v = vec_add(v, b, -x)
+                vec_add(v, b, -x)
         return v
 
     def _insert(self, vec):
+        """The new basis vector spanning vec, or None if vec is inside."""
         for i in vec:
             if not 0 <= i < self.ambient_dim:
                 raise DimensionError("vector outside ambient space")
         v = self._reduce(vec)
         if not v:
-            return False
+            return None
         p = vec_pivot(v)
         inv = ONE / v[p]
         v = {i: x * inv for i, x in v.items()}
@@ -536,13 +543,14 @@ class Subspace:
         for i, b in enumerate(self.vectors):
             x = b.get(p)
             if x:
-                self.vectors[i] = vec_add(b, v, -x)
+                self.vectors[i] = b = dict(b)
+                vec_add(b, v, -x)
         at = 0
         while at < len(self.pivots) and self.pivots[at] < p:
             at += 1
         self.vectors.insert(at, v)
         self.pivots.insert(at, p)
-        return True
+        return v
 
     def contains(self, vec):
         return not self._reduce(vec)

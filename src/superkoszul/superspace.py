@@ -48,11 +48,6 @@ class SuperSpace:
             raise ValueError(f"letter {letter} outside 0..{self.dim - 1}")
         return 0 if letter < self.m else 1
 
-    def weight_of_letter(self, letter, dual=False):
-        w = [0] * self.dim
-        w[letter] = -1 if dual else 1
-        return tuple(w)
-
     def __eq__(self, other):
         return isinstance(other, SuperSpace) and (self.m, self.n) == (other.m, other.n)
 

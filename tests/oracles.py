@@ -2,13 +2,16 @@
 
 None of these is used by the package itself: power bases realized in the
 full tensor power and tensors projected back word by word, E_ij acting on
-those words, full tensor-power symmetrizers, a characteristic polynomial
-multiplied out block by block, the gl(m|n) supercommutator relations, the
-action of every E_ij (Cartan included) restricted to a module or tested
-against an operator, the inverse of SparseMap.to_triples, subspace sums and
-containment, the homology of the transfer complex, tensor products of
-modules, the calibration of d against del, and Laurent-polynomial helpers
-(powers, inverted and permuted variables, fraction equality).
+those words, E_ij on a tensor product as a sum of Kronecker products with
+identity and signed-identity factors, full tensor-power symmetrizers, a
+characteristic polynomial multiplied out block by block, the gl(m|n)
+supercommutator relations, the action of every E_ij (Cartan included)
+restricted to a module or tested against an operator, the inverse of
+SparseMap.to_triples, transposes, letter weights, subspace sums and
+containment, the homology of the transfer complex, the pair splitting as
+subspaces, tensor products of modules, the calibration of d against del, and
+Laurent-polynomial helpers (powers, inverted and permuted variables, fraction
+equality).
 """
 
 from collections import Counter
@@ -26,7 +29,13 @@ from superkoszul.linalg import (
     Subspace,
     SubspaceError,
 )
-from superkoszul.superspace import ProductSpace, blocked_rank, sort_sign, split_graded
+from superkoszul.superspace import (
+    ProductSpace,
+    blocked_image,
+    blocked_rank,
+    sort_sign,
+    split_graded,
+)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -39,6 +48,17 @@ def from_triples(data):
         for r, c, num, den in data["entries"]
     }
     return SparseMap(data["dom_dim"], data["cod_dim"], ent)
+
+
+def transpose(m):
+    return SparseMap(m.cod_dim, m.dom_dim, {(c, r): v for (r, c), v in m.entries.items()})
+
+
+def weight_of_letter(space, letter, dual=False):
+    """Weight of one letter (dual letters lower)."""
+    w = [0] * space.dim
+    w[letter] = -1 if dual else 1
+    return tuple(w)
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +181,29 @@ def word_generator_matrix(basis, gi, gj):
         if col:
             cols[idx] = col
     return SparseMap.from_columns(basis.dim, basis.dim, cols)
+
+
+def kron_sum_on_product(act, product, gi, gj):
+    """E_(gi,gj) on a tensor product as the sum over factors f of
+    S_<f (x) E_f (x) id_>f, each Kronecker product multiplied out: S_<f is
+    the identity on the factors left of f, or for an odd E the diagonal of
+    (-1)^(parity of the left index)."""
+    pe = (act.space.parity(gi) + act.space.parity(gj)) % 2
+    total = SparseMap.zero(product.dim, product.dim)
+    for f, factor in enumerate(product.factors):
+        term = act.on_basis(factor, gi, gj)
+        if f:
+            lefts = ProductSpace(*product.factors[:f])
+            left = SparseMap(lefts.dim, lefts.dim, {
+                (r, r): -ONE if pe and p else ONE
+                for r, p in enumerate(lefts.parities())
+            })
+            term = left.kron(term)
+        rdim = 1
+        for g in product.factors[f + 1:]:
+            rdim *= g.dim
+        total = total + term.kron(SparseMap.identity(rdim))
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +412,29 @@ def l_homology_dim(ctx, a, p):
 
 
 # ---------------------------------------------------------------------------
+# the pair splitting as subspaces
+
+
+def xdanh_splitting(ctx, k, l):
+    """(A, B) inside Lambda_k (x) S*_l for k-l != m-n: A is the image of the
+    incoming insertion d_(k-1,l-1), B the image of del.d."""
+    if k - l == ctx.space.m - ctx.space.n:
+        raise ValueError("splitting degenerates when k-l = m-n")
+    ps = ctx.pair_space(k, l)
+    if k >= 1 and l >= 1:
+        a_sub = blocked_image(
+            ctx.pair_d(k - 1, l - 1),
+            ctx.pair_space(k - 1, l - 1).weights(),
+            ps.weights(),
+        )
+    else:
+        a_sub = Subspace.zero(ps.dim)
+    proj = ctx.pair_del(k + 1, l + 1) @ ctx.pair_d(k, l)
+    b_sub = blocked_image(proj, ps.weights(), ps.weights())
+    return a_sub, b_sub
+
+
+# ---------------------------------------------------------------------------
 # tensor products of modules
 
 
@@ -458,4 +524,4 @@ def char_equal(e1, e2):
         e1 = CharFraction(e1)
     if isinstance(e2, LaurentPoly):
         e2 = CharFraction(e2)
-    return e1.equal(e2)
+    return e1.num * e2.den == e2.num * e1.den

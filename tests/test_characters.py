@@ -45,6 +45,7 @@ from oracles import (
     permute_x,
     poly_pow,
     tensor_modules,
+    xdanh_splitting,
 )
 from superkoszul.glrep import Constructor, ambient_module, dual_module
 from superkoszul.koszul import KoszulContext
@@ -458,7 +459,7 @@ def test_splitting_additivity(con):
     from superkoszul.koszul import Spot
 
     ctx = con.ctx
-    a_sub, b_sub = ctx.splitting("xdanh", (2, 1))
+    a_sub, b_sub = xdanh_splitting(ctx, 2, 1)
     ps = ctx.pair_space(2, 1)
     amb = ambient_module(con.act, ps, "pair(2,1)")
     ma = module_from_subspace(con.act, ps, a_sub, "A")

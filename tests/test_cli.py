@@ -122,6 +122,19 @@ def test_construct_ilambda_partition(capsys):
         assert json.loads(out)["highest_weight"] == weight
 
 
+def test_construct_reducible_image_is_a_failure(capsys):
+    # ImD(4,2) sits on the degenerate line k - l = m - n: its singular space
+    # is a plane, so the module is reducible and has no highest weight
+    code, out, err = run_cli(capsys, "construct", "ImD", "4", "2")
+    assert code == 1 and err == ""
+    blob = json.loads(out)
+    assert blob["highest_weight"] is None
+    assert blob["irreducible"] is False and blob["singular_dim"] == 2
+    v_leg = blob["characters"]["v_formula"]
+    assert v_leg["label"] is None and "dimension 2" in v_leg["error"]
+    assert blob["ok"] is False
+
+
 def test_construct_unknown_name(capsys):
     code, _, err = run_cli(capsys, "construct", "Nonsense", "1")
     assert code == 2 and "error:" in err

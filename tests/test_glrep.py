@@ -28,10 +28,12 @@ from superkoszul.glrep import (
 from oracles import (
     equivariance_failures,
     full_action,
+    kron_sum_on_product,
     supercommutator_check,
     supercommutator_failures,
     tensor_modules,
     word_generator_matrix,
+    xdanh_splitting,
 )
 from superkoszul.koszul import KoszulContext, Spot, op_target
 from superkoszul.linalg import RestrictionError, SparseMap, Subspace
@@ -131,6 +133,42 @@ def test_odd_anticommutator_on_v(ctx):
     lhs = e14 @ e41 + e41 @ e14
     rhs = generator_matrix(v, 0, 0) + generator_matrix(v, 3, 3)
     assert lhs == rhs
+
+
+# products of one to three (kind, degree, dual) factors; every left part
+# holds odd basis vectors, so the odd E_ij pick up crossing signs
+PRODUCT_SHAPES = [
+    (("sym", 2, False),),
+    (("alt", 2, True),),
+    (("alt", 1, False), ("sym", 1, True)),
+    (("sym", 1, True), ("alt", 2, False)),
+    (("sym", 1, False), ("alt", 1, False), ("sym", 1, True)),
+    (("alt", 1, True), ("alt", 1, False), ("sym", 2, False)),
+]
+
+
+@pytest.mark.parametrize("space", [SuperSpace(3, 1), SuperSpace(2, 2)],
+                         ids=["3|1", "2|2"])
+@pytest.mark.parametrize("shape", PRODUCT_SHAPES, ids=lambda shape: ".".join(
+    f"{kind}{deg}{'*' if dual else ''}" for kind, deg, dual in shape))
+def test_on_product_matches_the_kron_sum(space, shape):
+    act = GLAction(space)
+    product = ProductSpace(*(power_basis(space, kind, deg, dual)
+                             for kind, deg, dual in shape))
+    for i in range(space.dim):
+        for j in range(space.dim):
+            assert act.on_product(product, i, j) == kron_sum_on_product(
+                act, product, i, j), (i, j)
+
+
+def test_cartan_on_a_product_acts_by_the_weights(ctx, act):
+    # every factor's E_jj is diagonal, so the lifted terms overlap on the
+    # diagonal and only their sum is the weight
+    product = ctx.spot_space(Spot(1, 2, 1))
+    weights = product.weights()
+    for j in range(ctx.space.dim):
+        assert act.on_product(product, j, j).entries == {
+            (r, r): w[j] for r, w in enumerate(weights) if w[j]}
 
 
 def test_supercommutators_on_mixed_ambient(ctx, act):
@@ -551,7 +589,7 @@ def test_closure_of_highest_weight_vector_is_whole_module(con):
 def test_closure_in_split_ambient_finds_the_summands(ctx, con):
     # pair (2,2) ambient splits as the two-route decomposition predicts
     amb = ambient_module(con.act, ctx.pair_space(2, 2), "L2S2*")
-    a_sub, b_sub = ctx.splitting("xdanh", (2, 2))
+    a_sub, b_sub = xdanh_splitting(ctx, 2, 2)
     va = dict(a_sub.vectors[0])
     vb = dict(b_sub.vectors[0])
     assert amb.submodule_span([va]).dim == a_sub.dim

@@ -26,7 +26,9 @@ from superkoszul.harness import (
     stable_body,
     store_report,
     verdict,
+    _module_cell,
 )
+from superkoszul.glrep import Constructor
 from superkoszul.koszul import KoszulContext
 from superkoszul.superspace import SuperSpace
 
@@ -93,6 +95,17 @@ def test_one_family_table_drives_verify_and_construct(monkeypatch):
     assert mmp and all(r["status"] == "fail" for r in mmp)
     assert all(not r["witness"]["closed_formula"]["equal"] for r in mmp)
     assert not construct_report("mmp", (1, 2))["ok"]
+
+
+def test_module_cell_records_a_reducible_module_as_a_failure(monkeypatch):
+    con = Constructor(KoszulContext(SuperSpace(3, 1)))
+    reducible = con.image_module(4, 2)
+    monkeypatch.setattr(con, "y_summand", lambda n, p: reducible)
+    rec, _, derived = _module_cell(con, "y", {"n": 1, "p": 1})
+    assert rec["status"] == "fail" and derived is None
+    assert rec["witness"]["irreducible"] is False
+    assert rec["witness"]["singular_dim"] == 2
+    assert rec["witness"]["highest_weight"] is None
 
 
 def test_hook_to_label():

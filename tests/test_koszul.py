@@ -19,12 +19,14 @@ from oracles import (
     subspace_sum,
     to_tensor,
     unindex_word,
+    xdanh_splitting,
 )
 from superkoszul import koszul
 from superkoszul.koszul import (
     KoszulContext,
     KoszulError,
     Spot,
+    op_applicable,
     op_target,
     verify_spectrum,
 )
@@ -483,11 +485,11 @@ def test_xdanh_degenerate_offset(ctx31):
     assert not rep["ok"]
     assert rep["rank_sum"] == 7  # del.d collapses into the incoming image
     with pytest.raises(ValueError):
-        ctx31.splitting("xdanh", (3, 1))
+        xdanh_splitting(ctx31, 3, 1)
 
 
 def test_xdanh_subspaces_split(ctx31):
-    a_sub, b_sub = ctx31.splitting("xdanh", (1, 1))
+    a_sub, b_sub = xdanh_splitting(ctx31, 1, 1)
     assert a_sub.dim == 1 and b_sub.dim == 15
     assert a_sub.intersect(b_sub).dim == 0
     assert subspace_sum(a_sub, b_sub).dim == 16
@@ -525,6 +527,27 @@ def test_operator_validity_checks(ctx31):
         ctx31.operator("Q", Spot(1, 0, 1))
     with pytest.raises(ValueError):
         ctx31.pair_del(0, 1)
+
+
+# the letters each operator takes away: none for d, one exterior and one dual
+# letter for del, one symmetric letter for P, one exterior letter for Q
+SOURCE_LETTERS = {
+    "d": lambda s: True,
+    "del": lambda s: s.alt >= 1 and s.dual >= 1,
+    "P": lambda s: s.sym >= 1,
+    "Q": lambda s: s.alt >= 1,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOURCE_LETTERS))
+def test_op_applicable_is_source_letters_exist(name):
+    for s in range(3):
+        for a in range(3):
+            for d in range(3):
+                spot = Spot(s, a, d)
+                assert op_applicable(name, spot) == SOURCE_LETTERS[name](spot)
+    with pytest.raises(ValueError):
+        op_applicable("R", Spot(1, 1, 1))
 
 
 def test_composed_word_tracks_spots(ctx31):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import from_triples, subspace_sum
+from oracles import from_triples, subspace_sum, transpose
 from superkoszul.linalg import (
     DimensionError,
     EliminationError,
@@ -211,7 +211,14 @@ def test_add_sub_scale():
 
 def test_transpose():
     a = from_dense([[1, 2, 3], [4, 5, 6]])
-    assert dense(a.transpose()) == [[F(1), F(4)], [F(2), F(5)], [F(3), F(6)]]
+    assert dense(transpose(a)) == [[F(1), F(4)], [F(2), F(5)], [F(3), F(6)]]
+
+
+def test_lift_places_copies_and_negates_odd_left_indices():
+    a = from_dense([[1, 2]])
+    assert dense(a.lift(right=2)) == [[1, 0, 2, 0], [0, 1, 0, 2]]
+    assert dense(a.lift(left=2, left_parities=[0, 1])) == [
+        [1, 2, 0, 0], [0, 0, -1, -2]]
 
 
 def test_kron_row_major():
@@ -312,6 +319,16 @@ def test_contains_and_coordinates():
             rebuilt[i] = rebuilt.get(i, F(0)) + c * x
     assert {i: x for i, x in rebuilt.items() if x} == v
     assert s.coordinates_of({2: F(1)}) is None
+
+
+def test_reduce_keeps_its_input_and_insert_returns_the_new_vector():
+    s = Subspace.from_vectors(3, [{0: F(1), 1: F(2)}])
+    vec = {0: F(1), 1: F(2), 2: F(3)}
+    assert s._reduce(vec) == {2: F(3)}
+    assert vec == {0: F(1), 1: F(2), 2: F(3)}
+    assert s._insert(vec) == {2: F(1)}
+    assert s._insert({0: F(2), 1: F(4)}) is None
+    assert s.pivots == [1, 2]
 
 
 def test_sum_and_intersect():
@@ -576,10 +593,23 @@ def test_prop_diagonalizable_iff_annihilated(m, extra):
     assert rep.matches_derived == (diagonalizable and not extra)
 
 
+@given(sparse_maps(max_dim=4), st.data())
+@settings(max_examples=80, deadline=None)
+def test_prop_lift_matches_the_kron_oracle(m, data):
+    left = data.draw(st.integers(0, 3))
+    right = data.draw(st.integers(0, 3))
+    parities = data.draw(st.none() | st.lists(
+        st.integers(0, 1), min_size=left, max_size=left))
+    signs = SparseMap(left, left, {
+        (a, a): -1 if parities and parities[a] else 1 for a in range(left)})
+    oracle = signs.kron(m).kron(SparseMap.identity(right))
+    assert m.lift(left, right, parities) == oracle
+
+
 @given(sparse_maps())
 @settings(max_examples=60, deadline=None)
 def test_prop_rank_transpose(m):
-    assert m.rank() == m.transpose().rank()
+    assert m.rank() == transpose(m).rank()
 
 
 @given(sparse_maps(max_dim=4))
