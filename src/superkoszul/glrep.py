@@ -73,10 +73,10 @@ def generator_matrix(basis, gi, gj):
     prev = power_basis(space, basis.kind, basis.degree - 1, basis.dual)
     drop = basis.factor_map("drop_last", src)
     if pe:
-        drop = SparseMap(drop.dom_dim, drop.cod_dim, {
+        drop = SparseMap._from_ints(drop.dom_dim, drop.cod_dim, {
             (r, col): -v if prev.parities[r] else v
             for (r, col), v in drop.entries.items()
-        })
+        }, drop.den)
     return (basis.degree * c) * (prev.factor_map("append", dst) @ drop)
 
 
@@ -106,15 +106,13 @@ class GLAction:
             return self._product[key]
         pe = (self.space.parity(gi) + self.space.parity(gj)) % 2
         left_parities = [0]
-        ent = {}
+        terms = []
         for f, factor in enumerate(product.factors):
             rdim = prod(g.dim for g in product.factors[f + 1:])
-            term = self.on_basis(factor, gi, gj).lift(
-                len(left_parities), rdim, left_parities if pe else None)
-            for k, v in term.entries.items():
-                ent[k] = ent.get(k, 0) + v
+            terms.append((1, self.on_basis(factor, gi, gj).lift(
+                len(left_parities), rdim, left_parities if pe else None)))
             left_parities = [p ^ q for p in left_parities for q in factor.parities]
-        total = SparseMap(product.dim, product.dim, ent)
+        total = SparseMap.combination(product.dim, product.dim, terms)
         self._product[key] = total
         return total
 
@@ -221,7 +219,9 @@ class GLModule:
         return out
 
     def raising_kernel(self):
-        """Joint kernel of the simple raising generators, blocked by weight."""
+        """Joint kernel of the simple raising generators, blocked by weight.
+        Each row comes from one generator's numerator columns, den times its
+        values; scaling rows keeps the kernel."""
         parts = []
         for idx in weight_blocks(self.weights)[0].values():
             rows = {}
@@ -229,7 +229,7 @@ class GLModule:
             for li, g in enumerate(idx):
                 col = {}
                 for t, pair in enumerate(raising_pairs(self.space)):
-                    for r, v in self.gens[pair].column(g).items():
+                    for r, v in self.gens[pair].columns().get(g, {}).items():
                         rid = rows.setdefault((t, r), len(rows))
                         col[rid] = v
                 cols[li] = col
@@ -247,14 +247,6 @@ class GLModule:
                                   witness={"vector": v, "weights": sorted(ws)})
             out.append(ws.pop())
         return ker, out
-
-    def highest_weight(self):
-        """The unique singular weight; raises if the singular space is not a
-        line."""
-        ker, ws = self.singular_weights()
-        if ker.dim != 1:
-            raise ValueError(f"singular space has dimension {ker.dim}")
-        return ws[0]
 
     def submodule_span(self, vectors):
         """Closure of the given vectors under the whole action.
@@ -433,7 +425,7 @@ def dual_module(mod):
             if pe and par[r]:
                 s = -s
             entries[(c, r)] = s
-        gens[(gi, gj)] = SparseMap(mod.dim, mod.dim, entries)
+        gens[(gi, gj)] = SparseMap._from_ints(mod.dim, mod.dim, entries, g.den)
     return GLModule(
         space=space,
         name=f"dual({mod.name})",

@@ -110,6 +110,7 @@ class KoszulContext:
         self._spot_spaces = {}
         self._pair_spaces = {}
         self._rank_cache = {}
+        self._splittings = {}
 
     # -- spaces ----------------------------------------------------------------
 
@@ -178,13 +179,12 @@ class KoszulContext:
             lbasis, rbasis = getattr(self, lname), getattr(self, rname)
             left, right = lbasis(a), rbasis(b)
             cod = lbasis(a + lstep).dim * rbasis(b + rstep).dim
-            ent = {}
-            for letter in range(self.space.dim):
-                sign = odd_sign if self.space.parity(letter) else 1
-                term = left.factor_map(lop, letter).kron(right.factor_map(rop, letter))
-                for k, v in term.entries.items():
-                    ent[k] = ent.get(k, ZERO) + sign * v
-            self._pair_ops[key] = SparseMap(left.dim * right.dim, cod, ent)
+            terms = [
+                (odd_sign if self.space.parity(letter) else 1,
+                 left.factor_map(lop, letter).kron(right.factor_map(rop, letter)))
+                for letter in range(self.space.dim)
+            ]
+            self._pair_ops[key] = SparseMap.combination(left.dim * right.dim, cod, terms)
         return self._pair_ops[key]
 
     # -- triple-level operators ---------------------------------------------------
@@ -263,7 +263,7 @@ class KoszulContext:
             raise KoszulError("dropped d-after-del term has a nonzero prefactor",
                               witness={"k": k, "l": l, "prefactor": c_in})
         acc = acc + c_out * (self.pair_del(k + 1, l + 1) @ self.pair_d(k, l))
-        resid = acc - scalar * SparseMap.identity(dim)
+        resid = acc.add(SparseMap.identity(dim), -scalar)
         return {
             "params": {"k": k, "l": l, "m": m, "n": n},
             "scalar": scalar,
@@ -292,7 +292,7 @@ class KoszulContext:
         elif c_qp:
             raise KoszulError("dropped Q-after-P term has a nonzero prefactor",
                               witness={"p": p, "r": r, "prefactor": c_qp})
-        resid = acc - scalar * SparseMap.identity(dim)
+        resid = acc.add(SparseMap.identity(dim), -scalar)
         return {
             "params": {"p": p, "r": r},
             "scalar": scalar,
@@ -394,8 +394,7 @@ class KoszulContext:
         ker = blocked_kernel(pair, dom.weights(), cod.weights())
         ddim = self.dual_basis(spot.dual).dim
         lifted = ker.basis_matrix().lift(right=ddim)
-        cols = lifted.columns()
-        vectors = [cols[c] for c in range(lifted.dom_dim)]
+        vectors = [lifted.column(c) for c in range(lifted.dom_dim)]
         pivots = [max(v) for v in vectors]
         if len(set(pivots)) != ker.dim * ddim:
             raise KoszulError(
@@ -537,7 +536,8 @@ class KoszulContext:
     # -- splittings ----------------------------------------------------------------
 
     def splitting(self, which, params):
-        """Two complementary subspaces (A, B) with A + B direct.
+        """Two complementary subspaces (A, B) with A + B direct, computed
+        once per (which, params); callers only read the returned subspaces.
 
         which="prop1": (i,a); ambient S_{i+1} (x) S*_{a+i+1} as the triple spot
             (i+1, 0, a+i+1); A = image of Q.d, B = Ker(del.P).
@@ -545,6 +545,12 @@ class KoszulContext:
             (i+1, k, a+i+k+1); A = image of d.Q on Ker(P (x) id), B = W
             intersected with Ker(P.del).  A + B = W, not the whole spot.
         """
+        key = (which, tuple(params))
+        if key not in self._splittings:
+            self._splittings[key] = self._splitting(which, key[1])
+        return self._splittings[key]
+
+    def _splitting(self, which, params):
         if which == "prop1":
             i, a = params
             spot = Spot(i + 1, 0, a + i + 1)
@@ -681,7 +687,7 @@ def _eigenspace_dims(blocks, eigenvalues):
     for b in blocks:
         n = b.dom_dim
         eye = SparseMap.identity(n)
-        geo = {lam: n - (b - lam * eye).rank() for lam in eigenvalues}
+        geo = {lam: n - b.add(eye, -lam).rank() for lam in eigenvalues}
         if sum(geo.values()) != n:
             return None
         for lam, g in geo.items():

@@ -1,8 +1,12 @@
 """Exact linear algebra over the rationals.
 
-Everything in the package runs on top of this module: sparse matrices with
-Fraction entries, echelonized subspaces, characteristic polynomials and
-rational spectra.  No floats anywhere; a residual either is zero or it is not.
+Everything in the package runs on top of this module: sparse matrices,
+echelonized subspaces, characteristic polynomials and rational spectra.  A
+SparseMap stores int numerators over one positive denominator per map, so
+its products, sums and Bareiss rows are int arithmetic; the values it hands
+out (entries, traces, spectra, images) are Fractions, and Subspace vectors
+are Fraction dicts.  No floats anywhere; a residual either is zero or it is
+not.
 
 A Subspace keeps the reduced echelon basis whose pivots are each vector's
 largest index.  That is the form back-substitution through the Bareiss
@@ -90,38 +94,67 @@ def vec_pivot(u):
 class SparseMap:
     """A linear map given by a sparse matrix of exact rationals.
 
-    Entries live in a dict keyed by (row, col); the map sends the unit vector
-    e_col to sum entry[row, col] * e_row.  compose(A, B) is A after B.
+    The matrix is stored as int numerators over one denominator: entries maps
+    (row, col) to a nonzero int, and the entry's value is that int divided by
+    den.  The form is canonical, den > 0 and gcd(den, every numerator) = 1,
+    so two maps are equal exactly when their shapes, entries and dens are.
+    The map sends the unit vector e_col to sum value[row, col] * e_row, and
+    compose(A, B) is A after B.  Values leave the map as Fractions: entry,
+    column, trace, char_poly, rational_spectrum, to_triples, and apply and
+    restrict on Fraction vectors.
     """
 
-    __slots__ = ("dom_dim", "cod_dim", "entries", "_cols")
+    __slots__ = ("dom_dim", "cod_dim", "entries", "den", "_cols")
 
     def __init__(self, dom_dim, cod_dim, entries=None):
+        """Entries may be ints, Fractions or floats (read exactly); zeros are
+        dropped and the rest cleared to ints over their least common
+        denominator."""
         if dom_dim < 0 or cod_dim < 0:
             raise DimensionError("negative dimension")
-        self.dom_dim = dom_dim
-        self.cod_dim = cod_dim
-        clean = {}
+        vals = {}
         if entries:
             for (r, c), v in entries.items():
                 if not (0 <= r < cod_dim and 0 <= c < dom_dim):
                     raise DimensionError(f"entry ({r},{c}) outside {cod_dim}x{dom_dim}")
-                if type(v) is not Fraction:
+                if type(v) is not int and type(v) is not Fraction:
                     v = Fraction(v)
                 if v:
-                    clean[(r, c)] = v
-        self.entries = clean
+                    vals[(r, c)] = v
+        nums, den = _over_common_den(vals)
+        self._set(dom_dim, cod_dim, nums, den)
+
+    def _set(self, dom_dim, cod_dim, nums, den):
+        self.dom_dim = dom_dim
+        self.cod_dim = cod_dim
+        self.entries = nums
+        self.den = den
         self._cols = None
+
+    @classmethod
+    def _from_ints(cls, dom_dim, cod_dim, nums, den=1):
+        """The map with value nums[k] / den at k, trusting that nums holds
+        nonzero ints inside the shape and den > 0: only their common factor
+        is cancelled.  linalg and the builders of factor and generator
+        matrices hand their results over through here."""
+        if den != 1:
+            g = gcd(den, *nums.values())
+            if g != 1:
+                nums = {k: v // g for k, v in nums.items()}
+                den //= g
+        m = cls.__new__(cls)
+        m._set(dom_dim, cod_dim, nums, den)
+        return m
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, {(i, i): ONE for i in range(n)})
+        return cls._from_ints(n, n, {(i, i): 1 for i in range(n)})
 
     @classmethod
     def zero(cls, dom_dim, cod_dim):
-        return cls(dom_dim, cod_dim)
+        return cls._from_ints(dom_dim, cod_dim, {})
 
     @classmethod
     def from_columns(cls, dom_dim, cod_dim, columns):
@@ -135,10 +168,10 @@ class SparseMap:
     # -- plumbing ------------------------------------------------------------
 
     def entry(self, r, c):
-        return self.entries.get((r, c), ZERO)
+        return Fraction(self.entries.get((r, c), 0), self.den)
 
     def columns(self):
-        """col -> sparse vector view, built once."""
+        """col -> sparse vector of numerators, built once."""
         if self._cols is None:
             cols = {}
             for (r, c), v in self.entries.items():
@@ -147,7 +180,9 @@ class SparseMap:
         return self._cols
 
     def column(self, c):
-        return dict(self.columns().get(c, {}))
+        """Column c as a sparse vector of Fraction values."""
+        den = self.den
+        return {r: Fraction(v, den) for r, v in self.columns().get(c, {}).items()}
 
     def nnz(self):
         return len(self.entries)
@@ -161,6 +196,7 @@ class SparseMap:
         return (
             self.dom_dim == other.dom_dim
             and self.cod_dim == other.cod_dim
+            and self.den == other.den
             and self.entries == other.entries
         )
 
@@ -171,7 +207,8 @@ class SparseMap:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def apply(self, vec):
+    def _apply_numerators(self, vec):
+        """den times the image of vec: vec against the numerator columns."""
         cols = self.columns()
         out = {}
         for c, x in vec.items():
@@ -179,12 +216,17 @@ class SparseMap:
             if not col:
                 continue
             for r, v in col.items():
-                s = out.get(r, ZERO) + x * v
-                if s:
-                    out[r] = s
-                else:
-                    del out[r]
-        return out
+                out[r] = out.get(r, 0) + x * v
+        return {r: s for r, s in out.items() if s}
+
+    def apply(self, vec):
+        """The image of a sparse vector, with Fraction values for Fraction
+        input."""
+        out = self._apply_numerators(vec)
+        if self.den == 1:
+            return out
+        inv = Fraction(1, self.den)
+        return {r: s * inv for r, s in out.items()}
 
     def compose(self, other):
         """self after other."""
@@ -201,41 +243,64 @@ class SparseMap:
                 if not col:
                     continue
                 for r, v in col.items():
-                    s = acc.get(r, ZERO) + x * v
-                    if s:
-                        acc[r] = s
-                    else:
-                        del acc[r]
+                    acc[r] = acc.get(r, 0) + x * v
             for r, v in acc.items():
-                ent[(r, c)] = v
-        return SparseMap(other.dom_dim, self.cod_dim, ent)
+                if v:
+                    ent[(r, c)] = v
+        return SparseMap._from_ints(
+            other.dom_dim, self.cod_dim, ent, self.den * other.den)
 
     __matmul__ = compose
 
-    def add(self, other, scale=ONE):
+    def add(self, other, scale=1):
+        """self + scale * other, both over the lcm of their dens."""
         if (self.dom_dim, self.cod_dim) != (other.dom_dim, other.cod_dim):
             raise DimensionError("add: shape mismatch")
-        ent = dict(self.entries)
-        for k, v in other.entries.items():
-            s = ent.get(k, ZERO) + scale * v
-            if s:
-                ent[k] = s
-            else:
-                ent.pop(k, None)
-        return SparseMap(self.dom_dim, self.cod_dim, ent)
+        scale = Fraction(scale)
+        other_den = other.den * scale.denominator
+        den = lcm(self.den, other_den)
+        mine = den // self.den
+        theirs = den // other_den * scale.numerator
+        ent = {k: v * mine for k, v in self.entries.items()}
+        if theirs:
+            for k, v in other.entries.items():
+                s = ent.get(k, 0) + theirs * v
+                if s:
+                    ent[k] = s
+                else:
+                    del ent[k]
+        return SparseMap._from_ints(self.dom_dim, self.cod_dim, ent, den)
+
+    @classmethod
+    def combination(cls, dom_dim, cod_dim, terms):
+        """sum of c * m over the (int c, SparseMap m) pairs of terms, added
+        into one dict over the lcm of their dens."""
+        terms = list(terms)
+        for _, m in terms:
+            if (m.dom_dim, m.cod_dim) != (dom_dim, cod_dim):
+                raise DimensionError("combination: shape mismatch")
+        den = lcm(*(m.den for _, m in terms))
+        ent = {}
+        for c, m in terms:
+            f = c * (den // m.den)
+            for k, v in m.entries.items():
+                ent[k] = ent.get(k, 0) + f * v
+        ent = {k: v for k, v in ent.items() if v}
+        return cls._from_ints(dom_dim, cod_dim, ent, den)
 
     def __add__(self, other):
         return self.add(other)
 
     def __sub__(self, other):
-        return self.add(other, scale=-ONE)
+        return self.add(other, scale=-1)
 
     def scaled(self, c):
         c = Fraction(c)
-        if not c:
-            return SparseMap.zero(self.dom_dim, self.cod_dim)
-        return SparseMap(
-            self.dom_dim, self.cod_dim, {k: c * v for k, v in self.entries.items()}
+        num = c.numerator
+        return SparseMap._from_ints(
+            self.dom_dim, self.cod_dim,
+            {k: num * v for k, v in self.entries.items()} if num else {},
+            self.den * c.denominator,
         )
 
     def __rmul__(self, c):
@@ -247,7 +312,9 @@ class SparseMap:
         for (r1, c1), v1 in self.entries.items():
             for (r2, c2), v2 in other.entries.items():
                 ent[(r1 * other.cod_dim + r2, c1 * other.dom_dim + c2)] = v1 * v2
-        return SparseMap(self.dom_dim * other.dom_dim, self.cod_dim * other.cod_dim, ent)
+        return SparseMap._from_ints(
+            self.dom_dim * other.dom_dim, self.cod_dim * other.cod_dim, ent,
+            self.den * other.den)
 
     def lift(self, left=1, right=1, left_parities=None):
         """id_left (x) self (x) id_right, indexed as kron, by re-indexing each
@@ -263,25 +330,21 @@ class SparseMap:
                     v = -v
                 for b in range(right):
                     ent[(r0 + b, c0 + b)] = v
-        return SparseMap(cols * left, rows * left, ent)
+        return SparseMap._from_ints(cols * left, rows * left, ent, self.den)
 
     # -- elimination ---------------------------------------------------------
 
     def _integer_rows(self):
-        """Rows cleared to integers (row scaling preserves rank)."""
+        """The numerator rows: den times the matrix, which has its rank."""
         rows = {}
         for (r, c), v in self.entries.items():
             rows.setdefault(r, {})[c] = v
-        out = []
-        for row in rows.values():
-            den = lcm(*(v.denominator for v in row.values()))
-            out.append({c: int(v * den) for c, v in row.items()})
-        return out
+        return list(rows.values())
 
     def _echelon(self):
         """Row echelon form by fraction-free Bareiss elimination.
 
-        Rows are cleared to integers first; at each step the pivot column is
+        The rows are the integer numerators; at each step the pivot column is
         the smallest column index still present and the pivot row is chosen by
         minimal bit size of its pivot entry.  All divisions are exact.
         Returns (rows, pivot_cols): the integer pivot rows in elimination
@@ -353,16 +416,16 @@ class SparseMap:
             for row, p in steps:
                 if p > f:
                     continue
-                s = sum(x * v[j] for j, x in row.items() if j in v)
+                s = sum(v[j] * x for j, x in row.items() if j in v)
                 if s:
                     v[p] = -s / row[p]
             basis.append(v)
         return Subspace(self.dom_dim, basis, free)
 
     def image(self):
-        return Subspace.from_vectors(
-            self.cod_dim, [self.column(c) for c in range(self.dom_dim)]
-        )
+        """Spanned by the numerator columns, den times the true ones."""
+        cols = self.columns()
+        return Subspace.from_vectors(self.cod_dim, [cols[c] for c in sorted(cols)])
 
     def restrict(self, dom, cod):
         """Matrix of self as a map dom -> cod in the subspace bases.
@@ -374,26 +437,28 @@ class SparseMap:
             raise DimensionError("restrict: ambient mismatch")
         ent = {}
         for j, b in enumerate(dom.vectors):
-            w = self.apply(b)
-            coords = cod.coordinates_of(w)
+            # coordinates of den times the image, so the result is over den
+            coords = cod.coordinates_of(self._apply_numerators(b))
             if coords is None:
                 raise RestrictionError(
                     "image of subspace vector leaves the stated codomain",
-                    witness={"index": j, "vector": b, "image": w},
+                    witness={"index": j, "vector": b, "image": self.apply(b)},
                 )
             for i, x in enumerate(coords):
                 if x:
                     ent[(i, j)] = x
-        return SparseMap(dom.dim, cod.dim, ent)
+        nums, den = _over_common_den(ent)
+        return SparseMap._from_ints(dom.dim, cod.dim, nums, den * self.den)
 
     # -- serialization --------------------------------------------------------
 
     def to_triples(self):
         """JSON-safe canonical form; big integers ride as decimal strings."""
-        ents = [
-            [str(r), str(c), str(v.numerator), str(v.denominator)]
-            for (r, c), v in sorted(self.entries.items())
-        ]
+        den = self.den
+        ents = []
+        for (r, c), v in sorted(self.entries.items()):
+            x = Fraction(v, den)
+            ents.append([str(r), str(c), str(x.numerator), str(x.denominator)])
         return {"dom_dim": self.dom_dim, "cod_dim": self.cod_dim, "entries": ents}
 
     # -- spectra ---------------------------------------------------------------
@@ -401,7 +466,8 @@ class SparseMap:
     def trace(self):
         if self.dom_dim != self.cod_dim:
             raise DimensionError("trace of non-square map")
-        return sum((v for (r, c), v in self.entries.items() if r == c), ZERO)
+        diag = sum(v for (r, c), v in self.entries.items() if r == c)
+        return Fraction(diag, self.den)
 
     def char_poly(self):
         """Characteristic polynomial, ascending coefficients, monic.
@@ -416,7 +482,7 @@ class SparseMap:
         A = self
         for k in range(1, n + 1):
             if k > 1:
-                A = self @ (A + coeffs[-1] * SparseMap.identity(n))
+                A = self @ A.add(SparseMap.identity(n), coeffs[-1])
             c = -A.trace() / k
             coeffs.append(c)
         coeffs.reverse()
@@ -461,7 +527,7 @@ class SparseMap:
         pairs.sort(key=lambda t: t[0])
         out = []
         for lam, alg in pairs:
-            geo = n - (self - lam * SparseMap.identity(n)).rank()
+            geo = n - self.add(SparseMap.identity(n), -lam).rank()
             if not 1 <= geo <= alg:
                 raise SpectrumError(
                     "geometric multiplicity outside 1..algebraic multiplicity",
@@ -469,6 +535,15 @@ class SparseMap:
                 )
             out.append((lam, alg, geo))
         return Spectrum(tuple(out), sum(g for _, _, g in out) == n)
+
+
+def _over_common_den(vals):
+    """(int numerators, den) of nonzero ints and Fractions over their least
+    common denominator; den // v.denominator is exact, den being a multiple.
+    The pair is canonical: a prime of den divides den // v.denominator not
+    at all for a value whose denominator carries its full power."""
+    den = lcm(*{v.denominator for v in vals.values()})
+    return {k: v.numerator * (den // v.denominator) for k, v in vals.items()}, den
 
 
 @dataclass(frozen=True)
@@ -731,7 +806,16 @@ def _rational_roots(int_coeffs):
         for q in _divisors(an):
             if gcd(p, q) != 1:
                 continue
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if not poly_eval([Fraction(c) for c in int_coeffs], cand):
-                    roots.append(cand)
+            for num in (p, -p):
+                if _is_root(int_coeffs, num, q):
+                    roots.append(Fraction(num, q))
     return sorted(set(roots))
+
+
+def _is_root(int_coeffs, p, q):
+    """Whether p/q is a root, in integers: q^n f(p/q) = 0 for degree n."""
+    acc, qpow = 0, 1
+    for c in reversed(int_coeffs):
+        acc = acc * p + c * qpow
+        qpow *= q
+    return acc == 0

@@ -206,9 +206,8 @@ class PowerBasis:
                     if op == "append"
                     else self._sign_from_left(mu, i)
                 )
-                coeff = Fraction(mu.count(i) + 1, self.degree + 1) * sign
-                ent[(row, col)] = coeff
-            m = SparseMap(self.dim, target.dim, ent)
+                ent[(row, col)] = (mu.count(i) + 1) * sign
+            m = SparseMap._from_ints(self.dim, target.dim, ent, self.degree + 1)
         elif op in ("drop_last", "drop_first"):
             if self.degree == 0:
                 m = SparseMap.zero(self.dim, 0)
@@ -227,8 +226,8 @@ class PowerBasis:
                         if op == "drop_last"
                         else self._sign_from_left(nu, i)
                     )
-                    ent[(row, col)] = Fraction(sign)
-                m = SparseMap(self.dim, target.dim, ent)
+                    ent[(row, col)] = sign
+                m = SparseMap._from_ints(self.dim, target.dim, ent)
         else:
             raise ValueError(f"unknown factor op {op!r}")
         self._factor_maps[key] = m
@@ -365,7 +364,8 @@ def split_graded(mat, dom_weights, cod_weights):
     for w in set(dom_blocks) | set(cod_blocks):
         dom_idx = dom_blocks.get(w, [])
         cod_idx = cod_blocks.get(w, [])
-        block = SparseMap(len(dom_idx), len(cod_idx), ents.get(w, {}))
+        block = SparseMap._from_ints(
+            len(dom_idx), len(cod_idx), ents.get(w, {}), mat.den)
         out[w] = (block, dom_idx, cod_idx)
     return out
 

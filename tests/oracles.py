@@ -4,14 +4,15 @@ None of these is used by the package itself: power bases realized in the
 full tensor power and tensors projected back word by word, E_ij acting on
 those words, E_ij on a tensor product as a sum of Kronecker products with
 identity and signed-identity factors, full tensor-power symmetrizers, a
-characteristic polynomial multiplied out block by block, the gl(m|n)
+characteristic polynomial multiplied out block by block, dense Fraction
+matrices standing in for SparseMap's arithmetic, the gl(m|n)
 supercommutator relations, the action of every E_ij (Cartan included)
-restricted to a module or tested against an operator, the inverse of
-SparseMap.to_triples, transposes, letter weights, subspace sums and
-containment, the homology of the transfer complex, the pair splitting as
-subspaces, tensor products of modules, the calibration of d against del, and
-Laurent-polynomial helpers (powers, inverted and permuted variables, fraction
-equality).
+restricted to a module or tested against an operator, the highest weight of
+a module, the inverse of SparseMap.to_triples, transposes, letter weights,
+subspace sums and containment, the homology of the transfer complex, the
+pair splitting as subspaces, tensor products of modules, the calibration of
+d against del, and Laurent-polynomial helpers (powers, inverted and permuted
+variables, fraction equality).
 """
 
 from collections import Counter
@@ -51,7 +52,107 @@ def from_triples(data):
 
 
 def transpose(m):
-    return SparseMap(m.cod_dim, m.dom_dim, {(c, r): v for (r, c), v in m.entries.items()})
+    """The transpose, over the same den."""
+    return SparseMap._from_ints(
+        m.cod_dim, m.dom_dim, {(c, r): v for (r, c), v in m.entries.items()}, m.den)
+
+
+# ---------------------------------------------------------------------------
+# dense Fraction matrices: the oracle for SparseMap's ints over one den
+
+
+def dense(m):
+    """SparseMap -> list of rows of Fraction values, read off the stored
+    numerators and den."""
+    out = [[ZERO] * m.dom_dim for _ in range(m.cod_dim)]
+    for (r, c), v in m.entries.items():
+        out[r][c] = Fraction(v, m.den)
+    return out
+
+
+def from_dense(rows):
+    ent = {}
+    for r, row in enumerate(rows):
+        for c, v in enumerate(row):
+            if v:
+                ent[(r, c)] = Fraction(v)
+    return SparseMap(len(rows[0]) if rows else 0, len(rows), ent)
+
+
+def dense_compose(a, b):
+    """Rows of a after b, summed in Fractions."""
+    da, db = dense(a), dense(b)
+    return [[sum((da[i][k] * db[k][j] for k in range(a.dom_dim)), ZERO)
+             for j in range(b.dom_dim)] for i in range(a.cod_dim)]
+
+
+def dense_add(a, b, scale=ONE):
+    da, db = dense(a), dense(b)
+    return [[x + scale * y for x, y in zip(ra, rb)] for ra, rb in zip(da, db)]
+
+
+def dense_kron(a, b):
+    da, db = dense(a), dense(b)
+    return [[da[i1][j1] * db[i2][j2]
+             for j1 in range(a.dom_dim) for j2 in range(b.dom_dim)]
+            for i1 in range(a.cod_dim) for i2 in range(b.cod_dim)]
+
+
+def dense_lift(m, left, right, left_parities=None):
+    """id_left (x) m (x) id_right with the copies at odd left indices
+    negated, written entry by entry."""
+    d = dense(m)
+    rows, cols = m.cod_dim * right, m.dom_dim * right
+    out = [[ZERO] * (cols * left) for _ in range(rows * left)]
+    for a in range(left):
+        sign = -1 if left_parities and left_parities[a] else 1
+        for r in range(m.cod_dim):
+            for c in range(m.dom_dim):
+                r0, c0 = a * rows + r * right, a * cols + c * right
+                for b in range(right):
+                    out[r0 + b][c0 + b] = sign * d[r][c]
+    return out
+
+
+def dense_apply(m, vec):
+    """m applied to a sparse vector, as a sparse dict without zeros."""
+    d = dense(m)
+    out = {}
+    for r in range(m.cod_dim):
+        s = sum((d[r][c] * x for c, x in vec.items()), ZERO)
+        if s:
+            out[r] = s
+    return out
+
+
+def naive_rref(rows):
+    """Dense RREF; returns (rows, pivot_cols)."""
+    rows = [list(map(Fraction, r)) for r in rows]
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = ONE / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r], pivots
+
+
+def naive_rank(m):
+    return len(naive_rref(dense(m))[0])
 
 
 def weight_of_letter(space, letter, dual=False):
@@ -337,6 +438,15 @@ def equivariance_failures(ctx, act, name, spot):
 
 # ---------------------------------------------------------------------------
 # the full action on a module
+
+
+def highest_weight(mod):
+    """The unique singular weight of a module; raises ValueError if the
+    singular space is not a line."""
+    ker, ws = mod.singular_weights()
+    if ker.dim != 1:
+        raise ValueError(f"singular space has dimension {ker.dim}")
+    return ws[0]
 
 
 def full_action(act, product, basis, modulo=None, pairs=None):

@@ -200,6 +200,36 @@ def test_verify_is_unchanged_under_optimize(tmp_path):
     assert optimized == (plain_code, plain_body)
 
 
+@pytest.mark.parametrize("m,n", [(2, 1), (3, 1)])
+def test_operator_groups_are_unchanged_under_optimize(tmp_path, m, n):
+    # the int-over-den arithmetic of every operator group raises typed
+    # errors only; (2|1) has no loop prediction, (3|1) runs the spectra
+    runs = []
+    for flags in ([], ["-O"]):
+        out = tmp_path / f"report{len(runs)}.json"
+        proc = _run_cli_process(
+            flags, "verify", "--m", str(m), "--n", str(n), "--max-k", "2",
+            "--max-l", "2", "--max-i", "1", "--max-a", "1", "--max-p", "2",
+            "--max-r", "2", "--checks",
+            "identities,exactness,commutativity,spectra,splittings",
+            "--json", str(out))
+        runs.append((proc.returncode, stable_body(json.loads(out.read_text()))))
+    (plain_code, plain_body), optimized = runs
+    # (3|1) reports the stated-spectrum finding, hence exit code 1
+    assert plain_code == (0 if (m, n) == (2, 1) else 1)
+    assert '"fail": 0' in plain_body
+    assert optimized == (plain_code, plain_body)
+
+
+def test_splitting_memo_leaves_construct_output_unchanged(capsys, monkeypatch):
+    cached = [run_cli(capsys, "construct", *q.split())
+              for q in ("Ysummand 1 1", "Zk 1 2 2")]
+    monkeypatch.setattr(KoszulContext, "splitting", KoszulContext._splitting)
+    fresh = [run_cli(capsys, "construct", *q.split())
+             for q in ("Ysummand 1 1", "Zk 1 2 2")]
+    assert cached == fresh and all(code == 0 for code, _, _ in cached)
+
+
 def test_spectrum_exit_codes(capsys):
     code, out, _ = run_cli(capsys, "spectrum", "delPQd", "0", "1")
     assert code == 0
@@ -236,7 +266,7 @@ def test_export_matrix_cli(capsys):
     code, out, _ = run_cli(capsys, "export", "matrix", "d", "1,1")
     assert code == 0
     mat = from_triples(json.loads(out))
-    assert mat.entries == KoszulContext(SuperSpace(3, 1)).pair_d(1, 1).entries
+    assert mat == KoszulContext(SuperSpace(3, 1)).pair_d(1, 1)
 
 
 def test_export_basis_cli(capsys, tmp_path):

@@ -28,6 +28,7 @@ from superkoszul.glrep import (
 from oracles import (
     equivariance_failures,
     full_action,
+    highest_weight,
     kron_sum_on_product,
     supercommutator_check,
     supercommutator_failures,
@@ -367,7 +368,7 @@ def test_image_modules(con, origins, k, l, dim, hw):
     assert mod.dim == dim
     assert_cartan_is_weight_grading(
         full_action(con.act, *origins[-1], pairs=CARTAN), mod)
-    assert mod.highest_weight() == hw
+    assert highest_weight(mod) == hw
     ok, _ = mod.is_irreducible()
     assert ok
 
@@ -395,7 +396,7 @@ MMP = [
 def test_mmp_grid(con, origins, m, p, dim, hw):
     mod = con.mmp(m, p)
     assert mod.dim == dim
-    assert mod.highest_weight() == hw
+    assert highest_weight(mod) == hw
     assert mod.is_irreducible()[0]
     assert_cartan_is_weight_grading(
         full_action(con.act, *origins[-1], pairs=CARTAN), mod, m - 1)
@@ -414,7 +415,7 @@ YS = [
 def test_y_summand_grid(con, n, p, dim, hw):
     mod = con.y_summand(n, p)
     assert mod.dim == dim
-    assert mod.highest_weight() == hw
+    assert highest_weight(mod) == hw
     assert mod.is_irreducible()[0]
 
 
@@ -435,7 +436,7 @@ ZK = [
 def test_zk_grid(con, k, l, m, dim):
     mod = con.zk(k, l, m)
     assert mod.dim == dim == 4 * (k + 1) * (m + 1) * (k + m + 2)
-    assert mod.highest_weight() == (k + 1, 1, 1 - m, l - 3)
+    assert highest_weight(mod) == (k + 1, 1, 1 - m, l - 3)
     assert mod.is_irreducible()[0]
 
 
@@ -443,7 +444,7 @@ def test_z1_is_zk_row_two(con):
     mod = con.z1(1)
     assert mod.dim == 120
     # label (2, 1, -1 | 1): one unit below the stated lambda_3, see ledger
-    assert mod.highest_weight() == (2, 1, -1, -1)
+    assert highest_weight(mod) == (2, 1, -1, -1)
 
 
 MFINAL = [(m, t, p) for m in (1, 2) for t in (1, 2) for p in (1, 2)]
@@ -454,7 +455,7 @@ def test_mfinal_grid(con, origins, m, t, p):
     mod = con.mfinal(m, t, p)
     a, b = m + t + p - 1, m + p - 1
     assert mod.dim == 8 * (a - b + 1) * (b + 1) * (a + 2) // 2
-    assert mod.highest_weight() == (m + t, m, -p + 1, -1)
+    assert highest_weight(mod) == (m + t, m, -p + 1, -1)
     assert mod.is_irreducible()[0]
     assert_cartan_is_weight_grading(
         full_action(con.act, *origins[-1], pairs=CARTAN), mod, m - 1)
@@ -481,7 +482,7 @@ ILAMBDA = [
 def test_ilambda_hooks(con, shape, dim, hw):
     mod = con.ilambda(shape)
     assert mod.dim == dim
-    assert mod.highest_weight() == hw
+    assert highest_weight(mod) == hw
     assert mod.is_irreducible()[0]
 
 
@@ -516,10 +517,20 @@ def test_dual_of_v(con):
     assert dv.is_irreducible()[0]
 
 
+def test_modules_built_twice_on_one_context_agree():
+    # the second build reads the splittings the first one cached, so the
+    # first build must leave the cached subspaces as they were
+    con = Constructor(KoszulContext(SuperSpace(3, 1)))
+    first = [con.y_summand(1, 1), con.zk(1, 2, 2)]
+    again = [con.y_summand(1, 1), con.zk(1, 2, 2)]
+    for a, b in zip(first, again):
+        assert (a.gens, a.weights, a.parities) == (b.gens, b.weights, b.parities)
+
+
 def test_double_dual_preserves_highest_weight(con):
     for shape in [(1,), (1, 1, 1), (2, 1)]:
         mod = con.ilambda(shape)
-        assert dual_module(dual_module(mod)).highest_weight() == mod.highest_weight()
+        assert highest_weight(dual_module(dual_module(mod))) == highest_weight(mod)
 
 
 def test_dual_of_h31(con):
@@ -547,7 +558,7 @@ def test_tensor_of_odd_lines_is_even(con):
 def test_berezinian_twist_shifts_weights(con, origins):
     base = con.image_module(2, 2)
     tw = berezinian_twist(base, 1)
-    assert tw.highest_weight() == (2, 2, 0, -2)
+    assert highest_weight(tw) == (2, 2, 0, -2)
     assert tw.gens == base.gens
     assert_cartan_is_weight_grading(
         full_action(con.act, *origins[-1], pairs=CARTAN), tw, 1)

@@ -271,7 +271,7 @@ def test_export_matrix_round_trip():
     out = export_matrix("d", (1, 1), (3, 1))
     mat = from_triples(out)
     fresh = KoszulContext(SuperSpace(3, 1)).pair_d(1, 1)
-    assert mat.entries == fresh.entries
+    assert mat == fresh
     # a repeated export must be bit-identical
     again = export_matrix("d", (1, 1), (3, 1))
     assert json.dumps(out, sort_keys=True) == json.dumps(again, sort_keys=True)

@@ -514,6 +514,21 @@ def test_prop2_splitting(ctx31):
     assert subspace_sum(a_sub, z_sub) == w_sub
 
 
+def test_splitting_is_computed_once(monkeypatch):
+    ctx = KoszulContext(SuperSpace(3, 1))
+    prop1 = ctx.splitting("prop1", (0, 1))
+    prop2 = ctx.splitting("prop2", (0, 1, 1))
+
+    def recompute(which, params):
+        raise AssertionError(f"splitting {which} {params} computed twice")
+
+    monkeypatch.setattr(ctx, "_splitting", recompute)
+    assert ctx.splitting("prop1", (0, 1)) is prop1
+    assert ctx.splitting("prop2", [0, 1, 1]) is prop2
+    with pytest.raises(AssertionError):
+        ctx.splitting("prop1", (1, 1))
+
+
 # ---------------------------------------------------------------------------
 # plumbing
 

@@ -1,18 +1,32 @@
-"""Exact linear algebra: oracles are naive dense routines written here.
+"""Exact linear algebra: oracles are naive dense Fraction routines.
 
-The dense RREF below is the reference implementation for rank, kernel and
-echelon bases; SparseMap must agree with it on every input.  Characteristic
+The dense RREF of tests/oracles.py is the reference implementation for rank,
+kernel and echelon bases; SparseMap must agree with it on every input, and
+each SparseMap operation is pinned to the same dense Fraction arithmetic.  Characteristic
 polynomials are cross-checked by evaluating det(t*I - M) at interpolation
 points with the naive fraction Gauss determinant.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import from_triples, subspace_sum, transpose
+from oracles import (
+    dense,
+    dense_add,
+    dense_apply,
+    dense_compose,
+    dense_kron,
+    dense_lift,
+    from_dense,
+    from_triples,
+    naive_rank,
+    subspace_sum,
+    transpose,
+)
 from superkoszul.linalg import (
     DimensionError,
     EliminationError,
@@ -29,54 +43,7 @@ F = Fraction
 
 
 # ---------------------------------------------------------------------------
-# oracles
-
-
-def dense(m):
-    """SparseMap -> list of rows of Fractions."""
-    out = [[F(0)] * m.dom_dim for _ in range(m.cod_dim)]
-    for (r, c), v in m.entries.items():
-        out[r][c] = v
-    return out
-
-
-def from_dense(rows):
-    ent = {}
-    for r, row in enumerate(rows):
-        for c, v in enumerate(row):
-            if v:
-                ent[(r, c)] = F(v)
-    return SparseMap(len(rows[0]) if rows else 0, len(rows), ent)
-
-
-def naive_rref(rows):
-    """Dense RREF; returns (rows, pivot_cols)."""
-    rows = [list(map(F, r)) for r in rows]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = F(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
-
-
-def naive_rank(m):
-    return len(naive_rref(dense(m))[0])
+# oracles (dense, from_dense and the dense RREF live in tests/oracles.py)
 
 
 def naive_det(rows):
@@ -245,12 +212,20 @@ def test_entry_bounds_checked():
         SparseMap(2, 2, {(2, 0): F(1)})
 
 
-def test_entries_stored_as_nonzero_fractions():
+def test_entries_stored_as_ints_over_one_den():
+    # ints, Fractions and floats are cleared to int numerators over their
+    # least common denominator; zeros are dropped
     m = SparseMap(2, 2, {(0, 0): 3, (0, 1): 0.5, (1, 0): F(0), (1, 1): F(2, 3)})
-    assert m.entries == {(0, 0): F(3), (0, 1): F(1, 2), (1, 1): F(2, 3)}
-    assert all(type(v) is F for v in m.entries.values())
+    assert (m.entries, m.den) == ({(0, 0): 18, (0, 1): 3, (1, 1): 4}, 6)
+    assert all(type(v) is int for v in m.entries.values())
+    assert m.entry(0, 1) == F(1, 2) and type(m.entry(0, 1)) is F
     cols = SparseMap.from_columns(2, 2, {0: {1: 2, 0: 0}})
-    assert cols.entries == {(1, 0): F(2)} and type(cols.entries[(1, 0)]) is F
+    assert (cols.entries, cols.den) == ({(1, 0): 2}, 1)
+    # results cancel the common factor, so equal values mean equal maps
+    half = SparseMap(2, 1, {(0, 0): F(1, 2), (0, 1): F(3, 2)})
+    assert (half.scaled(2).entries, half.scaled(2).den) == ({(0, 0): 1, (0, 1): 3}, 1)
+    assert half.scaled(F(2, 3)) == SparseMap(2, 1, {(0, 0): F(1, 3), (0, 1): 1})
+    assert (half - half).den == 1 and (half - half).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -516,19 +491,23 @@ def test_triples_roundtrip():
 
 
 @st.composite
-def sparse_maps(draw, max_dim=5):
-    rows = draw(st.integers(0, max_dim))
-    cols = draw(st.integers(0, max_dim))
-    n = draw(st.integers(0, min(10, rows * cols)))
+def maps_of_shape(draw, dom, cod):
+    """A dom -> cod map whose entries have mixed denominators, times a
+    factor drawn apart, so that two draws rarely share a den."""
     ent = {}
-    for _ in range(n):
-        r = draw(st.integers(0, max(rows - 1, 0)))
-        c = draw(st.integers(0, max(cols - 1, 0)))
-        num = draw(st.integers(-9, 9))
-        den = draw(st.integers(1, 4))
-        if rows and cols:
-            ent[(r, c)] = F(num, den)
-    return SparseMap(cols, rows, ent)
+    for _ in range(draw(st.integers(0, min(10, dom * cod)))):
+        r = draw(st.integers(0, cod - 1))
+        c = draw(st.integers(0, dom - 1))
+        ent[(r, c)] = F(draw(st.integers(-9, 9)),
+                        draw(st.sampled_from([1, 2, 3, 4, 6, 9, 10])))
+    factor = draw(st.sampled_from([F(1), F(1, 5), F(6, 7), F(-3, 8)]))
+    return SparseMap(dom, cod, ent).scaled(factor)
+
+
+@st.composite
+def sparse_maps(draw, max_dim=5):
+    return draw(maps_of_shape(draw(st.integers(0, max_dim)),
+                              draw(st.integers(0, max_dim))))
 
 
 @given(sparse_maps())
@@ -541,7 +520,8 @@ def test_prop_rank_nullity(m):
     ker = m.kernel()
     assert ker.dim == m.dom_dim - rank
     for v in ker.vectors:
-        assert m.apply(v) == {}
+        assert all(type(x) is F for x in v.values())
+        assert m.apply(v) == {} and dense_apply(m, v) == {}
 
 
 @given(sparse_maps())
@@ -630,3 +610,130 @@ def test_prop_cayley_hamilton(m):
 @settings(max_examples=40, deadline=None)
 def test_prop_kron_rank_multiplicative(a, b):
     assert a.kron(b).rank() == a.rank() * b.rank()
+
+
+# ---------------------------------------------------------------------------
+# ints over one den, pinned to dense Fraction arithmetic
+
+
+DIMS = st.integers(0, 4)
+SCALES = st.sampled_from([F(0), F(1), F(-1), F(3), F(1, 2), F(-2, 3), F(5, 6)])
+
+
+@st.composite
+def sparse_vectors(draw, dim):
+    vec = {}
+    for _ in range(draw(st.integers(0, dim))):
+        x = F(draw(st.integers(-5, 5)), draw(st.integers(1, 6)))
+        if x:
+            vec[draw(st.integers(0, dim - 1))] = x
+    return vec
+
+
+def assert_canonical(m):
+    assert type(m.den) is int and m.den > 0
+    assert all(type(v) is int and v for v in m.entries.values())
+    assert gcd(m.den, *m.entries.values()) == 1
+    assert all(0 <= r < m.cod_dim and 0 <= c < m.dom_dim for r, c in m.entries)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_prop_compose_matches_dense(data):
+    r, k, c = data.draw(DIMS), data.draw(DIMS), data.draw(DIMS)
+    a, b = data.draw(maps_of_shape(k, r)), data.draw(maps_of_shape(c, k))
+    ab = a @ b
+    assert_canonical(ab)
+    assert dense(ab) == dense_compose(a, b)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_prop_add_sub_scaled_match_dense(data):
+    dom, cod = data.draw(DIMS), data.draw(DIMS)
+    a, b = data.draw(maps_of_shape(dom, cod)), data.draw(maps_of_shape(dom, cod))
+    s = data.draw(SCALES)
+    for got, expect in (
+        (a + b, dense_add(a, b)),
+        (a - b, dense_add(a, b, F(-1))),
+        (a.add(b, s), dense_add(a, b, s)),
+        (a.scaled(s), [[s * x for x in row] for row in dense(a)]),
+    ):
+        assert_canonical(got)
+        assert dense(got) == expect
+    assert (a - a).is_zero() and (a - a).den == 1
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_prop_kron_and_lift_match_dense(data):
+    a, b = data.draw(sparse_maps(4)), data.draw(sparse_maps(4))
+    k = a.kron(b)
+    assert_canonical(k)
+    assert dense(k) == dense_kron(a, b)
+    left, right = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    parities = data.draw(st.none() | st.lists(
+        st.integers(0, 1), min_size=left, max_size=left))
+    lifted = a.lift(left, right, parities)
+    assert_canonical(lifted)
+    assert dense(lifted) == dense_lift(a, left, right, parities)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_prop_apply_and_restrict_match_dense(data):
+    dom, cod = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    m = data.draw(maps_of_shape(dom, cod))
+    vec = data.draw(sparse_vectors(dom))
+    image = m.apply(vec)
+    assert image == dense_apply(m, vec)
+    assert all(type(x) is F for x in image.values())
+    sub = Subspace.from_vectors(dom, data.draw(st.lists(sparse_vectors(dom), max_size=3)))
+    for target in (m.image(), Subspace.full(cod)):
+        r = m.restrict(sub, target)
+        assert_canonical(r)
+        for j, b in enumerate(sub.vectors):
+            back = {}
+            for i, t in enumerate(target.vectors):
+                for row, x in t.items():
+                    back[row] = back.get(row, F(0)) + r.entry(i, j) * x
+            assert {i: x for i, x in back.items() if x} == dense_apply(m, b)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_prop_trace_char_poly_entry_and_triples_match_dense(data):
+    n = data.draw(DIMS)
+    m = data.draw(maps_of_shape(n, n))
+    d = dense(m)
+    assert m.trace() == sum((d[i][i] for i in range(n)), F(0))
+    assert type(m.trace()) is F
+    assert m.char_poly() == naive_char_poly(m)
+    for r in range(n):
+        for c in range(n):
+            assert m.entry(r, c) == d[r][c] and type(m.entry(r, c)) is F
+    expect = [[str(r), str(c), str(d[r][c].numerator), str(d[r][c].denominator)]
+              for r in range(n) for c in range(n) if d[r][c]]
+    assert m.to_triples()["entries"] == expect
+    back = from_triples(m.to_triples())
+    assert_canonical(back)
+    assert back == m and back.den == m.den
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_prop_every_result_is_canonical(data):
+    # den > 0, int numerators with no common factor with it: so == on
+    # (entries, den) is equality of values, whatever route built the map
+    dom, cod = data.draw(DIMS), data.draw(DIMS)
+    a, b = data.draw(maps_of_shape(dom, cod)), data.draw(maps_of_shape(dom, cod))
+    s = data.draw(SCALES)
+    results = [a, a + b, a - b, a.add(b, s), a.scaled(s), a.kron(b),
+               a.lift(2, 2, [0, 1]), transpose(a), transpose(a) @ a,
+               SparseMap.combination(dom, cod, [(1, a), (-2, b), (3, a)]),
+               SparseMap.identity(dom), SparseMap.zero(dom, cod)]
+    for m in results:
+        assert_canonical(m)
+    assert a.add(b, s) == a + s * b
+    assert SparseMap.combination(dom, cod, [(1, a), (-2, b), (3, a)]) == (
+        a.scaled(4) - b.scaled(2))
