@@ -30,6 +30,7 @@ owns the singular-vector and irreducibility machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import prod
 
 from .linalg import RestrictionError, SparseMap, Subspace, WitnessedError
@@ -240,11 +241,11 @@ class GLModule:
     def singular_weights(self):
         ker = self.raising_kernel()
         out = []
-        for v in ker.vectors:
+        for k, v in enumerate(ker.nums):
             ws = {self.weights[i] for i in v}
             if len(ws) != 1:
-                raise ModuleError("singular vector is not a weight vector",
-                                  witness={"vector": v, "weights": sorted(ws)})
+                raise ModuleError("singular vector is not a weight vector", witness={
+                    "vector": ker.vectors[k], "weights": sorted(ws)})
             out.append(ws.pop())
         return ker, out
 
@@ -271,7 +272,7 @@ class GLModule:
         while queue:
             v = queue.pop()
             for g in gens:
-                img = g.apply(v)
+                img = g.apply_numerators(v)
                 r = span.insert(img)
                 if r is not None:
                     queue.append(r)
@@ -293,7 +294,7 @@ class GLModule:
         }
         if ker.dim != 1:
             return False, info
-        span = self.submodule_span([ker.vectors[0]])
+        span = self.submodule_span([ker.nums[0]])
         info["generated_dim"] = span.dim
         dker, _ = dual_module(self).singular_weights()
         info["dual_singular_dim"] = dker.dim
@@ -325,14 +326,14 @@ def _grading(product, sub):
     parities = []
     pw = product.weights()
     pp = product.parities()
-    for k, v in enumerate(sub.vectors):
+    for k, v in enumerate(sub.nums):
         ws = {pw[i] for i in v}
         ps = {pp[i] for i in v}
         if len(ws) != 1 or len(ps) != 1:
             raise ModuleError(
                 "subspace basis vector is not homogeneous",
-                witness={"index": k, "vector": v, "weights": sorted(ws),
-                         "parities": sorted(ps)},
+                witness={"index": k, "vector": sub.vectors[k],
+                         "weights": sorted(ws), "parities": sorted(ps)},
             )
         weights.append(ws.pop())
         parities.append(ps.pop())
@@ -374,26 +375,27 @@ def quotient_module(act, product, ker, im, name):
     weights, parities = _grading(product, comp)
     gens = {}
     for i, j in simple_pairs(act.space):
-        amb = act.on_product(product, i, j)
-        cols = {}
-        for c, v in enumerate(comp.vectors):
-            img = amb.apply(v)
-            if not ker.contains(img):
+        img = act.on_product(product, i, j) @ comp.basis_matrix()
+        den = img.den * im.den  # the residue modulo im is im.den times it
+        ent = {}
+        for c, col in img.columns().items():
+            if not ker.contains(col):
                 raise RestrictionError(
                     "quotient action escapes the kernel",
                     witness={"generator": (i, j), "index": c,
-                             "vector": v, "image": img},
+                             "vector": comp.vectors[c], "image": img.column(c)},
                 )
-            rem = im._reduce(img)
+            rem = im.residue(col)
             coords = comp.coordinates_of(rem)
             if coords is None:
                 raise RestrictionError(
                     "reduction modulo the image left the complement",
                     witness={"generator": (i, j), "index": c,
-                             "vector": v, "remainder": rem},
+                             "vector": comp.vectors[c],
+                             "remainder": {r: Fraction(x, den) for r, x in rem.items()}},
                 )
-            cols[c] = {r: x for r, x in enumerate(coords) if x}
-        gens[(i, j)] = SparseMap.from_columns(comp.dim, comp.dim, cols)
+            ent.update(((r, c), x) for r, x in enumerate(coords) if x)
+        gens[(i, j)] = SparseMap._from_ints(comp.dim, comp.dim, ent, den)
     return GLModule(space=act.space, name=name, gens=gens, weights=weights,
                     parities=parities)
 

@@ -372,11 +372,11 @@ class KoszulContext:
             )
         else:
             im = Subspace.zero(ps.dim)
-        for v in im.vectors:
+        for j, v in enumerate(im.nums):
             if not ker.contains(v):
                 raise KoszulError(
                     "image of the incoming d is not inside the kernel",
-                    witness={"a": a, "k": k, "vector": v},
+                    witness={"a": a, "k": k, "vector": im.vectors[j]},
                 )
         return ker.dim - im.dim, ker, im
 
@@ -394,15 +394,16 @@ class KoszulContext:
         ker = blocked_kernel(pair, dom.weights(), cod.weights())
         ddim = self.dual_basis(spot.dual).dim
         lifted = ker.basis_matrix().lift(right=ddim)
-        vectors = [lifted.column(c) for c in range(lifted.dom_dim)]
-        pivots = [max(v) for v in vectors]
+        cols = lifted.columns()
+        nums = [cols[c] for c in range(lifted.dom_dim)]
+        pivots = [max(v) for v in nums]
         if len(set(pivots)) != ker.dim * ddim:
             raise KoszulError(
                 "tensored kernel basis has repeated pivots",
                 witness={"spot": (spot.sym, spot.alt, spot.dual),
                          "pivots": sorted(pivots), "expected_dim": ker.dim * ddim},
             )
-        return Subspace(space.dim, vectors, pivots)
+        return Subspace(space.dim, nums, pivots, lifted.den)
 
     def kerp_is_incoming_image(self, spot):
         """Ker(P (x) id) = Im(P (x) id) from the spot one transfer step back."""
@@ -569,8 +570,7 @@ class KoszulContext:
             kspot = Spot(i, k + 1, l)
             ker = self.kerp_space(kspot)
             dq = self.composed_to(["Q", "d"], kspot, wspot)
-            a_vecs = [dq.apply(v) for v in ker.vectors]
-            a_sub = Subspace.from_vectors(dq.cod_dim, a_vecs)
+            a_sub = (dq @ ker.basis_matrix()).image()
             w_map = self.operator("d", Spot(i + 1, k, l))
             w_sub = blocked_image(
                 w_map, self.spot_space(Spot(i + 1, k, l)).weights(), w_weights
@@ -589,18 +589,14 @@ class KoszulContext:
         rank_out = self.d_rank(k, l)
         proj = self.pair_del(k + 1, l + 1) @ self.pair_d(k, l)
         rank_proj = blocked_rank(proj, ps.weights(), ps.weights())
-        # stack the two generating maps side by side to get dim(A + B)
-        cols = {}
+        # stack the two generating maps' numerator columns side by side to
+        # get dim(A + B); scaling a column keeps the rank
+        ent, off = {}, 0
         if k >= 1 and l >= 1:
             din = self.pair_d(k - 1, l - 1)
-            for c in range(din.dom_dim):
-                cols[c] = din.column(c)
-            off = din.dom_dim
-        else:
-            off = 0
-        for c in range(proj.dom_dim):
-            cols[off + c] = proj.column(c)
-        stacked = SparseMap.from_columns(off + proj.dom_dim, dim, cols)
+            ent, off = dict(din.entries), din.dom_dim
+        ent.update(((r, off + c), v) for (r, c), v in proj.entries.items())
+        stacked = SparseMap._from_ints(off + proj.dom_dim, dim, ent)
         prev_w = (
             self.pair_space(k - 1, l - 1).weights() if (k >= 1 and l >= 1) else []
         )

@@ -2,20 +2,21 @@
 
 Everything in the package runs on top of this module: sparse matrices,
 echelonized subspaces, characteristic polynomials and rational spectra.  A
-SparseMap stores int numerators over one positive denominator per map, so
-its products, sums and Bareiss rows are int arithmetic; the values it hands
-out (entries, traces, spectra, images) are Fractions, and Subspace vectors
-are Fraction dicts.  No floats anywhere; a residual either is zero or it is
-not.
+SparseMap and a Subspace basis share one exact format, int numerators over
+one positive denominator, so products, sums, eliminations and membership
+tests are int arithmetic; the values handed out (entries, traces, spectra,
+images, basis vectors) are Fractions.  No floats anywhere; a residual
+either is zero or it is not.
 
 A Subspace keeps the reduced echelon basis whose pivots are each vector's
 largest index.  That is the form back-substitution through the Bareiss
-echelon leaves a kernel basis in, so SparseMap.kernel hands its vectors to
-Subspace without reducing them again.
+echelon leaves a kernel basis in, so SparseMap.kernel hands its numerators
+to Subspace without reducing them again.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -34,7 +35,6 @@ __all__ = [
 ]
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class DimensionError(ValueError):
@@ -66,31 +66,6 @@ class SubspaceError(ValueError):
     """Subspace algebra precondition violated."""
 
 
-# ---------------------------------------------------------------------------
-# sparse column vectors: dict index -> Fraction, zeros never stored
-
-
-def vec_add(u, v, c):
-    """u += c*v for sparse vectors, in place."""
-    for i, x in v.items():
-        s = u.get(i, ZERO) + c * x
-        if s:
-            u[i] = s
-        else:
-            u.pop(i, None)
-
-
-def vec_scale(u, c):
-    if not c:
-        return {}
-    return {i: c * x for i, x in u.items()}
-
-
-def vec_pivot(u):
-    """Largest index with a nonzero entry, or None."""
-    return max(u) if u else None
-
-
 class SparseMap:
     """A linear map given by a sparse matrix of exact rationals.
 
@@ -100,8 +75,8 @@ class SparseMap:
     so two maps are equal exactly when their shapes, entries and dens are.
     The map sends the unit vector e_col to sum value[row, col] * e_row, and
     compose(A, B) is A after B.  Values leave the map as Fractions: entry,
-    column, trace, char_poly, rational_spectrum, to_triples, and apply and
-    restrict on Fraction vectors.
+    column, trace, char_poly, rational_spectrum, to_triples, and apply on
+    Fraction vectors.
     """
 
     __slots__ = ("dom_dim", "cod_dim", "entries", "den", "_cols")
@@ -207,22 +182,16 @@ class SparseMap:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _apply_numerators(self, vec):
-        """den times the image of vec: vec against the numerator columns."""
+    def apply_numerators(self, vec):
+        """den times the image of vec: vec against the numerator columns,
+        so ints for an int vec."""
         cols = self.columns()
-        out = {}
-        for c, x in vec.items():
-            col = cols.get(c)
-            if not col:
-                continue
-            for r, v in col.items():
-                out[r] = out.get(r, 0) + x * v
-        return {r: s for r, s in out.items() if s}
+        return _combine(0, {}, [(x, cols[c]) for c, x in vec.items() if c in cols])
 
     def apply(self, vec):
         """The image of a sparse vector, with Fraction values for Fraction
         input."""
-        out = self._apply_numerators(vec)
+        out = self.apply_numerators(vec)
         if self.den == 1:
             return out
         inv = Fraction(1, self.den)
@@ -404,23 +373,29 @@ class SparseMap:
         back-substituted through the echelon rows from the last pivot up.
         The vector has its other entries on pivot columns below f, so f is
         its largest index and it vanishes at every other free column: the
-        reduced echelon basis, with the free columns as pivots.
+        reduced echelon basis, with the free columns as pivots.  Over the
+        last Bareiss pivot, a determinant of the pivot rows and columns,
+        every value is an int (Cramer's rule), so all divisions are exact.
         """
         rows, pivots = self._echelon()
         pivset = set(pivots)
         steps = list(zip(rows, pivots))[::-1]
+        den = abs(rows[-1][pivots[-1]]) if rows else 1
         free = [f for f in range(self.dom_dim) if f not in pivset]
         basis = []
         for f in free:
-            v = {f: ONE}
+            v = {f: den}
             for row, p in steps:
                 if p > f:
                     continue
                 s = sum(v[j] * x for j, x in row.items() if j in v)
                 if s:
-                    v[p] = -s / row[p]
+                    v[p], rem = divmod(-s, row[p])
+                    if rem:
+                        raise EliminationError("back-substitution not exact",
+                                               {"free_col": f, "pivot_col": p})
             basis.append(v)
-        return Subspace(self.dom_dim, basis, free)
+        return Subspace(self.dom_dim, basis, free, den)
 
     def image(self):
         """Spanned by the numerator columns, den times the true ones."""
@@ -430,25 +405,27 @@ class SparseMap:
     def restrict(self, dom, cod):
         """Matrix of self as a map dom -> cod in the subspace bases.
 
-        Raises RestrictionError (with a witness vector) if some image of a
-        domain basis vector falls outside cod.
+        The images of dom's basis, read at cod's pivots, are the coordinates
+        C; a second product certifies that cod's basis times C gives the
+        images back.  Otherwise RestrictionError names the first domain
+        basis vector whose image leaves cod.
         """
         if dom.ambient_dim != self.dom_dim or cod.ambient_dim != self.cod_dim:
             raise DimensionError("restrict: ambient mismatch")
-        ent = {}
-        for j, b in enumerate(dom.vectors):
-            # coordinates of den times the image, so the result is over den
-            coords = cod.coordinates_of(self._apply_numerators(b))
-            if coords is None:
-                raise RestrictionError(
-                    "image of subspace vector leaves the stated codomain",
-                    witness={"index": j, "vector": b, "image": self.apply(b)},
-                )
-            for i, x in enumerate(coords):
-                if x:
-                    ent[(i, j)] = x
-        nums, den = _over_common_den(ent)
-        return SparseMap._from_ints(dom.dim, cod.dim, nums, den * self.den)
+        img = self @ dom.basis_matrix()
+        at = {p: i for i, p in enumerate(cod.pivots)}
+        coords = SparseMap._from_ints(dom.dim, cod.dim, {
+            (at[r], c): v for (r, c), v in img.entries.items() if r in at
+        }, img.den)
+        back = cod.basis_matrix() @ coords
+        if back != img:
+            j = next(c for c in range(dom.dim) if back.column(c) != img.column(c))
+            b = dom.vectors[j]
+            raise RestrictionError(
+                "image of subspace vector leaves the stated codomain",
+                witness={"index": j, "vector": b, "image": self.apply(b)},
+            )
+        return coords
 
     # -- serialization --------------------------------------------------------
 
@@ -478,7 +455,7 @@ class SparseMap:
         if self.dom_dim != self.cod_dim:
             raise DimensionError("char_poly of non-square map")
         n = self.dom_dim
-        coeffs = [ONE]  # descending during build
+        coeffs = [Fraction(1)]  # descending during build
         A = self
         for k in range(1, n + 1):
             if k > 1:
@@ -559,17 +536,24 @@ class Spectrum:
 
 
 class Subspace:
-    """Subspace of Q^ambient_dim with a reduced echelon basis.
+    """Subspace of Q^ambient_dim with a reduced echelon basis, stored as
+    SparseMap stores a matrix: nums[j] holds the int numerators of basis
+    vector j over one den, den > 0 and gcd(den, every numerator) = 1.
 
-    Basis vectors are sparse dicts, sorted by pivot (last nonzero index),
-    pivot entries are 1 and every basis vector vanishes at the others' pivots.
+    The vectors are sorted by pivot, each one's largest index, where its
+    numerator is den; each vanishes at the others' pivots.  So v lies in
+    the span exactly when den*v - sum v[p_j]*nums[j] is zero, and then its
+    coordinates are the v[p_j].  Fractions appear only at the boundary:
+    vectors, and residue and coordinates_of of Fraction input.
     """
 
-    __slots__ = ("ambient_dim", "vectors", "pivots")
+    __slots__ = ("ambient_dim", "nums", "pivots", "den")
 
-    def __init__(self, ambient_dim, vectors, pivots):
+    def __init__(self, ambient_dim, nums, pivots, den=1):
+        """Trusts nums and pivots to be a reduced echelon basis over den;
+        only their common factor is cancelled."""
         self.ambient_dim = ambient_dim
-        self.vectors = vectors
+        self.nums, self.den = _cancel(nums, den)
         self.pivots = pivots
 
     @classmethod
@@ -578,11 +562,8 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim):
-        return cls(
-            ambient_dim,
-            [{i: ONE} for i in range(ambient_dim)],
-            list(range(ambient_dim)),
-        )
+        return cls(ambient_dim, [{i: 1} for i in range(ambient_dim)],
+                   list(range(ambient_dim)))
 
     @classmethod
     def from_vectors(cls, ambient_dim, vecs):
@@ -593,98 +574,92 @@ class Subspace:
 
     @property
     def dim(self):
-        return len(self.vectors)
+        return len(self.nums)
 
-    def _reduce(self, vec):
-        v = dict(vec)
-        for b, p in zip(self.vectors, self.pivots):
-            x = v.get(p)
-            if x:
-                vec_add(v, b, -x)
-        return v
+    @property
+    def vectors(self):
+        """The basis vectors as Fraction dicts."""
+        den = self.den
+        return [{i: Fraction(x, den) for i, x in b.items()} for b in self.nums]
+
+    def residue(self, vec):
+        """den*vec - sum vec[p_j]*nums[j] in one pass, as a new dict: empty
+        exactly when vec lies in the span.  Ints for int input."""
+        return _combine(self.den, vec, [
+            (-vec[p], b) for b, p in zip(self.nums, self.pivots) if vec.get(p)])
 
     def _insert(self, vec):
-        """The new basis vector spanning vec, or None if vec is inside."""
+        """One fraction-free Gauss-Jordan step, then the common factor is
+        cancelled.  The new basis vector's numerators, or None if inside."""
         for i in vec:
             if not 0 <= i < self.ambient_dim:
                 raise DimensionError("vector outside ambient space")
-        v = self._reduce(vec)
-        if not v:
+        r = self.residue(_over_common_den(vec)[0])
+        if not r:
             return None
-        p = vec_pivot(v)
-        inv = ONE / v[p]
-        v = {i: x * inv for i, x in v.items()}
-        # keep existing vectors reduced against the new pivot
-        for i, b in enumerate(self.vectors):
-            x = b.get(p)
-            if x:
-                self.vectors[i] = b = dict(b)
-                vec_add(b, v, -x)
-        at = 0
-        while at < len(self.pivots) and self.pivots[at] < p:
-            at += 1
-        self.vectors.insert(at, v)
+        p = max(r)
+        g = gcd(*r.values()) if r[p] > 0 else -gcd(*r.values())
+        r = {i: x // g for i, x in r.items()}
+        a = r[p]
+        # the new vector is r / a; b_j - b_j[p] * r / a is over a * den
+        nums = []
+        for b in self.nums:
+            if p in b or a != 1:
+                b = _combine(a, b, [(-b[p], r)] if p in b else ())
+            nums.append(b)
+        at = bisect(self.pivots, p)
+        nums.insert(at, {i: self.den * x for i, x in r.items()})
         self.pivots.insert(at, p)
-        return v
+        self.nums, self.den = _cancel(nums, a * self.den)
+        return self.nums[at]
 
     def contains(self, vec):
-        return not self._reduce(vec)
+        return not self.residue(vec)
 
     def coordinates_of(self, vec):
         """Coordinates in the echelon basis, or None if vec is outside."""
-        coords = [vec.get(p, ZERO) for p in self.pivots]
-        # verify: reduced form means reading pivots suffices iff vec is inside
-        if self._reduce(vec):
+        if self.residue(vec):
             return None
-        return coords
+        return [vec.get(p, 0) for p in self.pivots]
 
     def basis_matrix(self):
-        ent = {}
-        for j, b in enumerate(self.vectors):
-            for i, v in b.items():
-                ent[(i, j)] = v
-        return SparseMap(self.dim, self.ambient_dim, ent)
+        """The basis vectors as the columns of a map into the ambient space."""
+        ent = {(i, j): v for j, b in enumerate(self.nums) for i, v in b.items()}
+        return SparseMap._from_ints(self.dim, self.ambient_dim, ent, self.den)
 
     def intersect(self, other):
+        """Spanned by N x over the kernel x of the columns [N | -N_other]."""
         self._check_ambient(other)
-        if not self.vectors or not other.vectors:
+        if not self.nums or not other.nums:
             return Subspace.zero(self.ambient_dim)
-        cols = {}
-        for j, b in enumerate(self.vectors):
-            cols[j] = b
-        for j, b in enumerate(other.vectors):
-            cols[self.dim + j] = vec_scale(b, -ONE)
-        stacked = SparseMap.from_columns(
-            self.dim + other.dim, self.ambient_dim, cols
-        )
-        mine = self.basis_matrix()
-        vecs = []
-        for kv in stacked.kernel().vectors:
-            x = {j: v for j, v in kv.items() if j < self.dim}
-            vecs.append(mine.apply(x))
-        return Subspace.from_vectors(self.ambient_dim, vecs)
+        cols = self.nums + [{i: -x for i, x in b.items()} for b in other.nums]
+        stacked = SparseMap._from_ints(len(cols), self.ambient_dim, {
+            (i, j): x for j, b in enumerate(cols) for i, x in b.items()})
+        mine, k = self.basis_matrix(), self.dim
+        return Subspace.from_vectors(self.ambient_dim, [
+            mine.apply_numerators({j: x for j, x in kv.items() if j < k})
+            for kv in stacked.kernel().nums])
 
     def complement_of(self, inner):
-        """An echelon complement of inner inside self (inner must sit inside)."""
+        """An echelon complement of inner inside self (inner must sit inside):
+        the basis vectors off the pivots of inner's coordinates."""
         self._check_ambient(inner)
         coords = []
-        for v in inner.vectors:
+        for v in inner.nums:
             c = self.coordinates_of(v)
             if c is None:
                 raise SubspaceError("complement_of: inner subspace not contained")
             coords.append({i: x for i, x in enumerate(c) if x})
         used = set(Subspace.from_vectors(self.dim, coords).pivots)
-        vecs = [self.vectors[i] for i in range(self.dim) if i not in used]
-        return Subspace.from_vectors(self.ambient_dim, vecs)
+        keep = [j for j in range(self.dim) if j not in used]
+        return Subspace(self.ambient_dim, [self.nums[j] for j in keep],
+                        [self.pivots[j] for j in keep], self.den)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        return (
-            self.ambient_dim == other.ambient_dim
-            and self.pivots == other.pivots
-            and self.vectors == other.vectors
-        )
+        return ((self.ambient_dim, self.pivots, self.den, self.nums)
+                == (other.ambient_dim, other.pivots, other.den, other.nums))
 
     __hash__ = None
 
@@ -694,6 +669,28 @@ class Subspace:
     def _check_ambient(self, other):
         if self.ambient_dim != other.ambient_dim:
             raise SubspaceError("ambient dimensions differ")
+
+
+def _cancel(nums, den):
+    """(nums, den) with their common factor cancelled; the gcd stops at the
+    first vector that brings it to 1."""
+    g = den
+    for b in nums:
+        if g == 1:
+            break
+        g = gcd(g, *b.values())
+    if g == 1:
+        return nums, den
+    return [{i: x // g for i, x in b.items()} for b in nums], den // g
+
+
+def _combine(a, u, terms):
+    """a*u + sum x*w over the (x, w) pairs of terms, without zeros."""
+    out = {i: a * y for i, y in u.items()}
+    for x, w in terms:
+        for i, y in w.items():
+            out[i] = out.get(i, 0) + x * y
+    return {i: y for i, y in out.items() if y}
 
 
 # ---------------------------------------------------------------------------

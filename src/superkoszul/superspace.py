@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
-from math import factorial
+from math import factorial, lcm
 
 from .linalg import DimensionError, SparseMap, Subspace, SubspaceError
 
@@ -376,30 +376,34 @@ def split(sub, weights):
     that mixes weights."""
     blocks, local = weight_blocks(weights)
     parts = {}
-    for v, p in zip(sub.vectors, sub.pivots):
+    for v, p in zip(sub.nums, sub.pivots):
         w = weights[p]
         if any(weights[i] != w for i in v):
             raise ValueError("subspace basis vector is not weight-homogeneous")
-        if w not in parts:
-            parts[w] = Subspace.zero(len(blocks[w]))
-        parts[w].vectors.append({local[i]: x for i, x in v.items()})
-        parts[w].pivots.append(local[p])
-    return {w: (part, blocks[w]) for w, part in parts.items()}
+        nums, pivots = parts.setdefault(w, ([], []))
+        nums.append({local[i]: x for i, x in v.items()})
+        pivots.append(local[p])
+    return {w: (Subspace(len(blocks[w]), nums, pivots, sub.den), blocks[w])
+            for w, (nums, pivots) in parts.items()}
 
 
 def join(ambient_dim, parts):
     """The subspace spanned by local subspaces mapped through increasing,
     pairwise disjoint index lists: parts is an iterable of (local Subspace,
-    global indices).  Raises SubspaceError if two parts share a pivot."""
+    global indices).  The numerators are re-indexed and rescaled to the lcm
+    of the part dens.  Raises SubspaceError if two parts share a pivot."""
+    parts = list(parts)
+    den = lcm(*(part.den for part, _ in parts))
     merged = {}
     for part, idx in parts:
-        for v, p in zip(part.vectors, part.pivots):
+        f = den // part.den
+        for v, p in zip(part.nums, part.pivots):
             g = idx[p]
             if g in merged:
                 raise SubspaceError(f"two parts share the pivot {g}")
-            merged[g] = {idx[i]: x for i, x in v.items()}
+            merged[g] = {idx[i]: f * x for i, x in v.items()}
     pivots = sorted(merged)
-    return Subspace(ambient_dim, [merged[p] for p in pivots], pivots)
+    return Subspace(ambient_dim, [merged[p] for p in pivots], pivots, den)
 
 
 def blocked_rank(mat, dom_weights, cod_weights):

@@ -155,6 +155,17 @@ def naive_rank(m):
     return len(naive_rref(dense(m))[0])
 
 
+def dense_span(dim, vecs):
+    """The reduced echelon basis of the span of vecs with each vector
+    pivoted on its largest index, by the dense RREF of the vectors as rows
+    with their columns reversed: (Fraction dicts sorted by pivot, pivots)."""
+    rows = [[Fraction(v.get(dim - 1 - c, 0)) for c in range(dim)] for v in vecs]
+    rref, cols = naive_rref(rows)
+    pairs = sorted((dim - 1 - c, {dim - 1 - j: x for j, x in enumerate(r) if x})
+                   for r, c in zip(rref, cols))
+    return [v for _, v in pairs], [p for p, _ in pairs]
+
+
 def weight_of_letter(space, letter, dual=False):
     """Weight of one letter (dual letters lower)."""
     w = [0] * space.dim
@@ -468,11 +479,12 @@ def full_action(act, product, basis, modulo=None, pairs=None):
             continue
         cols = {}
         for c, v in enumerate(basis.vectors):
-            coords = basis.coordinates_of(modulo._reduce(amb.apply(v)))
+            # the residue is modulo.den times the image modulo the subspace
+            coords = basis.coordinates_of(modulo.residue(amb.apply(v)))
             if coords is None:
                 raise RestrictionError("image leaves the span modulo the subspace",
                                        witness={"generator": (i, j), "index": c})
-            cols[c] = {r: x for r, x in enumerate(coords) if x}
+            cols[c] = {r: x / modulo.den for r, x in enumerate(coords) if x}
         out[(i, j)] = SparseMap.from_columns(basis.dim, basis.dim, cols)
     return out
 
@@ -485,12 +497,12 @@ def subspace_sum(a, b):
     """a + b as one echelon subspace of their common ambient space."""
     if a.ambient_dim != b.ambient_dim:
         raise SubspaceError("ambient dimensions differ")
-    return Subspace.from_vectors(a.ambient_dim, a.vectors + b.vectors)
+    return Subspace.from_vectors(a.ambient_dim, a.nums + b.nums)
 
 
 def subspace_le(a, b):
     """Whether a lies inside b."""
-    return all(b.contains(v) for v in a.vectors)
+    return all(b.contains(v) for v in a.nums)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Plan validation, report determinism, exports, and the per-command report
 builders."""
 
+import hashlib
 import json
 
 import pytest
@@ -149,6 +150,20 @@ def test_run_is_deterministic_and_parallel_safe():
     assert one == two
     par = VerificationPlan(checks=("identities", "characters"), jobs=2, **SMALL)
     assert stable_body(run(par).to_json()) == one.replace('"jobs": 1', '"jobs": 2')
+
+
+# sha256 of the default plan's stable_body, recorded from the report of
+# commit ab10610; the body is meant to stay byte for byte the same
+DEFAULT_BODY_SHA256 = (
+    "6886378101b3550be0a7067d08ab8ed74b8804f480abd6e6409797895db250ad")
+
+
+def test_default_report_body_is_pinned():
+    rep = run(VerificationPlan())
+    body = stable_body(rep.to_json())
+    assert hashlib.sha256(body.encode()).hexdigest() == DEFAULT_BODY_SHA256
+    assert (rep.summary["pass"], rep.summary["fail"], rep.summary["skip"],
+            rep.summary["findings"]) == (449, 0, 117, 3)
 
 
 def test_spectra_run_reports_stated_set_finding():

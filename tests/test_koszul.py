@@ -30,6 +30,7 @@ from superkoszul.koszul import (
     op_target,
     verify_spectrum,
 )
+from superkoszul.harness import VerificationPlan
 from superkoszul.linalg import SparseMap, Subspace
 from superkoszul.superspace import SuperSpace, power_basis
 
@@ -432,6 +433,17 @@ def test_pdeldq_spectra(ctx31, i, k, a):
     assert rep.diagonalizable and rep.invertible
     assert dict(rep.eigenvalues) == eig
     assert rep.matches_derived and rep.matches_stated
+
+
+@pytest.mark.parametrize("cell", [(2, 2, 1), (2, 1, 2), (2, 2, 2)])
+def test_pdeldq_cells_above_the_default_cap(ctx31, cell):
+    # the default dim_cap of verify skips these three cells (spot
+    # dimension up to 4608); run on their own they pass the same gate
+    _, spot, _, _ = ctx31.loop_setup("PdeldQ", cell)
+    assert ctx31.spot_space(spot).dim > VerificationPlan().dim_cap
+    rep = ctx31.loop_spectrum("PdeldQ", cell)
+    assert rep.diagonalizable and rep.invertible and rep.matches_stated
+    assert sum(m for _, m in rep.eigenvalues) == rep.dim
 
 
 def test_loop_spectrum_without_prediction(ctx21):

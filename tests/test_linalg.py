@@ -8,7 +8,7 @@ points with the naive fraction Gauss determinant.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +21,7 @@ from oracles import (
     dense_compose,
     dense_kron,
     dense_lift,
+    dense_span,
     from_dense,
     from_triples,
     naive_rank,
@@ -38,6 +39,7 @@ from superkoszul.linalg import (
     poly_eval,
 )
 from superkoszul.koszul import verify_spectrum
+from superkoszul.superspace import join, split
 
 F = Fraction
 
@@ -297,13 +299,23 @@ def test_contains_and_coordinates():
 
 
 def test_reduce_keeps_its_input_and_insert_returns_the_new_vector():
+    # the basis vector (1/2, 1, 0) is stored as numerators (1, 2) over den 2
     s = Subspace.from_vectors(3, [{0: F(1), 1: F(2)}])
+    assert (s.nums, s.den, s.pivots) == ([{0: 1, 1: 2}], 2, [1])
+    # the residue is den*vec - vec[1]*nums[0] = 2*(1, 2, 3) - 2*(1, 2, 0)
     vec = {0: F(1), 1: F(2), 2: F(3)}
-    assert s._reduce(vec) == {2: F(3)}
+    assert s.residue(vec) == {2: F(6)}
     assert vec == {0: F(1), 1: F(2), 2: F(3)}
-    assert s._insert(vec) == {2: F(1)}
+    ints = {0: 1, 1: 2, 2: 3}
+    r = s.residue(ints)
+    assert r == {2: 6} and all(type(x) is int for x in r.values())
+    assert ints == {0: 1, 1: 2, 2: 3}
+    new = s._insert(vec)
+    assert new == {2: 2} and new is s.nums[1]
+    assert s.vectors == [{0: F(1, 2), 1: F(1)}, {2: F(1)}]
     assert s._insert({0: F(2), 1: F(4)}) is None
-    assert s.pivots == [1, 2]
+    assert s._insert({0: 2, 1: 4, 2: -7}) is None
+    assert (s.pivots, s.den) == ([1, 2], 2)
 
 
 def test_sum_and_intersect():
@@ -367,8 +379,19 @@ def test_restrict_failure_has_witness():
         m.restrict(s, s)
     w = ei.value.witness
     assert w is not None
+    assert w["index"] == 0
     assert m.apply(w["vector"]) == w["image"]
     assert not s.contains(w["image"])
+
+
+def test_restrict_witness_is_the_first_column_that_leaves():
+    # e0 stays inside span(e0, e1 + e2); e1 -> e1 and e2 -> e1 + 2 e2 leave
+    m = from_dense([[1, 0, 0], [0, 1, 1], [0, 0, 2]])
+    dom = Subspace.full(3)
+    cod = Subspace.from_vectors(3, [{0: F(1)}, {1: F(1), 2: F(1)}])
+    with pytest.raises(RestrictionError) as ei:
+        m.restrict(dom, cod)
+    assert ei.value.witness == {"index": 1, "vector": {1: F(1)}, "image": {1: F(1)}}
 
 
 def test_restrict_then_apply_commutes():
@@ -530,6 +553,8 @@ def test_prop_kernel_is_canonical(m):
     # back-substitution already gives the reduced echelon basis that
     # from_vectors would build, each vector pivoted on its largest index
     ker = m.kernel()
+    assert_canonical_subspace(ker)
+    assert_canonical_subspace(m.image())
     assert ker == Subspace.from_vectors(m.dom_dim, ker.vectors)
     for v, p in zip(ker.vectors, ker.pivots):
         assert p == max(v)
@@ -737,3 +762,174 @@ def test_prop_every_result_is_canonical(data):
     assert a.add(b, s) == a + s * b
     assert SparseMap.combination(dom, cod, [(1, a), (-2, b), (3, a)]) == (
         a.scaled(4) - b.scaled(2))
+
+
+# ---------------------------------------------------------------------------
+# Subspace bases as ints over one den, pinned to the dense Fraction RREF
+
+
+def assert_canonical_subspace(s):
+    # den > 0 with no common factor, each vector pivoted on its largest
+    # index with numerator den there and zero at the other pivots
+    assert type(s.den) is int and s.den > 0
+    assert s.pivots == sorted(set(s.pivots)) and len(s.pivots) == s.dim
+    assert all(type(x) is int and x for b in s.nums for x in b.values())
+    assert gcd(s.den, *(x for b in s.nums for x in b.values())) == 1
+    for b, p in zip(s.nums, s.pivots):
+        assert max(b) == p and b[p] == s.den
+        assert all(0 <= i < s.ambient_dim for i in b)
+        assert not any(q in b for q in s.pivots if q != p)
+
+
+def rank_of(dim, vecs):
+    return len(dense_span(dim, vecs)[1])
+
+
+def combination(coeffs, vecs):
+    out = {}
+    for c, v in zip(coeffs, vecs):
+        for i, x in v.items():
+            out[i] = out.get(i, F(0)) + c * x
+    return {i: x for i, x in out.items() if x}
+
+
+@st.composite
+def spans(draw, dim, max_size=4):
+    return draw(st.lists(sparse_vectors(dim), max_size=max_size))
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_prop_from_vectors_and_insert_match_dense(data):
+    dim = data.draw(st.integers(1, 5))
+    vecs = data.draw(spans(dim, 5))
+    s = Subspace.zero(dim)
+    for k, v in enumerate(vecs):
+        new = s._insert(v)
+        assert (new is None) == (rank_of(dim, vecs[:k + 1]) == rank_of(dim, vecs[:k]))
+        if new is not None:
+            assert new is s.nums[s.pivots.index(max(new))]
+        assert_canonical_subspace(s)
+        assert (s.vectors, s.pivots) == dense_span(dim, vecs[:k + 1])
+    assert s == Subspace.from_vectors(dim, vecs)
+    # clearing Fraction input to ints spans the same line
+    assert s == Subspace.from_vectors(
+        dim, [{i: x * 60 for i, x in v.items()} for v in vecs])
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_prop_contains_residue_and_coordinates_match_dense(data):
+    dim = data.draw(st.integers(1, 5))
+    vecs = data.draw(spans(dim))
+    s = Subspace.from_vectors(dim, vecs)
+    basis, pivots = dense_span(dim, vecs)
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=s.dim, max_size=s.dim))
+    inside = combination(coeffs, basis)
+    for vec in (inside, data.draw(sparse_vectors(dim))):
+        member = rank_of(dim, vecs + [vec]) == s.dim
+        assert s.contains(vec) == member
+        off = combination([1] + [-vec.get(p, 0) for p in pivots], [vec] + basis)
+        assert s.residue(vec) == {i: s.den * x for i, x in off.items()}
+        coords = s.coordinates_of(vec)
+        if member:
+            assert combination(coords, basis) == vec
+        else:
+            assert coords is None
+        k = lcm(*(x.denominator for x in vec.values()))
+        ints = {i: x.numerator * (k // x.denominator) for i, x in vec.items()}
+        assert all(type(x) is int for x in s.residue(ints).values())
+        assert s.contains(ints) == member
+    assert s.coordinates_of(inside) == coeffs
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_prop_basis_matrix_holds_the_basis(data):
+    dim = data.draw(st.integers(0, 5))
+    s = Subspace.from_vectors(dim, data.draw(spans(dim)) if dim else [])
+    m = s.basis_matrix()
+    assert_canonical(m)
+    assert (m.dom_dim, m.cod_dim, m.den) == (s.dim, dim, s.den)
+    assert [m.column(j) for j in range(s.dim)] == s.vectors
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_prop_intersect_matches_dense(data):
+    dim = data.draw(st.integers(1, 5))
+    avecs, bvecs = data.draw(spans(dim)), data.draw(spans(dim))
+    a, b = Subspace.from_vectors(dim, avecs), Subspace.from_vectors(dim, bvecs)
+    cap = a.intersect(b)
+    assert_canonical_subspace(cap)
+    # inside both, with dim A + dim B - dim(A + B): so it is A cap B
+    assert cap.dim == a.dim + b.dim - rank_of(dim, avecs + bvecs)
+    assert all(a.contains(v) and b.contains(v) for v in cap.vectors)
+    assert (cap.vectors, cap.pivots) == dense_span(dim, cap.vectors)
+    assert cap == b.intersect(a)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_prop_complement_of_matches_dense(data):
+    dim = data.draw(st.integers(1, 5))
+    w = Subspace.from_vectors(dim, data.draw(spans(dim)))
+    inner_vecs = [
+        combination(data.draw(st.lists(st.integers(-2, 2), min_size=w.dim,
+                                       max_size=w.dim)), w.vectors)
+        for _ in range(data.draw(st.integers(0, 3)))]
+    inner = Subspace.from_vectors(dim, inner_vecs)
+    comp = w.complement_of(inner)
+    assert_canonical_subspace(comp)
+    # a subset of w's basis that completes inner to w
+    assert all(v in w.vectors for v in comp.vectors)
+    assert comp.dim == w.dim - inner.dim
+    assert rank_of(dim, inner_vecs + comp.vectors) == w.dim
+    outside = data.draw(sparse_vectors(dim))
+    if not w.contains(outside):
+        with pytest.raises(SubspaceError):
+            w.complement_of(Subspace.from_vectors(dim, [outside]))
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_prop_split_join_round_trip(data):
+    weights = data.draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=6))
+    dim = len(weights)
+    vecs = []
+    for v in data.draw(spans(dim)):
+        w = data.draw(st.sampled_from(weights))
+        vecs.append({i: x for i, x in v.items() if weights[i] == w})
+    s = Subspace.from_vectors(dim, vecs)
+    parts = split(s, weights)
+    for local, idx in parts.values():
+        assert_canonical_subspace(local)
+        glob = [{idx[i]: x for i, x in v.items()} for v in local.vectors]
+        assert all(v in s.vectors for v in glob)
+    back = join(dim, parts.values())
+    assert_canonical_subspace(back)
+    assert back == s
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_prop_restrict_witness_is_the_first_column_that_leaves(data):
+    dom, cod = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    m = data.draw(maps_of_shape(dom, cod))
+    sub = Subspace.from_vectors(dom, data.draw(spans(dom)))
+    target = Subspace.from_vectors(cod, data.draw(spans(cod)))
+    images = [dense_apply(m, b) for b in sub.vectors]
+    leaving = [j for j, img in enumerate(images)
+               if rank_of(cod, target.vectors + [img]) > target.dim]
+    if not leaving:
+        r = m.restrict(sub, target)
+        for j, img in enumerate(images):
+            assert combination([r.entry(i, j) for i in range(target.dim)],
+                               target.vectors) == img
+        return
+    with pytest.raises(RestrictionError) as exc:
+        m.restrict(sub, target)
+    w = exc.value.witness
+    assert w["index"] == leaving[0]
+    assert w["vector"] == sub.vectors[leaving[0]]
+    assert w["image"] == images[leaving[0]]
