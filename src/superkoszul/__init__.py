@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .linalg import (
     DimensionError,
-    EliminationError,
     RestrictionError,
     SparseMap,
     Spectrum,
@@ -15,7 +14,6 @@ from .linalg import (
 
 __all__ = [
     "DimensionError",
-    "EliminationError",
     "RestrictionError",
     "SparseMap",
     "Spectrum",

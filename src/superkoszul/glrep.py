@@ -180,7 +180,7 @@ class GradedSpan:
             return None
         w = self.weight_of(vec)
         block = self.blocks.setdefault(w, Subspace.zero(self.ambient_dim))
-        return block._insert(vec)
+        return block.insert(vec)
 
     def contains(self, vec):
         if not vec:

@@ -9,9 +9,10 @@ images, basis vectors) are Fractions.  No floats anywhere; a residual
 either is zero or it is not.
 
 A Subspace keeps the reduced echelon basis whose pivots are each vector's
-largest index.  That is the form back-substitution through the Bareiss
-echelon leaves a kernel basis in, so SparseMap.kernel hands its numerators
-to Subspace without reducing them again.
+largest index, built one vector at a time by Subspace.insert, the one
+elimination of the package: image and rank insert the numerator columns,
+kernel inserts the numerator rows with their columns reversed and reads
+the kernel basis off the reduced rows.
 """
 
 from __future__ import annotations
@@ -23,14 +24,12 @@ from math import gcd, lcm
 
 __all__ = [
     "DimensionError",
-    "EliminationError",
     "RestrictionError",
     "SpectrumError",
     "SubspaceError",
     "SparseMap",
     "Subspace",
     "Spectrum",
-    "poly_eval",
     "poly_clear",
 ]
 
@@ -52,10 +51,6 @@ class WitnessedError(Exception):
 
 class RestrictionError(WitnessedError, ValueError):
     """A map failed to carry a subspace where it was claimed to."""
-
-
-class EliminationError(WitnessedError, ArithmeticError):
-    """A Bareiss division left a remainder; the witness names the step."""
 
 
 class SpectrumError(WitnessedError, ArithmeticError):
@@ -303,99 +298,35 @@ class SparseMap:
 
     # -- elimination ---------------------------------------------------------
 
-    def _integer_rows(self):
-        """The numerator rows: den times the matrix, which has its rank."""
-        rows = {}
-        for (r, c), v in self.entries.items():
-            rows.setdefault(r, {})[c] = v
-        return list(rows.values())
-
-    def _echelon(self):
-        """Row echelon form by fraction-free Bareiss elimination.
-
-        The rows are the integer numerators; at each step the pivot column is
-        the smallest column index still present and the pivot row is chosen by
-        minimal bit size of its pivot entry.  All divisions are exact.
-        Returns (rows, pivot_cols): the integer pivot rows in elimination
-        order, rows[i] starting at column pivot_cols[i], which increase.
-        """
-        rows = self._integer_rows()
-        done = []
-        pivots = []
-        prev = 1
-        while rows:
-            col = min(min(row) for row in rows)
-            cand = [i for i, row in enumerate(rows) if col in row]
-            piv_i = min(cand, key=lambda i: abs(rows[i][col]).bit_length())
-            piv_row = rows.pop(piv_i)
-            p = piv_row[col]
-            done.append(piv_row)
-            pivots.append(col)
-            nxt = []
-            for row in rows:
-                f = row.pop(col, 0)
-                new = {}
-                if f:
-                    for j in set(row) | set(piv_row):
-                        if j == col:
-                            continue
-                        num = row.get(j, 0) * p - f * piv_row.get(j, 0)
-                        if num:
-                            q, rem = divmod(num, prev)
-                            if rem:
-                                raise EliminationError(
-                                    "Bareiss division not exact",
-                                    {"pivot_col": col, "numerator": num, "divisor": prev})
-                            new[j] = q
-                else:
-                    for j, v in row.items():
-                        num = v * p
-                        q, rem = divmod(num, prev)
-                        if rem:
-                            raise EliminationError(
-                                "Bareiss division not exact",
-                                {"pivot_col": col, "numerator": num, "divisor": prev})
-                        new[j] = q
-                if new:
-                    nxt.append(new)
-            rows = nxt
-            prev = p
-        return done, pivots
-
     def rank(self):
-        """Number of pivots of the Bareiss echelon form."""
-        return len(self._echelon()[1])
+        """The dimension of the image."""
+        return self.image().dim
 
     def kernel(self):
         """Kernel as a Subspace of the domain.
 
-        Each free column f, set to 1 with the other free columns 0, is
-        back-substituted through the echelon rows from the last pivot up.
-        The vector has its other entries on pivot columns below f, so f is
-        its largest index and it vanishes at every other free column: the
-        reduced echelon basis, with the free columns as pivots.  Over the
-        last Bareiss pivot, a determinant of the pivot rows and columns,
-        every value is an int (Cramer's rule), so all divisions are exact.
+        The numerator rows, with column c renamed last - c and fed by their
+        largest renamed index, reduce to a Subspace whose vectors pivot on
+        their smallest column q_j: row_j is den at q_j, zero at the other
+        q's, and row_j[f] is nonzero only for f > q_j.  So each free column f gives
+        den*e_f - sum_j row_j[f]*e_{q_j}, whose largest index is f and which
+        vanishes at every other free column: the reduced echelon basis, with
+        the free columns as pivots, and no division.
         """
-        rows, pivots = self._echelon()
-        pivset = set(pivots)
-        steps = list(zip(rows, pivots))[::-1]
-        den = abs(rows[-1][pivots[-1]]) if rows else 1
-        free = [f for f in range(self.dom_dim) if f not in pivset]
-        basis = []
-        for f in free:
-            v = {f: den}
-            for row, p in steps:
-                if p > f:
-                    continue
-                s = sum(v[j] * x for j, x in row.items() if j in v)
-                if s:
-                    v[p], rem = divmod(-s, row[p])
-                    if rem:
-                        raise EliminationError("back-substitution not exact",
-                                               {"free_col": f, "pivot_col": p})
-            basis.append(v)
-        return Subspace(self.dom_dim, basis, free, den)
+        last = self.dom_dim - 1
+        rows = {}
+        for (r, c), v in self.entries.items():
+            rows.setdefault(r, {})[last - c] = v
+        rowspace = Subspace.from_vectors(self.dom_dim, sorted(rows.values(), key=max))
+        den = rowspace.den
+        pivots = {last - p for p in rowspace.pivots}
+        free = [f for f in range(self.dom_dim) if f not in pivots]
+        basis = {f: {f: den} for f in free}
+        for row, p in zip(rowspace.nums, rowspace.pivots):
+            for i, x in row.items():
+                if i != p:
+                    basis[last - i][last - p] = -x
+        return Subspace(self.dom_dim, [basis[f] for f in free], free, den)
 
     def image(self):
         """Spanned by the numerator columns, den times the true ones."""
@@ -569,7 +500,7 @@ class Subspace:
     def from_vectors(cls, ambient_dim, vecs):
         sub = cls.zero(ambient_dim)
         for v in vecs:
-            sub._insert(v)
+            sub.insert(v)
         return sub
 
     @property
@@ -588,29 +519,32 @@ class Subspace:
         return _combine(self.den, vec, [
             (-vec[p], b) for b, p in zip(self.nums, self.pivots) if vec.get(p)])
 
-    def _insert(self, vec):
+    def insert(self, vec):
         """One fraction-free Gauss-Jordan step, then the common factor is
         cancelled.  The new basis vector's numerators, or None if inside."""
         for i in vec:
             if not 0 <= i < self.ambient_dim:
                 raise DimensionError("vector outside ambient space")
-        r = self.residue(_over_common_den(vec)[0])
+        if not all(type(x) is int for x in vec.values()):
+            vec = _over_common_den(vec)[0]
+        r = self.residue(vec)
         if not r:
             return None
         p = max(r)
         g = gcd(*r.values()) if r[p] > 0 else -gcd(*r.values())
-        r = {i: x // g for i, x in r.items()}
+        if g != 1:
+            r = {i: x // g for i, x in r.items()}
         a = r[p]
-        # the new vector is r / a; b_j - b_j[p] * r / a is over a * den
-        nums = []
-        for b in self.nums:
-            if p in b or a != 1:
-                b = _combine(a, b, [(-b[p], r)] if p in b else ())
-            nums.append(b)
+        # the new vector is r / a; b_j - b_j[p] * r / a is over a * den, so
+        # the vectors without p are only scaled by a
+        nums = [_combine(a, b, [(-b[p], r)]) if p in b
+                else {i: a * x for i, x in b.items()} if a != 1 else b
+                for b in self.nums]
+        den = self.den
         at = bisect(self.pivots, p)
-        nums.insert(at, {i: self.den * x for i, x in r.items()})
+        nums.insert(at, r if den == 1 else {i: den * x for i, x in r.items()})
         self.pivots.insert(at, p)
-        self.nums, self.den = _cancel(nums, a * self.den)
+        self.nums, self.den = _cancel(nums, a * den)
         return self.nums[at]
 
     def contains(self, vec):
@@ -695,13 +629,6 @@ def _combine(a, u, terms):
 
 # ---------------------------------------------------------------------------
 # polynomial helpers (ascending coefficient lists)
-
-
-def poly_eval(coeffs, x):
-    acc = ZERO
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
 
 
 def poly_clear(coeffs):

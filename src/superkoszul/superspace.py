@@ -165,23 +165,13 @@ class PowerBasis:
     # past the part of the multiset it has to cross, the magnitude is the
     # multiplicity ratio from the projector normalization.
 
-    def _sign_from_right(self, mu, i):
-        """Walk letter i from the right end into ascending position."""
-        crossed = sum(1 for a in mu if a > i)
-        odd_crossed = sum(1 for a in mu if a > i and self.space.parity(a))
+    def _walk_sign(self, mu, i, from_right):
+        """Walk letter i from the right (left) end into ascending position,
+        crossing the letters of mu above (below) it."""
+        crossed = [a for a in mu if (a > i if from_right else a < i)]
+        odd_crossed = sum(1 for a in crossed if self.space.parity(a))
         sign = 1
-        if self.kind == "alt" and crossed % 2:
-            sign = -sign
-        if self.space.parity(i) and odd_crossed % 2:
-            sign = -sign
-        return sign
-
-    def _sign_from_left(self, mu, i):
-        """Walk letter i from the left end into ascending position."""
-        crossed = sum(1 for a in mu if a < i)
-        odd_crossed = sum(1 for a in mu if a < i and self.space.parity(a))
-        sign = 1
-        if self.kind == "alt" and crossed % 2:
+        if self.kind == "alt" and len(crossed) % 2:
             sign = -sign
         if self.space.parity(i) and odd_crossed % 2:
             sign = -sign
@@ -201,11 +191,7 @@ class PowerBasis:
                 row = target.index.get(nu)
                 if row is None:
                     continue
-                sign = (
-                    self._sign_from_right(mu, i)
-                    if op == "append"
-                    else self._sign_from_left(mu, i)
-                )
+                sign = self._walk_sign(mu, i, op == "append")
                 ent[(row, col)] = (mu.count(i) + 1) * sign
             m = SparseMap._from_ints(self.dim, target.dim, ent, self.degree + 1)
         elif op in ("drop_last", "drop_first"):
@@ -221,12 +207,7 @@ class PowerBasis:
                     nu.remove(i)
                     nu = tuple(nu)
                     row = target.index[nu]
-                    sign = (
-                        self._sign_from_right(nu, i)
-                        if op == "drop_last"
-                        else self._sign_from_left(nu, i)
-                    )
-                    ent[(row, col)] = sign
+                    ent[(row, col)] = self._walk_sign(nu, i, op == "drop_last")
                 m = SparseMap._from_ints(self.dim, target.dim, ent)
         else:
             raise ValueError(f"unknown factor op {op!r}")

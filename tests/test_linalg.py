@@ -25,18 +25,17 @@ from oracles import (
     from_dense,
     from_triples,
     naive_rank,
+    naive_rref,
     subspace_sum,
     transpose,
 )
 from superkoszul.linalg import (
     DimensionError,
-    EliminationError,
     RestrictionError,
     SparseMap,
     SpectrumError,
     Subspace,
     SubspaceError,
-    poly_eval,
 )
 from superkoszul.koszul import verify_spectrum
 from superkoszul.superspace import join, split
@@ -310,11 +309,11 @@ def test_reduce_keeps_its_input_and_insert_returns_the_new_vector():
     r = s.residue(ints)
     assert r == {2: 6} and all(type(x) is int for x in r.values())
     assert ints == {0: 1, 1: 2, 2: 3}
-    new = s._insert(vec)
+    new = s.insert(vec)
     assert new == {2: 2} and new is s.nums[1]
     assert s.vectors == [{0: F(1, 2), 1: F(1)}, {2: F(1)}]
-    assert s._insert({0: F(2), 1: F(4)}) is None
-    assert s._insert({0: 2, 1: 4, 2: -7}) is None
+    assert s.insert({0: F(2), 1: F(4)}) is None
+    assert s.insert({0: 2, 1: 4, 2: -7}) is None
     assert (s.pivots, s.den) == ([1, 2], 2)
 
 
@@ -480,20 +479,6 @@ def test_spectrum_rejects_a_geometric_multiplicity_out_of_range(monkeypatch):
     assert exc.value.witness == {"eigenvalue": F(2), "alg": 1, "geo": 0}
 
 
-def test_bareiss_rejects_an_inexact_division(monkeypatch):
-    # the second row's update (0 * 1 - 1 * 1/2) / 1 leaves a remainder
-    rows = [{0: 1, 1: F(1, 2)}, {0: 1}]
-    monkeypatch.setattr(SparseMap, "_integer_rows",
-                        lambda self: [dict(r) for r in rows])
-    with pytest.raises(EliminationError) as exc:
-        from_dense([[1, 1], [1, 0]]).rank()
-    assert exc.value.witness == {"pivot_col": 0, "numerator": F(-1, 2), "divisor": 1}
-
-
-def test_poly_eval():
-    assert poly_eval([F(1), F(2), F(3)], F(2)) == F(1) + F(4) + F(12)
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -536,8 +521,8 @@ def sparse_maps(draw, max_dim=5):
 @given(sparse_maps())
 @settings(max_examples=60, deadline=None)
 def test_prop_rank_nullity(m):
-    # rank and kernel share one elimination, so both are pinned to the
-    # dense oracle rather than only to each other
+    # rank reduces the columns and kernel the reversed rows, both through
+    # Subspace.insert; each is pinned to the dense oracle, not to the other
     rank = naive_rank(m)
     assert m.rank() == rank
     ker = m.kernel()
@@ -550,14 +535,40 @@ def test_prop_rank_nullity(m):
 @given(sparse_maps())
 @settings(max_examples=60, deadline=None)
 def test_prop_kernel_is_canonical(m):
-    # back-substitution already gives the reduced echelon basis that
-    # from_vectors would build, each vector pivoted on its largest index
+    # the kernel read off the reduced reversed rows is already the reduced
+    # echelon basis that from_vectors would build, each vector pivoted on
+    # its largest index
     ker = m.kernel()
     assert_canonical_subspace(ker)
     assert_canonical_subspace(m.image())
     assert ker == Subspace.from_vectors(m.dom_dim, ker.vectors)
     for v, p in zip(ker.vectors, ker.pivots):
         assert p == max(v)
+
+
+def dense_null_space(m):
+    """A null-space basis read off the dense RREF: one vector per free
+    column f, 1 at f and minus the pivot rows' entries at f."""
+    rows, pivots = naive_rref(dense(m))
+    out = []
+    for f in range(m.dom_dim):
+        if f not in pivots:
+            v = {f: F(1)}
+            for row, q in zip(rows, pivots):
+                if row[f]:
+                    v[q] = -row[f]
+            out.append(v)
+    return out
+
+
+@given(sparse_maps())
+@settings(max_examples=80, deadline=None)
+def test_prop_kernel_and_rank_match_dense(m):
+    # pivot for pivot: the kernel equals the canonical span of a dense
+    # null-space basis, and the rank is the dense one
+    ker = m.kernel()
+    assert (ker.vectors, ker.pivots) == dense_span(m.dom_dim, dense_null_space(m))
+    assert m.rank() == naive_rank(m)
 
 
 def annihilated(m, eigenvalues):
@@ -805,7 +816,7 @@ def test_prop_from_vectors_and_insert_match_dense(data):
     vecs = data.draw(spans(dim, 5))
     s = Subspace.zero(dim)
     for k, v in enumerate(vecs):
-        new = s._insert(v)
+        new = s.insert(v)
         assert (new is None) == (rank_of(dim, vecs[:k + 1]) == rank_of(dim, vecs[:k]))
         if new is not None:
             assert new is s.nums[s.pivots.index(max(new))]
