@@ -319,8 +319,12 @@ def ch_atypical(label):
 
 
 def ch_v(label):
-    """ch of the irreducible with the given dominant integral label."""
+    """ch of the irreducible with the given dominant integral label; raises
+    CharacterError on a label that is not dominant, which no
+    finite-dimensional irreducible has as its highest weight."""
     info = classify_weight(label)
+    if not info["dominant"]:
+        raise CharacterError(f"label {label} is not dominant")
     return ch_typical(label) if info["typical"] else ch_atypical(label)
 
 

@@ -182,13 +182,6 @@ class GradedSpan:
         block = self.blocks.setdefault(w, Subspace.zero(self.ambient_dim))
         return block.insert(vec)
 
-    def contains(self, vec):
-        if not vec:
-            return True
-        w = self.weight_of(vec)
-        block = self.blocks.get(w)
-        return block is not None and block.contains(vec)
-
 
 # ---------------------------------------------------------------------------
 # modules
@@ -488,27 +481,29 @@ class Constructor:
         return out
 
     def y_summand(self, n, p):
-        """Complement summand of the two-column splitting at (i,a) =
-        (n-1, p-n), inside the triple spot S_n . S*_p."""
+        """Y = Ker(del.P) inside the triple spot S_n . S*_p: the summand of
+        the two-column splitting at (i,a) = (n-1, p-n) that complements the
+        image of Q.d."""
         if min(n, p) < 1:
             raise ValueError(f"parameters must be at least 1, got {(n, p)}")
         i, a = n - 1, p - n
-        _, b_sub = self.ctx.splitting("prop1", (i, a))
+        y_sub = self.ctx.splitting("prop1", (i, a))
         spot = Spot(i + 1, 0, a + i + 1)
         return module_from_subspace(
-            self.act, self.ctx.spot_space(spot), b_sub, f"Y({n},{p})"
+            self.act, self.ctx.spot_space(spot), y_sub, f"Y({n},{p})"
         )
 
     def zk(self, k, l, m):
-        """Z-summand of the kernel splitting inside S_k . Im d_(l,m); the
-        splitting reads Ker(P (x) id) on S_(k-1) . L_(l+1) . S*_m."""
+        """Z = d(Ker(P.del.d)) inside S_k . Im d_(l,m), with d leaving the
+        spot S_k . L_l . S*_m: the summand of the kernel splitting that lies
+        in Ker(P.del)."""
         if k < 1 or min(l, m) < 0:
             raise ValueError(
                 f"k must be at least 1 and l, m at least 0, got {(k, l, m)}")
         i = k - 1
         kk = l
         a = m - i - kk - 1
-        _, z_sub, _ = self.ctx.splitting("prop2", (i, kk, a))
+        z_sub = self.ctx.splitting("prop2", (i, kk, a))
         if z_sub.dim == 0:
             raise ValueError(
                 f"the Z summand is empty for these parameters, got {(k, l, m)}")

@@ -29,7 +29,6 @@ from .superspace import (
     blocked_image,
     blocked_kernel,
     blocked_rank,
-    join,
     power_basis,
     split,
     split_graded,
@@ -537,14 +536,15 @@ class KoszulContext:
     # -- splittings ----------------------------------------------------------------
 
     def splitting(self, which, params):
-        """Two complementary subspaces (A, B) with A + B direct, computed
-        once per (which, params); callers only read the returned subspaces.
+        """The summand of the paper's splitting that a module is built on,
+        computed once per (which, params); callers only read the subspace.
 
-        which="prop1": (i,a); ambient S_{i+1} (x) S*_{a+i+1} as the triple spot
-            (i+1, 0, a+i+1); A = image of Q.d, B = Ker(del.P).
-        which="prop2": (i,k,a); inside W = image of id (x) d on the spot
-            (i+1, k, a+i+k+1); A = image of d.Q on Ker(P (x) id), B = W
-            intersected with Ker(P.del).  A + B = W, not the whole spot.
+        which="prop1": (i,a); on the triple spot (i+1, 0, a+i+1), the summand
+            Y = Ker(del.P) that complements the image of Q.d.
+        which="prop2": (i,k,a); with l = a+i+k+1, inside W = image of d on
+            the spot (i+1, k, l), the summand Z = W intersected with
+            Ker(P.del).  Since d y lies in Ker(P.del) exactly when y lies
+            in Ker(P.del.d), Z = d(Ker(P.del.d)), with no intersection.
         """
         key = (which, tuple(params))
         if key not in self._splittings:
@@ -556,29 +556,21 @@ class KoszulContext:
             i, a = params
             spot = Spot(i + 1, 0, a + i + 1)
             inner = Spot(i, 0, a + i)
-            qd = self.composed_to(["d", "Q"], inner, spot)
-            w = self.spot_space(spot).weights()
-            a_sub = blocked_image(qd, self.spot_space(inner).weights(), w)
             delp = self.composed_to(["P", "del"], spot, inner)
-            b_sub = blocked_kernel(delp, w, self.spot_space(inner).weights())
-            return a_sub, b_sub
+            return blocked_kernel(delp, self.spot_space(spot).weights(),
+                                  self.spot_space(inner).weights())
         if which == "prop2":
             i, k, a = params
             l = a + i + k + 1
-            wspot = Spot(i + 1, k + 1, l + 1)
-            w_weights = self.spot_space(wspot).weights()
-            kspot = Spot(i, k + 1, l)
-            ker = self.kerp_space(kspot)
-            dq = self.composed_to(["Q", "d"], kspot, wspot)
-            a_sub = (dq @ ker.basis_matrix()).image()
-            w_map = self.operator("d", Spot(i + 1, k, l))
-            w_sub = blocked_image(
-                w_map, self.spot_space(Spot(i + 1, k, l)).weights(), w_weights
+            src, dst = Spot(i + 1, k, l), Spot(i, k + 1, l)
+            w_src = self.spot_space(src).weights()
+            pdeld = self.composed_to(["d", "del", "P"], src, dst)
+            ker = blocked_kernel(pdeld, w_src, self.spot_space(dst).weights())
+            return blocked_image(
+                self.operator("d", src) @ ker.basis_matrix(),
+                [w_src[p] for p in ker.pivots],
+                self.spot_space(Spot(i + 1, k + 1, l + 1)).weights(),
             )
-            pdel = self.composed_to(["del", "P"], wspot, kspot)
-            pk = blocked_kernel(pdel, w_weights, self.spot_space(kspot).weights())
-            b_sub = _graded_intersect(w_sub, pk, w_weights)
-            return a_sub, b_sub, w_sub
         raise ValueError(f"unknown splitting {which!r}")
 
     def xdanh_check(self, k, l):
@@ -719,14 +711,3 @@ def _restrict_blocked(mat, sub, weights):
     graded = split_graded(mat, weights, weights)
     return [graded[w][0].restrict(local, local)
             for w, (local, _) in split(sub, weights).items()]
-
-
-def _graded_intersect(a, b, weights):
-    """Intersection of two weight-graded subspaces, block by block."""
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError("ambient mismatch")
-    parts_a, parts_b = split(a, weights), split(b, weights)
-    return join(a.ambient_dim, (
-        (la.intersect(parts_b[w][0]), idx)
-        for w, (la, idx) in parts_a.items() if w in parts_b
-    ))

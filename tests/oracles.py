@@ -10,9 +10,10 @@ supercommutator relations, the action of every E_ij (Cartan included)
 restricted to a module or tested against an operator, the highest weight of
 a module, the inverse of SparseMap.to_triples, transposes, letter weights,
 subspace sums and containment, the homology of the transfer complex, the
-pair splitting as subspaces, tensor products of modules, the calibration of
-d against del, and Laurent-polynomial helpers (powers, inverted and permuted
-variables, fraction equality).
+pair splitting and every summand of the two triple-spot splittings as
+subspaces, tensor products of modules, the calibration of d against del,
+and Laurent-polynomial helpers (powers, inverted and permuted variables,
+fraction equality).
 """
 
 from collections import Counter
@@ -22,7 +23,7 @@ from math import factorial
 
 from superkoszul.characters import CharacterError, CharFraction, LaurentPoly
 from superkoszul.glrep import GLModule, ModuleError
-from superkoszul.koszul import KoszulError, op_target
+from superkoszul.koszul import KoszulError, Spot, op_target
 from superkoszul.linalg import (
     DimensionError,
     RestrictionError,
@@ -33,8 +34,11 @@ from superkoszul.linalg import (
 from superkoszul.superspace import (
     ProductSpace,
     blocked_image,
+    blocked_kernel,
     blocked_rank,
+    join,
     sort_sign,
+    split,
     split_graded,
 )
 
@@ -554,6 +558,43 @@ def xdanh_splitting(ctx, k, l):
     proj = ctx.pair_del(k + 1, l + 1) @ ctx.pair_d(k, l)
     b_sub = blocked_image(proj, ps.weights(), ps.weights())
     return a_sub, b_sub
+
+
+def splitting_summands(ctx, which, params):
+    """Every summand of the paper's two splittings, built the long way.
+
+    prop1 (i,a): (A, B) on the spot (i+1, 0, a+i+1), A the image of Q.d and
+    B = Ker(del.P).  prop2 (i,k,a): (A, B, W) on the spot (i+1, k+1, l+1),
+    l = a+i+k+1, W the image of d, A the image of d.Q on Ker(P (x) id) and
+    B = W intersected with Ker(P.del)."""
+    if which == "prop1":
+        i, a = params
+        spot, inner = Spot(i + 1, 0, a + i + 1), Spot(i, 0, a + i)
+        w, w_inner = ctx.spot_space(spot).weights(), ctx.spot_space(inner).weights()
+        a_sub = blocked_image(ctx.composed_to(["d", "Q"], inner, spot), w_inner, w)
+        b_sub = blocked_kernel(ctx.composed_to(["P", "del"], spot, inner), w, w_inner)
+        return a_sub, b_sub
+    if which == "prop2":
+        i, k, a = params
+        l = a + i + k + 1
+        src, kspot = Spot(i + 1, k, l), Spot(i, k + 1, l)
+        wspot = Spot(i + 1, k + 1, l + 1)
+        w, w_k = ctx.spot_space(wspot).weights(), ctx.spot_space(kspot).weights()
+        dq = ctx.composed_to(["Q", "d"], kspot, wspot)
+        a_sub = (dq @ ctx.kerp_space(kspot).basis_matrix()).image()
+        w_sub = blocked_image(ctx.operator("d", src), ctx.spot_space(src).weights(), w)
+        pk = blocked_kernel(ctx.composed_to(["del", "P"], wspot, kspot), w, w_k)
+        return a_sub, graded_intersect(w_sub, pk, w), w_sub
+    raise ValueError(f"unknown splitting {which!r}")
+
+
+def graded_intersect(a, b, weights):
+    """Intersection of two weight-graded subspaces, block by block."""
+    parts_b = split(b, weights)
+    return join(a.ambient_dim, (
+        (la.intersect(parts_b[w][0]), idx)
+        for w, (la, idx) in split(a, weights).items() if w in parts_b
+    ))
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,7 @@ from oracles import (
     invert_vars,
     permute_x,
     poly_pow,
+    splitting_summands,
     tensor_modules,
     xdanh_splitting,
 )
@@ -293,6 +294,9 @@ def test_atypical_clears_to_polynomial():
 def test_ch_v_dispatch():
     assert ch_v((1, 1, -1, 0)).compare(ch_typical((1, 1, -1, 0)))["equal"]
     assert ch_v((1, 0, 0, 0)).compare(ch_atypical((1, 0, 0, 0)))["equal"]
+    # the typical formula evaluates to 0 here: no irreducible has this label
+    with pytest.raises(CharacterError, match="not dominant"):
+        ch_v((1, 2, 3, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +472,7 @@ def test_splitting_additivity(con):
         total = supercharacter(ma, signed) + supercharacter(mb, signed)
         assert total == supercharacter(amb, signed)
 
-    a_sub, b_sub, w_sub = ctx.splitting("prop2", (0, 1, 1))
+    a_sub, b_sub, w_sub = splitting_summands(ctx, "prop2", (0, 1, 1))
     spot = Spot(1, 2, 4)
     sp = ctx.spot_space(spot)
     ma = module_from_subspace(con.act, sp, a_sub, "A")

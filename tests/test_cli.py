@@ -1,5 +1,6 @@
 """Argument parsing, exit codes, and JSON output of the command line."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -230,6 +231,23 @@ def test_splitting_memo_leaves_construct_output_unchanged(capsys, monkeypatch):
     assert cached == fresh and all(code == 0 for code, _, _ in cached)
 
 
+# sha256 of each request's stdout, recorded at commit a05e0b3; the modules
+# built from the splittings are meant to stay byte for byte the same
+CONSTRUCT_STDOUT_SHA256 = {
+    "Zk 1 2 2": "71cdf708f4bc8ac4ddbf16cbbb91e2b585b315c577e1e519edbdec660cf18d4a",
+    "Mfinal 2 1 1": "abfb837628656c047c11520d177bec7b4c8302e68a1549ceb5414daf01bafc56",
+    "Ysummand 2 2": "e48abcaf0ba245f443a53a1a879905e8a18b4f98187bf95765877626cb904f6b",
+    "Z1 2": "1b303ca21daee79dfe8ce610b08b2f01541a27a41bfe455e693e524365baaa21",
+}
+
+
+@pytest.mark.parametrize("query", sorted(CONSTRUCT_STDOUT_SHA256))
+def test_construct_output_is_pinned(capsys, query):
+    code, out, _ = run_cli(capsys, "construct", *query.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CONSTRUCT_STDOUT_SHA256[query]
+
+
 def test_spectrum_exit_codes(capsys):
     code, out, _ = run_cli(capsys, "spectrum", "delPQd", "0", "1")
     assert code == 0
@@ -250,6 +268,11 @@ def test_character_typical(capsys):
 def test_character_rejects_wrong_family(capsys):
     code, _, err = run_cli(capsys, "character", "typical", "1,0,0|0")
     assert code == 2 and "atypical" in err
+
+
+def test_character_auto_rejects_non_dominant_label(capsys):
+    code, out, err = run_cli(capsys, "character", "auto", "1,2,3|0")
+    assert code == 2 and out == "" and "not dominant" in err
 
 
 def test_character_schur(capsys):

@@ -328,8 +328,6 @@ def test_graded_span_insert_and_contains():
     assert span.insert({0: F(1), 1: F(1)}) is not None
     assert span.insert({0: F(2), 1: F(2)}) is None
     assert span.dim == 1
-    assert span.contains({0: F(3), 1: F(3)})
-    assert not span.contains({0: F(1)})
     assert span.insert({2: F(5)}) is not None
     assert span.dim == 2
 

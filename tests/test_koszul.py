@@ -15,6 +15,7 @@ from oracles import (
     l_homology_dim,
     p_rank,
     project_tensor,
+    splitting_summands,
     subspace_le,
     subspace_sum,
     to_tensor,
@@ -508,22 +509,34 @@ def test_xdanh_subspaces_split(ctx31):
 
 
 def test_prop1_splitting(ctx31):
-    a_sub, b_sub = ctx31.splitting("prop1", (0, 1))
+    a_sub, b_sub = splitting_summands(ctx31, "prop1", (0, 1))
     assert (a_sub.dim, b_sub.dim) == (4, 32)
     assert a_sub.intersect(b_sub).dim == 0
     assert subspace_sum(a_sub, b_sub).dim == 36
-    a_sub, b_sub = ctx31.splitting("prop1", (1, 1))
+    a_sub, b_sub = splitting_summands(ctx31, "prop1", (1, 1))
     assert (a_sub.dim, b_sub.dim) == (36, 108)
     assert a_sub.intersect(b_sub).dim == 0
     assert subspace_sum(a_sub, b_sub).dim == 144
 
 
 def test_prop2_splitting(ctx31):
-    a_sub, z_sub, w_sub = ctx31.splitting("prop2", (0, 1, 1))
+    a_sub, z_sub, w_sub = splitting_summands(ctx31, "prop2", (0, 1, 1))
     assert (a_sub.dim, z_sub.dim, w_sub.dim) == (112, 108, 220)
     assert subspace_le(a_sub, w_sub) and subspace_le(z_sub, w_sub)
     assert a_sub.intersect(z_sub).dim == 0
     assert subspace_sum(a_sub, z_sub) == w_sub
+
+
+# every cell the default constructions group reaches
+@pytest.mark.parametrize("which, params", [
+    ("prop1", (0, 0)), ("prop1", (0, 1)), ("prop1", (1, -1)), ("prop1", (1, 0)),
+    ("prop2", (0, 2, -1)), ("prop2", (0, 2, 0)), ("prop2", (0, 2, -2)),
+    ("prop2", (1, 2, -2)), ("prop2", (1, 2, -3)), ("prop2", (0, 3, -2)),
+    ("prop2", (0, 3, -1)), ("prop2", (1, 3, -3)), ("prop2", (1, 3, -2)),
+])
+def test_splitting_is_the_oracle_summand(ctx31, which, params):
+    # the reduced echelon basis is unique, so the subspaces are equal as stored
+    assert ctx31.splitting(which, params) == splitting_summands(ctx31, which, params)[1]
 
 
 def test_splitting_is_computed_once(monkeypatch):
