@@ -243,7 +243,6 @@ def _perm_sign(perm):
 RHO = (Fraction(1, 2), Fraction(-1, 2), Fraction(-3, 2), Fraction(-3, 2))
 
 DELTA0_PLUS = ((1, 2), (1, 3), (2, 3))
-DELTA1_PLUS = ((1, 4), (2, 4), (3, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +281,19 @@ def _check_integer_label(label):
     return lab
 
 
+def _classify_dominant(label):
+    """classify_weight of the label; raises CharacterError if it is not
+    dominant, since no finite-dimensional irreducible has it as its highest
+    weight and no character formula applies."""
+    info = classify_weight(label)
+    if not info["dominant"]:
+        raise CharacterError(f"label {label} is not dominant")
+    return info
+
+
 def ch_typical(label):
     """R (x1x2x3)^(l3-1) a(l1-l3, l2-l3, 0) / (Pi y^l4)."""
-    info = classify_weight(label)
+    info = _classify_dominant(label)
     if not info["typical"]:
         raise CharacterError(f"label {label} is atypical")
     l1, l2, l3, l4 = _check_integer_label(label)
@@ -303,7 +312,7 @@ ATYPICAL_SHAPES = {
 
 def ch_atypical(label):
     """Three-term cyclic bracket over Pi y^l4, one shape per atypical type."""
-    info = classify_weight(label)
+    info = _classify_dominant(label)
     if info["typical"]:
         raise CharacterError(f"label {label} is typical")
     lab = _check_integer_label(label)
@@ -319,13 +328,10 @@ def ch_atypical(label):
 
 
 def ch_v(label):
-    """ch of the irreducible with the given dominant integral label; raises
-    CharacterError on a label that is not dominant, which no
-    finite-dimensional irreducible has as its highest weight."""
-    info = classify_weight(label)
-    if not info["dominant"]:
-        raise CharacterError(f"label {label} is not dominant")
-    return ch_typical(label) if info["typical"] else ch_atypical(label)
+    """ch of the irreducible with the given dominant integral label: the
+    typical or the atypical formula, whichever the label calls for."""
+    typical = classify_weight(label)["typical"]
+    return ch_typical(label) if typical else ch_atypical(label)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +396,7 @@ def kac_sum(label):
     Assembled in doubled exponents; the numerator and denominator must both
     land on even exponent vectors, anything else signals a convention bug.
     """
-    info = classify_weight(label)
+    info = _classify_dominant(label)
     if not info["typical"]:
         raise CharacterError(f"label {label} is atypical")
     num2 = _kac_l1_doubled() * kac_orbit_sum(label)

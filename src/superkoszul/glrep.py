@@ -34,7 +34,7 @@ from fractions import Fraction
 from math import prod
 
 from .linalg import RestrictionError, SparseMap, Subspace, WitnessedError
-from .superspace import ProductSpace, blocked_image, join, power_basis, weight_blocks
+from .superspace import blocked_image, join, power_basis, weight_blocks
 from .koszul import Spot, op_target
 
 
@@ -535,14 +535,11 @@ class Constructor:
         if not shape or any(c < 1 for c in shape) or any(c > 1 for c in shape[1:]):
             raise ValueError(f"shape {shape!r} is not a realized hook")
         k, l = shape[0], len(shape) - 1
-        if k == 1:
-            basis = self.ctx.alt_basis(l + 1) if l else self.ctx.sym_basis(1)
+        if l == 0 or k == 1:
+            # S_k, or Lambda_(l+1) for the column (1,1^l)
+            spot = Spot(k, 0, 0) if l == 0 else Spot(0, l + 1, 0)
             return ambient_module(
-                self.act, ProductSpace(basis), f"I{tuple(shape)}"
-            )
-        if l == 0:
-            return ambient_module(
-                self.act, ProductSpace(self.ctx.sym_basis(k)), f"I{tuple(shape)}"
+                self.act, self.ctx.spot_space(spot), f"I{tuple(shape)}"
             )
         # Ker P on S_(k-1).L_(l+1) carries the hook (k,1^l)
         spot = Spot(k - 1, l + 1, 0)

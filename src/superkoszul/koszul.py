@@ -107,7 +107,6 @@ class KoszulContext:
         self._pair_ops = {}
         self._triple_ops = {}
         self._spot_spaces = {}
-        self._pair_spaces = {}
         self._rank_cache = {}
         self._splittings = {}
 
@@ -123,15 +122,14 @@ class KoszulContext:
         return power_basis(self.space, "sym", degree, dual=True)
 
     def pair_space(self, k, l):
-        """Lambda_k (x) S*_l."""
-        key = (k, l)
-        if key not in self._pair_spaces:
-            self._pair_spaces[key] = ProductSpace(
-                self.alt_basis(k), self.dual_basis(l)
-            )
-        return self._pair_spaces[key]
+        """Lambda_k (x) S*_l, as the spot S_0 (x) Lambda_k (x) S*_l: S_0 is
+        one even line of weight zero, so the indices, weights and parities
+        are the pair's."""
+        return self.spot_space(Spot(0, k, l))
 
     def spot_space(self, spot):
+        """S_sym (x) Lambda_alt (x) S*_dual, built once per spot; the one
+        place the package builds a tensor product of power bases."""
         if spot not in self._spot_spaces:
             self._spot_spaces[spot] = ProductSpace(
                 self.sym_basis(spot.sym),
@@ -153,28 +151,26 @@ class KoszulContext:
         letter's parity sign, which is what makes del(d(1)) count the super
         dimension m - n rather than m + n.
         """
-        if k < 1 or l < 1:
-            raise ValueError("del needs k >= 1 and l >= 1")
         return self._pair_op("del", k, l)
 
     def pair_p(self, p, r):
         """S_p (x) Lambda_r -> S_{p-1} (x) Lambda_{r+1}, p >= 1."""
-        if p < 1:
-            raise ValueError("P needs p >= 1")
         return self._pair_op("P", p, r)
 
     def pair_q(self, p, r):
         """S_p (x) Lambda_r -> S_{p+1} (x) Lambda_{r-1}, r >= 1."""
-        if r < 1:
-            raise ValueError("Q needs r >= 1")
         return self._pair_op("Q", p, r)
 
     def _pair_op(self, name, a, b):
         """Sum over letters of the two factor maps of PAIR_FACTORS[name], on
-        the left power of degree a and the right power of degree b."""
+        the left power of degree a and the right power of degree b; a
+        ValueError if either target degree is negative."""
         key = (name, a, b)
         if key not in self._pair_ops:
             (lname, lop, lstep), (rname, rop, rstep), odd_sign = PAIR_FACTORS[name]
+            if a + lstep < 0 or b + rstep < 0:
+                raise ValueError(
+                    f"{name} needs target degrees >= 0, got {(a + lstep, b + rstep)}")
             lbasis, rbasis = getattr(self, lname), getattr(self, rname)
             left, right = lbasis(a), rbasis(b)
             cod = lbasis(a + lstep).dim * rbasis(b + rstep).dim
@@ -251,18 +247,18 @@ class KoszulContext:
         ignored.
         """
         m, n = self.space.m, self.space.n
-        c_in = Fraction(l * k)
-        c_out = Fraction((l + 1) * (k + 1))
+        c_in = l * k
         scalar = Fraction(l - k - n + m)
         dim = self.pair_space(k, l).dim
-        acc = SparseMap.zero(dim, dim)
+        terms = []
         if k >= 1 and l >= 1:
-            acc = acc + c_in * (self.pair_d(k - 1, l - 1) @ self.pair_del(k, l))
+            terms.append((c_in, self.pair_d(k - 1, l - 1) @ self.pair_del(k, l)))
         elif c_in:
             raise KoszulError("dropped d-after-del term has a nonzero prefactor",
                               witness={"k": k, "l": l, "prefactor": c_in})
-        acc = acc + c_out * (self.pair_del(k + 1, l + 1) @ self.pair_d(k, l))
-        resid = acc.add(SparseMap.identity(dim), -scalar)
+        terms.append(((l + 1) * (k + 1), self.pair_del(k + 1, l + 1) @ self.pair_d(k, l)))
+        terms.append((-scalar, SparseMap.identity(dim)))
+        resid = SparseMap.combination(dim, dim, terms)
         return {
             "params": {"k": k, "l": l, "m": m, "n": n},
             "scalar": scalar,
@@ -275,23 +271,23 @@ class KoszulContext:
         """r(p+1)*(P after Q) + p(r+1)*(Q after P) = (p+r)*id.
 
         As in d_del_identity, a dropped term must have a zero prefactor."""
-        c_pq = Fraction(r * (p + 1))
-        c_qp = Fraction(p * (r + 1))
+        c_pq = r * (p + 1)
+        c_qp = p * (r + 1)
         scalar = Fraction(p + r)
-        sym, lam = self.sym_basis(p), self.alt_basis(r)
-        dim = sym.dim * lam.dim
-        acc = SparseMap.zero(dim, dim)
+        dim = self.sym_basis(p).dim * self.alt_basis(r).dim
+        terms = []
         if r >= 1:
-            acc = acc + c_pq * (self.pair_p(p + 1, r - 1) @ self.pair_q(p, r))
+            terms.append((c_pq, self.pair_p(p + 1, r - 1) @ self.pair_q(p, r)))
         elif c_pq:
             raise KoszulError("dropped P-after-Q term has a nonzero prefactor",
                               witness={"p": p, "r": r, "prefactor": c_pq})
         if p >= 1:
-            acc = acc + c_qp * (self.pair_q(p - 1, r + 1) @ self.pair_p(p, r))
+            terms.append((c_qp, self.pair_q(p - 1, r + 1) @ self.pair_p(p, r)))
         elif c_qp:
             raise KoszulError("dropped Q-after-P term has a nonzero prefactor",
                               witness={"p": p, "r": r, "prefactor": c_qp})
-        resid = acc.add(SparseMap.identity(dim), -scalar)
+        terms.append((-scalar, SparseMap.identity(dim)))
+        resid = SparseMap.combination(dim, dim, terms)
         return {
             "params": {"p": p, "r": r},
             "scalar": scalar,
@@ -387,10 +383,12 @@ class KoszulContext:
         space = self.spot_space(spot)
         if spot.sym == 0:
             return Subspace.full(space.dim)
-        pair = self.pair_p(spot.sym, spot.alt)
-        dom = ProductSpace(self.sym_basis(spot.sym), self.alt_basis(spot.alt))
-        cod = ProductSpace(self.sym_basis(spot.sym - 1), self.alt_basis(spot.alt + 1))
-        ker = blocked_kernel(pair, dom.weights(), cod.weights())
+        # S_p (x) Lambda_r is the spot (p, r, 0), S*_0 being one even line
+        # of weight zero
+        ker = blocked_kernel(
+            self.pair_p(spot.sym, spot.alt),
+            self.spot_space(Spot(spot.sym, spot.alt, 0)).weights(),
+            self.spot_space(Spot(spot.sym - 1, spot.alt + 1, 0)).weights())
         ddim = self.dual_basis(spot.dual).dim
         lifted = ker.basis_matrix().lift(right=ddim)
         cols = lifted.columns()
@@ -442,31 +440,6 @@ class KoszulContext:
 
     # -- loop operators and spectra ---------------------------------------------------
 
-    def delpqd_table(self, i, a):
-        """Eigenvalues with multiplicities for the insertion-side loop, as
-        forced by the identities.
-
-        On S_p with no exterior letters the transfer loop QP is the identity
-        (the r = 0 case of the transfer identity), which rewrites the loop at
-        (i, a) as c*id + s*(conjugate of the loop at (i-1, a)); unrolling the
-        recursion gives eigenvalue (a+2i+3-j)j / ((i+1)(a+i+1)) for
-        j = 1..i+1, where level j acts on the part coming from S_{i+1-j} (x)
-        S*_{a+i+1-j}, so its multiplicity is the dimension drop between
-        consecutive rungs of the ladder.
-        """
-        if (self.space.m, self.space.n) != (3, 1):
-            raise ValueError("eigenvalue table is specific to the (3|1) alphabet")
-        out = []
-        for j in range(1, i + 2):
-            lam = Fraction((a + 2 * i + 3 - j) * j, (i + 1) * (a + i + 1))
-            hi = self.sym_basis(i + 1 - j).dim * self.dual_basis(a + i + 1 - j).dim
-            if i - j >= 0:
-                lo = self.sym_basis(i - j).dim * self.dual_basis(a + i - j).dim
-            else:
-                lo = 0
-            out.append((j, lam, hi - lo))
-        return out
-
     def loop_setup(self, kind, params):
         """(word, base spot, derived eigenvalue set, stated eigenvalue set).
 
@@ -485,7 +458,15 @@ class KoszulContext:
             word = ["d", "Q", "P", "del"]
             derived = stated = None
             if (self.space.m, self.space.n) == (3, 1):
-                derived = frozenset(lam for _, lam, _ in self.delpqd_table(i, a))
+                # On S_p with no exterior letters the transfer loop QP is the
+                # identity (the r = 0 case of the transfer identity), which
+                # rewrites the loop at (i, a) as c*id + s*(conjugate of the
+                # loop at (i-1, a)); unrolling the recursion forces the
+                # eigenvalue (a+2i+3-j)j / ((i+1)(a+i+1)) for j = 1..i+1
+                derived = frozenset(
+                    Fraction((a + 2 * i + 3 - j) * j, (i + 1) * (a + i + 1))
+                    for j in range(1, i + 2)
+                )
                 stated = frozenset(
                     Fraction((a + i + 3 - j) * j, (i + 1) * (a + i + 1))
                     for j in range(1, i + 2)

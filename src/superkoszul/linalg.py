@@ -6,7 +6,8 @@ SparseMap and a Subspace basis share one exact format, int numerators over
 one positive denominator, so products, sums, eliminations and membership
 tests are int arithmetic; the values handed out (entries, traces, spectra,
 images, basis vectors) are Fractions.  No floats anywhere; a residual
-either is zero or it is not.
+either is zero or it is not.  SparseMap.combination is the one sum of
+maps: add, scaled, +, - and c * are each one call of it.
 
 A Subspace keeps the reduced echelon basis whose pivots are each vector's
 largest index, built one vector at a time by Subspace.insert, the one
@@ -217,39 +218,40 @@ class SparseMap:
     __matmul__ = compose
 
     def add(self, other, scale=1):
-        """self + scale * other, both over the lcm of their dens."""
-        if (self.dom_dim, self.cod_dim) != (other.dom_dim, other.cod_dim):
-            raise DimensionError("add: shape mismatch")
-        scale = Fraction(scale)
-        other_den = other.den * scale.denominator
-        den = lcm(self.den, other_den)
-        mine = den // self.den
-        theirs = den // other_den * scale.numerator
-        ent = {k: v * mine for k, v in self.entries.items()}
-        if theirs:
-            for k, v in other.entries.items():
-                s = ent.get(k, 0) + theirs * v
+        """self + scale * other, as a combination."""
+        return SparseMap.combination(
+            self.dom_dim, self.cod_dim, [(1, self), (scale, other)])
+
+    @classmethod
+    def combination(cls, dom_dim, cod_dim, terms):
+        """sum of c * m over the (c, SparseMap m) pairs of terms, c an int or
+        a Fraction (anything else is read exactly as one), over the lcm of
+        the dens c.denominator * m.den.  The
+        first term is scaled in one pass and the others are merged into it,
+        an entry being dropped as soon as its sum cancels; the one way the
+        package adds or scales maps."""
+        parts = []
+        for c, m in terms:
+            if (m.dom_dim, m.cod_dim) != (dom_dim, cod_dim):
+                raise DimensionError("combination: shape mismatch")
+            if type(c) is not int and type(c) is not Fraction:
+                c = Fraction(c)
+            parts.append((c.numerator, c.denominator * m.den, m.entries))
+        den = lcm(*(d for _, d, _ in parts))
+        ent = {}
+        for num, d, entries in parts:
+            f = num * (den // d)
+            if not f:
+                continue
+            if not ent:
+                ent = {k: f * v for k, v in entries.items()}
+                continue
+            for k, v in entries.items():
+                s = ent.get(k, 0) + f * v
                 if s:
                     ent[k] = s
                 else:
                     del ent[k]
-        return SparseMap._from_ints(self.dom_dim, self.cod_dim, ent, den)
-
-    @classmethod
-    def combination(cls, dom_dim, cod_dim, terms):
-        """sum of c * m over the (int c, SparseMap m) pairs of terms, added
-        into one dict over the lcm of their dens."""
-        terms = list(terms)
-        for _, m in terms:
-            if (m.dom_dim, m.cod_dim) != (dom_dim, cod_dim):
-                raise DimensionError("combination: shape mismatch")
-        den = lcm(*(m.den for _, m in terms))
-        ent = {}
-        for c, m in terms:
-            f = c * (den // m.den)
-            for k, v in m.entries.items():
-                ent[k] = ent.get(k, 0) + f * v
-        ent = {k: v for k, v in ent.items() if v}
         return cls._from_ints(dom_dim, cod_dim, ent, den)
 
     def __add__(self, other):
@@ -259,13 +261,7 @@ class SparseMap:
         return self.add(other, scale=-1)
 
     def scaled(self, c):
-        c = Fraction(c)
-        num = c.numerator
-        return SparseMap._from_ints(
-            self.dom_dim, self.cod_dim,
-            {k: num * v for k, v in self.entries.items()} if num else {},
-            self.den * c.denominator,
-        )
+        return SparseMap.combination(self.dom_dim, self.cod_dim, [(c, self)])
 
     def __rmul__(self, c):
         return self.scaled(c)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, permutations, product
 from math import factorial, lcm
 
 from .linalg import DimensionError, SparseMap, Subspace, SubspaceError
@@ -61,10 +61,6 @@ class SuperSpace:
 def weight_label(weight, m, n):
     """Exponent vector -> highest-weight label (odd coordinates negated)."""
     return tuple(weight[:m]) + tuple(-c for c in weight[m:])
-
-
-def add_weights(a, b):
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def admissible(space, kind, multiset):
@@ -280,26 +276,17 @@ class ProductSpace:
         return tuple(reversed(out))
 
     def weights(self):
+        """Each index's weight, the sum of its factors' weights."""
         if self._weights is None:
-            acc = [None] * self.dim
-            for flat in range(self.dim):
-                w = None
-                for i, f in zip(self.unindex(flat), self.factors):
-                    fw = f.weights[i]
-                    w = fw if w is None else add_weights(w, fw)
-                acc[flat] = w
-            self._weights = acc
+            self._weights = [tuple(map(sum, zip(*ws))) for ws in
+                             product(*(f.weights for f in self.factors))]
         return self._weights
 
     def parities(self):
+        """Each index's parity, the sum of its factors' parities mod 2."""
         if self._parities is None:
-            acc = [0] * self.dim
-            for flat in range(self.dim):
-                p = 0
-                for i, f in zip(self.unindex(flat), self.factors):
-                    p ^= f.parities[i]
-                acc[flat] = p
-            self._parities = acc
+            self._parities = [sum(ps) & 1 for ps in
+                              product(*(f.parities for f in self.factors))]
         return self._parities
 
     def __repr__(self):

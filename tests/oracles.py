@@ -10,10 +10,10 @@ supercommutator relations, the action of every E_ij (Cartan included)
 restricted to a module or tested against an operator, the highest weight of
 a module, the inverse of SparseMap.to_triples, transposes, letter weights,
 subspace sums and containment, the homology of the transfer complex, the
-pair splitting and every summand of the two triple-spot splittings as
-subspaces, tensor products of modules, the calibration of d against del,
-and Laurent-polynomial helpers (powers, inverted and permuted variables,
-fraction equality).
+eigenvalue ladder of the insertion-side loop, the pair splitting and every
+summand of the two triple-spot splittings as subspaces, tensor products of
+modules, the calibration of d against del, and Laurent-polynomial helpers
+(powers, inverted and permuted variables, fraction equality).
 """
 
 from collections import Counter
@@ -535,6 +535,32 @@ def l_homology_dim(ctx, a, p):
             witness={"a": a, "p": p, "dim": dim, "rank_out": rank_out,
                      "rank_in": rank_in})
     return h
+
+
+def delpqd_table(ctx, i, a):
+    """[(j, eigenvalue, multiplicity)] of the insertion-side loop at (i, a)
+    on (3|1), as forced by the identities.
+
+    On S_p with no exterior letters the transfer loop QP is the identity
+    (the r = 0 case of the transfer identity), which rewrites the loop at
+    (i, a) as c*id + s*(conjugate of the loop at (i-1, a)); unrolling the
+    recursion gives eigenvalue (a+2i+3-j)j / ((i+1)(a+i+1)) for j = 1..i+1,
+    where level j acts on the part coming from S_{i+1-j} (x) S*_{a+i+1-j},
+    so its multiplicity is the dimension drop between consecutive rungs of
+    the ladder.
+    """
+    if (ctx.space.m, ctx.space.n) != (3, 1):
+        raise ValueError("eigenvalue table is specific to the (3|1) alphabet")
+    out = []
+    for j in range(1, i + 2):
+        lam = Fraction((a + 2 * i + 3 - j) * j, (i + 1) * (a + i + 1))
+        hi = ctx.sym_basis(i + 1 - j).dim * ctx.dual_basis(a + i + 1 - j).dim
+        if i - j >= 0:
+            lo = ctx.sym_basis(i - j).dim * ctx.dual_basis(a + i - j).dim
+        else:
+            lo = 0
+        out.append((j, lam, hi - lo))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -231,13 +231,18 @@ def test_splitting_memo_leaves_construct_output_unchanged(capsys, monkeypatch):
     assert cached == fresh and all(code == 0 for code, _, _ in cached)
 
 
-# sha256 of each request's stdout, recorded at commit a05e0b3; the modules
-# built from the splittings are meant to stay byte for byte the same
+# sha256 of each request's stdout, the first four recorded at commit
+# a05e0b3 and the rest at 56da37c; the modules built from the splittings,
+# the pair spaces and the hooks are meant to stay byte for byte the same
 CONSTRUCT_STDOUT_SHA256 = {
     "Zk 1 2 2": "71cdf708f4bc8ac4ddbf16cbbb91e2b585b315c577e1e519edbdec660cf18d4a",
     "Mfinal 2 1 1": "abfb837628656c047c11520d177bec7b4c8302e68a1549ceb5414daf01bafc56",
     "Ysummand 2 2": "e48abcaf0ba245f443a53a1a879905e8a18b4f98187bf95765877626cb904f6b",
     "Z1 2": "1b303ca21daee79dfe8ce610b08b2f01541a27a41bfe455e693e524365baaa21",
+    "H31": "4976c9b3088754452f5409d0393e52e9517f472b194094e4026c29d1af4be496",
+    "ImD 2 3": "61969d5573254dd99db8bd84d785da804e9cd193296397489e72a3a71a776b01",
+    "Ilambda 4,1": "1ecc3582f7152385e1dc3dd22c0b8992ff92336279b5ebcc5185505e79e38e62",
+    "Ilambda 2,1,1,1": "64e98b734ad0eb71ca674962c288308ec57202c46c38caa681f46737494aafd2",
 }
 
 
@@ -270,8 +275,11 @@ def test_character_rejects_wrong_family(capsys):
     assert code == 2 and "atypical" in err
 
 
-def test_character_auto_rejects_non_dominant_label(capsys):
-    code, out, err = run_cli(capsys, "character", "auto", "1,2,3|0")
+@pytest.mark.parametrize("formula,label", [
+    ("auto", "1,2,3|0"), ("typical", "1,2,3|0"), ("typical", "0,1,0|-1"),
+    ("kac", "1,2,3|0"), ("atypical", "0,1,0|0")])
+def test_character_auto_rejects_non_dominant_label(capsys, formula, label):
+    code, out, err = run_cli(capsys, "character", formula, label)
     assert code == 2 and out == "" and "not dominant" in err
 
 

@@ -12,6 +12,7 @@ import pytest
 import oracles
 from oracles import (
     calibration_ratio,
+    delpqd_table,
     l_homology_dim,
     p_rank,
     project_tensor,
@@ -404,7 +405,7 @@ def test_delpqd_spectra(ctx31, i, a):
     assert rep.matches_derived
     # multiplicities follow the ladder dimension drops
     assert dict(rep.eigenvalues) == {
-        lam: m for _, lam, m in ctx31.delpqd_table(i, a)
+        lam: m for _, lam, m in delpqd_table(ctx31, i, a)
     }
     # the stated closed form agrees only at i = 0: its numerator reads
     # a+i+3-j where the identities force a+2i+3-j

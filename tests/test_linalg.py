@@ -773,6 +773,15 @@ def test_prop_every_result_is_canonical(data):
     assert a.add(b, s) == a + s * b
     assert SparseMap.combination(dom, cod, [(1, a), (-2, b), (3, a)]) == (
         a.scaled(4) - b.scaled(2))
+    # rational coefficients, zero and negative ones included, against the
+    # dense sum; a term may cancel the ones before it
+    terms = [(data.draw(SCALES), m) for m in (a, b, a, b)]
+    comb = SparseMap.combination(dom, cod, terms)
+    assert_canonical(comb)
+    want = [[F(0)] * dom for _ in range(cod)]
+    for c, m in terms:
+        want = [[x + c * y for x, y in zip(rw, rm)] for rw, rm in zip(want, dense(m))]
+    assert dense(comb) == want
 
 
 # ---------------------------------------------------------------------------

@@ -304,15 +304,21 @@ def test_product_indexing_roundtrip():
 
 
 def test_product_weights_additive():
-    a = power_basis(V31, "alt", 1)
-    b = power_basis(V31, "sym", 2, dual=True)
-    ps = ProductSpace(a, b)
-    for flat in range(ps.dim):
-        i, j = ps.unindex(flat)
-        assert ps.weights()[flat] == tuple(
-            x + y for x, y in zip(a.weights[i], b.weights[j])
-        )
-        assert ps.parities()[flat] == (a.parities[i] + b.parities[j]) % 2
+    # per index: unindex, then add the factors' weights and parities
+    for space in (V31, V21, SuperSpace(1, 2)):
+        factors = (power_basis(space, "sym", 2), power_basis(space, "alt", 2),
+                   power_basis(space, "sym", 1, dual=True))
+        for ps in (ProductSpace(factors[1]), ProductSpace(*factors[1:]),
+                   ProductSpace(*factors)):
+            assert len(ps.weights()) == len(ps.parities()) == ps.dim
+            for flat in range(ps.dim):
+                idxs = ps.unindex(flat)
+                assert ps.index(idxs) == flat
+                assert ps.weights()[flat] == tuple(
+                    sum(f.weights[i][c] for i, f in zip(idxs, ps.factors))
+                    for c in range(space.dim))
+                assert ps.parities()[flat] == sum(
+                    f.parities[i] for i, f in zip(idxs, ps.factors)) % 2
 
 
 def test_product_index_matches_kron():
