@@ -141,7 +141,6 @@ def check_equivariance(ctx, act, name, spot):
         if mat @ act.on_product(dom, i, j) != act.on_product(cod, i, j) @ mat:
             bad.append((i, j))
     return {
-        "params": {"op": name, "spot": (spot.sym, spot.alt, spot.dual)},
         "ok": not bad,
         "failing_generators": sorted(bad),
         "generators_checked": ctx.space.dim ** 2,

@@ -8,10 +8,13 @@ triple products S_i (x) Lambda_k (x) S*_l:
   P    moves the last symmetric letter into the front of the exterior block,
   Q    moves the first exterior letter onto the back of the symmetric block.
 
-Pair maps are Kronecker sums of single-letter factor maps, lifted onto the
-third factor: every transferred or inserted letter only ever crosses the
-junction it acts at, so no Koszul signs appear beyond the contraction's
-evaluation sign.
+Each map acts on two of the three factors and leaves the third alone.  At the
+spot where that third factor is a line (S_0 or S*_0: one even line of weight
+zero) the map is a sum over letters of Kronecker products of single-letter
+factor maps, and the pair maps are exactly these; at every other spot it is
+that map lifted onto the third factor.  Every transferred or inserted letter
+only ever crosses the junction it acts at, so no Koszul signs appear beyond
+the contraction's evaluation sign.
 
 All maps preserve weights, so ranks, kernels and spectra decompose over
 weight blocks; the public checks use the blocked paths and the test suite
@@ -20,7 +23,7 @@ cross-checks them against dense computations at small degrees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .linalg import RestrictionError, SparseMap, SpectrumError, Subspace, WitnessedError
@@ -57,46 +60,40 @@ class Spot:
         return f"S_{self.sym}.L_{self.alt}.S*_{self.dual}"
 
 
-# op name -> (sym step, alt step, dual step)
-OP_STEPS = {
-    "d": (0, 1, 1),
-    "del": (0, -1, -1),
-    "P": (-1, 1, 0),
-    "Q": (1, -1, 0),
-}
-
-
-# pair operator -> (left factor, right factor, sign of an odd letter); a
-# factor is (KoszulContext basis method, factor op, degree step), and the
-# operator is the sum over letters of
+# operator -> (left factor, right factor, sign of an odd letter); a factor
+# is (the Spot field it acts on, factor op, degree step).  Where the field
+# the operator leaves alone is 0, the operator is the sum over letters of
 # sign * left.factor_map(op, letter) (x) right.factor_map(op, letter)
-PAIR_FACTORS = {
-    "d": (("alt_basis", "append", 1), ("dual_basis", "prepend", 1), 1),
-    "del": (("alt_basis", "drop_last", -1), ("dual_basis", "drop_first", -1), -1),
-    "P": (("sym_basis", "drop_last", -1), ("alt_basis", "prepend", 1), 1),
-    "Q": (("sym_basis", "append", 1), ("alt_basis", "drop_first", -1), 1),
-}
-
-# triple operator -> (pair method, True for id_S (x) pair, False for pair (x) id_S*)
-TRIPLE_FORMS = {
-    "d": ("pair_d", True),
-    "del": ("pair_del", True),
-    "P": ("pair_p", False),
-    "Q": ("pair_q", False),
+OPERATORS = {
+    "d": (("alt", "append", 1), ("dual", "prepend", 1), 1),
+    "del": (("alt", "drop_last", -1), ("dual", "drop_first", -1), -1),
+    "P": (("sym", "drop_last", -1), ("alt", "prepend", 1), 1),
+    "Q": (("sym", "append", 1), ("alt", "drop_first", -1), 1),
 }
 
 
 def op_target(name, spot):
-    ds, da, dd = OP_STEPS[name]
-    return Spot(spot.sym + ds, spot.alt + da, spot.dual + dd)
+    left, right, _ = OPERATORS[name]
+    return replace(spot, **{f: getattr(spot, f) + step
+                            for f, _, step in (left, right)})
 
 
 def op_applicable(name, spot):
     """Whether the operator is defined at the spot: the letters it takes
     away exist exactly when the spot it lands on is valid."""
-    if name not in OP_STEPS:
+    if name not in OPERATORS:
         raise ValueError(f"unknown operator {name!r}")
     return op_target(name, spot).valid
+
+
+def word_end(word, spot):
+    """The spot a word of operators ends at, first entry applied first;
+    None when a step on the way is undefined."""
+    for name in word:
+        if not op_applicable(name, spot):
+            return None
+        spot = op_target(name, spot)
+    return spot
 
 
 class KoszulContext:
@@ -104,11 +101,11 @@ class KoszulContext:
 
     def __init__(self, space):
         self.space = space
-        self._pair_ops = {}
-        self._triple_ops = {}
+        self._operators = {}
         self._spot_spaces = {}
         self._rank_cache = {}
         self._splittings = {}
+        self._kerp_spaces = {}
 
     # -- spaces ----------------------------------------------------------------
 
@@ -138,67 +135,70 @@ class KoszulContext:
             )
         return self._spot_spaces[spot]
 
-    # -- pair-level differentials -----------------------------------------------
+    # -- the operators -----------------------------------------------------------
 
     def pair_d(self, k, l):
-        """Lambda_k (x) S*_l -> Lambda_{k+1} (x) S*_{l+1}."""
-        return self._pair_op("d", k, l)
+        """Lambda_k (x) S*_l -> Lambda_{k+1} (x) S*_{l+1}: d at the spot (0, k, l)."""
+        return self.operator("d", Spot(0, k, l))
 
     def pair_del(self, k, l):
-        """Lambda_k (x) S*_l -> Lambda_{k-1} (x) S*_{l-1}, k,l >= 1.
+        """Lambda_k (x) S*_l -> Lambda_{k-1} (x) S*_{l-1}, k,l >= 1: del at the
+        spot (0, k, l).
 
         The evaluation of a letter against its dual covector carries the
         letter's parity sign, which is what makes del(d(1)) count the super
         dimension m - n rather than m + n.
         """
-        return self._pair_op("del", k, l)
+        return self.operator("del", Spot(0, k, l))
 
     def pair_p(self, p, r):
-        """S_p (x) Lambda_r -> S_{p-1} (x) Lambda_{r+1}, p >= 1."""
-        return self._pair_op("P", p, r)
+        """S_p (x) Lambda_r -> S_{p-1} (x) Lambda_{r+1}, p >= 1: P at the spot
+        (p, r, 0)."""
+        return self.operator("P", Spot(p, r, 0))
 
     def pair_q(self, p, r):
-        """S_p (x) Lambda_r -> S_{p+1} (x) Lambda_{r-1}, r >= 1."""
-        return self._pair_op("Q", p, r)
+        """S_p (x) Lambda_r -> S_{p+1} (x) Lambda_{r-1}, r >= 1: Q at the spot
+        (p, r, 0)."""
+        return self.operator("Q", Spot(p, r, 0))
 
-    def _pair_op(self, name, a, b):
-        """Sum over letters of the two factor maps of PAIR_FACTORS[name], on
-        the left power of degree a and the right power of degree b; a
-        ValueError if either target degree is negative."""
-        key = (name, a, b)
-        if key not in self._pair_ops:
-            (lname, lop, lstep), (rname, rop, rstep), odd_sign = PAIR_FACTORS[name]
-            if a + lstep < 0 or b + rstep < 0:
-                raise ValueError(
-                    f"{name} needs target degrees >= 0, got {(a + lstep, b + rstep)}")
-            lbasis, rbasis = getattr(self, lname), getattr(self, rname)
-            left, right = lbasis(a), rbasis(b)
-            cod = lbasis(a + lstep).dim * rbasis(b + rstep).dim
+    def _basis(self, field, degree):
+        return getattr(self, f"{field}_basis")(degree)
+
+    def operator(self, name, spot):
+        """The named map on the triple spot, built once per spot; a
+        ValueError if the spot or the spot it lands on has a negative degree.
+
+        Where the field the map leaves alone is 0, the map is the sum over
+        letters of the Kronecker products of the factor maps in
+        OPERATORS[name]; everywhere else it is the map at that field's 0,
+        lifted onto the field's power."""
+        key = (name, spot)
+        m = self._operators.get(key)
+        if m is not None:
+            return m
+        if not (spot.valid and op_applicable(name, spot)):
+            raise ValueError(f"operator {name!r} needs degrees >= 0, got "
+                             f"{spot} -> {op_target(name, spot)}")
+        (lf, lop, _), (rf, rop, _), odd_sign = OPERATORS[name]
+        idle = next(f for f in ("sym", "dual") if f not in (lf, rf))
+        degree = getattr(spot, idle)
+        if degree:
+            m = self.operator(name, replace(spot, **{idle: 0}))
+            dim = self._basis(idle, degree).dim
+            m = m.lift(left=dim) if idle == "sym" else m.lift(right=dim)
+        else:
+            left = self._basis(lf, getattr(spot, lf))
+            right = self._basis(rf, getattr(spot, rf))
             terms = [
                 (odd_sign if self.space.parity(letter) else 1,
                  left.factor_map(lop, letter).kron(right.factor_map(rop, letter)))
                 for letter in range(self.space.dim)
             ]
-            self._pair_ops[key] = SparseMap.combination(left.dim * right.dim, cod, terms)
-        return self._pair_ops[key]
-
-    # -- triple-level operators ---------------------------------------------------
-
-    def operator(self, name, spot):
-        """The named map on the triple spot: its pair map lifted onto the
-        factor it leaves alone."""
-        if not op_applicable(name, spot):
-            raise ValueError(f"operator {name!r} not applicable at {spot}")
-        key = (name, spot)
-        if key not in self._triple_ops:
-            method, lift_left = TRIPLE_FORMS[name]
-            pair = getattr(self, method)
-            if lift_left:
-                m = pair(spot.alt, spot.dual).lift(left=self.sym_basis(spot.sym).dim)
-            else:
-                m = pair(spot.sym, spot.alt).lift(right=self.dual_basis(spot.dual).dim)
-            self._triple_ops[key] = m
-        return self._triple_ops[key]
+            m = SparseMap.combination(
+                self.spot_space(spot).dim,
+                self.spot_space(op_target(name, spot)).dim, terms)
+        self._operators[key] = m
+        return m
 
     def composed(self, word, spot):
         """Compose operators along the word, first entry applied first;
@@ -240,56 +240,34 @@ class KoszulContext:
     # -- identities -------------------------------------------------------------
 
     def d_del_identity(self, k, l):
-        """l*k*(d after del) + (l+1)(k+1)*(del after d) = (l-k-n+m)*id.
-
-        Terms whose first step does not exist are dropped; their prefactor is
-        checked to vanish (KoszulError otherwise), so nothing is silently
-        ignored.
-        """
-        m, n = self.space.m, self.space.n
-        c_in = l * k
-        scalar = Fraction(l - k - n + m)
-        dim = self.pair_space(k, l).dim
-        terms = []
-        if k >= 1 and l >= 1:
-            terms.append((c_in, self.pair_d(k - 1, l - 1) @ self.pair_del(k, l)))
-        elif c_in:
-            raise KoszulError("dropped d-after-del term has a nonzero prefactor",
-                              witness={"k": k, "l": l, "prefactor": c_in})
-        terms.append(((l + 1) * (k + 1), self.pair_del(k + 1, l + 1) @ self.pair_d(k, l)))
-        terms.append((-scalar, SparseMap.identity(dim)))
-        resid = SparseMap.combination(dim, dim, terms)
-        return {
-            "params": {"k": k, "l": l, "m": m, "n": n},
-            "scalar": scalar,
-            "dim": dim,
-            "ok": resid.is_zero(),
-            "residual_nnz": resid.nnz(),
-        }
+        """l*k*(d after del) + (l+1)(k+1)*(del after d) = (l-k-n+m)*id."""
+        return self._identity(
+            [(l * k, ["del", "d"]), ((l + 1) * (k + 1), ["d", "del"])],
+            Spot(0, k, l), Fraction(l - k - self.space.n + self.space.m))
 
     def p_q_identity(self, p, r):
-        """r(p+1)*(P after Q) + p(r+1)*(Q after P) = (p+r)*id.
+        """r(p+1)*(P after Q) + p(r+1)*(Q after P) = (p+r)*id."""
+        return self._identity(
+            [(r * (p + 1), ["Q", "P"]), (p * (r + 1), ["P", "Q"])],
+            Spot(p, r, 0), Fraction(p + r))
 
-        As in d_del_identity, a dropped term must have a zero prefactor."""
-        c_pq = r * (p + 1)
-        c_qp = p * (r + 1)
-        scalar = Fraction(p + r)
-        dim = self.sym_basis(p).dim * self.alt_basis(r).dim
-        terms = []
-        if r >= 1:
-            terms.append((c_pq, self.pair_p(p + 1, r - 1) @ self.pair_q(p, r)))
-        elif c_pq:
-            raise KoszulError("dropped P-after-Q term has a nonzero prefactor",
-                              witness={"p": p, "r": r, "prefactor": c_pq})
-        if p >= 1:
-            terms.append((c_qp, self.pair_q(p - 1, r + 1) @ self.pair_p(p, r)))
-        elif c_qp:
-            raise KoszulError("dropped Q-after-P term has a nonzero prefactor",
-                              witness={"p": p, "r": r, "prefactor": c_qp})
-        terms.append((-scalar, SparseMap.identity(dim)))
-        resid = SparseMap.combination(dim, dim, terms)
+    def _identity(self, terms, spot, scalar):
+        """Whether the sum of c * (word composed at the spot) over the
+        (c, word) terms is scalar * id.  A word with an undefined step is
+        dropped; its prefactor is checked to vanish (KoszulError otherwise),
+        so nothing is silently ignored."""
+        dim = self.spot_space(spot).dim
+        maps = []
+        for c, word in terms:
+            if word_end(word, spot) is not None:
+                maps.append((c, self.composed_to(word, spot, spot)))
+            elif c:
+                raise KoszulError(
+                    "dropped term has a nonzero prefactor",
+                    witness={"word": list(word), "spot": repr(spot), "prefactor": c})
+        maps.append((-scalar, SparseMap.identity(dim)))
+        resid = SparseMap.combination(dim, dim, maps)
         return {
-            "params": {"p": p, "r": r},
             "scalar": scalar,
             "dim": dim,
             "ok": resid.is_zero(),
@@ -297,14 +275,10 @@ class KoszulContext:
         }
 
     def d_squared_is_zero(self, k, l):
-        m = self.pair_d(k + 1, l + 1) @ self.pair_d(k, l)
-        return m.is_zero()
+        return self.composed(["d", "d"], Spot(0, k, l))[0].is_zero()
 
     def p_squared_is_zero(self, p, r):
-        if p < 2:
-            raise ValueError("need p >= 2 for a two-step P")
-        m = self.pair_p(p - 1, r + 1) @ self.pair_p(p, r)
-        return m.is_zero()
+        return self.composed(["P", "P"], Spot(p, r, 0))[0].is_zero()
 
     # -- commutativity of the two directions ----------------------------------------
 
@@ -317,17 +291,12 @@ class KoszulContext:
             words = (["Q", "del"], ["del", "Q"])
         else:
             raise ValueError(f"unknown square {which!r}")
-        for word in words:
-            s = spot
-            for name in word:
-                if not op_applicable(name, s):
-                    return None
-                s = op_target(name, s)
+        if any(word_end(word, spot) is None for word in words):
+            return None
         a, end = self.composed(words[0], spot)
         b = self.composed_to(words[1], spot, end)
         ok = a == b
         return {
-            "params": {"which": which, "spot": (spot.sym, spot.alt, spot.dual)},
             "ok": ok,
             "residual_nnz": 0 if ok else (a - b).nnz(),
             "dim": self.spot_space(spot).dim,
@@ -378,17 +347,23 @@ class KoszulContext:
     # -- kernels of the transfer map on triple spots ----------------------------------
 
     def kerp_space(self, spot):
-        """Ker(P (x) id_dual) inside the triple spot; everything when sym = 0.
-        The kernel basis lifted onto S*_dual is in pivot order already."""
+        """Ker(P (x) id_dual) inside the triple spot, computed once per spot;
+        callers only read the subspace."""
+        if spot not in self._kerp_spaces:
+            self._kerp_spaces[spot] = self._kerp_space(spot)
+        return self._kerp_spaces[spot]
+
+    def _kerp_space(self, spot):
+        """Everything when sym = 0; else the kernel of P at the spot
+        (sym, alt, 0), lifted onto S*_dual, which is in pivot order already."""
         space = self.spot_space(spot)
         if spot.sym == 0:
             return Subspace.full(space.dim)
-        # S_p (x) Lambda_r is the spot (p, r, 0), S*_0 being one even line
-        # of weight zero
+        line = replace(spot, dual=0)
         ker = blocked_kernel(
-            self.pair_p(spot.sym, spot.alt),
-            self.spot_space(Spot(spot.sym, spot.alt, 0)).weights(),
-            self.spot_space(Spot(spot.sym - 1, spot.alt + 1, 0)).weights())
+            self.operator("P", line),
+            self.spot_space(line).weights(),
+            self.spot_space(op_target("P", line)).weights())
         ddim = self.dual_basis(spot.dual).dim
         lifted = ker.basis_matrix().lift(right=ddim)
         cols = lifted.columns()
@@ -413,7 +388,6 @@ class KoszulContext:
             m, self.spot_space(back).weights(), self.spot_space(spot).weights()
         )
         return {
-            "params": {"spot": (spot.sym, spot.alt, spot.dual)},
             "ok": im == ker,
             "ker_dim": ker.dim,
             "im_dim": im.dim,
@@ -580,7 +554,6 @@ class KoszulContext:
             and rank_sum == dim
         )
         return {
-            "params": {"k": k, "l": l},
             "dim": dim,
             "rank_in": rank_in,
             "rank_out": rank_out,

@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 from math import factorial, lcm
 
-from .linalg import DimensionError, SparseMap, Subspace, SubspaceError
+from .linalg import SparseMap, Subspace, SubspaceError
 
 KINDS = ("sym", "alt")
 
@@ -259,21 +259,6 @@ class ProductSpace:
             self.dim *= f.dim
         self._weights = None
         self._parities = None
-
-    def index(self, idxs):
-        if len(idxs) != len(self.factors):
-            raise DimensionError("index tuple length mismatch")
-        flat = 0
-        for i, f in zip(idxs, self.factors):
-            flat = flat * f.dim + i
-        return flat
-
-    def unindex(self, flat):
-        out = []
-        for f in reversed(self.factors):
-            out.append(flat % f.dim)
-            flat //= f.dim
-        return tuple(reversed(out))
 
     def weights(self):
         """Each index's weight, the sum of its factors' weights."""

@@ -9,11 +9,12 @@ matrices standing in for SparseMap's arithmetic, the gl(m|n)
 supercommutator relations, the action of every E_ij (Cartan included)
 restricted to a module or tested against an operator, the highest weight of
 a module, the inverse of SparseMap.to_triples, transposes, letter weights,
-subspace sums and containment, the homology of the transfer complex, the
-eigenvalue ladder of the insertion-side loop, the pair splitting and every
-summand of the two triple-spot splittings as subspaces, tensor products of
-modules, the calibration of d against del, and Laurent-polynomial helpers
-(powers, inverted and permuted variables, fraction equality).
+row-major indices of a product space, subspace sums and containment, the
+homology of the transfer complex, the eigenvalue ladder of the insertion-side
+loop, the pair splitting and every summand of the two triple-spot splittings
+as subspaces, tensor products of modules, the calibration of d against del,
+and Laurent-polynomial helpers (powers, inverted and permuted variables,
+fraction equality).
 """
 
 from collections import Counter
@@ -198,6 +199,25 @@ def unindex_word(basis, flat):
         word.append(flat % basis.space.dim)
         flat //= basis.space.dim
     return tuple(reversed(word))
+
+
+def product_index(ps, idxs):
+    """Row-major flat index of one index per factor of a ProductSpace."""
+    if len(idxs) != len(ps.factors):
+        raise DimensionError("index tuple length mismatch")
+    flat = 0
+    for i, f in zip(idxs, ps.factors):
+        flat = flat * f.dim + i
+    return flat
+
+
+def product_unindex(ps, flat):
+    """The factor indices of a flat ProductSpace index."""
+    out = []
+    for f in reversed(ps.factors):
+        out.append(flat % f.dim)
+        flat //= f.dim
+    return tuple(reversed(out))
 
 
 def norm_constant(basis, mu):

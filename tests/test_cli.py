@@ -153,6 +153,8 @@ def test_construct_bad_params(capsys):
     "construct H31 5",
     "export matrix d 1",
     "export matrix d 1,2,3",
+    "export matrix del 0,0",
+    "export matrix P 0,1",
     "construct Mmp 0 1",
     "construct Zk 0 2 2",
     "construct Ysummand 0 1",

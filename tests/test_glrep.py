@@ -284,7 +284,7 @@ def _corrupt_d(ctx, monkeypatch, delta):
     spot = Spot(0, 1, 1)
     mat = ctx.operator("d", spot)
     bad = mat + SparseMap(mat.dom_dim, mat.cod_dim, delta(mat))
-    monkeypatch.setitem(ctx._triple_ops, ("d", spot), bad)
+    monkeypatch.setitem(ctx._operators, ("d", spot), bad)
     return spot
 
 

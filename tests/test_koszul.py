@@ -13,6 +13,8 @@ import oracles
 from oracles import (
     calibration_ratio,
     delpqd_table,
+    dense,
+    dense_lift,
     l_homology_dim,
     p_rank,
     project_tensor,
@@ -31,6 +33,7 @@ from superkoszul.koszul import (
     op_applicable,
     op_target,
     verify_spectrum,
+    word_end,
 )
 from superkoszul.harness import VerificationPlan
 from superkoszul.linalg import SparseMap, Subspace
@@ -540,6 +543,19 @@ def test_splitting_is_the_oracle_summand(ctx31, which, params):
     assert ctx31.splitting(which, params) == splitting_summands(ctx31, which, params)[1]
 
 
+def test_kerp_space_is_computed_once(monkeypatch):
+    ctx = KoszulContext(SuperSpace(3, 1))
+    ker = ctx.kerp_space(Spot(1, 1, 1))
+
+    def recompute(spot):
+        raise AssertionError(f"kerp_space {spot} computed twice")
+
+    monkeypatch.setattr(ctx, "_kerp_space", recompute)
+    assert ctx.kerp_space(Spot(1, 1, 1)) is ker
+    with pytest.raises(AssertionError):
+        ctx.kerp_space(Spot(1, 1, 2))
+
+
 def test_splitting_is_computed_once(monkeypatch):
     ctx = KoszulContext(SuperSpace(3, 1))
     prop1 = ctx.splitting("prop1", (0, 1))
@@ -570,6 +586,33 @@ def test_operator_validity_checks(ctx31):
         ctx31.pair_del(0, 1)
 
 
+def test_pair_maps_are_the_operators_at_line_spots(ctx21):
+    # a pair map is the operator where the factor it leaves alone is a line;
+    # at every other spot the operator is that map lifted onto the factor
+    sym2, dual2 = ctx21.sym_basis(2).dim, ctx21.dual_basis(2).dim
+    cases = [
+        ("d", ctx21.pair_d(1, 1), Spot(0, 1, 1), Spot(2, 1, 1), sym2, 1),
+        ("del", ctx21.pair_del(1, 1), Spot(0, 1, 1), Spot(2, 1, 1), sym2, 1),
+        ("P", ctx21.pair_p(1, 1), Spot(1, 1, 0), Spot(1, 1, 2), 1, dual2),
+        ("Q", ctx21.pair_q(1, 1), Spot(1, 1, 0), Spot(1, 1, 2), 1, dual2),
+    ]
+    for name, pair, line, spot, left, right in cases:
+        assert pair is ctx21.operator(name, line), name
+        assert dense(ctx21.operator(name, spot)) == dense_lift(pair, left, right), name
+
+
+def test_identity_rejects_a_dropped_word_with_a_nonzero_prefactor(ctx31):
+    # del is undefined on Lambda_0 (x) S*_0, so the word del-then-d is dropped
+    spot = Spot(0, 0, 0)
+    with pytest.raises(KoszulError) as exc:
+        ctx31._identity([(1, ["del", "d"]), (1, ["d", "del"])], spot, F(2))
+    assert exc.value.witness == {"word": ["del", "d"], "spot": repr(spot),
+                                 "prefactor": 1}
+    # with a zero prefactor the word is dropped: del(d(1)) = (m - n) * 1
+    rep = ctx31._identity([(0, ["del", "d"]), (1, ["d", "del"])], spot, F(2))
+    assert rep["ok"] and rep["dim"] == 1
+
+
 # the letters each operator takes away: none for d, one exterior and one dual
 # letter for del, one symmetric letter for P, one exterior letter for Q
 SOURCE_LETTERS = {
@@ -595,6 +638,8 @@ def test_composed_word_tracks_spots(ctx31):
     mat, end = ctx31.composed(["d", "Q", "P", "del"], Spot(1, 0, 2))
     assert end == Spot(1, 0, 2)
     assert mat.dom_dim == mat.cod_dim == 36
+    assert word_end(["d", "Q", "P", "del"], Spot(1, 0, 2)) == Spot(1, 0, 2)
+    assert word_end(["P", "d"], Spot(0, 1, 1)) is None
     empty, end2 = ctx31.composed([], Spot(1, 1, 1))
     assert end2 == Spot(1, 1, 1)
     assert empty == SparseMap.identity(ctx31.spot_space(Spot(1, 1, 1)).dim)

@@ -1,6 +1,10 @@
-"""The package builds its tensor spaces in one place: KoszulContext.spot_space,
-which caches one ProductSpace per spot.  A ProductSpace built anywhere else
-would walk the same grading a second time."""
+"""The package builds its tensor spaces and its operators in one place each.
+
+KoszulContext.spot_space caches one ProductSpace per spot; a ProductSpace
+built anywhere else would walk the same grading a second time.
+KoszulContext.operator is the one builder and cache of d, del, P and Q; a
+Kronecker product of factor maps anywhere else would be a second builder.
+"""
 
 import ast
 from pathlib import Path
@@ -8,8 +12,9 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "superkoszul"
 
 
-def _product_space_calls(tree):
-    """Qualified name of the function around each ProductSpace(...) call."""
+def _calls(tree, callee):
+    """Qualified name of the function around each call of callee, called by
+    its bare name or as an attribute (obj.callee(...))."""
     found = []
 
     def visit(node, scope):
@@ -18,7 +23,7 @@ def _product_space_calls(tree):
         if isinstance(node, ast.Call):
             f = node.func
             name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-            if name == "ProductSpace":
+            if name == callee:
                 found.append(".".join(scope) or "<module>")
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
@@ -27,11 +32,19 @@ def _product_space_calls(tree):
     return found
 
 
-def test_product_space_is_built_only_in_spot_space():
+def _package_calls(callee):
     modules = sorted(PACKAGE.glob("*.py"))
     assert modules
     found = []
     for path in modules:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        found += [f"{path.name}:{q}" for q in _product_space_calls(tree)]
-    assert found == ["koszul.py:KoszulContext.spot_space"]
+        found += [f"{path.name}:{q}" for q in _calls(tree, callee)]
+    return found
+
+
+def test_product_space_is_built_only_in_spot_space():
+    assert _package_calls("ProductSpace") == ["koszul.py:KoszulContext.spot_space"]
+
+
+def test_kron_is_called_only_in_operator():
+    assert _package_calls("kron") == ["koszul.py:KoszulContext.operator"]
