@@ -11,8 +11,9 @@ restricted to a module or tested against an operator, the highest weight of
 a module, the inverse of SparseMap.to_triples, transposes, letter weights,
 row-major indices of a product space, subspace sums and containment, the
 homology of the transfer complex, the eigenvalue ladder of the insertion-side
-loop, the pair splitting and every summand of the two triple-spot splittings
-as subspaces, tensor products of modules, the calibration of d against del,
+loop, the two routes of a mixed square composed on the full triple spot, the
+pair splitting and every summand of the two triple-spot splittings as
+subspaces, tensor products of modules, the calibration of d against del,
 and Laurent-polynomial helpers (powers, inverted and permuted variables,
 fraction equality).
 """
@@ -24,7 +25,7 @@ from math import factorial
 
 from superkoszul.characters import CharacterError, CharFraction, LaurentPoly
 from superkoszul.glrep import GLModule, ModuleError
-from superkoszul.koszul import KoszulError, Spot, op_target
+from superkoszul.koszul import KoszulError, Spot, op_target, word_end
 from superkoszul.linalg import (
     DimensionError,
     RestrictionError,
@@ -581,6 +582,25 @@ def delpqd_table(ctx, i, a):
             lo = 0
         out.append((j, lam, hi - lo))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the mixed squares, route by route
+
+
+def commute_by_composition(ctx, which, spot):
+    """The mixed square compared on the full triple spot: both routes
+    composed and subtracted.  Same record as KoszulContext.commute_check
+    without certified_by; None when a route is undefined."""
+    words = {"dP": (["P", "d"], ["d", "P"]),
+             "delQ": (["Q", "del"], ["del", "Q"])}[which]
+    if any(word_end(word, spot) is None for word in words):
+        return None
+    a, end = ctx.composed(words[0], spot)
+    b = ctx.composed_to(words[1], spot, end)
+    ok = a == b
+    return {"ok": ok, "residual_nnz": 0 if ok else (a - b).nnz(),
+            "dim": ctx.spot_space(spot).dim}
 
 
 # ---------------------------------------------------------------------------

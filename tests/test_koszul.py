@@ -6,12 +6,14 @@ Numeric values marked below were frozen from that independent route.
 """
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 import oracles
 from oracles import (
     calibration_ratio,
+    commute_by_composition,
     delpqd_table,
     dense,
     dense_lift,
@@ -227,6 +229,129 @@ def test_commute_skips_degenerate_routes(ctx31):
     # no P route without a symmetric letter; no del route without dual letters
     assert ctx31.commute_check("dP", Spot(0, 1, 1)) is None
     assert ctx31.commute_check("delQ", Spot(1, 1, 1)) is None
+
+
+def _default_grid():
+    plan = VerificationPlan()
+    for i, k, l in product(range(plan.max_i + 1), range(plan.max_k + 1),
+                           range(plan.max_l + 1)):
+        yield Spot(i, k, l)
+
+
+@pytest.mark.parametrize("m,n", [(3, 1), (2, 2), (4, 1)])
+def test_commute_check_matches_composition_oracle(m, n):
+    # the oracle gets a fresh context per spot: sharing one would keep every
+    # triple-spot operator of the grid alive at once (about 770 MB on (4|1))
+    space = SuperSpace(m, n)
+    ctx = KoszulContext(space)
+    for spot in _default_grid():
+        for which in ("dP", "delQ"):
+            got = ctx.commute_check(which, spot)
+            want = commute_by_composition(KoszulContext(space), which, spot)
+            if want is None:
+                assert got is None, (which, spot)
+            else:
+                assert got is not None, (which, spot)
+                got = {key: got[key] for key in ("ok", "residual_nnz", "dim")}
+                assert got == want, (which, spot)
+
+
+def test_default_grid_squares_are_certified_by_factor_identity():
+    # a silent fallback to composition keeps every verdict but loses the
+    # speed; only this test notices
+    ctx = KoszulContext(SuperSpace(3, 1))
+    defined = 0
+    for spot in _default_grid():
+        for which in ("dP", "delQ"):
+            rep = ctx.commute_check(which, spot)
+            if rep is not None:
+                defined += 1
+                assert rep["certified_by"] == "factor", (which, spot)
+                assert rep["ok"] and rep["residual_nnz"] == 0
+    assert defined > 0
+
+
+class _NegatedPrepend:
+    """A power basis whose prepend factor map for one letter is negated; a
+    fresh map each call, so the shared basis and its memo stay untouched."""
+
+    def __init__(self, basis, letter):
+        self._basis = basis
+        self._letter = letter
+
+    def __getattr__(self, name):
+        return getattr(self._basis, name)
+
+    def factor_map(self, op, i):
+        m = self._basis.factor_map(op, i)
+        return -1 * m if (op, i) == ("prepend", self._letter) else m
+
+
+class _NegatedContext(KoszulContext):
+    """A context whose exterior bases of the given degrees negate one
+    letter's prepend; operators, spots and certificates are its own."""
+
+    def __init__(self, space, letter, degrees):
+        super().__init__(space)
+        self._letter = letter
+        self._degrees = degrees
+
+    def alt_basis(self, degree):
+        basis = super().alt_basis(degree)
+        if degree in self._degrees:
+            return _NegatedPrepend(basis, self._letter)
+        return basis
+
+
+def _small_grid():
+    return [Spot(i, k, l) for i, k, l in product(range(3), repeat=3)]
+
+
+@pytest.mark.parametrize("letter", [0, 3])
+def test_negated_prepend_on_one_degree_falls_back_and_fails(letter):
+    space = SuperSpace(3, 1)
+    shared = power_basis(space, "alt", 1).factor_map("prepend", letter)
+    before = dict(shared.entries)
+    ctx = _NegatedContext(space, letter, {1})
+    failed = []
+    for spot in _small_grid():
+        for which in ("dP", "delQ"):
+            rep = ctx.commute_check(which, spot)
+            want = commute_by_composition(ctx, which, spot)
+            if rep is None:
+                assert want is None
+                continue
+            assert {key: rep[key] for key in ("ok", "residual_nnz", "dim")} == want
+            if not rep["ok"]:
+                assert rep["certified_by"] == "composition"
+                assert rep["residual_nnz"] > 0
+                failed.append((which, spot.alt))
+    # P's prepend on Lambda_1 sits in a dP route at exterior degree 0 and 1
+    # only; delQ never prepends on the exterior factor
+    assert failed and {w for w, _ in failed} == {"dP"}
+    assert {alt for _, alt in failed} == {0, 1}
+    # nothing leaked into the shared bases
+    assert power_basis(space, "alt", 1).factor_map("prepend", letter) is shared
+    assert shared.entries == before
+    rep = KoszulContext(space).commute_check("dP", Spot(1, 1, 1))
+    assert rep["certified_by"] == "factor"
+
+
+@pytest.mark.parametrize("letter", [0, 3])
+def test_negated_prepend_on_every_degree_is_still_certified(letter):
+    # the same sign at every degree scales the letter's terms by -1 on both
+    # routes, so the squares still commute and the identity still holds;
+    # only a sign that differs between degrees defeats it
+    ctx = _NegatedContext(SuperSpace(3, 1), letter, range(8))
+    for spot in _small_grid():
+        for which in ("dP", "delQ"):
+            rep = ctx.commute_check(which, spot)
+            want = commute_by_composition(ctx, which, spot)
+            if rep is None:
+                assert want is None
+                continue
+            assert rep["ok"] and rep["certified_by"] == "factor", (which, spot)
+            assert want["ok"]
 
 
 # ---------------------------------------------------------------------------
