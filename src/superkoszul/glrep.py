@@ -34,7 +34,7 @@ from fractions import Fraction
 from math import prod
 
 from .linalg import RestrictionError, SparseMap, Subspace, WitnessedError
-from .superspace import blocked_image, join, power_basis, weight_blocks
+from .superspace import blocked_image, blocked_kernel, power_basis
 from .koszul import Spot, op_target
 
 
@@ -212,23 +212,27 @@ class GLModule:
         return out
 
     def raising_kernel(self):
-        """Joint kernel of the simple raising generators, blocked by weight.
-        Each row comes from one generator's numerator columns, den times its
-        values; scaling rows keeps the kernel."""
-        parts = []
-        for idx in weight_blocks(self.weights)[0].values():
-            rows = {}
-            cols = {}
-            for li, g in enumerate(idx):
-                col = {}
-                for t, pair in enumerate(raising_pairs(self.space)):
-                    for r, v in self.gens[pair].columns().get(g, {}).items():
-                        rid = rows.setdefault((t, r), len(rows))
-                        col[rid] = v
-                cols[li] = col
-            m = SparseMap.from_columns(len(idx), max(len(rows), 1), cols)
-            parts.append((m.kernel(), idx))
-        return join(self.dim, parts)
+        """Joint kernel of the simple raising generators: the singular space.
+
+        The numerators of the E_(i,i+1) are stacked into one map, each
+        generator's rows below the previous one's; scaling a generator keeps
+        the kernel.  E_(i,i+1) raises a weight by e_i - e_(i+1), so each of
+        its rows is labelled with the row's weight minus that step, the
+        weight of the columns it meets, and blocked_kernel eliminates one
+        weight at a time.  split_graded raises ValueError if a raising
+        generator is not weight-graded.
+        """
+        dim = self.dim
+        entries = {}
+        row_weights = []
+        for t, (i, j) in enumerate(raising_pairs(self.space)):
+            entries.update(((t * dim + r, c), v)
+                           for (r, c), v in self.gens[(i, j)].entries.items())
+            row_weights += [
+                tuple(x - (k == i) + (k == j) for k, x in enumerate(w))
+                for w in self.weights]
+        stacked = SparseMap._from_ints(dim, len(row_weights), entries)
+        return blocked_kernel(stacked, self.weights, row_weights)
 
     def singular_weights(self):
         ker = self.raising_kernel()
@@ -241,57 +245,44 @@ class GLModule:
             out.append(ws.pop())
         return ker, out
 
-    def submodule_span(self, vectors):
-        """Closure of the given vectors under the whole action.
+    def submodule_span(self, vector):
+        """The submodule generated by a singular vector: its closure under
+        the simple lowering generators E_(i+1,i).
 
-        Seeds split into weight components first: the closure contains each
-        component (separate them with Cartan polynomials), and generator
-        images of homogeneous vectors stay homogeneous.  The span is graded
-        by weight, so it is Cartan-closed, and closing it under the simple
-        generators closes it under all of gl(m|n).
+        A singular vector v is a weight vector killed by the raising
+        generators, so by the PBW theorem U(g)v = U(n-)U(h)U(n+)v = U(n-)v
+        (Kac 1977, Lie superalgebras), and the simple lowering generators
+        generate U(n-).  Their images of weight vectors are weight vectors,
+        so the span stays graded; GradedSpan raises ValueError on a vector
+        that mixes weights.
         """
+        lowering = [self.gens[(j, i)] for i, j in raising_pairs(self.space)]
         span = GradedSpan(self.dim, self.weights)
-        queue = []
-        for v in vectors:
-            parts = {}
-            for i, x in v.items():
-                parts.setdefault(self.weights[i], {})[i] = x
-            for part in parts.values():
-                r = span.insert(part)
-                if r is not None:
-                    queue.append(r)
-        gens = list(self.gens.values())
+        queue = [vector]
         while queue:
-            v = queue.pop()
-            for g in gens:
-                img = g.apply_numerators(v)
-                r = span.insert(img)
-                if r is not None:
-                    queue.append(r)
+            new = span.insert(queue.pop())
+            if new is not None:
+                queue.extend(g.apply_numerators(new) for g in lowering)
         return span
 
     def is_irreducible(self):
-        """Triple test: unique singular line, cyclic closure, and a unique
-        singular line in the dual.
+        """Irreducible exactly when (a) the singular space is one line and
+        (b) that line generates the whole module.
 
-        Any nonzero submodule of a finite-dimensional module contains a
-        singular vector, so (a)+(b) alone are already an if-and-only-if
-        test; the dual leg (c) is kept as an independent socle check.
+        A submodule is spanned by weight vectors and the raising generators
+        move weights up, so every nonzero submodule contains a singular
+        vector.  With (a) and (b), a nonzero submodule contains the singular
+        line and so the whole module.  Conversely an irreducible module is
+        generated by any singular vector v, and U(n-)v meets v's weight only
+        in the line of v, so the singular space is that line.
         """
         ker, ws = self.singular_weights()
-        info = {
-            "singular_dim": ker.dim,
-            "singular_weights": ws,
-            "dim": self.dim,
-        }
+        info = {"singular_dim": ker.dim, "singular_weights": ws}
         if ker.dim != 1:
             return False, info
-        span = self.submodule_span([ker.nums[0]])
+        span = self.submodule_span(ker.nums[0])
         info["generated_dim"] = span.dim
-        dker, _ = dual_module(self).singular_weights()
-        info["dual_singular_dim"] = dker.dim
-        ok = span.dim == self.dim and dker.dim == 1
-        return ok, info
+        return span.dim == self.dim, info
 
     def twist(self, weight, parity):
         """Tensor with a one-dimensional module of the given weight/parity.
@@ -407,7 +398,8 @@ def dual_module(mod):
     """Contragredient action: (E.f)(v) = -(-1)^(p(E)p(f)) f(E.v).
 
     Each generator of the dual is built from the same generator of mod, so
-    the dual carries the same keys; its weights are the negated ones."""
+    the dual carries the same keys; its weights are the negated ones.  The
+    package builds no dual itself: is_irreducible needs none."""
     space = mod.space
     par = mod.parities
     gens = {}

@@ -701,7 +701,7 @@ def run(plan):
                 futs = [pool.submit(run_group, plan_dict, g)
                         for g in plan.checks]
                 results = [f.result() for f in futs]
-        except (OSError, PermissionError):
+        except OSError:
             results = []  # pools unavailable; fall back to one process
     if not results:
         results = [run_group(plan_dict, g) for g in plan.checks]

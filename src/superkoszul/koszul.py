@@ -637,9 +637,6 @@ class SpectrumReport:
     matches_stated: bool | None
     note: str = ""
 
-    def as_set(self):
-        return {lam for lam, _ in self.eigenvalues}
-
 
 def _match(spec_set, target, diag):
     if target is None:

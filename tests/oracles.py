@@ -8,14 +8,16 @@ characteristic polynomial multiplied out block by block, dense Fraction
 matrices standing in for SparseMap's arithmetic, the gl(m|n)
 supercommutator relations, the action of every E_ij (Cartan included)
 restricted to a module or tested against an operator, the highest weight of
-a module, the inverse of SparseMap.to_triples, transposes, letter weights,
-row-major indices of a product space, subspace sums and containment, the
-homology of the transfer complex, the eigenvalue ladder of the insertion-side
-loop, the two routes of a mixed square composed on the full triple spot, the
-pair splitting and every summand of the two triple-spot splittings as
-subspaces, tensor products of modules, the calibration of d against del,
-and Laurent-polynomial helpers (powers, inverted and permuted variables,
-fraction equality).
+a module, the three-leg irreducibility test (an unblocked singular space,
+the closure of arbitrary vectors under every simple generator, and the
+singular space of the dual), the inverse of SparseMap.to_triples,
+transposes, letter weights, row-major indices of a product space, subspace
+sums and containment, the homology of the transfer complex, the eigenvalue
+ladder of the insertion-side loop, the two routes of a mixed square composed
+on the full triple spot, the pair splitting and every summand of the two
+triple-spot splittings as subspaces, tensor products of modules, the
+calibration of d against del, and Laurent-polynomial helpers (powers,
+inverted and permuted variables, fraction equality).
 """
 
 from collections import Counter
@@ -24,7 +26,13 @@ from itertools import permutations
 from math import factorial
 
 from superkoszul.characters import CharacterError, CharFraction, LaurentPoly
-from superkoszul.glrep import GLModule, ModuleError
+from superkoszul.glrep import (
+    GLModule,
+    GradedSpan,
+    ModuleError,
+    dual_module,
+    raising_pairs,
+)
 from superkoszul.koszul import KoszulError, Spot, op_target, word_end
 from superkoszul.linalg import (
     DimensionError,
@@ -512,6 +520,54 @@ def full_action(act, product, basis, modulo=None, pairs=None):
             cols[c] = {r: x / modulo.den for r, x in enumerate(coords) if x}
         out[(i, j)] = SparseMap.from_columns(basis.dim, basis.dim, cols)
     return out
+
+
+def submodule_closure(mod, vectors):
+    """Closure of arbitrary vectors under the whole action.
+
+    Each seed splits into its weight components first: the closure contains
+    each one (Cartan polynomials separate them), and generator images of
+    weight vectors are weight vectors.  The components are then closed under
+    every simple generator, raising and lowering."""
+    span = GradedSpan(mod.dim, mod.weights)
+    queue = []
+    for v in vectors:
+        parts = {}
+        for i, x in v.items():
+            parts.setdefault(mod.weights[i], {})[i] = x
+        queue.extend(parts.values())
+    while queue:
+        new = span.insert(queue.pop())
+        if new is not None:
+            queue.extend(g.apply_numerators(new) for g in mod.gens.values())
+    return span
+
+
+def singular_space(mod):
+    """Joint kernel of the simple raising generators, by one elimination of
+    their numerators stacked into a single map, with no weight blocks."""
+    pairs = raising_pairs(mod.space)
+    ent = {}
+    for t, pair in enumerate(pairs):
+        ent.update(((t * mod.dim + r, c), v)
+                   for (r, c), v in mod.gens[pair].entries.items())
+    return SparseMap._from_ints(mod.dim, len(pairs) * mod.dim, ent).kernel()
+
+
+def irreducible_three_legs(mod):
+    """The three-leg irreducibility test: (a) a unique singular line, (b)
+    its closure under every simple generator is the whole module, and (c) a
+    unique singular line in the contragredient dual.  Returns the verdict
+    and the dims behind it; generated_dim and dual_singular_dim only once
+    leg (a) holds."""
+    ker = singular_space(mod)
+    info = {"singular_dim": ker.dim}
+    if ker.dim != 1:
+        return False, info
+    info["generated_dim"] = submodule_closure(mod, ker.nums).dim
+    info["dual_singular_dim"] = singular_space(dual_module(mod)).dim
+    ok = info["generated_dim"] == mod.dim and info["dual_singular_dim"] == 1
+    return ok, info
 
 
 # ---------------------------------------------------------------------------

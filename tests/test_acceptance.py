@@ -139,7 +139,7 @@ def test_primary_05_insertion_loop_stated_spectrum(ctx31):
                   and rep.matches_stated)
             if not ok:
                 bad.append(((i, a),
-                            sorted(str(v) for v in rep.as_set()),
+                            sorted(str(v) for v, _ in rep.eigenvalues),
                             sorted(str(v) for v in rep.stated)))
     line = _report(
         5, not bad,

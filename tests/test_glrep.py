@@ -29,7 +29,9 @@ from oracles import (
     equivariance_failures,
     full_action,
     highest_weight,
+    irreducible_three_legs,
     kron_sum_on_product,
+    submodule_closure,
     supercommutator_check,
     supercommutator_failures,
     tensor_modules,
@@ -348,8 +350,8 @@ def test_h31_is_the_odd_berezinian_line(con):
     assert h.dim == 1
     assert h.weights == [(1, 1, 1, -1)]
     assert h.parities == [1]
-    ok, info = h.is_irreducible()
-    assert ok and info["dual_singular_dim"] == 1
+    assert h.is_irreducible()[0]
+    assert dual_module(h).singular_weights()[0].dim == 1
 
 
 IMD = [
@@ -591,7 +593,7 @@ def test_non_homogeneous_subspace_basis_raises(ctx, act):
 def test_closure_of_highest_weight_vector_is_whole_module(con):
     mod = con.image_module(1, 1)
     ker, _ = mod.singular_weights()
-    span = mod.submodule_span([ker.vectors[0]])
+    span = mod.submodule_span(ker.vectors[0])
     assert span.dim == mod.dim
 
 
@@ -601,11 +603,60 @@ def test_closure_in_split_ambient_finds_the_summands(ctx, con):
     a_sub, b_sub = xdanh_splitting(ctx, 2, 2)
     va = dict(a_sub.vectors[0])
     vb = dict(b_sub.vectors[0])
-    assert amb.submodule_span([va]).dim == a_sub.dim
+    assert submodule_closure(amb, [va]).dim == a_sub.dim
     mixed = dict(va)
     for i, x in vb.items():
         mixed[i] = mixed.get(i, F(0)) + x
-    assert amb.submodule_span([mixed]).dim == amb.dim
+    assert submodule_closure(amb, [mixed]).dim == amb.dim
+
+
+HOOKS = [(1,), (2,), (3,), (4,), (1, 1), (1, 1, 1), (1, 1, 1, 1), (2, 1),
+         (2, 1, 1), (3, 1), (2, 1, 1, 1), (1, 1, 1, -1)]
+
+
+def _agreement_modules():
+    """ImD(k,l) for k, l <= 3 on five alphabets, every module cell of the
+    constructions group, twelve hooks and ImD(4,2) on (3|1), and the dual of
+    each: 230 modules."""
+    mods = []
+    for m, n in [(3, 1), (2, 1), (4, 1), (2, 2), (1, 2)]:
+        other = Constructor(KoszulContext(SuperSpace(m, n)))
+        mods += [other.image_module(k, l) for k in range(4) for l in range(4)]
+    con = Constructor(KoszulContext(SuperSpace(3, 1)))
+    mods += [con.construct(name, tuple(params.values()))
+             for name, params in harness.MODULE_CELLS]
+    mods += [con.ilambda(shape) for shape in HOOKS]
+    mods.append(con.image_module(4, 2))
+    return mods + [dual_module(mod) for mod in mods]
+
+
+def test_irreducibility_agrees_with_the_three_leg_oracle():
+    mods = _agreement_modules()
+    assert len(mods) == 230
+    for mod in mods:
+        ok, info = mod.is_irreducible()
+        want_ok, want = irreducible_three_legs(mod)
+        assert (ok, info["singular_dim"], info.get("generated_dim")) == (
+            want_ok, want["singular_dim"], want.get("generated_dim")), (
+            mod.space, mod.name)
+
+
+def test_lowering_closure_decides_imd_1_1_on_2_2():
+    # the one module of the agreement set with a singular line that does
+    # not generate it; its dual has two singular lines
+    mod = Constructor(KoszulContext(SuperSpace(2, 2))).image_module(1, 1)
+    ok, info = mod.is_irreducible()
+    assert not ok
+    assert (info["singular_dim"], info["generated_dim"], mod.dim) == (1, 14, 15)
+    assert dual_module(mod).singular_weights()[0].dim == 2
+
+
+def test_raising_kernel_rejects_a_generator_off_its_weight_step(con):
+    v = con.ilambda((1,))
+    bad = GLModule(space=v.space, name="bad", gens=v.gens,
+                   weights=v.weights[::-1], parities=v.parities)
+    with pytest.raises(ValueError, match="not weight-graded"):
+        bad.raising_kernel()
 
 
 def test_singular_lines_of_exterior_cube(con):

@@ -1,9 +1,13 @@
-"""The package builds its tensor spaces and its operators in one place each.
+"""The package builds its tensor spaces and its operators in one place each,
+and tests irreducibility one way.
 
 KoszulContext.spot_space caches one ProductSpace per spot; a ProductSpace
 built anywhere else would walk the same grading a second time.
 KoszulContext.operator is the one builder and cache of d, del, P and Q; a
 Kronecker product of factor maps anywhere else would be a second builder.
+GLModule.is_irreducible is the one irreducibility test: only it closes a
+singular line (submodule_span), and no dual module is built, since a unique
+singular line that generates the module already decides irreducibility.
 """
 
 import ast
@@ -48,3 +52,11 @@ def test_product_space_is_built_only_in_spot_space():
 
 def test_kron_is_called_only_in_operator():
     assert _package_calls("kron") == ["koszul.py:KoszulContext.operator"]
+
+
+def test_no_dual_module_in_the_package():
+    assert _package_calls("dual_module") == []
+
+
+def test_submodule_span_is_called_only_in_is_irreducible():
+    assert _package_calls("submodule_span") == ["glrep.py:GLModule.is_irreducible"]
