@@ -2,17 +2,15 @@
 
 Monomial exponents follow the internal weight convention: a label
 (l1,l2,l3|l4) corresponds to x1^l1 x2^l2 x3^l3 y^(-l4), which is exactly
-the monomial of an internal weight tuple.  All arithmetic is exact; fraction
-equality is tested by cross-multiplication, never by division.
+the monomial of an internal weight tuple.  Coefficients are ints, so all
+arithmetic is exact; fraction equality is tested by cross-multiplication,
+and a quotient is taken only where it divides exactly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 CYCLES = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
@@ -22,7 +20,8 @@ class CharacterError(ValueError):
 
 
 class LaurentPoly:
-    """Laurent polynomial over exponent vectors (e1, e2, e3, e4)."""
+    """Laurent polynomial with int coefficients over exponent vectors
+    (e1, e2, e3, e4)."""
 
     __slots__ = ("terms",)
 
@@ -30,7 +29,6 @@ class LaurentPoly:
         clean = {}
         if terms:
             for exps, c in terms.items():
-                c = Fraction(c)
                 if c:
                     clean[tuple(exps)] = c
         self.terms = clean
@@ -41,7 +39,7 @@ class LaurentPoly:
 
     @classmethod
     def monomial(cls, exps, coeff=1):
-        return cls({tuple(exps): Fraction(coeff)})
+        return cls({tuple(exps): coeff})
 
     @classmethod
     def one(cls):
@@ -59,32 +57,31 @@ class LaurentPoly:
     def __add__(self, other):
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, ZERO) + c
+            out[e] = out.get(e, 0) + c
         return LaurentPoly(out)
 
     def __sub__(self, other):
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, ZERO) - c
+            out[e] = out.get(e, 0) - c
         return LaurentPoly(out)
 
     def __neg__(self):
         return LaurentPoly({e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return self.scaled(other)
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
-                out[e] = out.get(e, ZERO) + c1 * c2
+                out[e] = out.get(e, 0) + c1 * c2
         return LaurentPoly(out)
 
     __rmul__ = __mul__
 
     def scaled(self, c):
-        c = Fraction(c)
         return LaurentPoly({e: v * c for e, v in self.terms.items()})
 
     def sub_y_neg(self):
@@ -120,12 +117,22 @@ def _lead(poly):
     return e, poly.terms[e]
 
 
+def _divide_coeff(c, dc):
+    q, r = divmod(c, dc)
+    if r:
+        raise CharacterError(f"coefficient {c} is not divisible by {dc}")
+    return q
+
+
 def divide_exact(num, den, step_cap=20000):
-    """Laurent quotient num/den when it is a polynomial.
+    """Laurent quotient num/den when it is a polynomial with int
+    coefficients.
 
     Leading-term elimination in lex order; every monomial divides every
     other here, so termination certifies exactness and a step cap catches
-    the divergent (non-polynomial) case.
+    the divergent (non-polynomial) case.  Each quotient coefficient is a
+    leading coefficient divided by den's, so a remainder there means the
+    quotient has no int coefficients, and raises.
     """
     if den.is_zero():
         raise CharacterError("division by zero polynomial")
@@ -135,7 +142,7 @@ def divide_exact(num, den, step_cap=20000):
         (de, dc), = den.terms.items()
         return LaurentPoly(
             {
-                tuple(a - b for a, b in zip(e, de)): c / dc
+                tuple(a - b for a, b in zip(e, de)): _divide_coeff(c, dc)
                 for e, c in num.terms.items()
             }
         )
@@ -147,7 +154,7 @@ def divide_exact(num, den, step_cap=20000):
             return LaurentPoly(q)
         ne, nc = _lead(rem)
         qe = tuple(a - b for a, b in zip(ne, de))
-        qc = nc / dc
+        qc = _divide_coeff(nc, dc)
         q[qe] = qc
         rem = rem - den * LaurentPoly.monomial(qe, qc)
     raise CharacterError("quotient is not a Laurent polynomial")
@@ -222,12 +229,12 @@ def a_det(t, u, v):
     cols = (t + 2, u + 1, v)
     out = {}
     for perm in permutations(range(3)):
-        sign = ONE if _perm_sign(perm) > 0 else -ONE
+        sign = _perm_sign(perm)
         e = [0, 0, 0, 0]
         for row in range(3):
             e[row] = cols[perm[row]]
         key = tuple(e)
-        out[key] = out.get(key, ZERO) + sign
+        out[key] = out.get(key, 0) + sign
     return LaurentPoly(out)
 
 
@@ -415,7 +422,7 @@ def _h_classical(m):
     out = {}
     for a in range(m + 1):
         for b in range(m - a + 1):
-            out[(a, b, m - a - b, 0)] = ONE
+            out[(a, b, m - a - b, 0)] = 1
     return LaurentPoly(out)
 
 
@@ -476,8 +483,8 @@ def supercharacter(mod, signed=True):
     """Weight-table enumeration; internal weights are used as exponents."""
     out = {}
     for w, p in zip(mod.weights, mod.parities):
-        c = -ONE if (signed and p) else ONE
-        out[w] = out.get(w, ZERO) + c
+        c = -1 if (signed and p) else 1
+        out[w] = out.get(w, 0) + c
     return LaurentPoly(out)
 
 

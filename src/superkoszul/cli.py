@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from . import harness
 from .characters import CharacterError
@@ -53,19 +54,14 @@ def _build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("verify", help="run a verification plan")
-    v.add_argument("--m", type=int, default=3)
-    v.add_argument("--n", type=int, default=1)
-    v.add_argument("--max-k", type=int, default=4)
-    v.add_argument("--max-l", type=int, default=4)
-    v.add_argument("--max-i", type=int, default=3)
-    v.add_argument("--max-a", type=int, default=3)
-    v.add_argument("--max-p", type=int, default=3)
-    v.add_argument("--max-r", type=int, default=3)
-    v.add_argument("--dim-cap", type=int, default=3000)
-    v.add_argument("--checks", default=",".join(harness.CHECK_GROUPS),
-                   help="comma separated subset of: "
-                        + ", ".join(harness.CHECK_GROUPS))
-    v.add_argument("--jobs", type=int, default=1)
+    for f in fields(VerificationPlan):
+        if f.name == "checks":
+            v.add_argument("--checks", default=",".join(f.default),
+                           help="comma separated subset of: "
+                                + ", ".join(harness.CHECK_GROUPS))
+        else:
+            v.add_argument("--" + f.name.replace("_", "-"), type=int,
+                           default=f.default)
     v.add_argument("--json", dest="json_out", default=None,
                    help="write the full report to this file")
 
@@ -106,15 +102,10 @@ def _build_parser():
 
 
 def _cmd_verify(args):
-    plan = VerificationPlan(
-        m=args.m, n=args.n,
-        max_k=args.max_k, max_l=args.max_l,
-        max_i=args.max_i, max_a=args.max_a,
-        max_p=args.max_p, max_r=args.max_r,
-        dim_cap=args.dim_cap,
-        checks=tuple(c.strip() for c in args.checks.split(",") if c.strip()),
-        jobs=args.jobs,
-    )
+    knobs = {f.name: getattr(args, f.name) for f in fields(VerificationPlan)}
+    knobs["checks"] = tuple(
+        c.strip() for c in args.checks.split(",") if c.strip())
+    plan = VerificationPlan(**knobs)
     report = harness.run(plan)
     if args.json_out:
         _emit(report.to_json(), args.json_out)

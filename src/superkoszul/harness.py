@@ -8,9 +8,11 @@ single threaded and the record order is fixed by sorting, so two runs of the
 same plan agree byte for byte outside the timing fields.
 
 `FAMILIES` holds, for each module construction, its claim, its closed
-character and its highest-weight label.  The constructions group and the
-single-module `construct_report` both read it, so each family's checks are
-written down once.
+character and its highest-weight label.  `check_module` is the one check of
+a module: irreducibility, the closed form and the V formula at the derived
+highest weight.  The constructions and characters groups and the
+single-module `construct_report` all run it, so `verify` and `construct`
+certify a module the same way.
 """
 
 from __future__ import annotations
@@ -521,48 +523,77 @@ def _check_splittings(plan):
     return records, []
 
 
-def _label(mod, info):
-    """Label of the highest weight, read off the singular weights that
-    is_irreducible already found; None when the singular space is not a
-    line, so the module is reducible and has no highest weight."""
-    if info["singular_dim"] != 1:
-        return None
-    weight = info["singular_weights"][0]
-    return list(weight_label(weight, mod.space.m, mod.space.n))
+def check_module(con, name, params):
+    """Build a named module and check it: it is irreducible, its enumeration
+    equals its closed form, and its unsigned enumeration equals the V formula
+    at the highest weight read off its one singular line.
 
+    The closed form of a family is its closed character from `FAMILIES`,
+    looked up in `characters` when called, against the unsigned enumeration;
+    ImD with k < 2 has none.  The closed form of a hook is the hook
+    determinant of h_r(x1+x2+x3-y), against the signed enumeration; the
+    weight-(1,1,1,-1) line (H31) has none.  `verify` and `construct` both
+    check a module here.
 
-def _closed_char(name, params):
-    """The closed character of a family at its construction parameters,
-    looked up in `characters` when called."""
-    return getattr(chars, FAMILIES[name][1])(*params)
-
-
-def _module_cell(con, name, params, note=""):
-    """Record one constructed module: it is irreducible, its unsigned
-    enumeration equals the closed character and the V formula at the family
-    label, and its derived highest weight is that label.
-
-    Returns the record, the enumerated character and the derived label.
+    Returns the module, the checks and the unsigned enumeration.
     """
-    claim, _, label_of = FAMILIES[name]
-    args = tuple(params.values())
-    mod = con.construct(name, args)
+    mod = con.construct(name, params)
     irr, info = mod.is_irreducible()
-    enum = chars.CharFraction(chars.supercharacter(mod, signed=False))
-    label = label_of(*args)
-    legs = {
-        "convention": "unsigned",
-        "closed_formula": enum.compare(_closed_char(name, args)),
-        "v_formula": {"label": list(label), **enum.compare(chars.ch_v(label))},
+    derived = None
+    if info["singular_dim"] == 1:
+        derived = list(weight_label(info["singular_weights"][0],
+                                    mod.space.m, mod.space.n))
+    unsigned = chars.supercharacter(mod, signed=False)
+    enum = chars.CharFraction(unsigned)
+    key = name.lower()
+    closed = None
+    if key in FAMILIES:
+        claim, closed_name, _ = FAMILIES[key]
+        if key == "imd" and params[0] < 2:
+            closed = {"claim": claim, "skipped": "closed form needs k >= 2"}
+        else:
+            closed = {"claim": claim, "convention": "unsigned",
+                      **enum.compare(getattr(chars, closed_name)(*params))}
+    elif tuple(params) != (1, 1, 1, -1):
+        jt = chars.ch_schur_super(params)
+        signed = chars.supercharacter(mod, signed=True)
+        equal = jt == signed
+        closed = {"claim": "SCHUR-CONSISTENCY", "convention": "signed",
+                  "equal": equal, "up_to_sign": equal or jt == -signed}
+    if derived is None:
+        v_leg = {"label": None, "error": "no highest weight: singular space "
+                 f"has dimension {info['singular_dim']}"}
+    else:
+        try:
+            v_leg = {"label": derived, "convention": "unsigned",
+                     **enum.compare(chars.ch_v(tuple(derived)))}
+        except chars.CharacterError as e:
+            v_leg = {"label": derived, "error": str(e)}
+    ok = irr and v_leg.get("equal", False) and (
+        closed is None or "skipped" in closed or closed["equal"])
+    checks = {
+        "irreducible": irr,
+        "singular_dim": info["singular_dim"],
+        "highest_weight": derived,
+        "closed_formula": closed,
+        "v_formula": v_leg,
+        "ok": ok,
     }
-    derived = _label(mod, info)
-    ok = (irr and legs["closed_formula"]["equal"]
-          and legs["v_formula"]["equal"] and derived == list(label))
-    witness = {"irreducible": irr, "singular_dim": info.get("singular_dim"),
-               "highest_weight": derived, **legs}
-    rec = verdict(claim, dict(params), ok, witness, dims={"dim": mod.dim},
-                  note=note)
-    return rec, enum, derived
+    return mod, checks, unsigned
+
+
+def _module_cell(con, claim, name, params, args, stated=None, note=""):
+    """The record of one module that `verify` certifies: `check_module`
+    passes and, where a label is stated, the derived highest weight is that
+    label.
+
+    Returns the record, the checks and the unsigned enumeration.
+    """
+    mod, checks, unsigned = check_module(con, name, args)
+    ok = checks["ok"] and (
+        stated is None or checks["highest_weight"] == list(stated))
+    rec = verdict(claim, params, ok, checks, dims={"dim": mod.dim}, note=note)
+    return rec, checks, unsigned
 
 
 def _check_constructions(plan):
@@ -588,30 +619,27 @@ def _check_constructions(plan):
                     "IMD-SIMPLE", params, "skip",
                     note="dimension cap exceeded"))
                 continue
-            mod = con.image_module(k, l)
-            irr, info = mod.is_irreducible()
-            enum = chars.CharFraction(chars.supercharacter(mod, signed=False))
-            cmp = enum.compare(_closed_char("imd", (k, l)))
-            records.append(verdict(
-                "IMD-SIMPLE", params, irr and cmp["equal"],
-                {"irreducible": irr, "singular_dim": info.get("singular_dim"),
-                 "closed_formula": cmp},
-                dims={"dim": mod.dim}))
+            rec, _, _ = _module_cell(con, "IMD-SIMPLE", "imd", params, (k, l))
+            records.append(rec)
 
     z1_cells = []
     zk_cells = []
     for name, params in MODULE_CELLS:
+        claim, _, label_of = FAMILIES[name]
+        args = tuple(params.values())
         note = "stated label differs; see findings" if name == "z1" else ""
-        rec, enum, derived = _module_cell(con, name, params, note)
+        rec, checks, unsigned = _module_cell(
+            con, claim, name, dict(params), args, label_of(*args), note)
         records.append(rec)
+        derived = checks["highest_weight"]
         if name == "z1":
             stated = [2, 1, 1 - params["m"], 1]
             if derived != stated:
                 z1_cells.append([params["m"], stated, derived])
         elif name == "zk":
-            args = list(params.values())
+            enum = chars.CharFraction(unsigned)
             if not enum.compare(chars.zk_char_stated(*args))["equal"]:
-                zk_cells.append(args)
+                zk_cells.append(list(args))
     if z1_cells:
         findings.append(finding(
             "Z1-CHAR", {"cells": [c[0] for c in z1_cells]},
@@ -634,14 +662,6 @@ def _check_constructions(plan):
     return records, findings
 
 
-def _jacobi_trudi(shape, signed):
-    """The hook determinant of h_r(x1+x2+x3-y) for shape, and how it compares
-    with the signed enumeration of the realized module."""
-    jt = chars.ch_schur_super(shape)
-    equal = jt == signed
-    return jt, {"equal": equal, "up_to_sign": equal or jt == -signed}
-
-
 def _check_characters(plan):
     if (plan.m, plan.n) != (3, 1):
         return [record(
@@ -655,16 +675,10 @@ def _check_characters(plan):
     ctx = _context(plan)
     con = Constructor(ctx)
     for shape in SCHUR_GRID:
-        mod = con.ilambda(shape)
-        jt, signs = _jacobi_trudi(shape, chars.supercharacter(mod, signed=True))
-        lab = hook_to_label(shape)
-        cmp = chars.CharFraction(jt.sub_y_neg()).compare(chars.ch_v(lab))
-        records.append(verdict(
-            "SCHUR-CONSISTENCY", {"shape": list(shape)},
-            signs["equal"] and cmp["equal"],
-            {"signed_matches_enumeration": signs["equal"],
-             "v_formula": {"label": list(lab), **cmp}},
-            dims={"dim": mod.dim}))
+        rec, _, _ = _module_cell(con, "SCHUR-CONSISTENCY", "ilambda",
+                                 {"shape": list(shape)}, shape,
+                                 hook_to_label(shape))
+        records.append(rec)
     return records, []
 
 
@@ -728,60 +742,30 @@ def run(plan):
 
 
 def construct_report(name, params):
-    """Build a named module and report the three-way character comparison."""
-    ctx = KoszulContext(SuperSpace(3, 1))
-    con = Constructor(ctx)
-    mod = con.construct(name, params)
-    irr, info = mod.is_irreducible()
-    label = _label(mod, info)
-    unsigned = chars.supercharacter(mod, False)
-    signed = chars.supercharacter(mod, True)
-    out = {
+    """Build a named module and report its weights, its enumerated
+    characters and the checks of `check_module`."""
+    con = Constructor(KoszulContext(SuperSpace(3, 1)))
+    mod, checks, unsigned = check_module(con, name, params)
+    characters = {
+        "enumerated_unsigned": unsigned.canonical(),
+        "enumerated_signed": chars.supercharacter(mod, True).canonical(),
+    }
+    for leg in ("closed_formula", "v_formula"):
+        if checks[leg] is not None:
+            characters[leg] = checks[leg]
+    return {
         "name": mod.name,
         "params": list(params),
         "dim": mod.dim,
-        "highest_weight": label,
-        "irreducible": irr,
-        "singular_dim": info.get("singular_dim"),
+        "highest_weight": checks["highest_weight"],
+        "irreducible": checks["irreducible"],
+        "singular_dim": checks["singular_dim"],
         "weights": sorted(
             ([list(w), c] for w, c in mod.weight_multiset().items()),
         ),
-        "characters": {
-            "enumerated_unsigned": unsigned.canonical(),
-            "enumerated_signed": signed.canonical(),
-        },
+        "characters": characters,
+        "ok": checks["ok"],
     }
-    key = name.lower()
-    shape = tuple(params)
-    enum = chars.CharFraction(unsigned)
-    lab, closed = label, None
-    if key in FAMILIES:
-        claim = FAMILIES[key][0]
-        if key == "imd" and params[0] < 2:
-            closed = {"claim": claim, "skipped": "closed form needs k >= 2"}
-        else:
-            closed = {"claim": claim, "convention": "unsigned",
-                      **enum.compare(_closed_char(key, shape))}
-    elif shape != (1, 1, 1, -1):
-        # Ilambda at a hook shape; the weight-(1,1,1,-1) line is H31
-        lab = hook_to_label(shape)
-        _, signs = _jacobi_trudi(shape, signed)
-        closed = {"claim": "SCHUR-CONSISTENCY", "convention": "signed", **signs}
-    if lab is None:
-        v_leg = {"label": None, "error": "no highest weight: singular space "
-                 f"has dimension {info['singular_dim']}"}
-    else:
-        try:
-            v_leg = {"label": list(lab), "convention": "unsigned",
-                     **enum.compare(chars.ch_v(tuple(lab)))}
-        except chars.CharacterError as e:
-            v_leg = {"label": list(lab), "error": str(e)}
-    if closed is not None:
-        out["characters"]["closed_formula"] = closed
-    out["characters"]["v_formula"] = v_leg
-    out["ok"] = bool(irr and v_leg.get("equal", False) and (
-        closed is None or "skipped" in closed or closed["equal"]))
-    return out
 
 
 def spectrum_report(kind, params):
@@ -836,10 +820,16 @@ def character_report(formula, label):
 # exports
 
 
+def _alphabet(alphabet):
+    if len(alphabet) != 2:
+        raise ValueError(f"an alphabet is two sizes m,n, got {alphabet!r}")
+    return alphabet
+
+
 def export_matrix(which, pair, alphabet):
     if len(pair) != 2:
         raise ValueError(f"matrix export needs a degree pair, got {pair!r}")
-    m, n = alphabet
+    m, n = _alphabet(alphabet)
     ctx = KoszulContext(SuperSpace(m, n))
     fns = {"d": ctx.pair_d, "del": ctx.pair_del,
            "P": ctx.pair_p, "Q": ctx.pair_q}
@@ -855,7 +845,7 @@ def export_matrix(which, pair, alphabet):
 def export_basis(kind, degree, alphabet, dual=False):
     if kind not in ("sym", "alt"):
         raise KeyError(f"unknown basis kind {kind!r}")
-    m, n = alphabet
+    m, n = _alphabet(alphabet)
     basis = power_basis(SuperSpace(m, n), kind, degree, dual)
     vectors = []
     for idx in range(basis.dim):

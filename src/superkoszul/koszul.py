@@ -480,6 +480,10 @@ class KoszulContext:
         the stated numerator is a+i+3-j where the recursion forces a+2i+3-j.
         Both are (3|1)-specific; other alphabets get no prediction.
         """
+        arity = {"delPQd": 2, "PdeldQ": 3}.get(kind)
+        if arity is not None and len(params) != arity:
+            raise ValueError(
+                f"{kind} takes {arity} parameters, got {len(params)}")
         if kind == "delPQd":
             i, a = params
             if i < 0 or a + i < 0:

@@ -164,6 +164,24 @@ def test_divide_exact_rejects_non_polynomial():
         divide_exact(x(1), LaurentPoly.zero())
 
 
+def test_coefficients_stay_ints():
+    p = (x(1) + x(4)) * (x(2) - x(3)) - x(3) * 2
+    built = (p, p + x(1), p - x(1), p * p, p.scaled(-3), -p, a_det(2, 1, 0),
+             ch_schur_super((2, 1, 1)), ch_v((2, 1, -1, 1)).num,
+             kac_sum((2, 1, -1, 1)).den, divide_exact(p * x(2), p))
+    for q in built:
+        assert q and all(type(c) is int for c in q.terms.values())
+
+
+def test_divide_exact_rejects_a_non_integral_quotient():
+    with pytest.raises(CharacterError):
+        divide_exact(x(1), x(1).scaled(2))
+    with pytest.raises(CharacterError):
+        divide_exact(x(1) + x(2), (x(1) + x(2)).scaled(2))
+    assert divide_exact((x(1) + x(2)).scaled(6), (x(1) + x(2)).scaled(3)) == (
+        LaurentPoly.one().scaled(2))
+
+
 def test_fraction_compare_modes():
     a = CharFraction(x(1) + x(2))
     b = CharFraction((x(1) + x(2)) * x(3), x(3))

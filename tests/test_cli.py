@@ -12,7 +12,8 @@ import pytest
 import superkoszul
 from oracles import from_triples
 from superkoszul.cli import main, parse_label, parse_ints
-from superkoszul.harness import stable_body
+from superkoszul import harness
+from superkoszul.harness import VerificationPlan, stable_body
 from superkoszul.koszul import KoszulContext
 from superkoszul.superspace import SuperSpace
 
@@ -159,11 +160,38 @@ def test_construct_bad_params(capsys):
     "construct Zk 0 2 2",
     "construct Ysummand 0 1",
     "construct Zk 1 0 0",
+    "spectrum delPQd 1",
+    "spectrum delPQd 1 1 1",
+    "spectrum PdeldQ 1 1",
+    "export matrix d 1,1 3",
+    "export basis sym 2 1,2,3",
 ])
 def test_wrong_parameter_count_is_a_configuration_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv.split())
     assert code == 2 and "error:" in err and "got" in err
     assert out == ""
+
+
+def _captured_plan(monkeypatch, capsys, *flags):
+    seen = []
+
+    def fake_run(plan):
+        seen.append(plan)
+        return harness.Report(plan.as_dict(), [], []).finish()
+
+    monkeypatch.setattr(harness, "run", fake_run)
+    code, _, _ = run_cli(capsys, "verify", *flags)
+    assert code == 0 and len(seen) == 1
+    return seen[0]
+
+
+def test_verify_flags_are_the_plan_fields(monkeypatch, capsys):
+    assert _captured_plan(monkeypatch, capsys) == VerificationPlan()
+    plan = _captured_plan(monkeypatch, capsys, "--m", "2", "--max-k", "2",
+                          "--dim-cap", "50", "--jobs", "2",
+                          "--checks", "identities, spectra")
+    assert plan == VerificationPlan(m=2, max_k=2, dim_cap=50, jobs=2,
+                                    checks=("identities", "spectra"))
 
 
 def _run_cli_process(flags, *argv):

@@ -7,12 +7,14 @@ import json
 import pytest
 
 from oracles import from_triples
-from superkoszul import characters
+from superkoszul import characters, harness
 from superkoszul.characters import LaurentPoly
 from superkoszul.glrep import CONSTRUCTIONS
 from superkoszul.harness import (
     CLAIMS,
     FAMILIES,
+    MODULE_CELLS,
+    SCHUR_GRID,
     PlanError,
     VerificationPlan,
     character_report,
@@ -27,6 +29,7 @@ from superkoszul.harness import (
     stable_body,
     store_report,
     verdict,
+    check_module,
     _module_cell,
 )
 from superkoszul.glrep import Constructor
@@ -95,14 +98,40 @@ def test_one_family_table_drives_verify_and_construct(monkeypatch):
     mmp = [r for r in records if r["claim"] == "MMP-CHAR"]
     assert mmp and all(r["status"] == "fail" for r in mmp)
     assert all(not r["witness"]["closed_formula"]["equal"] for r in mmp)
-    assert not construct_report("mmp", (1, 2))["ok"]
+    out = construct_report("mmp", (1, 2))
+    assert not out["ok"]
+    # verify and construct ran the same check on the same module
+    rec, = [r for r in mmp if r["params"] == {"m": 1, "p": 2}]
+    for leg in ("closed_formula", "v_formula"):
+        assert rec["witness"][leg] == out["characters"][leg]
+
+
+def test_signed_enumeration_is_unsigned_with_y_negated(monkeypatch):
+    # the fact that lets a hook's V leg read the unsigned enumeration
+    built = []
+
+    def spy(con, name, params):
+        out = check_module(con, name, params)
+        built.append(out[0])
+        return out
+
+    monkeypatch.setattr(harness, "check_module", spy)
+    for group in ("constructions", "characters"):
+        run_group(VerificationPlan().as_dict(), group)
+    # 8 ImD cells on the default plan, the family cells and the hooks
+    assert len(built) == 8 + len(MODULE_CELLS) + len(SCHUR_GRID)
+    for mod in built:
+        assert (characters.supercharacter(mod, True)
+                == characters.supercharacter(mod, False).sub_y_neg())
 
 
 def test_module_cell_records_a_reducible_module_as_a_failure(monkeypatch):
     con = Constructor(KoszulContext(SuperSpace(3, 1)))
     reducible = con.image_module(4, 2)
     monkeypatch.setattr(con, "y_summand", lambda n, p: reducible)
-    rec, _, derived = _module_cell(con, "y", {"n": 1, "p": 1})
+    rec, checks, _ = _module_cell(con, "Y-CHAR", "y", {"n": 1, "p": 1},
+                                  (1, 1), FAMILIES["y"][2](1, 1))
+    derived = checks["highest_weight"]
     assert rec["status"] == "fail" and derived is None
     assert rec["witness"]["irreducible"] is False
     assert rec["witness"]["singular_dim"] == 2

@@ -8,6 +8,8 @@ Kronecker product of factor maps anywhere else would be a second builder.
 GLModule.is_irreducible is the one irreducibility test: only it closes a
 singular line (submodule_span), and no dual module is built, since a unique
 singular line that generates the module already decides irreducibility.
+harness.check_module is the one check of a module, for verify and construct
+alike: only it runs the irreducibility test.
 """
 
 import ast
@@ -60,3 +62,7 @@ def test_no_dual_module_in_the_package():
 
 def test_submodule_span_is_called_only_in_is_irreducible():
     assert _package_calls("submodule_span") == ["glrep.py:GLModule.is_irreducible"]
+
+
+def test_is_irreducible_is_called_only_in_check_module():
+    assert _package_calls("is_irreducible") == ["harness.py:check_module"]
