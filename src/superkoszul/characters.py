@@ -498,7 +498,9 @@ def h31_char():
 
 
 def image_char(k, l):
-    """R y^(k-3) a(l,l,0) / (Pi (x1x2x3)^l); accurate for k >= 2 only."""
+    """R y^(k-3) a(l,l,0) / (Pi (x1x2x3)^l): the character of ImD(k, l) for
+    k >= 2 off the degenerate line k - l = 2, where the image is reducible
+    or, at (2, 0), has another character."""
     num = r_poly() * LaurentPoly.monomial((0, 0, 0, k - 3)) * a_det(l, l, 0)
     return CharFraction(num, pi_poly() * xxx(l))
 

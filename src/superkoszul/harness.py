@@ -530,10 +530,10 @@ def check_module(con, name, params):
 
     The closed form of a family is its closed character from `FAMILIES`,
     looked up in `characters` when called, against the unsigned enumeration;
-    ImD with k < 2 has none.  The closed form of a hook is the hook
-    determinant of h_r(x1+x2+x3-y), against the signed enumeration; the
-    weight-(1,1,1,-1) line (H31) has none.  `verify` and `construct` both
-    check a module here.
+    ImD with k < 2 or on the degenerate line k - l = m - n has none.  The
+    closed form of a hook is the hook determinant of h_r(x1+x2+x3-y),
+    against the signed enumeration; the weight-(1,1,1,-1) line (H31) has
+    none.  `verify` and `construct` both check a module here.
 
     Returns the module, the checks and the unsigned enumeration.
     """
@@ -551,6 +551,9 @@ def check_module(con, name, params):
         claim, closed_name, _ = FAMILIES[key]
         if key == "imd" and params[0] < 2:
             closed = {"claim": claim, "skipped": "closed form needs k >= 2"}
+        elif key == "imd" and params[0] - params[1] == mod.space.m - mod.space.n:
+            closed = {"claim": claim,
+                      "skipped": "image coincides with the degenerate line"}
         else:
             closed = {"claim": claim, "convention": "unsigned",
                       **enum.compare(getattr(chars, closed_name)(*params))}

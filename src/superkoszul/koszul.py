@@ -34,6 +34,20 @@ letter pairs), so where it fails both routes are composed on the spot.
 All maps preserve weights, so ranks, kernels and spectra decompose over
 weight blocks; the public checks use the blocked paths and the test suite
 cross-checks them against dense computations at small degrees.
+
+The loop spectra eliminate one weight block per orbit of S_m x S_n, which
+permutes the even letters and the odd letters and so acts on weights as
+the Weyl group of gl(m) + gl(n).  Swapping two letters of one parity is a
+signed permutation of each power basis, and of a spot the product of its
+factors' (no crossing sign).  Where a loop M commutes with it, that is
+M[pi(r), pi(c)] = s_r s_c M[r, c] at every entry, for every adjacent pair
+of same-parity letters, the block at sigma(w) is conjugate to the block at
+w, so the block at the dominant weight (even and odd coordinates each
+non-increasing) stands for its orbit and its eigenspace dimensions count
+once per weight of the orbit.  For the PdeldQ loop, P at the line spot must
+commute as well, so that Ker(P (x) id) is stable.  The certificate is
+checked on the loop matrix itself; where it fails, every block is
+eliminated, so the verdict stays exact either way.
 """
 
 from __future__ import annotations
@@ -47,6 +61,8 @@ from .superspace import (
     blocked_image,
     blocked_kernel,
     blocked_rank,
+    is_dominant,
+    orbit_size,
     power_basis,
     split,
     split_graded,
@@ -526,27 +542,56 @@ class KoszulContext:
             raise ValueError(f"unknown loop kind {kind!r}")
         return word, spot, derived, stated
 
-    def loop_blocks(self, kind, params):
-        """Weight blocks of the loop operator, restricted to Ker(P (x) id)
-        for the PdeldQ loop.  Returns (blocks, total_dim, spot)."""
-        word, spot, _, _ = self.loop_setup(kind, params)
+    def loop_blocks(self, kind, word, spot):
+        """The weight blocks of the loop operator, restricted to
+        Ker(P (x) id) for the PdeldQ loop.  Returns (blocks, sizes,
+        total_dim): one block per S_m x S_n orbit of weights, at its
+        dominant weight, with the orbit's size, where the relabelling
+        certificate holds (module docstring); every block, each with size
+        1, where it does not."""
         mat = self.composed_to(word, spot, spot)
         weights = self.spot_space(spot).weights()
-        if kind == "PdeldQ" and spot.sym >= 1:
+        graded = split_graded(mat, weights, weights)
+        restricted = kind == "PdeldQ" and spot.sym >= 1
+        symmetric = self._relabelling_commutes(mat, spot, spot)
+        if symmetric and restricted:
+            line = replace(spot, dual=0)
+            symmetric = self._relabelling_commutes(
+                self.operator("P", line), line, op_target("P", line))
+        m = self.space.m
+        if symmetric:
+            sizes = {w: orbit_size(w, m) for w in graded if is_dominant(w, m)}
+        else:
+            sizes = dict.fromkeys(graded, 1)
+        if restricted:
             sub = self.kerp_space(spot)
-            blocks = _restrict_blocked(mat, sub, weights)
+            blocks = {w: graded[w][0].restrict(local, local)
+                      for w, (local, _) in split(sub, weights).items()
+                      if w in sizes}
             total = sub.dim
         else:
-            blocks = [
-                blk for blk, _, _ in split_graded(mat, weights, weights).values()
-            ]
+            blocks = {w: graded[w][0] for w in sizes}
             total = mat.dom_dim
-        return blocks, total, spot
+        return list(blocks.values()), [sizes[w] for w in blocks], total
+
+    def _relabelling_commutes(self, mat, spot, end):
+        """Whether the map from the spot to the end spot commutes with the
+        relabelling of every adjacent pair of same-parity letters: one pass
+        over its entries per pair, testing M[pi(r), pi(c)] = s_r s_c M[r, c]."""
+        get = mat.entries.get
+        for a, b in self.space.swaps():
+            dom_perm, dom_signs = self.spot_space(spot).relabel(a, b)
+            cod_perm, cod_signs = self.spot_space(end).relabel(a, b)
+            for (r, c), v in mat.entries.items():
+                if get((cod_perm[r], dom_perm[c])) != cod_signs[r] * dom_signs[c] * v:
+                    return False
+        return True
 
     def loop_spectrum(self, kind, params):
         word, spot, derived, stated = self.loop_setup(kind, params)
-        blocks, total, _ = self.loop_blocks(kind, params)
-        return verify_spectrum(blocks, total, derived, stated, kind, params)
+        blocks, sizes, total = self.loop_blocks(kind, word, spot)
+        return verify_spectrum(blocks, total, derived, stated, kind, params,
+                               sizes)
 
     # -- splittings ----------------------------------------------------------------
 
@@ -640,6 +685,10 @@ class SpectrumReport:
     matches_derived: bool | None
     matches_stated: bool | None
     note: str = ""
+    # work: blocks eliminated, and blocks whose eigenspaces a relabelling
+    # carries over from an eliminated one; not part of any report body
+    blocks_eliminated: int = 0
+    blocks_by_symmetry: int = 0
 
 
 def _match(spec_set, target, diag):
@@ -648,7 +697,8 @@ def _match(spec_set, target, diag):
     return diag and spec_set == set(target)
 
 
-def verify_spectrum(blocks, total_dim, derived, stated, kind, params):
+def verify_spectrum(blocks, total_dim, derived, stated, kind, params,
+                    sizes=None):
     """Spectrum of a block-diagonal operator, prediction-first.
 
     A block M is diagonalizable with spectrum inside the derived set exactly
@@ -657,12 +707,19 @@ def verify_spectrum(blocks, total_dim, derived, stated, kind, params):
     then the multiplicities.  Otherwise fall back to exact characteristic
     polynomials per block.  The actual spectrum is then compared against both
     candidate sets.
+
+    sizes[j] is the number of blocks conjugate to blocks[j] that it stands
+    for (one weight orbit, see KoszulContext.loop_blocks); its eigenspace
+    dimensions and multiplicities count that many times.  Default: 1 each.
     """
-    blocks = [b for b in blocks if b.dom_dim > 0]
-    counts = None if derived is None else _eigenspace_dims(blocks, derived)
+    if sizes is None:
+        sizes = [1] * len(blocks)
+    pairs = [(b, s) for b, s in zip(blocks, sizes, strict=True)
+             if b.dom_dim > 0]
+    counts = None if derived is None else _eigenspace_dims(pairs, derived)
     diag, note = True, ""
     if counts is None:
-        counts, diag, note = _block_spectra(blocks)
+        counts, diag, note = _block_spectra(pairs)
     spec_set = set(counts)
     return SpectrumReport(
         kind=kind,
@@ -676,49 +733,42 @@ def verify_spectrum(blocks, total_dim, derived, stated, kind, params):
         matches_derived=_match(spec_set, derived, diag),
         matches_stated=_match(spec_set, stated, diag),
         note=note,
+        blocks_eliminated=len(pairs),
+        blocks_by_symmetry=sum(s for _, s in pairs) - len(pairs),
     )
 
 
-def _eigenspace_dims(blocks, eigenvalues):
-    """eigenvalue -> total eigenspace dimension over the blocks, or None as
-    soon as one block is not diagonalizable with spectrum inside the set."""
+def _eigenspace_dims(pairs, eigenvalues):
+    """eigenvalue -> total eigenspace dimension over the (block, size)
+    pairs, or None as soon as one block is not diagonalizable with spectrum
+    inside the set."""
     counts = dict.fromkeys(eigenvalues, 0)
-    for b in blocks:
+    for b, size in pairs:
         n = b.dom_dim
         eye = SparseMap.identity(n)
         geo = {lam: n - b.add(eye, -lam).rank() for lam in eigenvalues}
         if sum(geo.values()) != n:
             return None
         for lam, g in geo.items():
-            counts[lam] += g
+            counts[lam] += size * g
     return {lam: g for lam, g in counts.items() if g}
 
 
-def _block_spectra(blocks):
+def _block_spectra(pairs):
     """(eigenvalue -> algebraic multiplicity, diagonalizable, note) from exact
-    characteristic polynomials, block by block."""
+    characteristic polynomials, block by block over the (block, size)
+    pairs."""
     counts = {}
     diag = True
     note = ""
-    for b in blocks:
+    for b, size in pairs:
         try:
             spec = b.rational_spectrum()
         except SpectrumError as e:
             return {}, False, f"irrational or unfactorable block spectrum: {e}"
         diag = diag and spec.diagonalizable
         for lam, alg, geo in spec.pairs:
-            counts[lam] = counts.get(lam, 0) + alg
+            counts[lam] = counts.get(lam, 0) + size * alg
             if alg != geo:
                 note = "defective eigenvalue present"
     return counts, diag, note
-
-
-# ---------------------------------------------------------------------------
-# graded helpers over subspaces
-
-
-def _restrict_blocked(mat, sub, weights):
-    """Blocks of mat restricted to the graded subspace sub (square, graded)."""
-    graded = split_graded(mat, weights, weights)
-    return [graded[w][0].restrict(local, local)
-            for w, (local, _) in split(sub, weights).items()]

@@ -13,7 +13,8 @@ the closure of arbitrary vectors under every simple generator, and the
 singular space of the dual), the inverse of SparseMap.to_triples,
 transposes, letter weights, row-major indices of a product space, subspace
 sums and containment, the homology of the transfer complex, the eigenvalue
-ladder of the insertion-side loop, the two routes of a mixed square composed
+ladder of the insertion-side loop, the loop spectra from every weight
+block with no orbit reduction, the two routes of a mixed square composed
 on the full triple spot, the pair splitting and every summand of the two
 triple-spot splittings as subspaces, tensor products of modules, the
 calibration of d against del, and Laurent-polynomial helpers (powers,
@@ -33,7 +34,13 @@ from superkoszul.glrep import (
     dual_module,
     raising_pairs,
 )
-from superkoszul.koszul import KoszulError, Spot, op_target, word_end
+from superkoszul.koszul import (
+    KoszulError,
+    Spot,
+    op_target,
+    verify_spectrum,
+    word_end,
+)
 from superkoszul.linalg import (
     DimensionError,
     RestrictionError,
@@ -638,6 +645,25 @@ def delpqd_table(ctx, i, a):
             lo = 0
         out.append((j, lam, hi - lo))
     return out
+
+
+def loop_spectrum_all_blocks(ctx, kind, params):
+    """The loop spectrum with every weight block eliminated: the loop
+    composed on its spot, split into all its weight blocks (restricted to
+    Ker(P (x) id) for PdeldQ), each counted once."""
+    word, spot, derived, stated = ctx.loop_setup(kind, params)
+    mat = ctx.composed_to(word, spot, spot)
+    weights = ctx.spot_space(spot).weights()
+    graded = split_graded(mat, weights, weights)
+    if kind == "PdeldQ" and spot.sym >= 1:
+        sub = ctx.kerp_space(spot)
+        blocks = [graded[w][0].restrict(local, local)
+                  for w, (local, _) in split(sub, weights).items()]
+        total = sub.dim
+    else:
+        blocks = [blk for blk, _, _ in graded.values()]
+        total = mat.dom_dim
+    return verify_spectrum(blocks, total, derived, stated, kind, params)
 
 
 # ---------------------------------------------------------------------------

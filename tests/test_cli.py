@@ -137,6 +137,21 @@ def test_construct_reducible_image_is_a_failure(capsys):
     assert blob["ok"] is False
 
 
+def test_construct_image_on_the_degenerate_line_skips_the_closed_form(capsys):
+    # ImD(2,0) also sits on the line k - l = m - n, where the closed image
+    # character does not hold; the module is irreducible, and verify's
+    # skip record gives the reason the closed leg is skipped
+    code, out, err = run_cli(capsys, "construct", "ImD", "2", "0")
+    assert code == 0 and err == ""
+    blob = json.loads(out)
+    assert blob["irreducible"] is True and blob["ok"] is True
+    assert blob["highest_weight"] == [1, 1, 0, 0]
+    assert blob["characters"]["closed_formula"] == {
+        "claim": "IMD-SIMPLE",
+        "skipped": "image coincides with the degenerate line"}
+    assert blob["characters"]["v_formula"]["equal"] is True
+
+
 def test_construct_unknown_name(capsys):
     code, _, err = run_cli(capsys, "construct", "Nonsense", "1")
     assert code == 2 and "error:" in err

@@ -18,6 +18,7 @@ from oracles import (
     dense,
     dense_lift,
     l_homology_dim,
+    loop_spectrum_all_blocks,
     p_rank,
     project_tensor,
     splitting_summands,
@@ -39,7 +40,7 @@ from superkoszul.koszul import (
 )
 from superkoszul.harness import VerificationPlan
 from superkoszul.linalg import SparseMap, Subspace
-from superkoszul.superspace import SuperSpace, power_basis
+from superkoszul.superspace import PowerBasis, SuperSpace, power_basis
 
 F = Fraction
 
@@ -604,6 +605,122 @@ def test_verify_spectrum_jordan_block_inside_prediction():
         assert not rep.matches_derived and not rep.matches_stated
         assert dict(rep.eigenvalues) == {F(2): 2}
         assert rep.note == "defective eigenvalue present"
+
+
+# ---------------------------------------------------------------------------
+# loop spectra from one weight block per S_m x S_n orbit
+
+
+def _report_key(rep):
+    return (rep.dim, rep.eigenvalues, rep.diagonalizable, rep.invertible,
+            rep.matches_derived, rep.matches_stated, rep.note)
+
+
+def _default_spectra_cells(ctx):
+    """The loops the spectra group of the default plan runs on (3|1)."""
+    plan = VerificationPlan()
+    cells = [("delPQd", (i, a)) for i in range(plan.max_i + 1)
+             for a in range(1, plan.max_a + 1)]
+    for i, k, a in product(range(3), range(1, 3), range(1, 3)):
+        _, spot, _, _ = ctx.loop_setup("PdeldQ", (i, k, a))
+        if ctx.spot_space(spot).dim <= plan.dim_cap:
+            cells.append(("PdeldQ", (i, k, a)))
+    return cells
+
+
+@pytest.fixture(scope="module")
+def default_spectra(ctx31):
+    """cell -> (orbit-reduced report, all-blocks report) on every default
+    (3|1) loop."""
+    return {cell: (ctx31.loop_spectrum(*cell),
+                   loop_spectrum_all_blocks(ctx31, *cell))
+            for cell in _default_spectra_cells(ctx31)}
+
+
+def test_orbit_reduced_spectra_equal_all_blocks_on_the_default_plan(
+        default_spectra):
+    assert len(default_spectra) == 21
+    for cell, (reduced, full) in default_spectra.items():
+        assert _report_key(reduced) == _report_key(full), cell
+
+
+def test_every_default_loop_is_orbit_reduced(default_spectra):
+    # each block the reduction skips is one a relabelling certifies; the
+    # oracle eliminates every nonempty block
+    for cell, (reduced, full) in default_spectra.items():
+        assert full.blocks_by_symmetry == 0, cell
+        assert reduced.blocks_by_symmetry > 0, cell
+        assert (reduced.blocks_eliminated + reduced.blocks_by_symmetry
+                == full.blocks_eliminated), cell
+
+
+SMALL_LOOPS = {
+    (2, 1): [("delPQd", (1, 1)), ("delPQd", (0, 2)),
+             ("PdeldQ", (0, 1, 1)), ("PdeldQ", (1, 1, 0))],
+    (2, 2): [("delPQd", (1, 1)), ("PdeldQ", (0, 1, 1))],
+    (4, 1): [("delPQd", (1, 1)), ("PdeldQ", (0, 1, 0))],
+}
+
+
+@pytest.mark.parametrize("m,n", sorted(SMALL_LOOPS))
+def test_orbit_reduced_char_poly_fallback_equals_all_blocks(m, n):
+    # no prediction off (3|1): the multiplicities come from characteristic
+    # polynomials, scaled by orbit size
+    ctx = KoszulContext(SuperSpace(m, n))
+    for kind, params in SMALL_LOOPS[(m, n)]:
+        reduced = ctx.loop_spectrum(kind, params)
+        assert reduced.derived is None and reduced.blocks_by_symmetry > 0
+        full = loop_spectrum_all_blocks(ctx, kind, params)
+        assert _report_key(reduced) == _report_key(full), (kind, params)
+
+
+@pytest.mark.parametrize("m,n,kind,params", [
+    (3, 1, "PdeldQ", (0, 1, 1)),  # the sign of a swap inside Lambda_2
+    (2, 2, "delPQd", (1, 1)),  # the sign of two odd letters crossing
+])
+def test_relabelling_without_its_sign_falls_back_to_all_blocks(
+        monkeypatch, m, n, kind, params):
+    relabel = PowerBasis.relabel
+
+    def unsigned(basis, a, b):
+        perm, signs = relabel(basis, a, b)
+        return perm, [1] * len(signs)
+
+    full = loop_spectrum_all_blocks(KoszulContext(SuperSpace(m, n)),
+                                    kind, params)
+    monkeypatch.setattr(PowerBasis, "relabel", unsigned)
+    rep = KoszulContext(SuperSpace(m, n)).loop_spectrum(kind, params)
+    assert rep.blocks_by_symmetry == 0
+    assert rep.blocks_eliminated == full.blocks_eliminated
+    assert _report_key(rep) == _report_key(full)
+
+
+@pytest.mark.parametrize("m,n", [(3, 1), (2, 2), (1, 2)])
+def test_power_basis_relabel_is_a_signed_involution(m, n):
+    space = SuperSpace(m, n)
+    assert space.swaps()
+    for kind, dual, degree in product(("sym", "alt"), (False, True), range(4)):
+        basis = power_basis(space, kind, degree, dual)
+        for a, b in space.swaps():
+            perm, signs = basis.relabel(a, b)
+            swap = {a: b, b: a}
+            for i in range(basis.dim):
+                j = perm[i]
+                assert perm[j] == i and signs[i] * signs[j] == 1
+                w = list(basis.weights[i])
+                w[a], w[b] = w[b], w[a]
+                assert basis.weights[j] == tuple(w)
+                # the swapped expansion of vector i is signs[i] times the
+                # expansion of vector j, word by word
+                moved = {tuple(swap.get(x, x) for x in word): c
+                         for word, c in basis.expansion(i)}
+                assert moved == {word: signs[i] * c
+                                 for word, c in basis.expansion(j)}
+
+
+def test_relabel_refuses_letters_of_different_parity():
+    with pytest.raises(ValueError, match="parity"):
+        power_basis(SuperSpace(3, 1), "sym", 1).relabel(2, 3)
 
 
 # ---------------------------------------------------------------------------
