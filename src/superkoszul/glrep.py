@@ -23,19 +23,36 @@ weight vectors and invariant under the simple generators is invariant under
 all of gl(m|n): restricting the simple generators certifies the whole action.
 The same argument certifies an equivariant operator T, since the x with
 T x = x T also form a sub-superalgebra: check_equivariance reads the Cartan
-off the weights and multiplies out only the simple generators.  GLModule
-owns the singular-vector and irreducibility machinery.
+off the weights and multiplies out only the simple generators.
+
+It does so once per operator, at the line spot, where the field the
+operator leaves alone (koszul.idle_field) is 0.  Elsewhere the operator is
+the line map lifted with no sign, and E acts on the product by its
+derivation, signed by the parity sigma of the left factors where E is odd:
+- d and del leave the left field S_i alone: T = id (x) T_line and
+  E = E_S (x) 1 + sigma_S (x) E_line, so TE - ET = sigma_S (x) [T_line, E_line],
+  zero exactly when it is zero at the line spot;
+- P and Q leave the right field S*_l alone: T = T_line (x) id and
+  E = E_line (x) 1 + sigma (x) E_S*, so TE - ET = [T_line, E_line] (x) 1 +
+  (T_line sigma - sigma T_line) (x) E_S*.  The second term vanishes once the
+  Cartan passes at the line spot, since a basis vector's parity is the sum
+  of its odd weight coordinates mod 2 and T_line then joins equal weights;
+- the Cartan carries over, since the idle factor adds the same weight to
+  the row and the column of every entry.
+So a pass at the line spot certifies the lifted spot; a failure there is
+checked at the spot itself, and keeps the spot's failing generators.
+GLModule owns the singular-vector and irreducibility machinery.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import prod
 
 from .linalg import RestrictionError, SparseMap, Subspace, WitnessedError
 from .superspace import blocked_image, blocked_kernel, power_basis
-from .koszul import Spot, op_target
+from .koszul import Spot, idle_field, op_target
 
 
 class ModuleError(WitnessedError, ValueError):
@@ -99,12 +116,18 @@ class GLAction:
         return self._factor[key]
 
     def on_product(self, product, gi, gj):
-        """The derivation: each factor's matrix lifted past the others, signed
-        where an odd E crosses an odd left part, and the terms added into one
-        dict (for E_jj they overlap on the diagonal)."""
+        """product_matrix, built once per product and generator, for callers
+        that multiply by it again."""
         key = (tuple(f.key() for f in product.factors), gi, gj)
-        if key in self._product:
-            return self._product[key]
+        if key not in self._product:
+            self._product[key] = self.product_matrix(product, gi, gj)
+        return self._product[key]
+
+    def product_matrix(self, product, gi, gj):
+        """E_(gi,gj) on the product as the derivation: each factor's matrix
+        lifted past the others, signed where an odd E crosses an odd left
+        part, and the terms added into one dict (for E_jj they overlap on the
+        diagonal).  Not cached: a module build restricts it once."""
         pe = (self.space.parity(gi) + self.space.parity(gj)) % 2
         left_parities = [0]
         terms = []
@@ -113,19 +136,32 @@ class GLAction:
             terms.append((1, self.on_basis(factor, gi, gj).lift(
                 len(left_parities), rdim, left_parities if pe else None)))
             left_parities = [p ^ q for p in left_parities for q in factor.parities]
-        total = SparseMap.combination(product.dim, product.dim, terms)
-        self._product[key] = total
-        return total
+        return SparseMap.combination(product.dim, product.dim, terms)
 
 
 def check_equivariance(ctx, act, name, spot):
     """T E = E T for every E_ij, T the named differential, certified on the
-    Cartan and the simple-root generators (see the module docstring).
+    Cartan and the simple-root generators at the line spot (see the module
+    docstring).
 
-    (T E_jj - E_jj T)[r, c] = T[r, c] (w_dom[c][j] - w_cod[r][j]), so E_jj
-    fails exactly when an entry of T joins weights that differ in coordinate
-    j; the simple generators are multiplied out.  generators_checked counts
-    the (m+n)^2 generators certified."""
+    Away from its line spot, T is the lift of the line map, so a pass at the
+    line spot certifies the spot with no product multiplied there; where the
+    line spot fails, the spot itself is checked, so a failure reports the
+    spot's own failing generators.  certified_by says which ("line" or
+    "spot"); generators_checked counts the (m+n)^2 generators certified."""
+    idle = idle_field(name)
+    if getattr(spot, idle):
+        line = _equivariance_at(ctx, act, name, replace(spot, **{idle: 0}))
+        if line["ok"]:
+            return {**line, "certified_by": "line"}
+    return {**_equivariance_at(ctx, act, name, spot), "certified_by": "spot"}
+
+
+def _equivariance_at(ctx, act, name, spot):
+    """The check at the spot itself.  (T E_jj - E_jj T)[r, c] =
+    T[r, c] (w_dom[c][j] - w_cod[r][j]), so E_jj fails exactly when an entry
+    of T joins weights that differ in coordinate j; the simple generators are
+    multiplied out."""
     mat = ctx.operator(name, spot)
     dom = ctx.spot_space(spot)
     cod = ctx.spot_space(op_target(name, spot))
@@ -214,24 +250,19 @@ class GLModule:
     def raising_kernel(self):
         """Joint kernel of the simple raising generators: the singular space.
 
-        The numerators of the E_(i,i+1) are stacked into one map, each
-        generator's rows below the previous one's; scaling a generator keeps
-        the kernel.  E_(i,i+1) raises a weight by e_i - e_(i+1), so each of
-        its rows is labelled with the row's weight minus that step, the
-        weight of the columns it meets, and blocked_kernel eliminates one
+        The E_(i,i+1) are stacked into one map, each generator's rows below
+        the previous one's.  E_(i,i+1) raises a weight by e_i - e_(i+1), so
+        each of its rows is labelled with the row's weight minus that step,
+        the weight of the columns it meets, and blocked_kernel eliminates one
         weight at a time.  split_graded raises ValueError if a raising
         generator is not weight-graded.
         """
         dim = self.dim
-        entries = {}
-        row_weights = []
-        for t, (i, j) in enumerate(raising_pairs(self.space)):
-            entries.update(((t * dim + r, c), v)
-                           for (r, c), v in self.gens[(i, j)].entries.items())
-            row_weights += [
-                tuple(x - (k == i) + (k == j) for k, x in enumerate(w))
-                for w in self.weights]
-        stacked = SparseMap._from_ints(dim, len(row_weights), entries)
+        pairs = raising_pairs(self.space)
+        stacked = SparseMap.numerator_blocks(dim, len(pairs) * dim, (
+            (t * dim, 0, self.gens[p]) for t, p in enumerate(pairs)))
+        row_weights = [tuple(x - (k == i) + (k == j) for k, x in enumerate(w))
+                       for i, j in pairs for w in self.weights]
         return blocked_kernel(stacked, self.weights, row_weights)
 
     def singular_weights(self):
@@ -333,11 +364,12 @@ def module_from_subspace(act, product, sub, name):
     gl(m|n): the weight basis makes the subspace Cartan-stable, and the
     stabiliser of a subspace is a Lie sub-superalgebra, which then contains
     the subalgebra generated by the Cartan and the simple-root generators,
-    the whole of gl(m|n).
+    the whole of gl(m|n).  Each ambient generator matrix is built for its
+    restriction and dropped after it.
     """
     weights, parities = _grading(product, sub)
     gens = {
-        (i, j): act.on_product(product, i, j).restrict(sub, sub)
+        (i, j): act.product_matrix(product, i, j).restrict(sub, sub)
         for i, j in simple_pairs(act.space)
     }
     return GLModule(space=act.space, name=name, gens=gens, weights=weights,
@@ -358,7 +390,7 @@ def quotient_module(act, product, ker, im, name):
     weights, parities = _grading(product, comp)
     gens = {}
     for i, j in simple_pairs(act.space):
-        img = act.on_product(product, i, j) @ comp.basis_matrix()
+        img = act.product_matrix(product, i, j) @ comp.basis_matrix()
         den = img.den * im.den  # the residue modulo im is im.den times it
         ent = {}
         for c, col in img.columns().items():
@@ -421,13 +453,13 @@ def dual_module(mod):
     )
 
 
-def berezinian_twist(mod, t):
-    """Tensor t times with the one-dimensional weight-(1,1,1,-1) odd line."""
+def berezinian_twist(mod, t, name):
+    """Tensor t times with the one-dimensional weight-(1,1,1,-1) odd line: a
+    new module with the given name, also for t = 0."""
     if t < 0:
         raise ValueError(f"twist count must be at least 0, got {t}")
-    out = mod
-    for _ in range(t):
-        out = out.twist((1, 1, 1, -1), 1)
+    out = mod.twist((t, t, t, -t), t % 2)
+    out.name = name
     return out
 
 
@@ -436,11 +468,24 @@ def berezinian_twist(mod, t):
 
 
 class Constructor:
-    """Builds the named modules out of one Koszul context."""
+    """Builds the named modules out of one Koszul context.
+
+    ImD and Z modules are built once per argument tuple: the families reuse
+    them (Mmp(m,p) is a twisted ImD(m+2,m+p), Z1 and Mfinal are Z modules),
+    and each call returns a new GLModule that shares the generator matrices
+    of the one built first."""
 
     def __init__(self, ctx):
         self.ctx = ctx
         self.act = GLAction(ctx.space)
+        self._built = {}
+
+    def _fresh(self, key):
+        """A new module sharing the generator matrices of the one built for
+        key."""
+        mod = self._built[key]
+        return GLModule(space=mod.space, name=mod.name, gens=dict(mod.gens),
+                        weights=list(mod.weights), parities=list(mod.parities))
 
     def h31(self):
         """One-dimensional top homology class of the offset-two complex."""
@@ -453,23 +498,25 @@ class Constructor:
 
     def image_module(self, k, l):
         """Im d_(k,l) inside the next pair space."""
-        ctx = self.ctx
-        im = blocked_image(
-            ctx.pair_d(k, l),
-            ctx.pair_space(k, l).weights(),
-            ctx.pair_space(k + 1, l + 1).weights(),
-        )
-        return module_from_subspace(
-            self.act, ctx.pair_space(k + 1, l + 1), im, f"ImD({k},{l})"
-        )
+        key = ("imd", k, l)
+        if key not in self._built:
+            ctx = self.ctx
+            im = blocked_image(
+                ctx.pair_d(k, l),
+                ctx.pair_space(k, l).weights(),
+                ctx.pair_space(k + 1, l + 1).weights(),
+            )
+            self._built[key] = module_from_subspace(
+                self.act, ctx.pair_space(k + 1, l + 1), im, f"ImD({k},{l})"
+            )
+        return self._fresh(key)
 
     def mmp(self, m, p):
         """Im d_(m+2,m+p) twisted by the berezinian-like line m-1 times."""
         if min(m, p) < 1:
             raise ValueError(f"parameters must be at least 1, got {(m, p)}")
-        out = berezinian_twist(self.image_module(m + 2, m + p), m - 1)
-        out.name = f"M({m},{p})"
-        return out
+        return berezinian_twist(self.image_module(m + 2, m + p), m - 1,
+                                f"M({m},{p})")
 
     def y_summand(self, n, p):
         """Y = Ker(del.P) inside the triple spot S_n . S*_p: the summand of
@@ -491,17 +538,20 @@ class Constructor:
         if k < 1 or min(l, m) < 0:
             raise ValueError(
                 f"k must be at least 1 and l, m at least 0, got {(k, l, m)}")
-        i = k - 1
-        kk = l
-        a = m - i - kk - 1
-        z_sub = self.ctx.splitting("prop2", (i, kk, a))
-        if z_sub.dim == 0:
-            raise ValueError(
-                f"the Z summand is empty for these parameters, got {(k, l, m)}")
-        wspot = Spot(i + 1, kk + 1, m + 1)
-        return module_from_subspace(
-            self.act, self.ctx.spot_space(wspot), z_sub, f"Z({k},{l},{m})"
-        )
+        key = ("zk", k, l, m)
+        if key not in self._built:
+            i = k - 1
+            kk = l
+            a = m - i - kk - 1
+            z_sub = self.ctx.splitting("prop2", (i, kk, a))
+            if z_sub.dim == 0:
+                raise ValueError(
+                    f"the Z summand is empty for these parameters, got {(k, l, m)}")
+            wspot = Spot(i + 1, kk + 1, m + 1)
+            self._built[key] = module_from_subspace(
+                self.act, self.ctx.spot_space(wspot), z_sub, f"Z({k},{l},{m})"
+            )
+        return self._fresh(key)
 
     def z1(self, m):
         return self.zk(1, 2, m + 1)
@@ -511,9 +561,8 @@ class Constructor:
         (m+t, m, -p+1 | 1)."""
         if min(m, t, p) < 1:
             raise ValueError(f"parameters must be at least 1, got {(m, t, p)}")
-        out = berezinian_twist(self.zk(t, m + 1, p + m - 1), m - 1)
-        out.name = f"M({m},{t},{p})"
-        return out
+        return berezinian_twist(self.zk(t, m + 1, p + m - 1), m - 1,
+                                f"M({m},{t},{p})")
 
     def ilambda(self, shape):
         """Hook-shaped simple modules: symmetric powers, exterior powers,

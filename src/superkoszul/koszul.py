@@ -113,6 +113,14 @@ def _alt_factor(name):
     return next((op, step) for f, op, step in (left, right) if f == "alt")
 
 
+def idle_field(name):
+    """The Spot field the named operator leaves alone: "sym" for d and del,
+    "dual" for P and Q.  At a spot where it is not 0, the operator is its
+    map at the line spot, that field set to 0, lifted onto the field."""
+    left, right, _ = OPERATORS[name]
+    return next(f for f in ("sym", "dual") if f not in (left[0], right[0]))
+
+
 def op_target(name, spot):
     left, right, _ = OPERATORS[name]
     return replace(spot, **{f: getattr(spot, f) + step
@@ -145,7 +153,6 @@ class KoszulContext:
         self._operators = {}
         self._spot_spaces = {}
         self._rank_cache = {}
-        self._splittings = {}
         self._kerp_spaces = {}
         self._certificates = {}
 
@@ -222,7 +229,7 @@ class KoszulContext:
             raise ValueError(f"operator {name!r} needs degrees >= 0, got "
                              f"{spot} -> {op_target(name, spot)}")
         (lf, lop, _), (rf, rop, _), odd_sign = OPERATORS[name]
-        idle = next(f for f in ("sym", "dual") if f not in (lf, rf))
+        idle = idle_field(name)
         degree = getattr(spot, idle)
         if degree:
             m = self.operator(name, replace(spot, **{idle: 0}))
@@ -596,8 +603,7 @@ class KoszulContext:
     # -- splittings ----------------------------------------------------------------
 
     def splitting(self, which, params):
-        """The summand of the paper's splitting that a module is built on,
-        computed once per (which, params); callers only read the subspace.
+        """The summand of the paper's splitting that a module is built on.
 
         which="prop1": (i,a); on the triple spot (i+1, 0, a+i+1), the summand
             Y = Ker(del.P) that complements the image of Q.d.
@@ -606,12 +612,6 @@ class KoszulContext:
             Ker(P.del).  Since d y lies in Ker(P.del) exactly when y lies
             in Ker(P.del.d), Z = d(Ker(P.del.d)), with no intersection.
         """
-        key = (which, tuple(params))
-        if key not in self._splittings:
-            self._splittings[key] = self._splitting(which, key[1])
-        return self._splittings[key]
-
-    def _splitting(self, which, params):
         if which == "prop1":
             i, a = params
             spot = Spot(i + 1, 0, a + i + 1)
@@ -641,14 +641,13 @@ class KoszulContext:
         rank_out = self.d_rank(k, l)
         proj = self.pair_del(k + 1, l + 1) @ self.pair_d(k, l)
         rank_proj = blocked_rank(proj, ps.weights(), ps.weights())
-        # stack the two generating maps' numerator columns side by side to
-        # get dim(A + B); scaling a column keeps the rank
-        ent, off = {}, 0
+        # the two generating maps side by side span A + B
+        blocks, off = [], 0
         if k >= 1 and l >= 1:
             din = self.pair_d(k - 1, l - 1)
-            ent, off = dict(din.entries), din.dom_dim
-        ent.update(((r, off + c), v) for (r, c), v in proj.entries.items())
-        stacked = SparseMap._from_ints(off + proj.dom_dim, dim, ent)
+            blocks, off = [(0, 0, din)], din.dom_dim
+        blocks.append((0, off, proj))
+        stacked = SparseMap.numerator_blocks(off + proj.dom_dim, dim, blocks)
         prev_w = (
             self.pair_space(k - 1, l - 1).weights() if (k >= 1 and l >= 1) else []
         )

@@ -136,6 +136,25 @@ class SparseMap:
                     ent[(r, c)] = v
         return cls(dom_dim, cod_dim, ent)
 
+    @classmethod
+    def numerator_blocks(cls, dom_dim, cod_dim, blocks):
+        """The dom_dim x cod_dim map holding each (row, col, map) of blocks
+        as its numerator matrix, with its top-left entry at (row, col).
+
+        Each block is its map scaled by the map's den, a positive int, which
+        keeps the joint kernel of blocks stacked in rows and the span of
+        blocks side by side in columns.  Raises DimensionError if a block
+        does not fit."""
+        ent = {}
+        for row, col, m in blocks:
+            if (min(row, col) < 0 or row + m.cod_dim > cod_dim
+                    or col + m.dom_dim > dom_dim):
+                raise DimensionError(
+                    f"a {m.cod_dim}x{m.dom_dim} block at ({row},{col}) "
+                    f"leaves {cod_dim}x{dom_dim}")
+            ent.update(((row + r, col + c), v) for (r, c), v in m.entries.items())
+        return cls._from_ints(dom_dim, cod_dim, ent)
+
     # -- plumbing ------------------------------------------------------------
 
     def entry(self, r, c):

@@ -7,7 +7,8 @@ identity and signed-identity factors, full tensor-power symmetrizers, a
 characteristic polynomial multiplied out block by block, dense Fraction
 matrices standing in for SparseMap's arithmetic, the gl(m|n)
 supercommutator relations, the action of every E_ij (Cartan included)
-restricted to a module or tested against an operator, the highest weight of
+restricted to a module or tested against an operator, the equivariance
+check made at a spot itself with no line spot, the highest weight of
 a module, the three-leg irreducibility test (an unblocked singular space,
 the closure of arbitrary vectors under every simple generator, and the
 singular space of the dual), the inverse of SparseMap.to_triples,
@@ -33,6 +34,7 @@ from superkoszul.glrep import (
     ModuleError,
     dual_module,
     raising_pairs,
+    simple_pairs,
 )
 from superkoszul.koszul import (
     KoszulError,
@@ -472,6 +474,23 @@ def supercommutator_check(act, product):
         (i, j): act.on_product(product, i, j) for i in range(d) for j in range(d)
     }
     return supercommutator_failures(act.space, mats)
+
+
+def equivariance_at_spot(ctx, act, name, spot):
+    """The equivariance check made at the spot itself, with no line spot:
+    the Cartan read off the weights, the simple generators multiplied out on
+    the spot's own product spaces."""
+    mat = ctx.operator(name, spot)
+    dom = ctx.spot_space(spot)
+    cod = ctx.spot_space(op_target(name, spot))
+    dw = dom.weights()
+    cw = cod.weights()
+    bad = {(j, j) for (r, c) in mat.entries
+           for j, (a, b) in enumerate(zip(dw[c], cw[r])) if a != b}
+    bad.update((i, j) for i, j in simple_pairs(ctx.space)
+               if mat @ act.on_product(dom, i, j) != act.on_product(cod, i, j) @ mat)
+    return {"ok": not bad, "failing_generators": sorted(bad),
+            "generators_checked": ctx.space.dim ** 2}
 
 
 def equivariance_failures(ctx, act, name, spot):

@@ -267,15 +267,6 @@ def test_operator_groups_are_unchanged_under_optimize(tmp_path, m, n):
     assert optimized == (plain_code, plain_body)
 
 
-def test_splitting_memo_leaves_construct_output_unchanged(capsys, monkeypatch):
-    cached = [run_cli(capsys, "construct", *q.split())
-              for q in ("Ysummand 1 1", "Zk 1 2 2")]
-    monkeypatch.setattr(KoszulContext, "splitting", KoszulContext._splitting)
-    fresh = [run_cli(capsys, "construct", *q.split())
-             for q in ("Ysummand 1 1", "Zk 1 2 2")]
-    assert cached == fresh and all(code == 0 for code, _, _ in cached)
-
-
 # sha256 of each request's stdout, the first four recorded at commit
 # a05e0b3 and the rest at 56da37c; the modules built from the splittings,
 # the pair spaces and the hooks are meant to stay byte for byte the same

@@ -5,6 +5,7 @@ from exact construction runs; highest weights are internal exponent tuples,
 so the fourth entry is the negative of the label coordinate.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -26,11 +27,13 @@ from superkoszul.glrep import (
     simple_pairs,
 )
 from oracles import (
+    equivariance_at_spot,
     equivariance_failures,
     full_action,
     highest_weight,
     irreducible_three_legs,
     kron_sum_on_product,
+    singular_space,
     submodule_closure,
     supercommutator_check,
     supercommutator_failures,
@@ -38,7 +41,13 @@ from oracles import (
     word_generator_matrix,
     xdanh_splitting,
 )
-from superkoszul.koszul import KoszulContext, Spot, op_target
+from superkoszul.koszul import (
+    KoszulContext,
+    Spot,
+    idle_field,
+    op_applicable,
+    op_target,
+)
 from superkoszul.linalg import RestrictionError, SparseMap, Subspace
 from superkoszul.superspace import ProductSpace, SuperSpace, power_basis
 
@@ -61,9 +70,12 @@ def con(ctx):
 
 
 @pytest.fixture
-def origins(monkeypatch):
-    """(product, basis, modulo) of every module the constructors cut out of
-    an ambient product, in build order: what full_action restricts again."""
+def origins(ctx, monkeypatch):
+    """A fresh Constructor on the shared context, and the (product, basis,
+    modulo) of every module it cuts out of an ambient product, in build
+    order: what full_action restricts again.  A Constructor builds each ImD
+    and Z module once, so on the shared one a module an earlier test built
+    would leave no origin."""
     seen = []
 
     def spy(build, basis_of):
@@ -80,7 +92,7 @@ def origins(monkeypatch):
     monkeypatch.setattr(glrep, "ambient_module", spy(
         glrep.ambient_module,
         lambda product, name: (Subspace.full(product.dim), None)))
-    return seen
+    return Constructor(ctx), seen
 
 
 CARTAN = [(j, j) for j in range(4)]
@@ -178,10 +190,11 @@ def test_supercommutators_on_mixed_ambient(ctx, act):
     assert supercommutator_check(act, ctx.spot_space(Spot(0, 1, 1))) == []
 
 
-def test_supercommutators_on_dual_module(ctx, con, origins):
+def test_supercommutators_on_dual_module(ctx, origins):
+    con, seen = origins
     mod = con.y_summand(1, 1)
     full = GLModule(space=ctx.space, name="full",
-                    gens=full_action(con.act, *origins[-1]),
+                    gens=full_action(con.act, *seen[-1]),
                     weights=mod.weights, parities=mod.parities)
     full_dual = dual_module(full)
     assert supercommutator_failures(ctx.space, full_dual.gens) == []
@@ -211,12 +224,13 @@ FAMILY_CASES = [
 
 
 @pytest.mark.parametrize("name,params,twists", FAMILY_CASES)
-def test_simple_generators_are_the_full_restriction(con, origins, name,
-                                                    params, twists):
+def test_simple_generators_are_the_full_restriction(origins, name, params,
+                                                    twists):
     # the oracle restricts all 16 E_ij: it raises if the module is not
     # invariant under some non-simple generator
+    con, seen = origins
     mod = con.construct(name, params)
-    (origin,) = origins
+    (origin,) = seen
     full = full_action(con.act, *origin)
     assert list(mod.gens) == list(simple_pairs(con.ctx.space))
     for key, g in mod.gens.items():
@@ -305,19 +319,71 @@ def test_weight_crossing_corruption_fails_on_the_cartan(ctx, act, monkeypatch):
     assert set(report["failing_generators"]) & set(CARTAN)
 
 
-def test_corrupted_differential_fails_equivariance(ctx, act, monkeypatch):
-    # one entry rescaled: weights still match, so only a simple generator
-    # can see it
-    def rescale(mat):
-        (r, c), v = next(iter(mat.entries.items()))
-        return {(r, c): -2 * v}
+def _rescale_one_entry(mat):
+    """A delta that rescales one entry of mat: weights still match, so only
+    a simple generator can see it."""
+    (r, c), v = next(iter(mat.entries.items()))
+    return {(r, c): -2 * v}
 
-    spot = _corrupt_d(ctx, monkeypatch, rescale)
+
+def test_corrupted_differential_fails_equivariance(ctx, act, monkeypatch):
+    spot = _corrupt_d(ctx, monkeypatch, _rescale_one_entry)
     report = check_equivariance(ctx, act, "d", spot)
     oracle = equivariance_failures(ctx, act, "d", spot)
     assert report["ok"] is False and oracle
     assert set(report["failing_generators"]) <= set(oracle)
     assert set(report["failing_generators"]) <= set(simple_pairs(ctx.space))
+
+
+# the spots of the default equivariance grid, each index at most 2
+GRID = [Spot(i, k, l) for i in range(3) for k in range(3) for l in range(3)]
+OPS = ("d", "del", "P", "Q")
+
+
+@pytest.mark.parametrize("space", [SuperSpace(3, 1), SuperSpace(2, 2),
+                                   SuperSpace(4, 1)],
+                         ids=["3|1", "2|2", "4|1"])
+def test_line_spot_certificate_matches_the_check_at_each_spot(space):
+    ctx = KoszulContext(space)
+    act = GLAction(space)
+    checked = 0
+    for spot in GRID:
+        for name in OPS:
+            if not op_applicable(name, spot):
+                continue
+            report = check_equivariance(ctx, act, name, spot)
+            want = equivariance_at_spot(ctx, act, name, spot)
+            assert {key: report[key] for key in want} == want, (name, spot)
+            lifted = getattr(spot, idle_field(name)) > 0
+            assert report["certified_by"] == ("line" if lifted else "spot")
+            checked += 1
+    assert checked > 0
+
+
+def test_operators_are_the_lift_of_their_line_spot_map(ctx):
+    # what the line-spot certificate relies on; kron with an identity is a
+    # second route to the lift
+    for spot in GRID:
+        for name in OPS:
+            if not op_applicable(name, spot):
+                continue
+            idle = idle_field(name)
+            line = ctx.operator(name, replace(spot, **{idle: 0}))
+            eye = SparseMap.identity(ctx._basis(idle, getattr(spot, idle)).dim)
+            want = eye.kron(line) if idle == "sym" else line.kron(eye)
+            assert ctx.operator(name, spot) == want, (name, spot)
+
+
+def test_line_spot_corruption_fails_at_the_lifted_spots(monkeypatch):
+    # a fresh context: its lifted d is built from the corrupted line map
+    ctx = KoszulContext(SuperSpace(3, 1))
+    act = GLAction(ctx.space)
+    line = _corrupt_d(ctx, monkeypatch, _rescale_one_entry)
+    for spot in (line, Spot(1, 1, 1), Spot(2, 1, 1)):
+        report = check_equivariance(ctx, act, "d", spot)
+        want = equivariance_at_spot(ctx, act, "d", spot)
+        assert report["ok"] is False and report["certified_by"] == "spot"
+        assert {key: report[key] for key in want} == want, spot
 
 
 # ---------------------------------------------------------------------------
@@ -363,11 +429,12 @@ IMD = [
 
 
 @pytest.mark.parametrize("k,l,dim,hw", IMD)
-def test_image_modules(con, origins, k, l, dim, hw):
+def test_image_modules(origins, k, l, dim, hw):
+    con, seen = origins
     mod = con.image_module(k, l)
     assert mod.dim == dim
     assert_cartan_is_weight_grading(
-        full_action(con.act, *origins[-1], pairs=CARTAN), mod)
+        full_action(con.act, *seen[-1], pairs=CARTAN), mod)
     assert highest_weight(mod) == hw
     ok, _ = mod.is_irreducible()
     assert ok
@@ -393,13 +460,14 @@ MMP = [
 
 
 @pytest.mark.parametrize("m,p,dim,hw", MMP)
-def test_mmp_grid(con, origins, m, p, dim, hw):
+def test_mmp_grid(origins, m, p, dim, hw):
+    con, seen = origins
     mod = con.mmp(m, p)
     assert mod.dim == dim
     assert highest_weight(mod) == hw
     assert mod.is_irreducible()[0]
     assert_cartan_is_weight_grading(
-        full_action(con.act, *origins[-1], pairs=CARTAN), mod, m - 1)
+        full_action(con.act, *seen[-1], pairs=CARTAN), mod, m - 1)
 
 
 YS = [
@@ -451,14 +519,15 @@ MFINAL = [(m, t, p) for m in (1, 2) for t in (1, 2) for p in (1, 2)]
 
 
 @pytest.mark.parametrize("m,t,p", MFINAL)
-def test_mfinal_grid(con, origins, m, t, p):
+def test_mfinal_grid(origins, m, t, p):
+    con, seen = origins
     mod = con.mfinal(m, t, p)
     a, b = m + t + p - 1, m + p - 1
     assert mod.dim == 8 * (a - b + 1) * (b + 1) * (a + 2) // 2
     assert highest_weight(mod) == (m + t, m, -p + 1, -1)
     assert mod.is_irreducible()[0]
     assert_cartan_is_weight_grading(
-        full_action(con.act, *origins[-1], pairs=CARTAN), mod, m - 1)
+        full_action(con.act, *seen[-1], pairs=CARTAN), mod, m - 1)
 
 
 def test_mfinal_rejects_zero_parameters(con):
@@ -517,9 +586,21 @@ def test_dual_of_v(con):
     assert dv.is_irreducible()[0]
 
 
+def test_module_memo_leaves_the_constructions_records_unchanged(monkeypatch):
+    # with every memoised module handed out once and dropped, each call
+    # builds again
+    plan = harness.VerificationPlan(checks=("constructions",)).as_dict()
+    _, memo, memo_findings, _ = harness.run_group(plan, "constructions")
+    monkeypatch.setattr(Constructor, "_fresh",
+                        lambda self, key: self._built.pop(key))
+    _, fresh, fresh_findings, _ = harness.run_group(plan, "constructions")
+    assert (memo, memo_findings) == (fresh, fresh_findings)
+    assert len(memo) > 0
+
+
 def test_modules_built_twice_on_one_context_agree():
-    # the second build reads the splittings the first one cached, so the
-    # first build must leave the cached subspaces as they were
+    # y_summand builds again and zk hands out the module it built first:
+    # both must agree with what the first calls returned
     con = Constructor(KoszulContext(SuperSpace(3, 1)))
     first = [con.y_summand(1, 1), con.zk(1, 2, 2)]
     again = [con.y_summand(1, 1), con.zk(1, 2, 2)]
@@ -555,17 +636,51 @@ def test_tensor_of_odd_lines_is_even(con):
     assert hh.weights == [(2, 2, 2, -2)] and hh.parities == [0]
 
 
-def test_berezinian_twist_shifts_weights(con, origins):
+def test_berezinian_twist_shifts_weights(origins):
+    con, seen = origins
     base = con.image_module(2, 2)
-    tw = berezinian_twist(base, 1)
+    tw = berezinian_twist(base, 1, "tw")
     assert highest_weight(tw) == (2, 2, 0, -2)
     assert tw.gens == base.gens
     assert_cartan_is_weight_grading(
-        full_action(con.act, *origins[-1], pairs=CARTAN), tw, 1)
+        full_action(con.act, *seen[-1], pairs=CARTAN), tw, 1)
     assert tw.parities[0] == (base.parities[0] + 1) % 2
-    assert berezinian_twist(base, 0) is base
+    twice = berezinian_twist(base, 2, "twice")
+    assert highest_weight(twice) == (3, 3, 1, -3)
+    assert twice.parities == base.parities
+    # no twist is still a new module: renaming it leaves base as it was
+    same = berezinian_twist(base, 0, "same")
+    assert same is not base and base.name == "ImD(2,2)"
+    assert (same.name, same.gens, same.weights, same.parities) == (
+        "same", base.gens, base.weights, base.parities)
     with pytest.raises(ValueError):
-        berezinian_twist(base, -1)
+        berezinian_twist(base, -1, "bad")
+
+
+def test_mmp_leaves_the_image_module_it_twists_as_it_was():
+    con = Constructor(KoszulContext(SuperSpace(3, 1)))
+    assert con.mmp(1, 1).name == "M(1,1)"
+    assert con.image_module(3, 2).name == "ImD(3,2)"
+    assert con.mfinal(1, 1, 2).name == "M(1,1,2)"
+    assert con.zk(1, 2, 2).name == "Z(1,2,2)"
+
+
+def test_constructor_builds_each_module_once(monkeypatch):
+    con = Constructor(KoszulContext(SuperSpace(3, 1)))
+    first = con.zk(1, 2, 2)
+    image = con.image_module(3, 2)
+
+    def rebuild(act, product, sub, name):
+        raise AssertionError(f"module_from_subspace called for {name}")
+
+    monkeypatch.setattr(glrep, "module_from_subspace", rebuild)
+    again, z1, mmp = con.zk(1, 2, 2), con.z1(1), con.mmp(1, 1)
+    assert len({id(first), id(again), id(z1)}) == 3
+    assert again.gens == first.gens and again.gens is not first.gens
+    assert (z1.name, z1.weights) == (first.name, first.weights)
+    assert mmp.gens == image.gens and mmp is not image
+    with pytest.raises(AssertionError, match=r"for Z\(1,2,1\)"):
+        con.zk(1, 2, 1)
 
 
 def test_non_invariant_subspace_raises(ctx, act):
@@ -649,6 +764,17 @@ def test_lowering_closure_decides_imd_1_1_on_2_2():
     assert not ok
     assert (info["singular_dim"], info["generated_dim"], mod.dim) == (1, 14, 15)
     assert dual_module(mod).singular_weights()[0].dim == 2
+
+
+def test_raising_kernel_is_the_unblocked_singular_space(con):
+    # the stacked raising generators eliminated one weight at a time give
+    # the joint kernel the oracle eliminates in one piece
+    mods = [con.construct(name, tuple(params.values()))
+            for name, params in harness.MODULE_CELLS]
+    mods += [con.ilambda(shape) for shape in HOOKS]
+    mods.append(Constructor(KoszulContext(SuperSpace(2, 2))).image_module(1, 1))
+    for mod in mods:
+        assert mod.raising_kernel() == singular_space(mod), mod.name
 
 
 def test_raising_kernel_rejects_a_generator_off_its_weight_step(con):

@@ -733,6 +733,15 @@ def test_xdanh_rank_bookkeeping(ctx31, k, l):
     assert rep["ok"], rep
 
 
+@pytest.mark.parametrize("k,l", [(1, 1), (2, 3), (0, 1), (3, 1), (2, 2)])
+def test_xdanh_rank_sum_is_the_dimension_of_the_summed_images(ctx31, k, l):
+    proj = ctx31.pair_del(k + 1, l + 1) @ ctx31.pair_d(k, l)
+    images = proj.image()
+    if k >= 1 and l >= 1:
+        images = subspace_sum(ctx31.pair_d(k - 1, l - 1).image(), images)
+    assert ctx31.xdanh_check(k, l)["rank_sum"] == images.dim
+
+
 def test_xdanh_23_dimensions(ctx31):
     rep = ctx31.xdanh_check(2, 3)
     assert (rep["dim"], rep["rank_in"], rep["rank_out"]) == (112, 32, 80)
@@ -796,21 +805,6 @@ def test_kerp_space_is_computed_once(monkeypatch):
     assert ctx.kerp_space(Spot(1, 1, 1)) is ker
     with pytest.raises(AssertionError):
         ctx.kerp_space(Spot(1, 1, 2))
-
-
-def test_splitting_is_computed_once(monkeypatch):
-    ctx = KoszulContext(SuperSpace(3, 1))
-    prop1 = ctx.splitting("prop1", (0, 1))
-    prop2 = ctx.splitting("prop2", (0, 1, 1))
-
-    def recompute(which, params):
-        raise AssertionError(f"splitting {which} {params} computed twice")
-
-    monkeypatch.setattr(ctx, "_splitting", recompute)
-    assert ctx.splitting("prop1", (0, 1)) is prop1
-    assert ctx.splitting("prop2", [0, 1, 1]) is prop2
-    with pytest.raises(AssertionError):
-        ctx.splitting("prop1", (1, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -642,6 +642,31 @@ def test_prop_cayley_hamilton(m):
     assert acc.is_zero()
 
 
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_prop_numerator_blocks_keep_joint_kernels_and_summed_images(data):
+    # blocks stacked in rows meet in the intersection of the kernels, and
+    # blocks side by side span the sum of the images, whatever the dens
+    n, r1, r2 = data.draw(DIMS), data.draw(DIMS), data.draw(DIMS)
+    a, b = data.draw(maps_of_shape(n, r1)), data.draw(maps_of_shape(n, r2))
+    rows = SparseMap.numerator_blocks(n, r1 + r2, [(0, 0, a), (r1, 0, b)])
+    assert rows.den == 1 and rows.kernel() == a.kernel().intersect(b.kernel())
+    c1, c2 = data.draw(DIMS), data.draw(DIMS)
+    a, b = data.draw(maps_of_shape(c1, n)), data.draw(maps_of_shape(c2, n))
+    cols = SparseMap.numerator_blocks(c1 + c2, n, [(0, 0, a), (0, c1, b)])
+    assert cols.image() == subspace_sum(a.image(), b.image())
+    assert cols.rank() == naive_rank(cols)
+
+
+def test_numerator_blocks_refuse_a_block_that_does_not_fit():
+    m = SparseMap.identity(2)
+    assert SparseMap.numerator_blocks(2, 4, [(2, 0, m)]).entries == {
+        (2, 0): 1, (3, 1): 1}
+    for row, col in ((3, 0), (0, 1), (-1, 0)):
+        with pytest.raises(DimensionError):
+            SparseMap.numerator_blocks(2, 4, [(row, col, m)])
+
+
 @given(sparse_maps(), sparse_maps())
 @settings(max_examples=40, deadline=None)
 def test_prop_kron_rank_multiplicative(a, b):
