@@ -764,7 +764,7 @@ def _block_spectra(pairs):
         try:
             spec = b.rational_spectrum()
         except SpectrumError as e:
-            return {}, False, f"irrational or unfactorable block spectrum: {e}"
+            return {}, False, f"block spectrum not certified rational: {e}"
         diag = diag and spec.diagonalizable
         for lam, alg, geo in spec.pairs:
             counts[lam] = counts.get(lam, 0) + size * alg

@@ -5,9 +5,20 @@ echelonized subspaces, characteristic polynomials and rational spectra.  A
 SparseMap and a Subspace basis share one exact format, int numerators over
 one positive denominator, so products, sums, eliminations and membership
 tests are int arithmetic; the values handed out (entries, traces, spectra,
-images, basis vectors) are Fractions.  No floats anywhere; a residual
-either is zero or it is not.  SparseMap.combination is the one sum of
-maps: add, scaled, +, - and c * are each one call of it.
+images, basis vectors) are Fractions.  No floats anywhere: values enter
+through _over_common_den, which takes ints and Fractions and raises
+TypeError on anything else, and a residual either is zero or it is not.
+SparseMap.combination is the one sum of maps: add, scaled, +, - and c *
+are each one call of it.
+
+SparseMap.rational_spectrum finds eigenvalues by a bounded integer-root
+search, with no factoring and no modular or probabilistic step: the
+characteristic polynomial of the numerator matrix is monic over the ints,
+so its rational roots are ints dividing its lowest nonzero coefficient c0,
+and none exceeds the matrix's largest absolute column sum R.  Trying each
+e <= min(R, isqrt|c0|) that divides c0, with its co-divisor c0/e, finds
+them all; a search of more than MAX_TRIAL_DIVISIONS steps is refused with
+SpectrumError before it starts.
 
 A Subspace keeps the reduced echelon basis whose pivots are each vector's
 largest index, built one vector at a time by Subspace.insert, the one
@@ -21,7 +32,7 @@ from __future__ import annotations
 from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 __all__ = [
     "DimensionError",
@@ -31,10 +42,10 @@ __all__ = [
     "SparseMap",
     "Subspace",
     "Spectrum",
-    "poly_clear",
 ]
 
-ZERO = Fraction(0)
+# the longest root search rational_spectrum makes, in trial divisions
+MAX_TRIAL_DIVISIONS = 10**6
 
 
 class DimensionError(ValueError):
@@ -78,21 +89,16 @@ class SparseMap:
     __slots__ = ("dom_dim", "cod_dim", "entries", "den", "_cols")
 
     def __init__(self, dom_dim, cod_dim, entries=None):
-        """Entries may be ints, Fractions or floats (read exactly); zeros are
+        """Entries are ints or Fractions (TypeError otherwise); zeros are
         dropped and the rest cleared to ints over their least common
         denominator."""
         if dom_dim < 0 or cod_dim < 0:
             raise DimensionError("negative dimension")
-        vals = {}
-        if entries:
-            for (r, c), v in entries.items():
-                if not (0 <= r < cod_dim and 0 <= c < dom_dim):
-                    raise DimensionError(f"entry ({r},{c}) outside {cod_dim}x{dom_dim}")
-                if type(v) is not int and type(v) is not Fraction:
-                    v = Fraction(v)
-                if v:
-                    vals[(r, c)] = v
-        nums, den = _over_common_den(vals)
+        entries = entries or {}
+        for r, c in entries:
+            if not (0 <= r < cod_dim and 0 <= c < dom_dim):
+                raise DimensionError(f"entry ({r},{c}) outside {cod_dim}x{dom_dim}")
+        nums, den = _over_common_den(entries)
         self._set(dom_dim, cod_dim, nums, den)
 
     def _set(self, dom_dim, cod_dim, nums, den):
@@ -129,12 +135,8 @@ class SparseMap:
 
     @classmethod
     def from_columns(cls, dom_dim, cod_dim, columns):
-        ent = {}
-        for c, col in columns.items():
-            for r, v in col.items():
-                if v:
-                    ent[(r, c)] = v
-        return cls(dom_dim, cod_dim, ent)
+        return cls(dom_dim, cod_dim, {
+            (r, c): v for c, col in columns.items() for r, v in col.items()})
 
     @classmethod
     def numerator_blocks(cls, dom_dim, cod_dim, blocks):
@@ -244,34 +246,31 @@ class SparseMap:
     @classmethod
     def combination(cls, dom_dim, cod_dim, terms):
         """sum of c * m over the (c, SparseMap m) pairs of terms, c an int or
-        a Fraction (anything else is read exactly as one), over the lcm of
-        the dens c.denominator * m.den.  The
-        first term is scaled in one pass and the others are merged into it,
-        an entry being dropped as soon as its sum cancels; the one way the
-        package adds or scales maps."""
-        parts = []
-        for c, m in terms:
+        a Fraction (TypeError otherwise).  The coefficients are cleared to
+        ints over one den, so the sum is over that den times the lcm of the
+        m.den.  The first term is scaled in one pass and the others are
+        merged into it, an entry being dropped as soon as its sum cancels;
+        the one way the package adds or scales maps."""
+        for _, m in terms:
             if (m.dom_dim, m.cod_dim) != (dom_dim, cod_dim):
                 raise DimensionError("combination: shape mismatch")
-            if type(c) is not int and type(c) is not Fraction:
-                c = Fraction(c)
-            parts.append((c.numerator, c.denominator * m.den, m.entries))
-        den = lcm(*(d for _, d, _ in parts))
+        coeffs, cden = _over_common_den(dict(enumerate(c for c, _ in terms)))
+        mden = lcm(*(m.den for _, m in terms))
         ent = {}
-        for num, d, entries in parts:
-            f = num * (den // d)
+        for j, (_, m) in enumerate(terms):
+            f = coeffs.get(j, 0) * (mden // m.den)
             if not f:
                 continue
             if not ent:
-                ent = {k: f * v for k, v in entries.items()}
+                ent = {k: f * v for k, v in m.entries.items()}
                 continue
-            for k, v in entries.items():
+            for k, v in m.entries.items():
                 s = ent.get(k, 0) + f * v
                 if s:
                     ent[k] = s
                 else:
                     del ent[k]
-        return cls._from_ints(dom_dim, cod_dim, ent, den)
+        return cls._from_ints(dom_dim, cod_dim, ent, cden * mden)
 
     def __add__(self, other):
         return self.add(other)
@@ -414,43 +413,57 @@ class SparseMap:
     def rational_spectrum(self):
         """Exact eigenvalue data; raises SpectrumError if roots are not rational.
 
-        Candidate roots are bounded by divisors of the trailing and leading
-        coefficients after clearing denominators, per the usual rational root
-        theorem.  The geometric multiplicity of t is n - rank(M - t*I); M is
+        The eigenvalues of M = N / den are the roots mu of N's monic int
+        characteristic polynomial over den.  Each e = 1..min(R, isqrt|c0|)
+        dividing c0 (see the module docstring) puts +-e and +-c0/e up to R
+        forward, which covers every divisor of c0 up to R, and a root
+        deflates the polynomial exactly as often as its multiplicity.  The
+        geometric multiplicity of mu is n - rank(N - mu*I); M is
         diagonalizable exactly when these add up to n, since eigenspaces of
         distinct eigenvalues are independent.
         """
-        p = self.char_poly()
         n = self.dom_dim
-        pairs = []
-        # strip zero roots first
-        mult0 = 0
-        while not p[0]:
-            p = p[1:]
-            mult0 += 1
-        if mult0:
-            pairs.append([ZERO, mult0])
-        ints = poly_clear(p)
-        for root in _rational_roots(ints):
-            m = 0
-            q = p
-            while True:
-                q2, rem = _deflate(q, root)
-                if rem:
-                    break
-                q = q2
-                m += 1
-            if m:
-                pairs.append([root, m])
-        total = sum(m for _, m in pairs)
-        if total < n:
+        num = SparseMap._from_ints(n, self.cod_dim, self.entries)
+        p = []
+        for c in num.char_poly():
+            if c.denominator != 1:
+                raise SpectrumError(
+                    "non-int coefficient in the characteristic polynomial "
+                    "of an int matrix", witness=c)
+            p.append(c.numerator)
+        zeros = next(j for j, c in enumerate(p) if c)
+        p = p[zeros:]
+        mults = {0: zeros} if zeros else {}
+        c0 = abs(p[0])
+        bound = max((sum(map(abs, col.values()))
+                     for col in self.columns().values()), default=0)
+        steps = min(bound, isqrt(c0))
+        if steps > MAX_TRIAL_DIVISIONS:
             raise SpectrumError(
-                f"only {total} of {n} eigenvalues are rational; refusing to guess"
+                f"the root search needs {steps} trial divisions, more than "
+                f"{MAX_TRIAL_DIVISIONS}", witness={"trial_divisions": steps})
+        for e in range(1, steps + 1):
+            if len(p) == 1:
+                break
+            if c0 % e:
+                continue
+            for mu in (e, -e, c0 // e, -(c0 // e)):
+                while len(p) > 1 and abs(mu) <= bound:
+                    q, rem = _deflate(p, mu)
+                    if rem:
+                        break
+                    p = q
+                    mults[mu] = mults.get(mu, 0) + 1
+        if len(p) > 1:
+            raise SpectrumError(
+                f"only {n + 1 - len(p)} of {n} eigenvalues are rational; "
+                "refusing to guess"
             )
-        pairs.sort(key=lambda t: t[0])
         out = []
-        for lam, alg in pairs:
-            geo = n - self.add(SparseMap.identity(n), -lam).rank()
+        eye = SparseMap.identity(n)
+        for mu, alg in sorted(mults.items()):
+            lam = Fraction(mu, self.den)
+            geo = n - num.add(eye, -mu).rank()
             if not 1 <= geo <= alg:
                 raise SpectrumError(
                     "geometric multiplicity outside 1..algebraic multiplicity",
@@ -461,12 +474,20 @@ class SparseMap:
 
 
 def _over_common_den(vals):
-    """(int numerators, den) of nonzero ints and Fractions over their least
-    common denominator; den // v.denominator is exact, den being a multiple.
-    The pair is canonical: a prime of den divides den // v.denominator not
-    at all for a value whose denominator carries its full power."""
+    """(int numerators, den) of the nonzero values of vals over their least
+    common denominator, the one place values enter the int format: each is
+    an int or a Fraction, and anything else, a float above all, raises
+    TypeError rather than be read as a binary fraction.  den //
+    v.denominator is exact, den being a multiple.  The pair is canonical: a
+    prime of den divides den // v.denominator not at all for a value whose
+    denominator carries its full power."""
+    for v in vals.values():
+        if not isinstance(v, (int, Fraction)):
+            raise TypeError(
+                f"exact values are ints or Fractions, not {type(v).__name__}")
     den = lcm(*{v.denominator for v in vals.values()})
-    return {k: v.numerator * (den // v.denominator) for k, v in vals.items()}, den
+    return {k: v.numerator * (den // v.denominator)
+            for k, v in vals.items() if v}, den
 
 
 @dataclass(frozen=True)
@@ -643,22 +664,12 @@ def _combine(a, u, terms):
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers (ascending coefficient lists)
-
-
-def poly_clear(coeffs):
-    """Scale a rational polynomial to primitive integer coefficients."""
-    den = lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * den) for c in coeffs]
-    g = gcd(*ints)
-    if g > 1:
-        ints = [c // g for c in ints]
-    return ints
+# polynomial helpers (ascending int coefficient lists)
 
 
 def _deflate(coeffs, root):
     """Divide by (t - root); returns (quotient, remainder)."""
-    acc = ZERO
+    acc = 0
     out = []
     for c in reversed(coeffs):
         acc = acc * root + c
@@ -666,95 +677,3 @@ def _deflate(coeffs, root):
     rem = out.pop()
     out.reverse()
     return out, rem
-
-
-def _is_probable_prime(n):
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    # deterministic for n < 3.3e24 with these bases
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _factor(n, trial_bound=1_000_000):
-    """Trial-division factorization; SpectrumError if a composite survives."""
-    f = {}
-    for p in (2, 3):
-        while n % p == 0:
-            f[p] = f.get(p, 0) + 1
-            n //= p
-    d = 5
-    while d * d <= n and d <= trial_bound:
-        for p in (d, d + 2):
-            while n % p == 0:
-                f[p] = f.get(p, 0) + 1
-                n //= p
-        d += 6
-    if n > 1:
-        if d * d > n or _is_probable_prime(n):
-            f[n] = f.get(n, 0) + 1
-        else:
-            raise SpectrumError(
-                f"cannot factor coefficient remainder {n}; root candidates unknown"
-            )
-    return f
-
-
-def _divisors(n, cap=200_000):
-    if n == 0:
-        raise ValueError("divisors of zero")
-    ds = [1]
-    for p, e in _factor(abs(n)).items():
-        step = []
-        pe = 1
-        for _ in range(e):
-            pe *= p
-            step.append(pe)
-        ds = [d * q for d in ds for q in [1] + step]
-        if len(ds) > cap:
-            raise SpectrumError("too many divisor candidates for rational roots")
-    return sorted(set(ds))
-
-
-def _rational_roots(int_coeffs):
-    """All rational roots of a primitive integer polynomial (no multiplicity)."""
-    if all(c == 0 for c in int_coeffs):
-        raise ValueError("zero polynomial")
-    a0 = int_coeffs[0]
-    an = int_coeffs[-1]
-    if a0 == 0:
-        raise ValueError("zero root should be stripped before root search")
-    roots = []
-    for p in _divisors(a0):
-        for q in _divisors(an):
-            if gcd(p, q) != 1:
-                continue
-            for num in (p, -p):
-                if _is_root(int_coeffs, num, q):
-                    roots.append(Fraction(num, q))
-    return sorted(set(roots))
-
-
-def _is_root(int_coeffs, p, q):
-    """Whether p/q is a root, in integers: q^n f(p/q) = 0 for degree n."""
-    acc, qpow = 0, 1
-    for c in reversed(int_coeffs):
-        acc = acc * p + c * qpow
-        qpow *= q
-    return acc == 0

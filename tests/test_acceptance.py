@@ -248,7 +248,7 @@ def test_primary_10_constructions_and_characters(con):
     The Z1 family fails the last two legs: its constructed highest weight
     is (2,1,-m|1), one below the stated (2,1,-m+1|1), and the closed
     display itself equals the V(2,1,-m|1) formula.  Recorded as the
-    Z1-CHAR finding; the other fifteen modules pass all legs.
+    Z1-CHAR finding; the other sixteen modules pass all legs.
     """
     t0 = time.time()
     failures = []

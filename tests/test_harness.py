@@ -34,6 +34,7 @@ from superkoszul.harness import (
 )
 from superkoszul.glrep import Constructor
 from superkoszul.koszul import KoszulContext
+from superkoszul.linalg import SparseMap
 from superkoszul.superspace import SuperSpace
 
 
@@ -295,6 +296,29 @@ def test_spectrum_report_flags_stated_mismatch():
     assert bad_cell["stated"] == ["2/3", "1"]
     transfer = spectrum_report("PdeldQ", (0, 1, 1))
     assert transfer["ok"] and transfer["matches_stated"]
+
+
+# the spectrum requests of the benchmark's query pool
+BENCH_SPECTRA = (("delPQd", (2, 1)), ("delPQd", (2, 2)),
+                 ("PdeldQ", (1, 1, 2)), ("PdeldQ", (1, 2, 1)))
+
+
+def test_benchmark_spectra_never_reach_the_char_poly_fallback(monkeypatch):
+    # every loop the default plan and the benchmark's spectrum requests run
+    # is settled by its predicted eigenspaces, so the characteristic
+    # polynomial and its root search are never timed there
+    def base():
+        return (run_group(VerificationPlan().as_dict(), "spectra")[1:3],
+                [spectrum_report(kind, params) for kind, params in BENCH_SPECTRA])
+
+    expected = base()
+
+    def refuse(self):
+        raise RuntimeError("the char-poly fallback ran")
+
+    monkeypatch.setattr(SparseMap, "rational_spectrum", refuse)
+    monkeypatch.setattr(SparseMap, "char_poly", refuse)
+    assert base() == expected
 
 
 def test_character_report_formulas():

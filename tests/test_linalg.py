@@ -7,8 +7,9 @@ polynomials are cross-checked by evaluating det(t*I - M) at interpolation
 points with the naive fraction Gauss determinant.
 """
 
+import time
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,7 @@ from oracles import (
     subspace_sum,
     transpose,
 )
+from superkoszul import linalg
 from superkoszul.linalg import (
     DimensionError,
     RestrictionError,
@@ -214,9 +216,9 @@ def test_entry_bounds_checked():
 
 
 def test_entries_stored_as_ints_over_one_den():
-    # ints, Fractions and floats are cleared to int numerators over their
-    # least common denominator; zeros are dropped
-    m = SparseMap(2, 2, {(0, 0): 3, (0, 1): 0.5, (1, 0): F(0), (1, 1): F(2, 3)})
+    # ints and Fractions are cleared to int numerators over their least
+    # common denominator; zeros are dropped
+    m = SparseMap(2, 2, {(0, 0): 3, (0, 1): F(1, 2), (1, 0): F(0), (1, 1): F(2, 3)})
     assert (m.entries, m.den) == ({(0, 0): 18, (0, 1): 3, (1, 1): 4}, 6)
     assert all(type(v) is int for v in m.entries.values())
     assert m.entry(0, 1) == F(1, 2) and type(m.entry(0, 1)) is F
@@ -227,6 +229,17 @@ def test_entries_stored_as_ints_over_one_den():
     assert (half.scaled(2).entries, half.scaled(2).den) == ({(0, 0): 1, (0, 1): 3}, 1)
     assert half.scaled(F(2, 3)) == SparseMap(2, 1, {(0, 0): F(1, 3), (0, 1): 1})
     assert (half - half).den == 1 and (half - half).is_zero()
+
+
+def test_floats_are_refused_not_read_as_binary_fractions():
+    # 0.1 would be stored as 3602879701896397/2**55
+    m = SparseMap(1, 1, {(0, 0): 1})
+    with pytest.raises(TypeError):
+        SparseMap(1, 1, {(0, 0): 0.1})
+    with pytest.raises(TypeError):
+        m.add(m, 0.1)
+    with pytest.raises(TypeError):
+        Subspace.zero(2).insert({0: 0.5})
 
 
 # ---------------------------------------------------------------------------
@@ -607,6 +620,71 @@ def test_prop_diagonalizable_iff_annihilated(m, extra):
     assert rep.diagonalizable == diagonalizable
     assert dict(rep.eigenvalues) == alg
     assert rep.matches_derived == (diagonalizable and not extra)
+
+
+@st.composite
+def conjugated_triangular(draw, max_dim=5):
+    """(U T U^-1, diagonal of T): T rational upper triangular with a diagonal
+    that may repeat, U a product of integer elementary matrices I + c*e_ij,
+    whose inverses are the I - c*e_ij in reverse order."""
+    n = draw(st.integers(1, max_dim))
+    values = st.sampled_from([F(0), F(1), F(-2), F(3, 2), F(-7, 3), F(12)])
+    diag = draw(st.lists(values, min_size=n, max_size=n))
+    ent = {(i, i): lam for i, lam in enumerate(diag)}
+    for i in range(n):
+        for j in range(i + 1, n):
+            ent[(i, j)] = draw(st.sampled_from([F(0), F(0), F(1), F(-1, 2)]))
+    m = SparseMap(n, n, ent)
+    eye = SparseMap.identity(n)
+    for _ in range(draw(st.integers(0, 4)) if n > 1 else 0):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                             unique=True))
+        c = draw(st.sampled_from([1, -1, 2, -3]))
+        e = SparseMap(n, n, {(i, j): c})
+        m = (eye + e) @ m @ (eye - e)
+    return m, diag
+
+
+@given(conjugated_triangular())
+@settings(max_examples=80, deadline=None)
+def test_prop_spectrum_of_a_conjugated_triangular_matrix(case):
+    # independent of rational_spectrum: the eigenvalues of U T U^-1 are the
+    # diagonal of T, and it is diagonalizable exactly when the product over
+    # the distinct ones vanishes
+    m, diag = case
+    spec = m.rational_spectrum()
+    assert {lam: alg for lam, alg, _ in spec.pairs} == {
+        lam: diag.count(lam) for lam in diag}
+    assert spec.diagonalizable == annihilated(m, set(diag))
+
+
+def test_spectrum_finds_a_large_integer_root():
+    assert SparseMap(1, 1, {(0, 0): 10**7}).rational_spectrum().pairs == (
+        (F(10**7), 1, 1),)
+
+
+def test_spectrum_finds_a_root_through_its_co_divisor():
+    # the numerator 10**12 + 39 is the co-divisor of e = 1; the search stops
+    # once the polynomial is used up
+    lam = F(10**12 + 39, 7)
+    assert SparseMap(1, 1, {(0, 0): lam}).rational_spectrum().pairs == (
+        (lam, 1, 1),)
+
+
+def test_spectrum_refuses_a_search_past_the_cap(monkeypatch):
+    # eigenvalues +-sqrt(10**13): the search would need isqrt(10**13) trial
+    # divisions, so it is refused before any candidate is tried
+    def no_search(coeffs, root):
+        raise AssertionError("root search started")
+
+    monkeypatch.setattr(linalg, "_deflate", no_search)
+    m = SparseMap(2, 2, {(0, 1): 10**13, (1, 0): 1})
+    t0 = time.perf_counter()
+    with pytest.raises(SpectrumError, match=str(isqrt(10**13))) as exc:
+        m.rational_spectrum()
+    assert time.perf_counter() - t0 < 1
+    assert exc.value.witness == {"trial_divisions": isqrt(10**13)}
+    assert isqrt(10**13) > linalg.MAX_TRIAL_DIVISIONS
 
 
 @given(sparse_maps(max_dim=4), st.data())
