@@ -45,15 +45,24 @@ of same-parity letters, the block at sigma(w) is conjugate to the block at
 w, so the block at the dominant weight (even and odd coordinates each
 non-increasing) stands for its orbit and its eigenspace dimensions count
 once per weight of the orbit.  For the PdeldQ loop, P at the line spot must
-commute as well, so that Ker(P (x) id) is stable.  The certificate is
-checked on the loop matrix itself; where it fails, every block is
-eliminated, so the verdict stays exact either way.
+commute as well, so that Ker(P (x) id) is stable.
+
+The certificate is checked once per operator of the word at its line spot,
+not on M.  An operator elsewhere is its line map lifted by the identity on
+the idle factor, and a spot's relabelling is the product of its factors',
+the idle factor's included, so the lift commutes wherever the line map
+does; a composite of commuting maps commutes, so M does.  M is then never
+formed: the line maps are applied to the columns kept, and those images
+also show M weight-graded (KoszulContext.loop_blocks).  Where a
+certificate fails, every column is kept and every block eliminated, so the
+verdict stays exact either way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import prod
 
 from .linalg import RestrictionError, SparseMap, SpectrumError, Subspace, WitnessedError
 from .superspace import (
@@ -65,7 +74,7 @@ from .superspace import (
     orbit_size,
     power_basis,
     split,
-    split_graded,
+    weight_blocks,
 )
 
 ZERO = Fraction(0)
@@ -550,36 +559,99 @@ class KoszulContext:
         return word, spot, derived, stated
 
     def loop_blocks(self, kind, word, spot):
-        """The weight blocks of the loop operator, restricted to
+        """The weight blocks of the loop operator M, restricted to
         Ker(P (x) id) for the PdeldQ loop.  Returns (blocks, sizes,
         total_dim): one block per S_m x S_n orbit of weights, at its
-        dominant weight, with the orbit's size, where the relabelling
-        certificate holds (module docstring); every block, each with size
-        1, where it does not."""
-        mat = self.composed_to(word, spot, spot)
-        weights = self.spot_space(spot).weights()
-        graded = split_graded(mat, weights, weights)
+        dominant weight, with the orbit's size, where every operator of
+        the word, and P at the spot's line for the kernel, passes the
+        relabelling certificate at its line spot (it then holds for the
+        lifts and for M, module docstring); every block, each with size 1,
+        where one does not.
+
+        M is never formed: the word's line-spot maps are applied to the
+        unit vectors of the kept columns, re-indexed as lift does, and each
+        block is read off the images over the product of the maps' dens.
+        An image entry that joins two weights raises KoszulError with its
+        row, column and both weights.  Under the certificate the dominant
+        columns suffice for that check: M commutes with signed permutations
+        that carry the columns of a dominant weight onto those of each
+        weight of its orbit and act on the row weights alike, so an entry
+        joining two weights anywhere has a relabelled twin joining two
+        weights in a dominant column.  A word that does not return to
+        its spot raises KoszulError."""
+        steps, end, certified = self._line_steps(word, spot)
+        if end != spot:
+            raise KoszulError(
+                "loop word ends at the wrong spot",
+                witness={"word": list(word), "start": repr(spot),
+                         "expected": repr(spot), "reached": repr(end)})
         restricted = kind == "PdeldQ" and spot.sym >= 1
-        symmetric = self._relabelling_commutes(mat, spot, spot)
-        if symmetric and restricted:
-            line = replace(spot, dual=0)
-            symmetric = self._relabelling_commutes(
-                self.operator("P", line), line, op_target("P", line))
+        if certified and restricted:
+            certified = self._line_certificate("P", replace(spot, dual=0))
+        weights = self.spot_space(spot).weights()
+        indices, local = weight_blocks(weights)
         m = self.space.m
-        if symmetric:
-            sizes = {w: orbit_size(w, m) for w in graded if is_dominant(w, m)}
+        if certified:
+            sizes = {w: orbit_size(w, m) for w in indices if is_dominant(w, m)}
         else:
-            sizes = dict.fromkeys(graded, 1)
+            sizes = dict.fromkeys(indices, 1)
+        den = prod(op.den for op, _ in steps)
+        graded = {}
+        for w in sizes:
+            ent = {}
+            for c in indices[w]:
+                vec = {c: 1}
+                for op, right in steps:
+                    vec = op.apply_numerators(vec, right)
+                for r, v in vec.items():
+                    if weights[r] != w:
+                        raise KoszulError(
+                            "loop is not weight-graded",
+                            witness={"row": r, "column": c,
+                                     "row_weight": weights[r],
+                                     "column_weight": w})
+                    ent[(local[r], local[c])] = v
+            n = len(indices[w])
+            graded[w] = SparseMap._from_ints(n, n, ent, den)
         if restricted:
             sub = self.kerp_space(spot)
-            blocks = {w: graded[w][0].restrict(local, local)
-                      for w, (local, _) in split(sub, weights).items()
+            blocks = {w: graded[w].restrict(part, part)
+                      for w, (part, _) in split(sub, weights).items()
                       if w in sizes}
             total = sub.dim
         else:
-            blocks = {w: graded[w][0] for w in sizes}
-            total = mat.dom_dim
+            blocks = graded
+            total = len(weights)
         return list(blocks.values()), [sizes[w] for w in blocks], total
+
+    def _line_steps(self, word, spot):
+        """([(map at the line spot, right)], end spot, certified) along the
+        word, first entry applied first: the operator at each spot is the
+        map lifted onto the idle field, on the right (right = the dual
+        factor's dimension) for P and Q and on the left (right = 1) for d
+        and del.  certified says every map commutes with the relabellings
+        at its line spot; it stops checking at the first that does not."""
+        if not spot.valid:
+            raise ValueError(f"a loop needs degrees >= 0, got {spot}")
+        steps, certified = [], True
+        for name in word:
+            idle = idle_field(name)
+            line = replace(spot, **{idle: 0})
+            op = self.operator(name, line)
+            certified = certified and self._line_certificate(name, line)
+            right = self.dual_basis(spot.dual).dim if idle == "dual" else 1
+            steps.append((op, right))
+            spot = op_target(name, spot)
+        return steps, spot, certified
+
+    def _line_certificate(self, name, line):
+        """Whether the named map at the line spot commutes with the
+        relabellings, checked once per (operator, line spot)."""
+        key = (name, line)
+        if key not in self._certificates:
+            self._certificates[key] = self._relabelling_commutes(
+                self.operator(name, line), line, op_target(name, line))
+        return self._certificates[key]
 
     def _relabelling_commutes(self, mat, spot, end):
         """Whether the map from the spot to the end spot commutes with the

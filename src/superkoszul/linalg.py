@@ -7,7 +7,8 @@ one positive denominator, so products, sums, eliminations and membership
 tests are int arithmetic; the values handed out (entries, traces, spectra,
 images, basis vectors) are Fractions.  No floats anywhere: values enter
 through _over_common_den, which takes ints and Fractions and raises
-TypeError on anything else, and a residual either is zero or it is not.
+TypeError on anything else; Subspace.residue, contains and coordinates_of
+refuse the same values; and a residual either is zero or it is not.
 SparseMap.combination is the one sum of maps: add, scaled, +, - and c *
 are each one call of it.
 
@@ -199,11 +200,25 @@ class SparseMap:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def apply_numerators(self, vec):
-        """den times the image of vec: vec against the numerator columns,
-        so ints for an int vec."""
+    def apply_numerators(self, vec, right=1):
+        """den times the image of vec under id_left (x) self (x) id_right,
+        indexed as lift, with each index's left copy read off the index:
+        vec against the numerator columns, so ints for an int vec, and no
+        lift is built."""
         cols = self.columns()
-        return _combine(0, {}, [(x, cols[c]) for c, x in vec.items() if c in cols])
+        dom, cod = self.dom_dim * right, self.cod_dim * right
+        out = {}
+        for i, x in vec.items():
+            a, rest = divmod(i, dom)
+            c, b = divmod(rest, right)
+            col = cols.get(c)
+            if col is None:
+                continue
+            base = a * cod + b
+            for r, v in col.items():
+                k = base + r * right
+                out[k] = out.get(k, 0) + x * v
+        return {k: y for k, y in out.items() if y}
 
     def apply(self, vec):
         """The image of a sparse vector, with Fraction values for Fraction
@@ -473,6 +488,14 @@ class SparseMap:
         return Spectrum(tuple(out), sum(g for _, _, g in out) == n)
 
 
+def _check_exact(vals):
+    """TypeError on the first value that is not an int or a Fraction."""
+    for v in vals:
+        if not isinstance(v, (int, Fraction)):
+            raise TypeError(
+                f"exact values are ints or Fractions, not {type(v).__name__}")
+
+
 def _over_common_den(vals):
     """(int numerators, den) of the nonzero values of vals over their least
     common denominator, the one place values enter the int format: each is
@@ -481,10 +504,7 @@ def _over_common_den(vals):
     v.denominator is exact, den being a multiple.  The pair is canonical: a
     prime of den divides den // v.denominator not at all for a value whose
     denominator carries its full power."""
-    for v in vals.values():
-        if not isinstance(v, (int, Fraction)):
-            raise TypeError(
-                f"exact values are ints or Fractions, not {type(v).__name__}")
+    _check_exact(vals.values())
     den = lcm(*{v.denominator for v in vals.values()})
     return {k: v.numerator * (den // v.denominator)
             for k, v in vals.items() if v}, den
@@ -551,7 +571,13 @@ class Subspace:
 
     def residue(self, vec):
         """den*vec - sum vec[p_j]*nums[j] in one pass, as a new dict: empty
-        exactly when vec lies in the span.  Ints for int input."""
+        exactly when vec lies in the span.  Ints for int input; TypeError
+        on a value that is not an int or a Fraction."""
+        _check_exact(vec.values())
+        return self._residue(vec)
+
+    def _residue(self, vec):
+        """residue, trusting vec's values to be exact."""
         return _combine(self.den, vec, [
             (-vec[p], b) for b, p in zip(self.nums, self.pivots) if vec.get(p)])
 
@@ -563,7 +589,7 @@ class Subspace:
                 raise DimensionError("vector outside ambient space")
         if not all(type(x) is int for x in vec.values()):
             vec = _over_common_den(vec)[0]
-        r = self.residue(vec)
+        r = self._residue(vec)
         if not r:
             return None
         p = max(r)

@@ -33,7 +33,7 @@ from superkoszul.harness import (
     _module_cell,
 )
 from superkoszul.glrep import Constructor
-from superkoszul.koszul import KoszulContext
+from superkoszul.koszul import KoszulContext, idle_field
 from superkoszul.linalg import SparseMap
 from superkoszul.superspace import SuperSpace
 
@@ -303,22 +303,46 @@ BENCH_SPECTRA = (("delPQd", (2, 1)), ("delPQd", (2, 2)),
                  ("PdeldQ", (1, 1, 2)), ("PdeldQ", (1, 2, 1)))
 
 
+def _spectra_records():
+    """The default plan's spectra group and the benchmark's spectrum
+    requests."""
+    return (run_group(VerificationPlan().as_dict(), "spectra")[1:3],
+            [spectrum_report(kind, params) for kind, params in BENCH_SPECTRA])
+
+
 def test_benchmark_spectra_never_reach_the_char_poly_fallback(monkeypatch):
     # every loop the default plan and the benchmark's spectrum requests run
     # is settled by its predicted eigenspaces, so the characteristic
     # polynomial and its root search are never timed there
-    def base():
-        return (run_group(VerificationPlan().as_dict(), "spectra")[1:3],
-                [spectrum_report(kind, params) for kind, params in BENCH_SPECTRA])
-
-    expected = base()
+    expected = _spectra_records()
 
     def refuse(self):
         raise RuntimeError("the char-poly fallback ran")
 
     monkeypatch.setattr(SparseMap, "rational_spectrum", refuse)
     monkeypatch.setattr(SparseMap, "char_poly", refuse)
-    assert base() == expected
+    assert _spectra_records() == expected
+
+
+def test_benchmark_spectra_build_no_lifted_operator_and_no_whole_loop(
+        monkeypatch):
+    # the loops apply their words' line-spot maps to the kept columns:
+    # nothing composes a word, and no operator is built where the field it
+    # leaves alone is not 0
+    expected = _spectra_records()
+    operator = KoszulContext.operator
+
+    def refuse(self, word, spot):
+        raise RuntimeError("a loop word was composed")
+
+    def line_only(self, name, spot):
+        if getattr(spot, idle_field(name)):
+            raise RuntimeError(f"{name} built at the lifted spot {spot}")
+        return operator(self, name, spot)
+
+    monkeypatch.setattr(KoszulContext, "composed", refuse)
+    monkeypatch.setattr(KoszulContext, "operator", line_only)
+    assert _spectra_records() == expected
 
 
 def test_character_report_formulas():

@@ -695,6 +695,84 @@ def test_relabelling_without_its_sign_falls_back_to_all_blocks(
     assert _report_key(rep) == _report_key(full)
 
 
+def _off_relabelling(ctx, name, line):
+    """The named map at the line spot with one entry negated, an entry that
+    the first swap carries to a different one, so that it no longer
+    commutes with the relabellings."""
+    op = ctx.operator(name, line)
+    a, b = ctx.space.swaps()[0]
+    dom_perm, _ = ctx.spot_space(line).relabel(a, b)
+    cod_perm, _ = ctx.spot_space(op_target(name, line)).relabel(a, b)
+    r, c = next(k for k in sorted(op.entries)
+                if (cod_perm[k[0]], dom_perm[k[1]]) != k)
+    ent = dict(op.entries)
+    ent[(r, c)] = -ent[(r, c)]
+    return SparseMap._from_ints(op.dom_dim, op.cod_dim, ent, op.den)
+
+
+@pytest.mark.parametrize("kind,params,name,line", [
+    ("delPQd", (1, 1), "Q", Spot(1, 1, 0)),
+    ("PdeldQ", (0, 1, 1), "del", Spot(0, 2, 4)),
+])
+def test_one_operator_off_the_relabelling_takes_every_column(
+        monkeypatch, kind, params, name, line):
+    ctx = KoszulContext(SuperSpace(3, 1))
+    monkeypatch.setitem(ctx._operators, (name, line),
+                        _off_relabelling(ctx, name, line))
+    rep = ctx.loop_spectrum(kind, params)
+    assert ctx._certificates[(name, line)] is False
+    assert rep.blocks_by_symmetry == 0
+    full = loop_spectrum_all_blocks(ctx, kind, params)
+    assert rep.blocks_eliminated == full.blocks_eliminated
+    assert _report_key(rep) == _report_key(full)
+
+
+def test_each_line_spot_is_certified_once_on_the_default_plan(monkeypatch):
+    # (spot, end) names the operator: the four move the degrees differently
+    calls = []
+    commutes = KoszulContext._relabelling_commutes
+
+    def counted(self, mat, spot, end):
+        calls.append((spot, end))
+        return commutes(self, mat, spot, end)
+
+    monkeypatch.setattr(KoszulContext, "_relabelling_commutes", counted)
+    ctx = KoszulContext(SuperSpace(3, 1))
+    cells = _default_spectra_cells(ctx)
+    for cell in cells:
+        ctx.loop_spectrum(*cell)
+    assert len(cells) == 21 and calls
+    assert len(calls) == len(set(calls))
+    assert all(0 in (spot.sym, spot.dual) for spot, _ in calls)
+
+
+def test_a_loop_entry_joining_two_weights_is_refused(monkeypatch):
+    ctx = KoszulContext(SuperSpace(3, 1))
+    line = Spot(0, 0, 1)
+    op = ctx.operator("d", line)
+    dom_w = ctx.spot_space(line).weights()
+    cod_w = ctx.spot_space(op_target("d", line)).weights()
+    # d sends column 0 into its weight; add an entry that leaves it
+    r = next(r for r in range(op.cod_dim) if cod_w[r] != dom_w[0])
+    ent = dict(op.entries)
+    ent[(r, 0)] = op.den
+    monkeypatch.setitem(ctx._operators, ("d", line),
+                        SparseMap._from_ints(op.dom_dim, op.cod_dim, ent, op.den))
+    with pytest.raises(KoszulError, match="weight-graded") as exc:
+        ctx.loop_spectrum("delPQd", (0, 1))
+    w = exc.value.witness
+    weights = ctx.spot_space(line).weights()
+    assert w["row_weight"] == weights[w["row"]] != w["column_weight"]
+    assert w["column_weight"] == weights[w["column"]]
+
+
+def test_a_loop_word_off_its_spot_is_refused(ctx31):
+    spot = Spot(1, 0, 2)
+    with pytest.raises(KoszulError) as exc:
+        ctx31.loop_blocks("delPQd", ["d", "Q", "P"], spot)
+    assert exc.value.witness["reached"] == repr(Spot(1, 1, 3))
+
+
 @pytest.mark.parametrize("m,n", [(3, 1), (2, 2), (1, 2)])
 def test_power_basis_relabel_is_a_signed_involution(m, n):
     space = SuperSpace(m, n)

@@ -240,6 +240,12 @@ def test_floats_are_refused_not_read_as_binary_fractions():
         m.add(m, 0.1)
     with pytest.raises(TypeError):
         Subspace.zero(2).insert({0: 0.5})
+    # (7/10, 3/10) lies in this span, but 0.7 and 0.3 are binary fractions
+    span = Subspace.from_vectors(2, [{0: F(1, 3), 1: F(1, 7)}])
+    assert span.contains({0: F(7, 10), 1: F(3, 10)})
+    for probe in (span.residue, span.contains, span.coordinates_of):
+        with pytest.raises(TypeError):
+            probe({0: 0.7, 1: 0.3})
 
 
 # ---------------------------------------------------------------------------
@@ -816,6 +822,24 @@ def test_prop_kron_and_lift_match_dense(data):
     lifted = a.lift(left, right, parities)
     assert_canonical(lifted)
     assert dense(lifted) == dense_lift(a, left, right, parities)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_prop_lifted_apply_matches_the_lift(data):
+    # apply_numerators with a right factor reads the left copy off each
+    # index and gives den times the image under the lift, building none
+    dom, cod = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    m = data.draw(maps_of_shape(dom, cod).filter(lambda m: m.den != 1))
+    left, right = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    vec = data.draw(sparse_vectors(left * dom * right))
+    got = m.apply_numerators(vec, right=right)
+    lifted = m.lift(left=left, right=right)
+    assert dense(lifted) == dense_lift(m, left, right)
+    assert got == lifted.apply_numerators(vec)
+    assert {i: x / m.den for i, x in got.items()} == dense_apply(lifted, vec)
+    ints = m.apply_numerators({i: x.numerator for i, x in vec.items()}, right)
+    assert all(type(x) is int for x in ints.values())
 
 
 @given(st.data())
