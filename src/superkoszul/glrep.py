@@ -46,12 +46,12 @@ GLModule owns the singular-vector and irreducibility machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import prod
 
 from .linalg import RestrictionError, SparseMap, Subspace, WitnessedError
-from .superspace import blocked_image, blocked_kernel, power_basis
+from .superspace import blocked_kernel, power_basis
 from .koszul import Spot, idle_field, op_target
 
 
@@ -229,6 +229,11 @@ class GLModule:
     gens maps each key of simple_pairs(space) to its matrix.  weights[i] is
     the simultaneous Cartan eigenvalue tuple of basis index i in internal
     coordinates: E_jj acts on basis vector i by weights[i][j].
+
+    facts records the raising kernel and the dimension its line generates
+    (is_irreducible).  A copy that keeps the matrices and shifts every
+    weight by one amount (twist, Constructor._fresh) shares the record:
+    such a shift leaves each weight block, and so both facts, unchanged.
     """
 
     space: object
@@ -236,6 +241,7 @@ class GLModule:
     gens: dict
     weights: list
     parities: list
+    facts: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def dim(self):
@@ -266,7 +272,12 @@ class GLModule:
         return blocked_kernel(stacked, self.weights, row_weights)
 
     def singular_weights(self):
-        ker = self.raising_kernel()
+        """(the raising kernel, each of its vectors' weight), the kernel
+        computed once per record of facts and the weights read off this
+        module's own; ModuleError on a vector that mixes weights."""
+        if "kernel" not in self.facts:
+            self.facts["kernel"] = self.raising_kernel()
+        ker = self.facts["kernel"]
         out = []
         for k, v in enumerate(ker.nums):
             ws = {self.weights[i] for i in v}
@@ -306,21 +317,25 @@ class GLModule:
         line and so the whole module.  Conversely an irreducible module is
         generated by any singular vector v, and U(n-)v meets v's weight only
         in the line of v, so the singular space is that line.
+
+        Both facts are computed once per shared record of facts.
         """
         ker, ws = self.singular_weights()
         info = {"singular_dim": ker.dim, "singular_weights": ws}
         if ker.dim != 1:
             return False, info
-        span = self.submodule_span(ker.nums[0])
-        info["generated_dim"] = span.dim
-        return span.dim == self.dim, info
+        facts = self.facts
+        if "generated_dim" not in facts:
+            facts["generated_dim"] = self.submodule_span(ker.nums[0]).dim
+        info["generated_dim"] = facts["generated_dim"]
+        return facts["generated_dim"] == self.dim, info
 
     def twist(self, weight, parity):
         """Tensor with a one-dimensional module of the given weight/parity.
 
         Off-diagonal generators kill the line, so the generator matrices stay
         as they are: only the weights shift, and element parities flip when
-        the line is odd.
+        the line is odd.  The twist shares this module's record of facts.
         """
         return GLModule(
             space=self.space,
@@ -330,6 +345,7 @@ class GLModule:
                 tuple(a + b for a, b in zip(w, weight)) for w in self.weights
             ],
             parities=[(p + parity) % 2 for p in self.parities],
+            facts=self.facts,
         )
 
 
@@ -473,7 +489,7 @@ class Constructor:
     ImD and Z modules are built once per argument tuple: the families reuse
     them (Mmp(m,p) is a twisted ImD(m+2,m+p), Z1 and Mfinal are Z modules),
     and each call returns a new GLModule that shares the generator matrices
-    of the one built first."""
+    and the record of facts of the one built first."""
 
     def __init__(self, ctx):
         self.ctx = ctx
@@ -481,11 +497,12 @@ class Constructor:
         self._built = {}
 
     def _fresh(self, key):
-        """A new module sharing the generator matrices of the one built for
-        key."""
+        """A new module sharing the generator matrices and the record of
+        facts of the one built for key."""
         mod = self._built[key]
         return GLModule(space=mod.space, name=mod.name, gens=dict(mod.gens),
-                        weights=list(mod.weights), parities=list(mod.parities))
+                        weights=list(mod.weights), parities=list(mod.parities),
+                        facts=mod.facts)
 
     def h31(self):
         """One-dimensional top homology class of the offset-two complex."""
@@ -501,13 +518,9 @@ class Constructor:
         key = ("imd", k, l)
         if key not in self._built:
             ctx = self.ctx
-            im = blocked_image(
-                ctx.pair_d(k, l),
-                ctx.pair_space(k, l).weights(),
-                ctx.pair_space(k + 1, l + 1).weights(),
-            )
             self._built[key] = module_from_subspace(
-                self.act, ctx.pair_space(k + 1, l + 1), im, f"ImD({k},{l})"
+                self.act, ctx.pair_space(k + 1, l + 1), ctx.d_image(k, l),
+                f"ImD({k},{l})"
             )
         return self._fresh(key)
 
@@ -532,9 +545,10 @@ class Constructor:
         )
 
     def zk(self, k, l, m):
-        """Z = d(Ker(P.del.d)) inside S_k . Im d_(l,m), with d leaving the
-        spot S_k . L_l . S*_m: the summand of the kernel splitting that lies
-        in Ker(P.del)."""
+        """Z = W intersected with Ker(P.del), W = S_k . Im d_(l,m) with d
+        leaving the spot S_k . L_l . S*_m: the summand of the kernel
+        splitting that lies in Ker(P.del), taken as the kernel of P.del on
+        W."""
         if k < 1 or min(l, m) < 0:
             raise ValueError(
                 f"k must be at least 1 and l, m at least 0, got {(k, l, m)}")

@@ -56,6 +56,11 @@ formed: the line maps are applied to the columns kept, and those images
 also show M weight-graded (KoszulContext.loop_blocks).  Where a
 certificate fails, every column is kept and every block eliminated, so the
 verdict stays exact either way.
+
+Im d at each pair is built once (KoszulContext.d_image), for the homology,
+the ImD modules and the Z summands; an echelon basis lifted by an identity
+factor stays reduced echelon (Subspace.lift), so Ker(P (x) id) and
+W = S (x) Im d need no elimination of their own.
 """
 
 from __future__ import annotations
@@ -71,6 +76,7 @@ from .superspace import (
     blocked_kernel,
     blocked_rank,
     is_dominant,
+    join,
     orbit_size,
     power_basis,
     split,
@@ -163,6 +169,7 @@ class KoszulContext:
         self._spot_spaces = {}
         self._rank_cache = {}
         self._kerp_spaces = {}
+        self._d_images = {}
         self._certificates = {}
 
     # -- spaces ----------------------------------------------------------------
@@ -284,7 +291,7 @@ class KoszulContext:
             )
         return mat
 
-    # -- cached blocked ranks ------------------------------------------------------
+    # -- cached blocked ranks and images --------------------------------------------
 
     def d_rank(self, k, l):
         key = ("d", k, l)
@@ -294,6 +301,16 @@ class KoszulContext:
                 m, self.pair_space(k, l).weights(), self.pair_space(k + 1, l + 1).weights()
             )
         return self._rank_cache[key]
+
+    def d_image(self, k, l):
+        """Im d_(k,l) inside the pair space (k+1, l+1), built once; callers
+        only read the subspace."""
+        key = (k, l)
+        if key not in self._d_images:
+            self._d_images[key] = blocked_image(
+                self.pair_d(k, l), self.pair_space(k, l).weights(),
+                self.pair_space(k + 1, l + 1).weights())
+        return self._d_images[key]
 
     # -- identities -------------------------------------------------------------
 
@@ -417,11 +434,7 @@ class KoszulContext:
             self.pair_d(k, l), ps.weights(), self.pair_space(k + 1, l + 1).weights()
         )
         if k >= 1 and l >= 1:
-            im = blocked_image(
-                self.pair_d(k - 1, l - 1),
-                self.pair_space(k - 1, l - 1).weights(),
-                ps.weights(),
-            )
+            im = self.d_image(k - 1, l - 1)
         else:
             im = Subspace.zero(ps.dim)
         for j, v in enumerate(im.nums):
@@ -443,27 +456,25 @@ class KoszulContext:
 
     def _kerp_space(self, spot):
         """Everything when sym = 0; else the kernel of P at the spot
-        (sym, alt, 0), lifted onto S*_dual, which is in pivot order already."""
-        space = self.spot_space(spot)
+        (sym, alt, 0), lifted onto S*_dual by Subspace.lift, which keeps a
+        reduced echelon basis reduced with no elimination; a basis with a
+        repeated pivot, which no echelon basis has, raises KoszulError."""
         if spot.sym == 0:
-            return Subspace.full(space.dim)
+            return Subspace.full(self.spot_space(spot).dim)
         line = replace(spot, dual=0)
         ker = blocked_kernel(
             self.operator("P", line),
             self.spot_space(line).weights(),
             self.spot_space(op_target("P", line)).weights())
-        ddim = self.dual_basis(spot.dual).dim
-        lifted = ker.basis_matrix().lift(right=ddim)
-        cols = lifted.columns()
-        nums = [cols[c] for c in range(lifted.dom_dim)]
-        pivots = [max(v) for v in nums]
-        if len(set(pivots)) != ker.dim * ddim:
+        lifted = ker.lift(right=self.dual_basis(spot.dual).dim)
+        if len(set(lifted.pivots)) != lifted.dim:
             raise KoszulError(
                 "tensored kernel basis has repeated pivots",
                 witness={"spot": (spot.sym, spot.alt, spot.dual),
-                         "pivots": sorted(pivots), "expected_dim": ker.dim * ddim},
+                         "pivots": sorted(lifted.pivots),
+                         "expected_dim": lifted.dim},
             )
-        return Subspace(space.dim, nums, pivots, lifted.den)
+        return lifted
 
     def kerp_is_incoming_image(self, spot):
         """Ker(P (x) id) = Im(P (x) id) from the spot one transfer step back."""
@@ -569,80 +580,106 @@ class KoszulContext:
         where one does not.
 
         M is never formed: the word's line-spot maps are applied to the
-        unit vectors of the kept columns, re-indexed as lift does, and each
-        block is read off the images over the product of the maps' dens.
-        An image entry that joins two weights raises KoszulError with its
-        row, column and both weights.  Under the certificate the dominant
-        columns suffice for that check: M commutes with signed permutations
-        that carry the columns of a dominant weight onto those of each
-        weight of its orbit and act on the row weights alike, so an entry
-        joining two weights anywhere has a relabelled twin joining two
-        weights in a dominant column.  A word that does not return to
-        its spot raises KoszulError."""
-        steps, end, certified = self._line_steps(word, spot)
+        unit vectors of the kept weights, or to the kernel's basis vectors
+        of those weights, whose images are read at the kernel's pivots and
+        certified by their residue (RestrictionError if one leaves it).  An
+        image entry that joins two weights raises KoszulError with its
+        row, column and both weights (_graded_blocks).  Under the
+        certificate the kept columns suffice for that check: M
+        commutes with signed permutations that carry the columns of a
+        dominant weight onto those of each weight of its orbit and act on
+        the row weights alike, so an entry joining two weights anywhere
+        has a relabelled twin joining two weights in a dominant column.  A
+        word that does not return to its spot raises KoszulError."""
+        steps, end = self._line_steps(word, spot)
         if end != spot:
             raise KoszulError(
                 "loop word ends at the wrong spot",
                 witness={"word": list(word), "start": repr(spot),
                          "expected": repr(spot), "reached": repr(end)})
         restricted = kind == "PdeldQ" and spot.sym >= 1
-        if certified and restricted:
-            certified = self._line_certificate("P", replace(spot, dual=0))
+        lines = [(name, line) for name, line, _ in steps]
+        if restricted:
+            lines.append(("P", replace(spot, dual=0)))
+        certified = all(self._line_certificate(*nl) for nl in lines)
         weights = self.spot_space(spot).weights()
-        indices, local = weight_blocks(weights)
+        indices, _ = weight_blocks(weights)
         m = self.space.m
         if certified:
             sizes = {w: orbit_size(w, m) for w in indices if is_dominant(w, m)}
         else:
             sizes = dict.fromkeys(indices, 1)
-        den = prod(op.den for op, _ in steps)
-        graded = {}
-        for w in sizes:
-            ent = {}
-            for c in indices[w]:
-                vec = {c: 1}
-                for op, right in steps:
-                    vec = op.apply_numerators(vec, right)
-                for r, v in vec.items():
-                    if weights[r] != w:
-                        raise KoszulError(
-                            "loop is not weight-graded",
-                            witness={"row": r, "column": c,
-                                     "row_weight": weights[r],
-                                     "column_weight": w})
-                    ent[(local[r], local[c])] = v
-            n = len(indices[w])
-            graded[w] = SparseMap._from_ints(n, n, ent, den)
-        if restricted:
-            sub = self.kerp_space(spot)
-            blocks = {w: graded[w].restrict(part, part)
-                      for w, (part, _) in split(sub, weights).items()
-                      if w in sizes}
-            total = sub.dim
-        else:
-            blocks = graded
-            total = len(weights)
-        return list(blocks.values()), [sizes[w] for w in blocks], total
+        if not restricted:
+            columns = {w: [{c: 1} for c in indices[w]] for w in sizes}
+            blocks = self._graded_blocks(steps, columns, weights)
+            return list(blocks.values()), list(sizes.values()), len(weights)
+        sub = self.kerp_space(spot)
+        parts = {w: part for w, part in split(sub, weights).items()
+                 if w in sizes}
+        columns = {w: [] for w in parts}
+        for v, p in zip(sub.nums, sub.pivots):
+            if weights[p] in parts:
+                columns[weights[p]].append(v)
+        graded = self._graded_blocks(steps, columns, weights, sub.den)
+        blocks = []
+        for w, (part, idx) in parts.items():
+            block = graded[w]
+            cols = block.columns()
+            ent, bad = part.read_coordinates(
+                cols.get(c, {}) for c in range(part.dim))
+            if bad is not None:
+                raise RestrictionError(
+                    "loop carries a kernel vector out of Ker(P (x) id)",
+                    witness={"column": idx[part.pivots[bad]],
+                             "column_weight": w})
+            blocks.append(SparseMap._from_ints(part.dim, part.dim, ent,
+                                               block.den))
+        return blocks, [sizes[w] for w in parts], sub.dim
 
     def _line_steps(self, word, spot):
-        """([(map at the line spot, right)], end spot, certified) along the
-        word, first entry applied first: the operator at each spot is the
-        map lifted onto the idle field, on the right (right = the dual
-        factor's dimension) for P and Q and on the left (right = 1) for d
-        and del.  certified says every map commutes with the relabellings
-        at its line spot; it stops checking at the first that does not."""
+        """([(operator name, its line spot, right)], end spot) along the word,
+        first entry applied first: the operator at each spot is its map at
+        the line spot lifted onto the idle field, on the right (right = the
+        dual factor's dimension) for P and Q and on the left (right = 1)
+        for d and del."""
         if not spot.valid:
-            raise ValueError(f"a loop needs degrees >= 0, got {spot}")
-        steps, certified = [], True
+            raise ValueError(f"a word needs degrees >= 0, got {spot}")
+        steps = []
         for name in word:
             idle = idle_field(name)
-            line = replace(spot, **{idle: 0})
-            op = self.operator(name, line)
-            certified = certified and self._line_certificate(name, line)
             right = self.dual_basis(spot.dual).dim if idle == "dual" else 1
-            steps.append((op, right))
+            steps.append((name, replace(spot, **{idle: 0}), right))
             spot = op_target(name, spot)
-        return steps, spot, certified
+        return steps, spot
+
+    def _graded_blocks(self, steps, columns, weights, den=1):
+        """{w: block} of the line steps on the int vectors columns[w], of
+        weight w and over den: column c of the block is the image of vector
+        c, its rows the indices of weight w where the word ends (weights),
+        over den times the maps' dens.  The one grading check of a word:
+        an image entry of another weight raises KoszulError with the row,
+        the column (the vector's largest index) and both weights."""
+        ops = [(self.operator(name, line), right) for name, line, right in steps]
+        den *= prod(op.den for op, _ in ops)
+        indices, local = weight_blocks(weights)
+        blocks = {}
+        for w, vecs in columns.items():
+            ent = {}
+            for c, vec in enumerate(vecs):
+                img = vec
+                for op, right in ops:
+                    img = op.apply_numerators(img, right)
+                for r, v in img.items():
+                    if weights[r] != w:
+                        raise KoszulError(
+                            "word is not weight-graded",
+                            witness={"row": r, "column": max(vec),
+                                     "row_weight": weights[r],
+                                     "column_weight": w})
+                    ent[(local[r], c)] = v
+            blocks[w] = SparseMap._from_ints(
+                len(vecs), len(indices.get(w, ())), ent, den)
+        return blocks
 
     def _line_certificate(self, name, line):
         """Whether the named map at the line spot commutes with the
@@ -681,8 +718,16 @@ class KoszulContext:
             Y = Ker(del.P) that complements the image of Q.d.
         which="prop2": (i,k,a); with l = a+i+k+1, inside W = image of d on
             the spot (i+1, k, l), the summand Z = W intersected with
-            Ker(P.del).  Since d y lies in Ker(P.del) exactly when y lies
-            in Ker(P.del.d), Z = d(Ker(P.del.d)), with no intersection.
+            Ker(P.del), taken as the kernel of P.del on W.
+
+        W = S_(i+1) (x) Im d_(k,l) is the shared pair image lifted on the
+        left (Subspace.lift), a reduced echelon basis w_t.  P.del is applied
+        to the w_t at its line spots and each weight's kernel K is taken in
+        W's coordinates.  The z = sum_t K[t] w_t are reduced echelon over
+        K.den * W.den with no further elimination: the w_t's pivots
+        increase and each w_t vanishes at the others' pivots, so z pivots
+        where its last w_t does, and vanishes at the other pivots of Z
+        because K does at the other pivots of K.
         """
         if which == "prop1":
             i, a = params
@@ -694,15 +739,24 @@ class KoszulContext:
         if which == "prop2":
             i, k, a = params
             l = a + i + k + 1
-            src, dst = Spot(i + 1, k, l), Spot(i, k + 1, l)
-            w_src = self.spot_space(src).weights()
-            pdeld = self.composed_to(["d", "del", "P"], src, dst)
-            ker = blocked_kernel(pdeld, w_src, self.spot_space(dst).weights())
-            return blocked_image(
-                self.operator("d", src) @ ker.basis_matrix(),
-                [w_src[p] for p in ker.pivots],
-                self.spot_space(Spot(i + 1, k + 1, l + 1)).weights(),
-            )
+            spot = Spot(i + 1, k + 1, l + 1)
+            w_sub = self.d_image(k, l).lift(left=self.sym_basis(i + 1).dim)
+            weights = self.spot_space(spot).weights()
+            by_weight = {}
+            for t, p in enumerate(w_sub.pivots):
+                by_weight.setdefault(weights[p], []).append(t)
+            steps, end = self._line_steps(["del", "P"], spot)
+            blocks = self._graded_blocks(
+                steps,
+                {w: [w_sub.nums[t] for t in ts] for w, ts in by_weight.items()},
+                self.spot_space(end).weights())
+            ker = join(w_sub.dim, ((blocks[w].kernel(), ts)
+                                   for w, ts in by_weight.items()))
+            basis = w_sub.basis_matrix()
+            return Subspace(w_sub.ambient_dim,
+                            [basis.apply_numerators(v) for v in ker.nums],
+                            [w_sub.pivots[q] for q in ker.pivots],
+                            ker.den * w_sub.den)
         raise ValueError(f"unknown splitting {which!r}")
 
     def xdanh_check(self, k, l):

@@ -204,10 +204,18 @@ class SparseMap:
         """den times the image of vec under id_left (x) self (x) id_right,
         indexed as lift, with each index's left copy read off the index:
         vec against the numerator columns, so ints for an int vec, and no
-        lift is built."""
+        lift is built.  A vec inside self's own domain skips the
+        re-indexing."""
         cols = self.columns()
-        dom, cod = self.dom_dim * right, self.cod_dim * right
         out = {}
+        if right == 1 and max(vec, default=0) < self.dom_dim:
+            for c, x in vec.items():
+                col = cols.get(c)
+                if col is not None:
+                    for r, v in col.items():
+                        out[r] = out.get(r, 0) + x * v
+            return {k: y for k, y in out.items() if y}
+        dom, cod = self.dom_dim * right, self.cod_dim * right
         for i, x in vec.items():
             a, rest = divmod(i, dom)
             c, b = divmod(rest, right)
@@ -365,27 +373,22 @@ class SparseMap:
     def restrict(self, dom, cod):
         """Matrix of self as a map dom -> cod in the subspace bases.
 
-        The images of dom's basis, read at cod's pivots, are the coordinates
-        C; a second product certifies that cod's basis times C gives the
-        images back.  Otherwise RestrictionError names the first domain
-        basis vector whose image leaves cod.
+        One product per basis vector b of dom: its image, read at cod's
+        pivots, gives b's coordinates, certified by the image's residue
+        modulo cod (Subspace.read_coordinates), the check cod's basis times
+        C = the images taken column by column.  Otherwise RestrictionError
+        names the first domain basis vector whose image leaves cod.
         """
         if dom.ambient_dim != self.dom_dim or cod.ambient_dim != self.cod_dim:
             raise DimensionError("restrict: ambient mismatch")
-        img = self @ dom.basis_matrix()
-        at = {p: i for i, p in enumerate(cod.pivots)}
-        coords = SparseMap._from_ints(dom.dim, cod.dim, {
-            (at[r], c): v for (r, c), v in img.entries.items() if r in at
-        }, img.den)
-        back = cod.basis_matrix() @ coords
-        if back != img:
-            j = next(c for c in range(dom.dim) if back.column(c) != img.column(c))
-            b = dom.vectors[j]
+        ent, bad = cod.read_coordinates(map(self.apply_numerators, dom.nums))
+        if bad is not None:
+            b = dom.vectors[bad]
             raise RestrictionError(
                 "image of subspace vector leaves the stated codomain",
-                witness={"index": j, "vector": b, "image": self.apply(b)},
+                witness={"index": bad, "vector": b, "image": self.apply(b)},
             )
-        return coords
+        return SparseMap._from_ints(dom.dim, cod.dim, ent, self.den * dom.den)
 
     # -- serialization --------------------------------------------------------
 
@@ -617,6 +620,44 @@ class Subspace:
         if self.residue(vec):
             return None
         return [vec.get(p, 0) for p in self.pivots]
+
+    def read_coordinates(self, images):
+        """(entries, bad): y[p_j] at (j, c) for the int vectors y =
+        images[c], y's coordinates over its den, each certified by its
+        residue (sum y[p_j]*nums[j] = den*y); bad is the first c outside the
+        span, where reading stops, or None.  One pivot -> position dict
+        finds the pivots y meets, so y costs its own support, not a pass
+        over the basis."""
+        at = {p: j for j, p in enumerate(self.pivots)}
+        nums, den = self.nums, self.den
+        ent = {}
+        for c, y in enumerate(images):
+            back = {}
+            for i, x in y.items():
+                j = at.get(i)
+                if j is not None:
+                    ent[(j, c)] = x
+                    for k, v in nums[j].items():
+                        back[k] = back.get(k, 0) + x * v
+            want = y if den == 1 else {i: den * x for i, x in y.items()}
+            if back != want and {k: v for k, v in back.items() if v} != want:
+                return ent, c
+        return ent, None
+
+    def lift(self, left=1, right=1):
+        """id_left (x) self (x) id_right, indexed as SparseMap.lift, with no
+        elimination: vector j's copy at (a, b) pivots at a*D*right +
+        p_j*right + b (D = ambient_dim), increasing in a, then j, then b,
+        and copies at different (a, b) have disjoint supports, so the basis
+        stays reduced echelon."""
+        n = self.ambient_dim * right
+        nums, pivots = [], []
+        for a in range(left):
+            for v, p in zip(self.nums, self.pivots):
+                for b in range(right):
+                    nums.append({a * n + i * right + b: x for i, x in v.items()})
+                    pivots.append(a * n + p * right + b)
+        return Subspace(n * left, nums, pivots, self.den)
 
     def basis_matrix(self):
         """The basis vectors as the columns of a map into the ambient space."""

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from superkoszul import glrep, harness
+from superkoszul import glrep, harness, koszul
 from superkoszul.glrep import (
     Constructor,
     GLAction,
@@ -49,7 +49,12 @@ from superkoszul.koszul import (
     op_target,
 )
 from superkoszul.linalg import RestrictionError, SparseMap, Subspace
-from superkoszul.superspace import ProductSpace, SuperSpace, power_basis
+from superkoszul.superspace import (
+    ProductSpace,
+    SuperSpace,
+    blocked_image,
+    power_basis,
+)
 
 F = Fraction
 
@@ -596,6 +601,67 @@ def test_module_memo_leaves_the_constructions_records_unchanged(monkeypatch):
     _, fresh, fresh_findings, _ = harness.run_group(plan, "constructions")
     assert (memo, memo_findings) == (fresh, fresh_findings)
     assert len(memo) > 0
+
+
+def test_the_constructions_group_computes_each_fact_once(monkeypatch):
+    # 30 module checks: 4 Mmp are twisted ImD cells checked before them, and
+    # 13 Z1, Zk and Mfinal checks share 9 Z modules, so 22 generator sets
+    calls = {"raising_kernel": 0, "submodule_span": 0}
+    for name in calls:
+        def counted(self, *args, _name=name, _fn=getattr(GLModule, name)):
+            calls[_name] += 1
+            return _fn(self, *args)
+        monkeypatch.setattr(GLModule, name, counted)
+    inside = []
+    splitting = KoszulContext.splitting
+    composed = KoszulContext.composed
+
+    def splitting_marked(self, which, params):
+        inside.append(which)
+        try:
+            return splitting(self, which, params)
+        finally:
+            inside.pop()
+
+    def composed_checked(self, word, spot):
+        assert "prop2" not in inside, f"composed {word} inside prop2"
+        return composed(self, word, spot)
+
+    images = {}
+
+    def image_counted(mat, dom_w, cod_w):
+        images[id(mat)] = images.get(id(mat), 0) + 1
+        return blocked_image(mat, dom_w, cod_w)
+
+    monkeypatch.setattr(KoszulContext, "splitting", splitting_marked)
+    monkeypatch.setattr(KoszulContext, "composed", composed_checked)
+    monkeypatch.setattr(koszul, "blocked_image", image_counted)
+    plan = harness.VerificationPlan(checks=("constructions",)).as_dict()
+    _, records, _, _ = harness.run_group(plan, "constructions")
+    assert calls == {"raising_kernel": 22, "submodule_span": 22}
+    # every Im d the group reads is eliminated once: ImD, Mmp, H31 and Z
+    assert images and set(images.values()) == {1}
+    assert records
+
+
+def test_a_twist_reads_the_record_of_the_module_it_twists():
+    # Mmp(2,1) is ImD(4,3) twisted by (1,1,1,-1); checked after ImD(4,3) it
+    # reuses its record, and reports what a twist of an unshared build does
+    con = Constructor(KoszulContext(SuperSpace(3, 1)))
+    base = con.image_module(4, 3)
+    base_ok, base_info = base.is_irreducible()
+    shared = con.mmp(2, 1)
+    assert shared.facts is base.facts and "generated_dim" in base.facts
+    alone = berezinian_twist(
+        Constructor(KoszulContext(SuperSpace(3, 1))).image_module(4, 3), 1,
+        "M(2,1)")
+    assert alone.facts is not base.facts and not alone.facts
+    assert shared.is_irreducible() == alone.is_irreducible()
+    ok, info = shared.is_irreducible()
+    assert ok == base_ok
+    assert info["singular_weights"] == [
+        tuple(x + y for x, y in zip(w, (1, 1, 1, -1)))
+        for w in base_info["singular_weights"]]
 
 
 def test_modules_built_twice_on_one_context_agree():

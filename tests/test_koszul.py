@@ -674,6 +674,23 @@ def test_orbit_reduced_char_poly_fallback_equals_all_blocks(m, n):
         assert _report_key(reduced) == _report_key(full), (kind, params)
 
 
+@pytest.mark.parametrize("m,n", [(2, 2), (1, 2)])
+def test_restricted_loop_blocks_are_read_over_the_whole_kernel_den(m, n):
+    # here the Ker(P (x) id) basis of some weight has a smaller den on its
+    # own than the whole kernel; the word is applied to the kernel's own
+    # vectors, so each block is still read over the kernel's den
+    ctx = KoszulContext(SuperSpace(m, n))
+    for params in [(1, 1, 0), (1, 2, -1)]:
+        word, spot, _, _ = ctx.loop_setup("PdeldQ", params)
+        sub = ctx.kerp_space(spot)
+        weights = ctx.spot_space(spot).weights()
+        assert any(part.den < sub.den
+                   for part, _ in koszul.split(sub, weights).values())
+        reduced = ctx.loop_spectrum("PdeldQ", params)
+        full = loop_spectrum_all_blocks(ctx, "PdeldQ", params)
+        assert _report_key(reduced) == _report_key(full), params
+
+
 @pytest.mark.parametrize("m,n,kind,params", [
     (3, 1, "PdeldQ", (0, 1, 1)),  # the sign of a swap inside Lambda_2
     (2, 2, "delPQd", (1, 1)),  # the sign of two odd letters crossing
@@ -860,16 +877,69 @@ def test_prop2_splitting(ctx31):
     assert subspace_sum(a_sub, z_sub) == w_sub
 
 
-# every cell the default constructions group reaches
-@pytest.mark.parametrize("which, params", [
+# every cell the default constructions group reaches, on (3|1)
+DEFAULT_SPLITTING_CELLS = (
     ("prop1", (0, 0)), ("prop1", (0, 1)), ("prop1", (1, -1)), ("prop1", (1, 0)),
     ("prop2", (0, 2, -1)), ("prop2", (0, 2, 0)), ("prop2", (0, 2, -2)),
     ("prop2", (1, 2, -2)), ("prop2", (1, 2, -3)), ("prop2", (0, 3, -2)),
     ("prop2", (0, 3, -1)), ("prop2", (1, 3, -3)), ("prop2", (1, 3, -2)),
+)
+
+# prop2 cells on other alphabets, each with a nonzero Z and a spot of
+# dimension at most 1,500
+OTHER_PROP2_CELLS = (
+    ((2, 1), (0, 1, 1)), ((2, 1), (1, 2, -1)), ((2, 1), (1, 3, -3)),
+    ((2, 2), (0, 2, -1)), ((2, 2), (1, 2, -2)),
+    ((1, 2), (0, 2, 0)), ((1, 2), (1, 3, -1)),
+    ((4, 1), (0, 2, -2)), ((4, 1), (0, 3, -3)), ((4, 1), (1, 1, -3)),
+)
+
+
+@pytest.mark.parametrize("which, params, mn", [
+    *(pytest.param(which, params, (3, 1), id=f"{which}-params{j}")
+      for j, (which, params) in enumerate(DEFAULT_SPLITTING_CELLS)),
+    *(pytest.param("prop2", params, mn,
+                   id="prop2-{}{}-{}".format(*mn, "_".join(map(str, params))))
+      for mn, params in OTHER_PROP2_CELLS),
 ])
-def test_splitting_is_the_oracle_summand(ctx31, which, params):
+def test_splitting_is_the_oracle_summand(ctx31, which, params, mn):
     # the reduced echelon basis is unique, so the subspaces are equal as stored
-    assert ctx31.splitting(which, params) == splitting_summands(ctx31, which, params)[1]
+    ctx = ctx31 if mn == (3, 1) else KoszulContext(SuperSpace(*mn))
+    z = ctx.splitting(which, params)
+    assert z.dim > 0
+    assert z == splitting_summands(ctx, which, params)[1]
+
+
+def test_a_del_entry_joining_two_weights_is_refused_by_the_z_summand(monkeypatch):
+    # Z is the kernel of P.del on W, applied at the line spots; a del entry
+    # that leaves the weight of a W vector's pivot column must be refused
+    ctx = KoszulContext(SuperSpace(2, 1))
+    i, k, a = 0, 1, 1
+    l = a + i + k + 1
+    line = Spot(0, k + 1, l + 1)
+    op = ctx.operator("del", line)
+    dom_w = ctx.spot_space(line).weights()
+    cod_w = ctx.spot_space(op_target("del", line)).weights()
+    c = ctx.d_image(k, l).pivots[0]
+    r = next(r for r in range(op.cod_dim) if cod_w[r] != dom_w[c])
+    ent = dict(op.entries)
+    ent[(r, c)] = op.den
+    monkeypatch.setitem(ctx._operators, ("del", line),
+                        SparseMap._from_ints(op.dom_dim, op.cod_dim, ent, op.den))
+    with pytest.raises(KoszulError, match="weight-graded") as exc:
+        ctx.splitting("prop2", (i, k, a))
+    w = exc.value.witness
+    start = ctx.spot_space(Spot(i + 1, k + 1, l + 1)).weights()
+    end = ctx.spot_space(Spot(i, k + 1, l)).weights()
+    assert w["column_weight"] == start[w["column"]]
+    assert w["row_weight"] == end[w["row"]] != w["column_weight"]
+
+
+def test_d_image_is_built_once_and_read_by_its_users(ctx31):
+    im = ctx31.d_image(2, 2)
+    assert ctx31.d_image(2, 2) is im
+    assert im == ctx31.pair_d(2, 2).image()
+    assert ctx31.k_homology(0, 3)[2] is im  # the incoming image at (3, 3)
 
 
 def test_kerp_space_is_computed_once(monkeypatch):

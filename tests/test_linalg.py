@@ -412,6 +412,14 @@ def test_restrict_witness_is_the_first_column_that_leaves():
     assert ei.value.witness == {"index": 1, "vector": {1: F(1)}, "image": {1: F(1)}}
 
 
+def test_restrict_certifies_an_image_whose_basis_terms_cancel():
+    # e1 + e2 = (e0 + e1) + (e2 - e0): the e0 terms cancel in the certificate
+    m = from_dense([[0], [1], [1]])
+    cod = Subspace.from_vectors(3, [{0: F(1), 1: F(1)}, {0: F(-1), 2: F(1)}])
+    assert cod.pivots == [1, 2]
+    assert dense(m.restrict(Subspace.full(1), cod)) == [[F(1)], [F(1)]]
+
+
 def test_restrict_then_apply_commutes():
     m = from_dense([[1, 1, 0], [0, 1, 0], [0, 0, 4]])
     dom = Subspace.from_vectors(3, [{0: F(1)}, {1: F(1)}])
@@ -861,6 +869,19 @@ def test_prop_apply_and_restrict_match_dense(data):
                 for row, x in t.items():
                     back[row] = back.get(row, F(0)) + r.entry(i, j) * x
             assert {i: x for i, x in back.items() if x} == dense_apply(m, b)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_prop_subspace_lift_is_the_echelon_form_of_the_lifted_basis(data):
+    # id_left (x) span (x) id_right, re-indexed with no elimination, equals
+    # the reduced echelon basis eliminated from the lifted basis vectors
+    n = data.draw(st.integers(1, 4))
+    sub = Subspace.from_vectors(n, data.draw(st.lists(sparse_vectors(n), max_size=3)))
+    left, right = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    cols = sub.basis_matrix().lift(left, right).columns()
+    assert sub.lift(left, right) == Subspace.from_vectors(
+        n * left * right, [cols[c] for c in sorted(cols)])
 
 
 @given(st.data())
