@@ -274,7 +274,9 @@ class GLModule:
     def singular_weights(self):
         """(the raising kernel, each of its vectors' weight), the kernel
         computed once per record of facts and the weights read off this
-        module's own; ModuleError on a vector that mixes weights."""
+        module's own; ModuleError on a vector that mixes weights.  The
+        kernel is shared by every module of the record, so callers only
+        read it."""
         if "kernel" not in self.facts:
             self.facts["kernel"] = self.raising_kernel()
         ker = self.facts["kernel"]

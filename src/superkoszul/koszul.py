@@ -427,7 +427,8 @@ class KoszulContext:
         return h
 
     def k_homology(self, a, k):
-        """(dim, kernel, image) at the spot, with genuine subspaces."""
+        """(dim, kernel, image) at the spot, with genuine subspaces; the
+        image is the context's shared d_image, which callers only read."""
         l = k - a
         ps = self.pair_space(k, l)
         ker = blocked_kernel(

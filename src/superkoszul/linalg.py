@@ -204,18 +204,10 @@ class SparseMap:
         """den times the image of vec under id_left (x) self (x) id_right,
         indexed as lift, with each index's left copy read off the index:
         vec against the numerator columns, so ints for an int vec, and no
-        lift is built.  A vec inside self's own domain skips the
-        re-indexing."""
+        lift is built."""
         cols = self.columns()
-        out = {}
-        if right == 1 and max(vec, default=0) < self.dom_dim:
-            for c, x in vec.items():
-                col = cols.get(c)
-                if col is not None:
-                    for r, v in col.items():
-                        out[r] = out.get(r, 0) + x * v
-            return {k: y for k, y in out.items() if y}
         dom, cod = self.dom_dim * right, self.cod_dim * right
+        out = {}
         for i, x in vec.items():
             a, rest = divmod(i, dom)
             c, b = divmod(rest, right)
@@ -624,23 +616,21 @@ class Subspace:
     def read_coordinates(self, images):
         """(entries, bad): y[p_j] at (j, c) for the int vectors y =
         images[c], y's coordinates over its den, each certified by its
-        residue (sum y[p_j]*nums[j] = den*y); bad is the first c outside the
-        span, where reading stops, or None.  One pivot -> position dict
-        finds the pivots y meets, so y costs its own support, not a pass
-        over the basis."""
+        residue den*y - sum y[p_j]*nums[j], as in _residue; bad is the
+        first c outside the span, where reading stops, or None.  One
+        pivot -> position dict finds the pivots y meets, so y costs its own
+        support, not a pass over the basis."""
         at = {p: j for j, p in enumerate(self.pivots)}
         nums, den = self.nums, self.den
         ent = {}
         for c, y in enumerate(images):
-            back = {}
+            terms = []
             for i, x in y.items():
                 j = at.get(i)
                 if j is not None:
                     ent[(j, c)] = x
-                    for k, v in nums[j].items():
-                        back[k] = back.get(k, 0) + x * v
-            want = y if den == 1 else {i: den * x for i, x in y.items()}
-            if back != want and {k: v for k, v in back.items() if v} != want:
+                    terms.append((-x, nums[j]))
+            if _combine(den, y, terms):
                 return ent, c
         return ent, None
 
