@@ -222,7 +222,7 @@ class GradedSpan:
 # modules
 
 
-@dataclass
+@dataclass(frozen=True)
 class GLModule:
     """A gl(m|n)-module given by its simple-root generator matrices.
 
@@ -231,9 +231,10 @@ class GLModule:
     coordinates: E_jj acts on basis vector i by weights[i][j].
 
     facts records the raising kernel and the dimension its line generates
-    (is_irreducible).  A copy that keeps the matrices and shifts every
-    weight by one amount (twist, Constructor._fresh) shares the record:
-    such a shift leaves each weight block, and so both facts, unchanged.
+    (is_irreducible).  The module is frozen, so a construction hands out
+    the one it built.  A twist keeps the matrices and shifts every weight
+    by one amount, which leaves each weight block, and so both facts,
+    unchanged: it shares the record.
     """
 
     space: object
@@ -337,12 +338,13 @@ class GLModule:
 
         Off-diagonal generators kill the line, so the generator matrices stay
         as they are: only the weights shift, and element parities flip when
-        the line is odd.  The twist shares this module's record of facts.
+        the line is odd.  The twist is a new module that shares this one's
+        generator matrices and record of facts.
         """
         return GLModule(
             space=self.space,
             name=f"{self.name}*twist{tuple(weight)}",
-            gens=dict(self.gens),
+            gens=self.gens,
             weights=[
                 tuple(a + b for a, b in zip(w, weight)) for w in self.weights
             ],
@@ -476,9 +478,7 @@ def berezinian_twist(mod, t, name):
     new module with the given name, also for t = 0."""
     if t < 0:
         raise ValueError(f"twist count must be at least 0, got {t}")
-    out = mod.twist((t, t, t, -t), t % 2)
-    out.name = name
-    return out
+    return replace(mod.twist((t, t, t, -t), t % 2), name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -490,21 +490,12 @@ class Constructor:
 
     ImD and Z modules are built once per argument tuple: the families reuse
     them (Mmp(m,p) is a twisted ImD(m+2,m+p), Z1 and Mfinal are Z modules),
-    and each call returns a new GLModule that shares the generator matrices
-    and the record of facts of the one built first."""
+    and every call returns the one frozen module built first."""
 
     def __init__(self, ctx):
         self.ctx = ctx
         self.act = GLAction(ctx.space)
         self._built = {}
-
-    def _fresh(self, key):
-        """A new module sharing the generator matrices and the record of
-        facts of the one built for key."""
-        mod = self._built[key]
-        return GLModule(space=mod.space, name=mod.name, gens=dict(mod.gens),
-                        weights=list(mod.weights), parities=list(mod.parities),
-                        facts=mod.facts)
 
     def h31(self):
         """One-dimensional top homology class of the offset-two complex."""
@@ -524,7 +515,7 @@ class Constructor:
                 self.act, ctx.pair_space(k + 1, l + 1), ctx.d_image(k, l),
                 f"ImD({k},{l})"
             )
-        return self._fresh(key)
+        return self._built[key]
 
     def mmp(self, m, p):
         """Im d_(m+2,m+p) twisted by the berezinian-like line m-1 times."""
@@ -567,7 +558,7 @@ class Constructor:
             self._built[key] = module_from_subspace(
                 self.act, self.ctx.spot_space(wspot), z_sub, f"Z({k},{l},{m})"
             )
-        return self._fresh(key)
+        return self._built[key]
 
     def z1(self, m):
         return self.zk(1, 2, m + 1)

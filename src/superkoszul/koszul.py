@@ -57,10 +57,11 @@ also show M weight-graded (KoszulContext.loop_blocks).  Where a
 certificate fails, every column is kept and every block eliminated, so the
 verdict stays exact either way.
 
-Im d at each pair is built once (KoszulContext.d_image), for the homology,
-the ImD modules and the Z summands; an echelon basis lifted by an identity
-factor stays reduced echelon (Subspace.lift), so Ker(P (x) id) and
-W = S (x) Im d need no elimination of their own.
+Im d at each pair is built once (KoszulContext.d_image), for the rank of
+d, the homology, the ImD modules and the Z summands.  An echelon basis
+lifted by an identity factor stays reduced echelon (Subspace.lift), so
+Ker(P (x) id) and W = S (x) Im d need no elimination of their own, and
+Ker(P (x) id) = Im(P (x) id) is decided at the line spot.
 """
 
 from __future__ import annotations
@@ -150,6 +151,14 @@ def op_applicable(name, spot):
     return op_target(name, spot).valid
 
 
+def checked_target(name, spot):
+    """op_target; a ValueError if either spot has a negative degree."""
+    if spot.valid and op_applicable(name, spot):
+        return op_target(name, spot)
+    raise ValueError(f"operator {name!r} needs degrees >= 0, got "
+                     f"{spot} -> {op_target(name, spot)}")
+
+
 def word_end(word, spot):
     """The spot a word of operators ends at, first entry applied first;
     None when a step on the way is undefined."""
@@ -167,7 +176,6 @@ class KoszulContext:
         self.space = space
         self._operators = {}
         self._spot_spaces = {}
-        self._rank_cache = {}
         self._kerp_spaces = {}
         self._d_images = {}
         self._certificates = {}
@@ -241,9 +249,7 @@ class KoszulContext:
         m = self._operators.get(key)
         if m is not None:
             return m
-        if not (spot.valid and op_applicable(name, spot)):
-            raise ValueError(f"operator {name!r} needs degrees >= 0, got "
-                             f"{spot} -> {op_target(name, spot)}")
+        end = checked_target(name, spot)
         (lf, lop, _), (rf, rop, _), odd_sign = OPERATORS[name]
         idle = idle_field(name)
         degree = getattr(spot, idle)
@@ -260,8 +266,7 @@ class KoszulContext:
                 for letter in range(self.space.dim)
             ]
             m = SparseMap.combination(
-                self.spot_space(spot).dim,
-                self.spot_space(op_target(name, spot)).dim, terms)
+                self.spot_space(spot).dim, self.spot_space(end).dim, terms)
         self._operators[key] = m
         return m
 
@@ -291,16 +296,11 @@ class KoszulContext:
             )
         return mat
 
-    # -- cached blocked ranks and images --------------------------------------------
+    # -- the shared image of d --------------------------------------------------------
 
     def d_rank(self, k, l):
-        key = ("d", k, l)
-        if key not in self._rank_cache:
-            m = self.pair_d(k, l)
-            self._rank_cache[key] = blocked_rank(
-                m, self.pair_space(k, l).weights(), self.pair_space(k + 1, l + 1).weights()
-            )
-        return self._rank_cache[key]
+        """The rank of d_(k,l), read off the shared d_image."""
+        return self.d_image(k, l).dim
 
     def d_image(self, k, l):
         """Im d_(k,l) inside the pair space (k+1, l+1), built once; callers
@@ -456,18 +456,19 @@ class KoszulContext:
         return self._kerp_spaces[spot]
 
     def _kerp_space(self, spot):
-        """Everything when sym = 0; else the kernel of P at the spot
-        (sym, alt, 0), lifted onto S*_dual by Subspace.lift, which keeps a
-        reduced echelon basis reduced with no elimination; a basis with a
-        repeated pivot, which no echelon basis has, raises KoszulError."""
+        """Everything when sym = 0; else the kernel of P at the line spot
+        (sym, alt, 0), and at dual > 0 that kernel lifted onto S*_dual by
+        Subspace.lift, which keeps a reduced echelon basis reduced with no
+        elimination; a basis with a repeated pivot, which no echelon basis
+        has, raises KoszulError."""
         if spot.sym == 0:
             return Subspace.full(self.spot_space(spot).dim)
-        line = replace(spot, dual=0)
-        ker = blocked_kernel(
-            self.operator("P", line),
-            self.spot_space(line).weights(),
-            self.spot_space(op_target("P", line)).weights())
-        lifted = ker.lift(right=self.dual_basis(spot.dual).dim)
+        if not spot.dual:
+            return blocked_kernel(
+                self.operator("P", spot), self.spot_space(spot).weights(),
+                self.spot_space(op_target("P", spot)).weights())
+        lifted = self.kerp_space(replace(spot, dual=0)).lift(
+            right=self.dual_basis(spot.dual).dim)
         if len(set(lifted.pivots)) != lifted.dim:
             raise KoszulError(
                 "tensored kernel basis has repeated pivots",
@@ -478,20 +479,23 @@ class KoszulContext:
         return lifted
 
     def kerp_is_incoming_image(self, spot):
-        """Ker(P (x) id) = Im(P (x) id) from the spot one transfer step back."""
+        """Ker(P (x) id) = Im(P (x) id) from the spot one transfer step back,
+        decided at the line spot (sym, alt, 0): at the spot both sides are
+        the line subspaces lifted by the identity on S*_dual (Subspace.lift),
+        and a stored reduced echelon basis is unique and its lift injective,
+        so they are equal exactly when the line subspaces are; dimensions
+        scale by dim S*_dual."""
         if spot.alt < 1:
             raise ValueError("needs alt >= 1")
-        back = Spot(spot.sym + 1, spot.alt - 1, spot.dual)
-        ker = self.kerp_space(spot)
-        m = self.operator("P", back)
-        im = blocked_image(
-            m, self.spot_space(back).weights(), self.spot_space(spot).weights()
-        )
-        return {
-            "ok": im == ker,
-            "ker_dim": ker.dim,
-            "im_dim": im.dim,
-        }
+        line = replace(spot, dual=0)
+        back = Spot(spot.sym + 1, spot.alt - 1, 0)
+        ker = self.kerp_space(line)
+        im = blocked_image(self.operator("P", back),
+                           self.spot_space(back).weights(),
+                           self.spot_space(line).weights())
+        lift = self.dual_basis(spot.dual).dim
+        return {"ok": im == ker, "ker_dim": ker.dim * lift,
+                "im_dim": im.dim * lift}
 
     def d_restricts_to_kerp(self, spot):
         """d carries Ker(P (x) id) into Ker(P (x) id) one insertion step up."""
@@ -502,10 +506,8 @@ class KoszulContext:
         return self._restricts_to_kerp("del", spot)
 
     def _restricts_to_kerp(self, name, spot):
-        if not op_applicable(name, spot):
-            raise ValueError(f"{name} not applicable here")
+        target = self.kerp_space(checked_target(name, spot))
         sub = self.kerp_space(spot)
-        target = self.kerp_space(op_target(name, spot))
         try:
             self.operator(name, spot).restrict(sub, target)
             return {"ok": True, "witness": None}
@@ -642,15 +644,15 @@ class KoszulContext:
         first entry applied first: the operator at each spot is its map at
         the line spot lifted onto the idle field, on the right (right = the
         dual factor's dimension) for P and Q and on the left (right = 1)
-        for d and del."""
-        if not spot.valid:
-            raise ValueError(f"a word needs degrees >= 0, got {spot}")
+        for d and del.  A step that is undefined raises the ValueError that
+        operator raises there (checked_target)."""
         steps = []
         for name in word:
+            end = checked_target(name, spot)
             idle = idle_field(name)
             right = self.dual_basis(spot.dual).dim if idle == "dual" else 1
             steps.append((name, replace(spot, **{idle: 0}), right))
-            spot = op_target(name, spot)
+            spot = end
         return steps, spot
 
     def _graded_blocks(self, steps, columns, weights, den=1):
@@ -713,52 +715,55 @@ class KoszulContext:
     # -- splittings ----------------------------------------------------------------
 
     def splitting(self, which, params):
-        """The summand of the paper's splitting that a module is built on.
+        """The summand of the paper's splitting that a module is built on:
+        the kernel of a two-letter word on a subspace W of a triple spot.
 
         which="prop1": (i,a); on the triple spot (i+1, 0, a+i+1), the summand
-            Y = Ker(del.P) that complements the image of Q.d.
+            Y = Ker(del.P) that complements the image of Q.d; W is the
+            whole spot.
         which="prop2": (i,k,a); with l = a+i+k+1, inside W = image of d on
             the spot (i+1, k, l), the summand Z = W intersected with
-            Ker(P.del), taken as the kernel of P.del on W.
+            Ker(P.del), taken as the kernel of P.del on W; W is
+            S_(i+1) (x) Im d_(k,l), the shared pair image lifted on the left
+            (Subspace.lift).
 
-        W = S_(i+1) (x) Im d_(k,l) is the shared pair image lifted on the
-        left (Subspace.lift), a reduced echelon basis w_t.  P.del is applied
-        to the w_t at its line spots and each weight's kernel K is taken in
-        W's coordinates.  The z = sum_t K[t] w_t are reduced echelon over
+        Each case only picks the word, the spot and W, a reduced echelon
+        basis w_t; one body does the rest.  The word is applied to the w_t
+        at its line spots and each weight's kernel K is taken in W's
+        coordinates.  The z = sum_t K[t] w_t are reduced echelon over
         K.den * W.den with no further elimination: the w_t's pivots
         increase and each w_t vanishes at the others' pivots, so z pivots
         where its last w_t does, and vanishes at the other pivots of Z
-        because K does at the other pivots of K.
+        because K does at the other pivots of K.  For the whole spot the
+        w_t are the unit vectors, and z is K itself.
         """
         if which == "prop1":
             i, a = params
-            spot = Spot(i + 1, 0, a + i + 1)
-            inner = Spot(i, 0, a + i)
-            delp = self.composed_to(["P", "del"], spot, inner)
-            return blocked_kernel(delp, self.spot_space(spot).weights(),
-                                  self.spot_space(inner).weights())
-        if which == "prop2":
+            word, spot = ["P", "del"], Spot(i + 1, 0, a + i + 1)
+            w_sub = Subspace.full(self.spot_space(spot).dim)
+        elif which == "prop2":
             i, k, a = params
             l = a + i + k + 1
-            spot = Spot(i + 1, k + 1, l + 1)
+            word, spot = ["del", "P"], Spot(i + 1, k + 1, l + 1)
             w_sub = self.d_image(k, l).lift(left=self.sym_basis(i + 1).dim)
-            weights = self.spot_space(spot).weights()
-            by_weight = {}
-            for t, p in enumerate(w_sub.pivots):
-                by_weight.setdefault(weights[p], []).append(t)
-            steps, end = self._line_steps(["del", "P"], spot)
-            blocks = self._graded_blocks(
-                steps,
-                {w: [w_sub.nums[t] for t in ts] for w, ts in by_weight.items()},
-                self.spot_space(end).weights())
-            ker = join(w_sub.dim, ((blocks[w].kernel(), ts)
-                                   for w, ts in by_weight.items()))
-            basis = w_sub.basis_matrix()
-            return Subspace(w_sub.ambient_dim,
-                            [basis.apply_numerators(v) for v in ker.nums],
-                            [w_sub.pivots[q] for q in ker.pivots],
-                            ker.den * w_sub.den)
-        raise ValueError(f"unknown splitting {which!r}")
+        else:
+            raise ValueError(f"unknown splitting {which!r}")
+        weights = self.spot_space(spot).weights()
+        by_weight = {}
+        for t, p in enumerate(w_sub.pivots):
+            by_weight.setdefault(weights[p], []).append(t)
+        steps, end = self._line_steps(word, spot)
+        blocks = self._graded_blocks(
+            steps,
+            {w: [w_sub.nums[t] for t in ts] for w, ts in by_weight.items()},
+            self.spot_space(end).weights())
+        ker = join(w_sub.dim, ((blocks[w].kernel(), ts)
+                               for w, ts in by_weight.items()))
+        basis = w_sub.basis_matrix()
+        return Subspace(w_sub.ambient_dim,
+                        [basis.apply_numerators(v) for v in ker.nums],
+                        [w_sub.pivots[q] for q in ker.pivots],
+                        ker.den * w_sub.den)
 
     def xdanh_check(self, k, l):
         """Dimension bookkeeping for the pair splitting, blocked ranks only."""

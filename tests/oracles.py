@@ -13,13 +13,15 @@ a module, the three-leg irreducibility test (an unblocked singular space,
 the closure of arbitrary vectors under every simple generator, and the
 singular space of the dual), the inverse of SparseMap.to_triples,
 transposes, letter weights, row-major indices of a product space, subspace
-sums and containment, the homology of the transfer complex, the eigenvalue
-ladder of the insertion-side loop, the loop spectra from every weight
-block with no orbit reduction, the two routes of a mixed square composed
-on the full triple spot, the pair splitting and every summand of the two
-triple-spot splittings as subspaces, tensor products of modules, the
-calibration of d against del, and Laurent-polynomial helpers (powers,
-inverted and permuted variables, fraction equality).
+sums and containment, Ker(P (x) id) against the incoming image of
+P (x) id eliminated on the whole spot, the homology of the transfer
+complex, the eigenvalue ladder of the insertion-side loop, the loop
+spectra from every weight block with no orbit reduction, the two routes of
+a mixed square composed on the full triple spot, the pair splitting and
+every summand of the two triple-spot splittings as subspaces, tensor
+products of modules, the calibration of d against del, and
+Laurent-polynomial helpers (powers, inverted and permuted variables,
+fraction equality).
 """
 
 from collections import Counter
@@ -614,6 +616,20 @@ def subspace_le(a, b):
 
 # ---------------------------------------------------------------------------
 # homology of the transfer complex
+
+
+def kerp_incoming_image_on_the_spot(ctx, spot):
+    """KoszulContext.kerp_is_incoming_image the long way: Ker(P (x) id) and
+    Im(P (x) id) from the back spot, each eliminated on its whole spot."""
+    back = Spot(spot.sym + 1, spot.alt - 1, spot.dual)
+    w = ctx.spot_space(spot).weights()
+    im = blocked_image(ctx.operator("P", back), ctx.spot_space(back).weights(), w)
+    if spot.sym == 0:
+        ker = Subspace.full(len(w))
+    else:
+        ker = blocked_kernel(ctx.operator("P", spot), w,
+                             ctx.spot_space(op_target("P", spot)).weights())
+    return {"ok": im == ker, "ker_dim": ker.dim, "im_dim": im.dim}
 
 
 def p_rank(ctx, p, r):

@@ -5,7 +5,7 @@ from exact construction runs; highest weights are internal exponent tuples,
 so the fourth entry is the negative of the label coordinate.
 """
 
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import pytest
@@ -592,15 +592,29 @@ def test_dual_of_v(con):
 
 
 def test_module_memo_leaves_the_constructions_records_unchanged(monkeypatch):
-    # with every memoised module handed out once and dropped, each call
-    # builds again
+    # with every memoised module popped from the memo as soon as it is
+    # handed out, each call builds again
     plan = harness.VerificationPlan(checks=("constructions",)).as_dict()
+    builds = []
+    build = glrep.module_from_subspace
+
+    def counted(act, product, sub, name):
+        builds.append(name)
+        return build(act, product, sub, name)
+
+    monkeypatch.setattr(glrep, "module_from_subspace", counted)
     _, memo, memo_findings, _ = harness.run_group(plan, "constructions")
-    monkeypatch.setattr(Constructor, "_fresh",
-                        lambda self, key: self._built.pop(key))
+    memo_builds = len(builds)
+    for method in ("image_module", "zk"):
+        def popped(self, *args, _fn=getattr(Constructor, method)):
+            mod = _fn(self, *args)
+            self._built.clear()
+            return mod
+        monkeypatch.setattr(Constructor, method, popped)
     _, fresh, fresh_findings, _ = harness.run_group(plan, "constructions")
     assert (memo, memo_findings) == (fresh, fresh_findings)
     assert len(memo) > 0
+    assert len(builds) - memo_builds > memo_builds
 
 
 def test_the_constructions_group_computes_each_fact_once(monkeypatch):
@@ -615,6 +629,7 @@ def test_the_constructions_group_computes_each_fact_once(monkeypatch):
     inside = []
     splitting = KoszulContext.splitting
     composed = KoszulContext.composed
+    operator = KoszulContext.operator
 
     def splitting_marked(self, which, params):
         inside.append(which)
@@ -624,8 +639,14 @@ def test_the_constructions_group_computes_each_fact_once(monkeypatch):
             inside.pop()
 
     def composed_checked(self, word, spot):
-        assert "prop2" not in inside, f"composed {word} inside prop2"
+        assert not inside, f"composed {word} inside {inside[-1]}"
         return composed(self, word, spot)
+
+    def operator_checked(self, name, spot):
+        # a splitting builds its operators at line spots only
+        assert not inside or getattr(spot, idle_field(name)) == 0, (
+            f"lifted {name} at {spot} inside {inside[-1]}")
+        return operator(self, name, spot)
 
     images = {}
 
@@ -635,6 +656,7 @@ def test_the_constructions_group_computes_each_fact_once(monkeypatch):
 
     monkeypatch.setattr(KoszulContext, "splitting", splitting_marked)
     monkeypatch.setattr(KoszulContext, "composed", composed_checked)
+    monkeypatch.setattr(KoszulContext, "operator", operator_checked)
     monkeypatch.setattr(koszul, "blocked_image", image_counted)
     plan = harness.VerificationPlan(checks=("constructions",)).as_dict()
     _, records, _, _ = harness.run_group(plan, "constructions")
@@ -740,13 +762,25 @@ def test_constructor_builds_each_module_once(monkeypatch):
         raise AssertionError(f"module_from_subspace called for {name}")
 
     monkeypatch.setattr(glrep, "module_from_subspace", rebuild)
-    again, z1, mmp = con.zk(1, 2, 2), con.z1(1), con.mmp(1, 1)
-    assert len({id(first), id(again), id(z1)}) == 3
-    assert again.gens == first.gens and again.gens is not first.gens
-    assert (z1.name, z1.weights) == (first.name, first.weights)
-    assert mmp.gens == image.gens and mmp is not image
+    # one object per argument tuple; Z1(1) is Z(1,2,2)
+    assert con.zk(1, 2, 2) is first and con.image_module(3, 2) is image
+    assert con.z1(1) is con.zk(1, 2, 2)
+    # a twist is a new object each call, sharing the matrices and the record
+    mmp, again = con.mmp(1, 1), con.mmp(1, 1)
+    assert len({id(image), id(mmp), id(again)}) == 3
+    assert mmp.gens is image.gens and mmp.facts is image.facts is again.facts
     with pytest.raises(AssertionError, match=r"for Z\(1,2,1\)"):
         con.zk(1, 2, 1)
+
+
+def test_a_built_module_is_frozen():
+    con = Constructor(KoszulContext(SuperSpace(3, 1)))
+    mod = con.image_module(2, 2)
+    for name, value in [("name", "renamed"), ("weights", []), ("gens", {}),
+                        ("facts", {})]:
+        with pytest.raises(FrozenInstanceError):
+            setattr(mod, name, value)
+    assert mod.name == "ImD(2,2)" and con.image_module(2, 2) is mod
 
 
 def test_non_invariant_subspace_raises(ctx, act):

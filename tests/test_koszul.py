@@ -17,6 +17,7 @@ from oracles import (
     delpqd_table,
     dense,
     dense_lift,
+    kerp_incoming_image_on_the_spot,
     l_homology_dim,
     loop_spectrum_all_blocks,
     p_rank,
@@ -477,6 +478,29 @@ def test_kerp_equals_incoming_transfer_image(ctx31):
         assert rep["ok"], rep
 
 
+@pytest.mark.parametrize("mn", [(3, 1), (2, 1), (2, 2)])
+def test_kerp_is_incoming_image_is_decided_at_the_line_spot(monkeypatch, mn):
+    # at every spot the splittings group checks (cap 2), the line-spot
+    # verdict and dimensions equal those of the whole spot, and P is only
+    # ever built at a line spot (dual = 0)
+    ctx = KoszulContext(SuperSpace(*mn))
+    built = []
+    operator = KoszulContext.operator
+
+    def recorded(self, name, spot):
+        built.append((name, spot))
+        return operator(self, name, spot)
+
+    spots = [Spot(*s) for s in product(range(3), repeat=3) if s[1] >= 1]
+    monkeypatch.setattr(KoszulContext, "operator", recorded)
+    reports = [ctx.kerp_is_incoming_image(spot) for spot in spots]
+    monkeypatch.undo()
+    assert built and all(spot.dual == 0 for name, spot in built if name == "P")
+    other = KoszulContext(SuperSpace(*mn))
+    for spot, rep in zip(spots, reports):
+        assert rep == kerp_incoming_image_on_the_spot(other, spot), spot
+
+
 def test_kerp_space_rejects_a_kernel_basis_with_repeated_pivots(monkeypatch):
     def doubled(mat, dom_w, cod_w):
         v = {0: Fraction(1)}
@@ -885,6 +909,14 @@ DEFAULT_SPLITTING_CELLS = (
     ("prop2", (0, 3, -1)), ("prop2", (1, 3, -3)), ("prop2", (1, 3, -2)),
 )
 
+# prop1 cells on other alphabets, each with a nonzero Y and a spot of
+# dimension at most 1,500
+OTHER_PROP1_CELLS = (
+    ((2, 1), (0, 1)), ((2, 1), (1, 0)), ((2, 2), (0, 1)), ((2, 2), (1, 0)),
+    ((1, 2), (0, 1)), ((1, 2), (1, 0)),
+    ((4, 1), (0, 1)), ((4, 1), (1, 0)), ((4, 1), (1, 3)),
+)
+
 # prop2 cells on other alphabets, each with a nonzero Z and a spot of
 # dimension at most 1,500
 OTHER_PROP2_CELLS = (
@@ -898,9 +930,11 @@ OTHER_PROP2_CELLS = (
 @pytest.mark.parametrize("which, params, mn", [
     *(pytest.param(which, params, (3, 1), id=f"{which}-params{j}")
       for j, (which, params) in enumerate(DEFAULT_SPLITTING_CELLS)),
-    *(pytest.param("prop2", params, mn,
-                   id="prop2-{}{}-{}".format(*mn, "_".join(map(str, params))))
-      for mn, params in OTHER_PROP2_CELLS),
+    *(pytest.param(which, params, mn,
+                   id="{}-{}{}-{}".format(which, *mn, "_".join(map(str, params))))
+      for which, cells in (("prop1", OTHER_PROP1_CELLS),
+                           ("prop2", OTHER_PROP2_CELLS))
+      for mn, params in cells),
 ])
 def test_splitting_is_the_oracle_summand(ctx31, which, params, mn):
     # the reduced echelon basis is unique, so the subspaces are equal as stored
@@ -908,6 +942,13 @@ def test_splitting_is_the_oracle_summand(ctx31, which, params, mn):
     z = ctx.splitting(which, params)
     assert z.dim > 0
     assert z == splitting_summands(ctx, which, params)[1]
+
+
+def test_an_undefined_step_of_a_splitting_word_raises_the_operators_error(ctx31):
+    # Y at (0, -1) lives on S_1: P lands on S_0.L_1.S*_0, where del is undefined
+    with pytest.raises(ValueError, match=r"^operator 'del' needs degrees >= 0, "
+                       r"got S_0\.L_1\.S\*_0 -> S_0\.L_0\.S\*_-1$"):
+        ctx31.splitting("prop1", (0, -1))
 
 
 def test_a_del_entry_joining_two_weights_is_refused_by_the_z_summand(monkeypatch):
