@@ -4,14 +4,18 @@ differentials.
 The elementary matrix E_ij acts on letters by E_ij x_k = delta_jk x_i and on
 dual letters by E_ij xi^k = -(-1)^((p_i+p_j)p_k) delta_ki xi^j; it extends to
 words as a super derivation (crossing an earlier slot costs the sign
-(-1)^(p(E) p(slot))) and to tensor products of power bases the same way.
-On a degree-N power basis it is assembled from the single-letter factor maps,
+(-1)^(p(E) p(slot))) and to tensor products the same way
+(GLAction.product_matrix).  On a degree-N power basis it is assembled from
+the single-letter factor maps,
 
     E_ij = N c append(dst) S drop_last(src),
 
 with S the diagonal sign (-1)^(p(E) p) on the degree N-1 basis, and
 (src, dst, c) = (j, i, 1) on letters, (i, j, -(-1)^(p(E) p_i)) on dual
-letters; at degree 0, E_ij is zero.
+letters; at degree 0, E_ij is zero.  A factor of a product may also be a
+built module, whose restricted simple generators stand in for a power
+basis's matrices: a Z summand lives in S_k (x) ImD(l,m) and is restricted
+from E_S (x) 1 + sigma_S (x) E_ImD, never from its whole triple spot.
 
 A module carries only the simple-root generators E_(i,i+1) and E_(i+1,i),
 2(m+n-1) matrices, together with the weight and parity of each basis vector.
@@ -51,7 +55,7 @@ from fractions import Fraction
 from math import prod
 
 from .linalg import RestrictionError, SparseMap, Subspace, WitnessedError
-from .superspace import blocked_kernel, power_basis
+from .superspace import is_dominant, join, power_basis, split_graded
 from .koszul import Spot, idle_field, op_target
 
 
@@ -116,27 +120,33 @@ class GLAction:
         return self._factor[key]
 
     def on_product(self, product, gi, gj):
-        """product_matrix, built once per product and generator, for callers
-        that multiply by it again."""
+        """product_matrix on a product space's factors, built once per
+        product and generator, for callers that multiply by it again."""
         key = (tuple(f.key() for f in product.factors), gi, gj)
         if key not in self._product:
-            self._product[key] = self.product_matrix(product, gi, gj)
+            self._product[key] = self.product_matrix(product.factors, gi, gj)
         return self._product[key]
 
-    def product_matrix(self, product, gi, gj):
-        """E_(gi,gj) on the product as the derivation: each factor's matrix
-        lifted past the others, signed where an odd E crosses an odd left
-        part, and the terms added into one dict (for E_jj they overlap on the
-        diagonal).  Not cached: a module build restricts it once."""
+    def product_matrix(self, factors, gi, gj):
+        """E_(gi,gj) on the tensor product of the factors, indexed as kron,
+        as the derivation: each factor's matrix lifted past the others,
+        signed where an odd E crosses an odd left part, and the terms added
+        into one dict (for E_jj they overlap on the diagonal).  A factor is
+        a power basis or a built module; a module supplies its own
+        restricted matrix, so it takes a simple-root generator only.  Not
+        cached: a module build restricts it once."""
         pe = (self.space.parity(gi) + self.space.parity(gj)) % 2
         left_parities = [0]
         terms = []
-        for f, factor in enumerate(product.factors):
-            rdim = prod(g.dim for g in product.factors[f + 1:])
-            terms.append((1, self.on_basis(factor, gi, gj).lift(
+        for f, factor in enumerate(factors):
+            mat = (factor.gens[(gi, gj)] if isinstance(factor, GLModule)
+                   else self.on_basis(factor, gi, gj))
+            rdim = prod(g.dim for g in factors[f + 1:])
+            terms.append((1, mat.lift(
                 len(left_parities), rdim, left_parities if pe else None)))
             left_parities = [p ^ q for p in left_parities for q in factor.parities]
-        return SparseMap.combination(product.dim, product.dim, terms)
+        dim = prod(f.dim for f in factors)
+        return SparseMap.combination(dim, dim, terms)
 
 
 def check_equivariance(ctx, act, name, spot):
@@ -260,9 +270,17 @@ class GLModule:
         The E_(i,i+1) are stacked into one map, each generator's rows below
         the previous one's.  E_(i,i+1) raises a weight by e_i - e_(i+1), so
         each of its rows is labelled with the row's weight minus that step,
-        the weight of the columns it meets, and blocked_kernel eliminates one
-        weight at a time.  split_graded raises ValueError if a raising
+        the weight of the columns it meets, and split_graded cuts the map
+        into one block per weight; it raises ValueError if a raising
         generator is not weight-graded.
+
+        Only the blocks at even-dominant weights (is_dominant) are
+        eliminated.  For each even simple root, E_(i,i+1), E_(i+1,i) and
+        E_ii - E_(i+1,i+1) span an sl2, and a singular vector of weight w is
+        a highest-weight vector for it; in a finite-dimensional module its
+        eigenvalue w_i - w_(i+1) under E_ii - E_(i+1,i+1) is then at least 0
+        (Kac 1977, Lie superalgebras).  So the kernel vanishes at every
+        other weight.
         """
         dim = self.dim
         pairs = raising_pairs(self.space)
@@ -270,7 +288,11 @@ class GLModule:
             (t * dim, 0, self.gens[p]) for t, p in enumerate(pairs)))
         row_weights = [tuple(x - (k == i) + (k == j) for k, x in enumerate(w))
                        for i, j in pairs for w in self.weights]
-        return blocked_kernel(stacked, self.weights, row_weights)
+        m = self.space.m
+        return join(dim, (
+            (block.kernel(), idx) for w, (block, idx, _) in
+            split_graded(stacked, self.weights, row_weights).items()
+            if is_dominant(w, m)))
 
     def singular_weights(self):
         """(the raising kernel, each of its vectors' weight), the kernel
@@ -319,7 +341,10 @@ class GLModule:
         vector.  With (a) and (b), a nonzero submodule contains the singular
         line and so the whole module.  Conversely an irreducible module is
         generated by any singular vector v, and U(n-)v meets v's weight only
-        in the line of v, so the singular space is that line.
+        in the line of v, so the singular space is that line.  The
+        singular space is sought at even-dominant weights only: a singular
+        vector anywhere else would be a highest-weight vector of negative
+        weight for the sl2 of an even simple root (raising_kernel).
 
         Both facts are computed once per shared record of facts.
         """
@@ -353,13 +378,12 @@ class GLModule:
         )
 
 
-def _grading(product, sub):
-    """Weight and parity of each basis vector of sub; raises ModuleError
-    with a witness if one of them mixes weights or parities."""
+def _grading(pw, pp, sub):
+    """Weight and parity of each basis vector of sub, given those of the
+    ambient basis; raises ModuleError with a witness if one of them mixes
+    weights or parities."""
     weights = []
     parities = []
-    pw = product.weights()
-    pp = product.parities()
     for k, v in enumerate(sub.nums):
         ws = {pw[i] for i in v}
         ps = {pp[i] for i in v}
@@ -374,8 +398,10 @@ def _grading(product, sub):
     return weights, parities
 
 
-def module_from_subspace(act, product, sub, name):
-    """Restrict the ambient action to an invariant subspace.
+def module_from_subspace(act, factors, weights, parities, sub, name):
+    """Restrict the action on the tensor product of the factors (power
+    bases or built modules, see GLAction.product_matrix) to an invariant
+    subspace; weights and parities are those of the product's basis.
 
     Raises ModuleError if a basis vector of the subspace mixes weights or
     parities, and RestrictionError if the subspace is not invariant under a
@@ -387,9 +413,9 @@ def module_from_subspace(act, product, sub, name):
     the whole of gl(m|n).  Each ambient generator matrix is built for its
     restriction and dropped after it.
     """
-    weights, parities = _grading(product, sub)
+    weights, parities = _grading(weights, parities, sub)
     gens = {
-        (i, j): act.product_matrix(product, i, j).restrict(sub, sub)
+        (i, j): act.product_matrix(factors, i, j).restrict(sub, sub)
         for i, j in simple_pairs(act.space)
     }
     return GLModule(space=act.space, name=name, gens=gens, weights=weights,
@@ -407,10 +433,10 @@ def quotient_module(act, product, ker, im, name):
     together certify that ker is invariant under all of gl(m|n).
     """
     comp = ker.complement_of(im)
-    weights, parities = _grading(product, comp)
+    weights, parities = _grading(product.weights(), product.parities(), comp)
     gens = {}
     for i, j in simple_pairs(act.space):
-        img = act.product_matrix(product, i, j) @ comp.basis_matrix()
+        img = act.product_matrix(product.factors, i, j) @ comp.basis_matrix()
         den = img.den * im.den  # the residue modulo im is im.den times it
         ent = {}
         for c, col in img.columns().items():
@@ -506,15 +532,19 @@ class Constructor:
                               witness={"homology_dim": h})
         return quotient_module(self.act, ctx.pair_space(3, 1), ker, im, "H31")
 
+    def _spot_module(self, spot, sub, name):
+        """The action on a triple spot restricted to sub."""
+        product = self.ctx.spot_space(spot)
+        return module_from_subspace(self.act, product.factors,
+                                    product.weights(), product.parities(),
+                                    sub, name)
+
     def image_module(self, k, l):
         """Im d_(k,l) inside the next pair space."""
         key = ("imd", k, l)
         if key not in self._built:
-            ctx = self.ctx
-            self._built[key] = module_from_subspace(
-                self.act, ctx.pair_space(k + 1, l + 1), ctx.d_image(k, l),
-                f"ImD({k},{l})"
-            )
+            self._built[key] = self._spot_module(
+                Spot(0, k + 1, l + 1), self.ctx.d_image(k, l), f"ImD({k},{l})")
         return self._built[key]
 
     def mmp(self, m, p):
@@ -532,32 +562,36 @@ class Constructor:
             raise ValueError(f"parameters must be at least 1, got {(n, p)}")
         i, a = n - 1, p - n
         y_sub = self.ctx.splitting("prop1", (i, a))
-        spot = Spot(i + 1, 0, a + i + 1)
-        return module_from_subspace(
-            self.act, self.ctx.spot_space(spot), y_sub, f"Y({n},{p})"
-        )
+        return self._spot_module(Spot(i + 1, 0, a + i + 1), y_sub, f"Y({n},{p})")
 
     def zk(self, k, l, m):
         """Z = W intersected with Ker(P.del), W = S_k . Im d_(l,m) with d
         leaving the spot S_k . L_l . S*_m: the summand of the kernel
         splitting that lies in Ker(P.del), taken as the kernel of P.del on
-        W."""
+        W.
+
+        The kernel comes in W's coordinates, and W is the tensor product of
+        S_k and the ImD(l,m) module, so Z restricts E_S (x) 1 +
+        sigma_S (x) E_ImD (GLAction.product_matrix) with no generator
+        matrix on the triple spot.  The weights and parities of W's basis
+        are the spot's at W's pivots."""
         if k < 1 or min(l, m) < 0:
             raise ValueError(
                 f"k must be at least 1 and l, m at least 0, got {(k, l, m)}")
         key = ("zk", k, l, m)
         if key not in self._built:
-            i = k - 1
-            kk = l
-            a = m - i - kk - 1
-            z_sub = self.ctx.splitting("prop2", (i, kk, a))
+            ctx = self.ctx
+            z_sub = ctx.splitting("prop2", (k - 1, l, m - k - l))
             if z_sub.dim == 0:
                 raise ValueError(
                     f"the Z summand is empty for these parameters, got {(k, l, m)}")
-            wspot = Spot(i + 1, kk + 1, m + 1)
+            spot = ctx.spot_space(Spot(k, l + 1, m + 1))
+            sw, sp = spot.weights(), spot.parities()
+            pivots = ctx.lifted_d_image(k, l, m).pivots
             self._built[key] = module_from_subspace(
-                self.act, self.ctx.spot_space(wspot), z_sub, f"Z({k},{l},{m})"
-            )
+                self.act, (ctx.sym_basis(k), self.image_module(l, m)),
+                [sw[q] for q in pivots], [sp[q] for q in pivots], z_sub,
+                f"Z({k},{l},{m})")
         return self._built[key]
 
     def z1(self, m):
@@ -590,10 +624,8 @@ class Constructor:
             )
         # Ker P on S_(k-1).L_(l+1) carries the hook (k,1^l)
         spot = Spot(k - 1, l + 1, 0)
-        return module_from_subspace(
-            self.act, self.ctx.spot_space(spot), self.ctx.kerp_space(spot),
-            f"I{tuple(shape)}",
-        )
+        return self._spot_module(spot, self.ctx.kerp_space(spot),
+                                 f"I{tuple(shape)}")
 
     def construct(self, name, params):
         try:

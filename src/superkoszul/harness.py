@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import asdict, dataclass, field, fields
-from datetime import datetime, timezone
 from fractions import Fraction
 
 from . import characters as chars
@@ -727,6 +726,8 @@ def run(plan):
         records.extend(recs)
         findings.extend(finds)
         timings[group] = round(elapsed, 6)
+    from datetime import datetime, timezone  # only a report stamps the time
+
     rep = Report(
         plan=plan_dict,
         records=records,

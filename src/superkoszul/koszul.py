@@ -312,6 +312,11 @@ class KoszulContext:
                 self.pair_space(k + 1, l + 1).weights())
         return self._d_images[key]
 
+    def lifted_d_image(self, i, k, l):
+        """S_i (x) Im d_(k,l) inside the spot (i, k+1, l+1): the shared pair
+        image lifted on the left (Subspace.lift), with no elimination."""
+        return self.d_image(k, l).lift(left=self.sym_basis(i).dim)
+
     # -- identities -------------------------------------------------------------
 
     def d_del_identity(self, k, l):
@@ -724,18 +729,15 @@ class KoszulContext:
         which="prop2": (i,k,a); with l = a+i+k+1, inside W = image of d on
             the spot (i+1, k, l), the summand Z = W intersected with
             Ker(P.del), taken as the kernel of P.del on W; W is
-            S_(i+1) (x) Im d_(k,l), the shared pair image lifted on the left
-            (Subspace.lift).
+            S_(i+1) (x) Im d_(k,l) (lifted_d_image).
 
         Each case only picks the word, the spot and W, a reduced echelon
         basis w_t; one body does the rest.  The word is applied to the w_t
-        at its line spots and each weight's kernel K is taken in W's
-        coordinates.  The z = sum_t K[t] w_t are reduced echelon over
-        K.den * W.den with no further elimination: the w_t's pivots
-        increase and each w_t vanishes at the others' pivots, so z pivots
-        where its last w_t does, and vanishes at the other pivots of Z
-        because K does at the other pivots of K.  For the whole spot the
-        w_t are the unit vectors, and z is K itself.
+        at its line spots, and the summand is returned as the kernel K in
+        W's coordinates: the summand is spanned by the sum_t K[t] w_t.  For
+        prop1 the w_t are the unit vectors, so K is in the spot's own
+        coordinates; for prop2 W is S_(i+1) (x) ImD(k,l) indexed as kron,
+        the space a Z module acts on (Constructor.zk).
         """
         if which == "prop1":
             i, a = params
@@ -745,7 +747,7 @@ class KoszulContext:
             i, k, a = params
             l = a + i + k + 1
             word, spot = ["del", "P"], Spot(i + 1, k + 1, l + 1)
-            w_sub = self.d_image(k, l).lift(left=self.sym_basis(i + 1).dim)
+            w_sub = self.lifted_d_image(i + 1, k, l)
         else:
             raise ValueError(f"unknown splitting {which!r}")
         weights = self.spot_space(spot).weights()
@@ -757,13 +759,8 @@ class KoszulContext:
             steps,
             {w: [w_sub.nums[t] for t in ts] for w, ts in by_weight.items()},
             self.spot_space(end).weights())
-        ker = join(w_sub.dim, ((blocks[w].kernel(), ts)
-                               for w, ts in by_weight.items()))
-        basis = w_sub.basis_matrix()
-        return Subspace(w_sub.ambient_dim,
-                        [basis.apply_numerators(v) for v in ker.nums],
-                        [w_sub.pivots[q] for q in ker.pivots],
-                        ker.den * w_sub.den)
+        return join(w_sub.dim, ((blocks[w].kernel(), ts)
+                                for w, ts in by_weight.items()))
 
     def xdanh_check(self, k, l):
         """Dimension bookkeeping for the pair splitting, blocked ranks only."""
@@ -872,16 +869,22 @@ def verify_spectrum(blocks, total_dim, derived, stated, kind, params,
 def _eigenspace_dims(pairs, eigenvalues):
     """eigenvalue -> total eigenspace dimension over the (block, size)
     pairs, or None as soon as one block is not diagonalizable with spectrum
-    inside the set."""
+    inside the set.  The eigenvalues are taken in increasing order, and a
+    block's eliminations stop once its eigenspaces fill it: eigenspaces of
+    distinct eigenvalues are independent, so the rest are 0."""
     counts = dict.fromkeys(eigenvalues, 0)
     for b, size in pairs:
         n = b.dom_dim
         eye = SparseMap.identity(n)
-        geo = {lam: n - b.add(eye, -lam).rank() for lam in eigenvalues}
-        if sum(geo.values()) != n:
-            return None
-        for lam, g in geo.items():
+        found = 0
+        for lam in sorted(eigenvalues):
+            if found == n:
+                break
+            g = n - b.add(eye, -lam).rank()
             counts[lam] += size * g
+            found += g
+        if found != n:
+            return None
     return {lam: g for lam, g in counts.items() if g}
 
 

@@ -18,7 +18,8 @@ P (x) id eliminated on the whole spot, the homology of the transfer
 complex, the eigenvalue ladder of the insertion-side loop, the loop
 spectra from every weight block with no orbit reduction, the two routes of
 a mixed square composed on the full triple spot, the pair splitting and
-every summand of the two triple-spot splittings as subspaces, tensor
+every summand of the two triple-spot splittings as subspaces, a Z module
+restricted from its whole triple spot, tensor
 products of modules, the calibration of d against del, and
 Laurent-polynomial helpers (powers, inverted and permuted variables,
 fraction equality).
@@ -35,6 +36,7 @@ from superkoszul.glrep import (
     GradedSpan,
     ModuleError,
     dual_module,
+    module_from_subspace,
     raising_pairs,
     simple_pairs,
 )
@@ -769,6 +771,50 @@ def splitting_summands(ctx, which, params):
         pk = blocked_kernel(ctx.composed_to(["del", "P"], wspot, kspot), w, w_k)
         return a_sub, graded_intersect(w_sub, pk, w), w_sub
     raise ValueError(f"unknown splitting {which!r}")
+
+
+# prop2 cells on other alphabets, each with a nonzero Z and a spot of
+# dimension at most 1,500
+OTHER_PROP2_CELLS = (
+    ((2, 1), (0, 1, 1)), ((2, 1), (1, 2, -1)), ((2, 1), (1, 3, -3)),
+    ((2, 2), (0, 2, -1)), ((2, 2), (1, 2, -2)),
+    ((1, 2), (0, 2, 0)), ((1, 2), (1, 3, -1)),
+    ((4, 1), (0, 2, -2)), ((4, 1), (0, 3, -3)), ((4, 1), (1, 1, -3)),
+)
+
+
+def z_on_the_spot(ctx, params, ker):
+    """The prop2 (i,k,a) summand on its triple spot, from the kernel K that
+    KoszulContext.splitting gives in the coordinates of W =
+    S_(i+1) (x) Im d_(k,l), l = a+i+k+1: each z = sum_t K[t] w_t.
+
+    The z are reduced echelon over K.den * W.den with no elimination: the
+    w_t's pivots increase and each w_t vanishes at the others' pivots, so z
+    pivots where its last w_t does, and vanishes at the other pivots of Z
+    because K does at the other pivots of K."""
+    i, k, a = params
+    w_sub = ctx.d_image(k, a + i + k + 1).lift(left=ctx.sym_basis(i + 1).dim)
+    basis = w_sub.basis_matrix()
+    return Subspace(w_sub.ambient_dim,
+                    [basis.apply_numerators(v) for v in ker.nums],
+                    [w_sub.pivots[q] for q in ker.pivots],
+                    ker.den * w_sub.den)
+
+
+def z_summand_on_the_spot(ctx, k, l, m):
+    """(the triple spot of Z(k,l,m), Z on it): the subspace a Z module was
+    cut out of when every generator matrix was built on the whole spot."""
+    params = (k - 1, l, m - k - l)
+    return (ctx.spot_space(Spot(k, l + 1, m + 1)),
+            z_on_the_spot(ctx, params, ctx.splitting("prop2", params)))
+
+
+def ambient_z_module(act, ctx, k, l, m):
+    """Z(k,l,m) restricted from the whole triple spot's action, with no
+    ImD module as a factor."""
+    product, sub = z_summand_on_the_spot(ctx, k, l, m)
+    return module_from_subspace(act, product.factors, product.weights(),
+                                product.parities(), sub, f"Z({k},{l},{m})")
 
 
 def graded_intersect(a, b, weights):

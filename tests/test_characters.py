@@ -482,10 +482,15 @@ def test_splitting_additivity(con):
 
     ctx = con.ctx
     a_sub, b_sub = xdanh_splitting(ctx, 2, 1)
+    def on(product, sub, name):
+        return module_from_subspace(con.act, product.factors,
+                                    product.weights(), product.parities(),
+                                    sub, name)
+
     ps = ctx.pair_space(2, 1)
     amb = ambient_module(con.act, ps, "pair(2,1)")
-    ma = module_from_subspace(con.act, ps, a_sub, "A")
-    mb = module_from_subspace(con.act, ps, b_sub, "B")
+    ma = on(ps, a_sub, "A")
+    mb = on(ps, b_sub, "B")
     for signed in (True, False):
         total = supercharacter(ma, signed) + supercharacter(mb, signed)
         assert total == supercharacter(amb, signed)
@@ -493,9 +498,9 @@ def test_splitting_additivity(con):
     a_sub, b_sub, w_sub = splitting_summands(ctx, "prop2", (0, 1, 1))
     spot = Spot(1, 2, 4)
     sp = ctx.spot_space(spot)
-    ma = module_from_subspace(con.act, sp, a_sub, "A")
-    mb = module_from_subspace(con.act, sp, b_sub, "B")
-    mw = module_from_subspace(con.act, sp, w_sub, "W")
+    ma = on(sp, a_sub, "A")
+    mb = on(sp, b_sub, "B")
+    mw = on(sp, w_sub, "W")
     for signed in (True, False):
         total = supercharacter(ma, signed) + supercharacter(mb, signed)
         assert total == supercharacter(mw, signed)

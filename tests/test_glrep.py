@@ -27,6 +27,8 @@ from superkoszul.glrep import (
     simple_pairs,
 )
 from oracles import (
+    OTHER_PROP2_CELLS,
+    ambient_z_module,
     equivariance_at_spot,
     equivariance_failures,
     full_action,
@@ -40,6 +42,7 @@ from oracles import (
     tensor_modules,
     word_generator_matrix,
     xdanh_splitting,
+    z_summand_on_the_spot,
 )
 from superkoszul.koszul import (
     KoszulContext,
@@ -80,23 +83,40 @@ def origins(ctx, monkeypatch):
     modulo) of every module it cuts out of an ambient product, in build
     order: what full_action restricts again.  A Constructor builds each ImD
     and Z module once, so on the shared one a module an earlier test built
-    would leave no origin."""
+    would leave no origin.
+
+    A Z module acts on S_k (x) ImD(l,m), not on a product of power bases:
+    its origin is its triple spot and Z on it (z_summand_on_the_spot), in
+    place of the ImD module and the W it was built from."""
     seen = []
 
-    def spy(build, basis_of):
-        def wrapped(act, product, *args):
-            seen.append((product, *basis_of(product, *args)))
-            return build(act, product, *args)
+    def spy(build, origin):
+        def wrapped(act, *args):
+            seen.append(origin(*args))
+            return build(act, *args)
         return wrapped
 
     monkeypatch.setattr(glrep, "module_from_subspace", spy(
-        glrep.module_from_subspace, lambda product, sub, name: (sub, None)))
+        glrep.module_from_subspace,
+        lambda factors, weights, parities, sub, name: (
+            ProductSpace(*factors), sub, None)))
     monkeypatch.setattr(glrep, "quotient_module", spy(
         glrep.quotient_module,
-        lambda product, ker, im, name: (ker.complement_of(im), im)))
+        lambda product, ker, im, name: (product, ker.complement_of(im), im)))
     monkeypatch.setattr(glrep, "ambient_module", spy(
         glrep.ambient_module,
-        lambda product, name: (Subspace.full(product.dim), None)))
+        lambda product, name: (product, Subspace.full(product.dim), None)))
+    zk = Constructor.zk
+
+    def zk_on_the_spot(self, k, l, m):
+        start = len(seen)
+        mod = zk(self, k, l, m)
+        if len(seen) > start:
+            del seen[start:]
+            seen.append((*z_summand_on_the_spot(self.ctx, k, l, m), None))
+        return mod
+
+    monkeypatch.setattr(Constructor, "zk", zk_on_the_spot)
     return Constructor(ctx), seen
 
 
@@ -241,6 +261,49 @@ def test_simple_generators_are_the_full_restriction(origins, name, params,
     for key, g in mod.gens.items():
         assert g == full[key], key
     assert_cartan_is_weight_grading(full, mod, twists)
+
+
+def z_args(params):
+    """The zk parameters (k, l, m) of the prop2 splitting cell (i, k, a)."""
+    i, k, a = params
+    return i + 1, k, a + i + k + 1
+
+
+# the nine Z modules of the constructions group, and the reducible Zk(1,2,0)
+Z_CELLS = [
+    *(((3, 1), klm) for klm in (
+        (1, 2, 0), (1, 2, 1), (1, 2, 2), (1, 2, 3), (2, 2, 1), (2, 2, 2),
+        (1, 3, 2), (1, 3, 3), (2, 3, 2), (2, 3, 3))),
+    *((mn, z_args(params)) for mn, params in OTHER_PROP2_CELLS),
+]
+
+
+@pytest.fixture(scope="module")
+def constructors():
+    """One Constructor per alphabet, built on demand."""
+    cons = {}
+
+    def get(mn):
+        if mn not in cons:
+            cons[mn] = Constructor(KoszulContext(SuperSpace(*mn)))
+        return cons[mn]
+
+    return get
+
+
+@pytest.mark.parametrize("mn,klm", Z_CELLS, ids=lambda x: "_".join(map(str, x)))
+def test_a_z_module_is_its_restriction_from_the_whole_spot(constructors, mn,
+                                                           klm):
+    # E_S (x) 1 + sigma_S (x) E_ImD on S_k (x) ImD(l,m), restricted to Z in
+    # W's coordinates, against every generator built on the triple spot and
+    # restricted to Z mapped onto the spot
+    con = constructors(mn)
+    mod = con.zk(*klm)
+    want = ambient_z_module(con.act, con.ctx, *klm)
+    assert list(mod.gens) == list(want.gens)
+    for key, g in mod.gens.items():
+        assert g == want.gens[key], key
+    assert (mod.weights, mod.parities) == (want.weights, want.parities)
 
 
 # ---------------------------------------------------------------------------
@@ -598,9 +661,9 @@ def test_module_memo_leaves_the_constructions_records_unchanged(monkeypatch):
     builds = []
     build = glrep.module_from_subspace
 
-    def counted(act, product, sub, name):
-        builds.append(name)
-        return build(act, product, sub, name)
+    def counted(act, *args):
+        builds.append(args[-1])
+        return build(act, *args)
 
     monkeypatch.setattr(glrep, "module_from_subspace", counted)
     _, memo, memo_findings, _ = harness.run_group(plan, "constructions")
@@ -654,15 +717,39 @@ def test_the_constructions_group_computes_each_fact_once(monkeypatch):
         images[id(mat)] = images.get(id(mat), 0) + 1
         return blocked_image(mat, dom_w, cod_w)
 
+    built_on = []
+    product_matrix = GLAction.product_matrix
+
+    def product_matrix_recorded(self, factors, gi, gj):
+        built_on.append(tuple(f.name if isinstance(f, GLModule) else f.key()
+                              for f in factors))
+        return product_matrix(self, factors, gi, gj)
+
+    z_spots = set()
+    zk = Constructor.zk
+
+    def zk_recorded(self, k, l, m):
+        z_spots.add(Spot(k, l + 1, m + 1))
+        return zk(self, k, l, m)
+
     monkeypatch.setattr(KoszulContext, "splitting", splitting_marked)
     monkeypatch.setattr(KoszulContext, "composed", composed_checked)
     monkeypatch.setattr(KoszulContext, "operator", operator_checked)
     monkeypatch.setattr(koszul, "blocked_image", image_counted)
+    monkeypatch.setattr(GLAction, "product_matrix", product_matrix_recorded)
+    monkeypatch.setattr(Constructor, "zk", zk_recorded)
     plan = harness.VerificationPlan(checks=("constructions",)).as_dict()
     _, records, _, _ = harness.run_group(plan, "constructions")
     assert calls == {"raising_kernel": 22, "submodule_span": 22}
     # every Im d the group reads is eliminated once: ImD, Mmp, H31 and Z
     assert images and set(images.values()) == {1}
+    # no generator matrix on a Z summand's triple spot: each of the 9 Z
+    # modules restricts its 6 simple generators on S_k (x) ImD(l,m)
+    ctx = KoszulContext(SuperSpace(3, 1))
+    z_keys = {tuple(f.key() for f in ctx.spot_space(s).factors)
+              for s in z_spots}
+    assert len(z_spots) == 9 and not z_keys & set(built_on)
+    assert sum(isinstance(f, str) for *_, f in built_on) == 9 * 6
     assert records
 
 
@@ -757,14 +844,17 @@ def test_constructor_builds_each_module_once(monkeypatch):
     con = Constructor(KoszulContext(SuperSpace(3, 1)))
     first = con.zk(1, 2, 2)
     image = con.image_module(3, 2)
+    con.image_module(2, 1)  # the ImD module Z(1,2,1) is built on
 
-    def rebuild(act, product, sub, name):
-        raise AssertionError(f"module_from_subspace called for {name}")
+    def rebuild(act, *args):
+        raise AssertionError(f"module_from_subspace called for {args[-1]}")
 
     monkeypatch.setattr(glrep, "module_from_subspace", rebuild)
-    # one object per argument tuple; Z1(1) is Z(1,2,2)
+    # one object per argument tuple; Z1(1) is Z(1,2,2), which built the
+    # ImD(2,2) module it acts through
     assert con.zk(1, 2, 2) is first and con.image_module(3, 2) is image
     assert con.z1(1) is con.zk(1, 2, 2)
+    assert con.image_module(2, 2).name == "ImD(2,2)"
     # a twist is a new object each call, sharing the matrices and the record
     mmp, again = con.mmp(1, 1), con.mmp(1, 1)
     assert len({id(image), id(mmp), id(again)}) == 3
@@ -787,16 +877,17 @@ def test_non_invariant_subspace_raises(ctx, act):
     product = ctx.spot_space(Spot(0, 1, 1))
     line = Subspace.from_vectors(product.dim, [{0: F(1)}])
     with pytest.raises(RestrictionError):
-        module_from_subspace(act, product, line, "bogus")
+        module_from_subspace(act, product.factors, product.weights(),
+                             product.parities(), line, "bogus")
 
 
 def test_non_homogeneous_subspace_basis_raises(ctx, act):
     # the whole of V, but with a first basis vector mixing two weights
-    product = ProductSpace(ctx.sym_basis(1))
+    v = ctx.sym_basis(1)
     mixed = Subspace(4, [{0: F(1), 1: F(1)}, {1: F(1)}, {2: F(1)}, {3: F(1)}],
                      [0, 1, 2, 3])
     with pytest.raises(ModuleError) as exc:
-        module_from_subspace(act, product, mixed, "mixed")
+        module_from_subspace(act, (v,), v.weights, v.parities, mixed, "mixed")
     assert exc.value.witness["index"] == 0
     assert len(exc.value.witness["weights"]) == 2
 
@@ -867,14 +958,20 @@ def test_lowering_closure_decides_imd_1_1_on_2_2():
 
 
 def test_raising_kernel_is_the_unblocked_singular_space(con):
-    # the stacked raising generators eliminated one weight at a time give
-    # the joint kernel the oracle eliminates in one piece
+    # the stacked raising generators eliminated one dominant weight at a
+    # time give the joint kernel the oracle eliminates in one piece
     mods = [con.construct(name, tuple(params.values()))
             for name, params in harness.MODULE_CELLS]
     mods += [con.ilambda(shape) for shape in HOOKS]
-    mods.append(Constructor(KoszulContext(SuperSpace(2, 2))).image_module(1, 1))
+    mods.append(con.zk(1, 2, 0))  # reducible: two singular lines
+    others = {mn: Constructor(KoszulContext(SuperSpace(*mn)))
+              for mn in ((2, 1), (2, 2), (1, 2), (4, 1))}
+    for other in others.values():
+        mods += [other.image_module(k, l) for k in range(3) for l in range(3)]
+    mods += [others[mn].zk(*z_args(params)) for mn, params in OTHER_PROP2_CELLS]
     for mod in mods:
-        assert mod.raising_kernel() == singular_space(mod), mod.name
+        assert mod.raising_kernel() == singular_space(mod), (mod.space, mod.name)
+    assert con.zk(1, 2, 0).raising_kernel().dim == 2
 
 
 def test_raising_kernel_rejects_a_generator_off_its_weight_step(con):

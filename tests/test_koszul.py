@@ -17,6 +17,7 @@ from oracles import (
     delpqd_table,
     dense,
     dense_lift,
+    OTHER_PROP2_CELLS,
     kerp_incoming_image_on_the_spot,
     l_homology_dim,
     loop_spectrum_all_blocks,
@@ -28,6 +29,7 @@ from oracles import (
     to_tensor,
     unindex_word,
     xdanh_splitting,
+    z_on_the_spot,
 )
 from superkoszul import koszul
 from superkoszul.koszul import (
@@ -917,16 +919,6 @@ OTHER_PROP1_CELLS = (
     ((4, 1), (0, 1)), ((4, 1), (1, 0)), ((4, 1), (1, 3)),
 )
 
-# prop2 cells on other alphabets, each with a nonzero Z and a spot of
-# dimension at most 1,500
-OTHER_PROP2_CELLS = (
-    ((2, 1), (0, 1, 1)), ((2, 1), (1, 2, -1)), ((2, 1), (1, 3, -3)),
-    ((2, 2), (0, 2, -1)), ((2, 2), (1, 2, -2)),
-    ((1, 2), (0, 2, 0)), ((1, 2), (1, 3, -1)),
-    ((4, 1), (0, 2, -2)), ((4, 1), (0, 3, -3)), ((4, 1), (1, 1, -3)),
-)
-
-
 @pytest.mark.parametrize("which, params, mn", [
     *(pytest.param(which, params, (3, 1), id=f"{which}-params{j}")
       for j, (which, params) in enumerate(DEFAULT_SPLITTING_CELLS)),
@@ -937,10 +929,13 @@ OTHER_PROP2_CELLS = (
       for mn, params in cells),
 ])
 def test_splitting_is_the_oracle_summand(ctx31, which, params, mn):
-    # the reduced echelon basis is unique, so the subspaces are equal as stored
+    # the reduced echelon basis is unique, so the subspaces are equal as
+    # stored; Z comes in W's coordinates and is mapped onto the spot first
     ctx = ctx31 if mn == (3, 1) else KoszulContext(SuperSpace(*mn))
     z = ctx.splitting(which, params)
     assert z.dim > 0
+    if which == "prop2":
+        z = z_on_the_spot(ctx, params, z)
     assert z == splitting_summands(ctx, which, params)[1]
 
 

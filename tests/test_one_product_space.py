@@ -5,6 +5,9 @@ KoszulContext.spot_space caches one ProductSpace per spot; a ProductSpace
 built anywhere else would walk the same grading a second time.
 KoszulContext.operator is the one builder and cache of d, del, P and Q; a
 Kronecker product of factor maps anywhere else would be a second builder.
+GLAction.product_matrix is the one super derivation: only it lifts a
+generator past a left factor with the crossing sign, on power bases and
+built modules alike.
 GLModule.is_irreducible is the one irreducibility test: only it closes a
 singular line (submodule_span), and no dual module is built, since a unique
 singular line that generates the module already decides irreducibility.
@@ -18,9 +21,9 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "superkoszul"
 
 
-def _calls(tree, callee):
+def _calls(tree, callee, keep=lambda call: True):
     """Qualified name of the function around each call of callee, called by
-    its bare name or as an attribute (obj.callee(...))."""
+    its bare name or as an attribute (obj.callee(...)), that keep accepts."""
     found = []
 
     def visit(node, scope):
@@ -29,7 +32,7 @@ def _calls(tree, callee):
         if isinstance(node, ast.Call):
             f = node.func
             name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-            if name == callee:
+            if name == callee and keep(node):
                 found.append(".".join(scope) or "<module>")
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
@@ -38,13 +41,13 @@ def _calls(tree, callee):
     return found
 
 
-def _package_calls(callee):
+def _package_calls(callee, keep=lambda call: True):
     modules = sorted(PACKAGE.glob("*.py"))
     assert modules
     found = []
     for path in modules:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        found += [f"{path.name}:{q}" for q in _calls(tree, callee)]
+        found += [f"{path.name}:{q}" for q in _calls(tree, callee, keep)]
     return found
 
 
@@ -66,3 +69,13 @@ def test_submodule_span_is_called_only_in_is_irreducible():
 
 def test_is_irreducible_is_called_only_in_check_module():
     assert _package_calls("is_irreducible") == ["harness.py:check_module"]
+
+
+def test_the_super_derivation_sign_is_applied_only_in_product_matrix():
+    # a lift given the left factor's parities is an odd E_ij crossing it:
+    # the one derivation code, whatever its factors are
+    def signed(call):
+        return len(call.args) >= 3 or any(
+            k.arg == "left_parities" for k in call.keywords)
+
+    assert _package_calls("lift", signed) == ["glrep.py:GLAction.product_matrix"]
