@@ -44,7 +44,9 @@ derivation, signed by the parity sigma of the left factors where E is odd:
 - the Cartan carries over, since the idle factor adds the same weight to
   the row and the column of every entry.
 So a pass at the line spot certifies the lifted spot; a failure there is
-checked at the spot itself, and keeps the spot's failing generators.
+checked at the spot itself, and keeps the spot's failing generators.  The
+loop spectra ask only for the even subalgebra gl(m) + gl(n), certified by
+the Cartan and the even simple raising generators (even_raising_pairs).
 GLModule owns the singular-vector and irreducibility machinery.
 """
 
@@ -66,6 +68,13 @@ class ModuleError(WitnessedError, ValueError):
 def raising_pairs(space):
     """Keys (i, i+1) of the simple raising generators E_(i,i+1)."""
     return tuple((i, i + 1) for i in range(space.dim - 1))
+
+
+def even_raising_pairs(space):
+    """The raising pairs (i, i+1) of two letters of one parity: the simple
+    raising generators of the even subalgebra gl(m) + gl(n)."""
+    return tuple((i, j) for i, j in raising_pairs(space)
+                 if space.parity(i) == space.parity(j))
 
 
 def simple_pairs(space):
@@ -149,29 +158,33 @@ class GLAction:
         return SparseMap.combination(dim, dim, terms)
 
 
-def check_equivariance(ctx, act, name, spot):
+def check_equivariance(ctx, act, name, spot, even=False):
     """T E = E T for every E_ij, T the named differential, certified on the
     Cartan and the simple-root generators at the line spot (see the module
-    docstring).
+    docstring).  With even=True only the even simple raising generators are
+    multiplied out, which certifies the even subalgebra gl(m) + gl(n) (the
+    koszul module docstring says why the raising ones suffice there).
 
     Away from its line spot, T is the lift of the line map, so a pass at the
     line spot certifies the spot with no product multiplied there; where the
     line spot fails, the spot itself is checked, so a failure reports the
     spot's own failing generators.  certified_by says which ("line" or
-    "spot"); generators_checked counts the (m+n)^2 generators certified."""
+    "spot"); generators_checked counts the E_ij certified, (m+n)^2, or
+    m^2 + n^2 with even=True."""
     idle = idle_field(name)
     if getattr(spot, idle):
-        line = _equivariance_at(ctx, act, name, replace(spot, **{idle: 0}))
+        line = _equivariance_at(ctx, act, name, replace(spot, **{idle: 0}), even)
         if line["ok"]:
             return {**line, "certified_by": "line"}
-    return {**_equivariance_at(ctx, act, name, spot), "certified_by": "spot"}
+    return {**_equivariance_at(ctx, act, name, spot, even),
+            "certified_by": "spot"}
 
 
-def _equivariance_at(ctx, act, name, spot):
+def _equivariance_at(ctx, act, name, spot, even):
     """The check at the spot itself.  (T E_jj - E_jj T)[r, c] =
     T[r, c] (w_dom[c][j] - w_cod[r][j]), so E_jj fails exactly when an entry
-    of T joins weights that differ in coordinate j; the simple generators are
-    multiplied out."""
+    of T joins weights that differ in coordinate j; the simple generators, or
+    the even simple raising ones, are multiplied out."""
     mat = ctx.operator(name, spot)
     dom = ctx.spot_space(spot)
     cod = ctx.spot_space(op_target(name, spot))
@@ -183,13 +196,15 @@ def _equivariance_at(ctx, act, name, spot):
             moved.update(j for j, (a, b) in enumerate(zip(dw[c], cw[r]))
                          if a != b)
     bad = [(j, j) for j in moved]
-    for i, j in simple_pairs(ctx.space):
+    space = ctx.space
+    for i, j in even_raising_pairs(space) if even else simple_pairs(space):
         if mat @ act.on_product(dom, i, j) != act.on_product(cod, i, j) @ mat:
             bad.append((i, j))
     return {
         "ok": not bad,
         "failing_generators": sorted(bad),
-        "generators_checked": ctx.space.dim ** 2,
+        "generators_checked": (space.m ** 2 + space.n ** 2 if even
+                               else space.dim ** 2),
     }
 
 

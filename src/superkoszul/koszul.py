@@ -35,27 +35,41 @@ All maps preserve weights, so ranks, kernels and spectra decompose over
 weight blocks; the public checks use the blocked paths and the test suite
 cross-checks them against dense computations at small degrees.
 
-The loop spectra eliminate one weight block per orbit of S_m x S_n, which
-permutes the even letters and the odd letters and so acts on weights as
-the Weyl group of gl(m) + gl(n).  Swapping two letters of one parity is a
-signed permutation of each power basis, and of a spot the product of its
-factors' (no crossing sign).  Where a loop M commutes with it, that is
-M[pi(r), pi(c)] = s_r s_c M[r, c] at every entry, for every adjacent pair
-of same-parity letters, the block at sigma(w) is conjugate to the block at
-w, so the block at the dominant weight (even and odd coordinates each
-non-increasing) stands for its orbit and its eigenspace dimensions count
-once per weight of the orbit.  For the PdeldQ loop, P at the line spot must
-commute as well, so that Ker(P (x) id) is stable.
+The loop spectra are taken on the even subalgebra g0 = gl(m) + gl(n).  A
+weight is the highest weight of a finite-dimensional simple g0-module
+exactly when its even and its odd coordinates are each non-increasing
+(is_dominant).  The Cartan acts diagonally, so a finite-dimensional
+g0-module V is completely reducible (Weyl): V is the sum over those
+weights mu of L0(mu) (x) U_mu, where L0(mu) is the simple module of highest
+weight mu, of dimension weyl_dim(mu), and U_mu is the space of g0-singular
+vectors of weight mu, the joint kernel of the even simple raising
+generators E_(a,a+1) on V's weight space mu.  A map M that commutes with g0
+is the sum of 1 (x) M_mu, M_mu its restriction to U_mu, so each eigenspace
+dimension of M is the sum of weyl_dim(mu) times that of M_mu.  For the
+PdeldQ loop V is Ker(P (x) id), a g0-submodule where P commutes with g0.
 
-The certificate is checked once per operator of the word at its line spot,
-not on M.  An operator elsewhere is its line map lifted by the identity on
-the idle factor, and a spot's relabelling is the product of its factors',
-the idle factor's included, so the lift commutes wherever the line map
-does; a composite of commuting maps commutes, so M does.  M is then never
-formed: the line maps are applied to the columns kept, and those images
-also show M weight-graded (KoszulContext.loop_blocks).  Where a
-certificate fails, every column is kept and every block eliminated, so the
-verdict stays exact either way.
+Commuting with the Cartan and the E_(a,a+1) is enough.  For one even simple
+root, V is a sum of sl2 strings, and as a module over k[E] a string of
+length n+1 is free on its lowest vector w up to E^(n+1) w = 0.  A
+weight-preserving T with TE = ET sends w to a vector y of w's weight with
+E^(n+1) y = 0; E is injective below the top of every longer string, so y
+lies in strings of length n+1, at their lowest weight.  F acts on E^s w and
+on E^s y by the same scalar, which depends on s and n alone, so TF = FT,
+and T commutes with all of g0, which the Cartan and the simple root vectors
+of both signs generate.
+
+The certificate is checked once per operator of the word at its line spot
+(glrep.check_equivariance with even=True), not on M.  An operator elsewhere
+is its line map lifted by the identity on the idle factor, and an even
+E_(a,a+1) acts on a product as the sum of its factor matrices with no sign,
+so the lift commutes wherever the line map does; a composite of commuting
+maps commutes, so M does, and its Cartan part makes M weight-graded.  M
+is then never formed: the U_mu are found by applying each factor's
+generator matrix (KoszulContext.loop_blocks), and the line maps are
+applied to their bases, each image entry still checked to keep its
+weight.  A fill check, the sum of weyl_dim(mu) dim U_mu against dim V,
+guards the decomposition.  Where a certificate fails, every weight block
+is eliminated, each once, so the verdict stays exact either way.
 
 Im d at each pair is built once (KoszulContext.d_image), for the rank of
 d, the homology, the ImD modules and the Z summands.  An echelon basis
@@ -68,9 +82,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
-from .linalg import RestrictionError, SparseMap, SpectrumError, Subspace, WitnessedError
+from .linalg import (
+    RestrictionError,
+    SparseMap,
+    SpectrumError,
+    Subspace,
+    WitnessedError,
+    _combine,
+)
 from .superspace import (
     ProductSpace,
     blocked_image,
@@ -78,10 +99,8 @@ from .superspace import (
     blocked_rank,
     is_dominant,
     join,
-    orbit_size,
     power_basis,
-    split,
-    weight_blocks,
+    weyl_dim,
 )
 
 ZERO = Fraction(0)
@@ -578,27 +597,27 @@ class KoszulContext:
         return word, spot, derived, stated
 
     def loop_blocks(self, kind, word, spot):
-        """The weight blocks of the loop operator M, restricted to
-        Ker(P (x) id) for the PdeldQ loop.  Returns (blocks, sizes,
-        total_dim): one block per S_m x S_n orbit of weights, at its
-        dominant weight, with the orbit's size, where every operator of
-        the word, and P at the spot's line for the kernel, passes the
-        relabelling certificate at its line spot (it then holds for the
-        lifts and for M, module docstring); every block, each with size 1,
-        where one does not.
+        """The blocks of the loop operator M on V, the spot, or Ker(P (x) id)
+        for the PdeldQ loop.  Returns (blocks, sizes, total_dim).
+
+        Where every operator of the word, and P at the spot's line for the
+        kernel, passes the gl0 certificate at its line spot (_certified),
+        V is the sum of L0(mu) (x) U_mu over the even-dominant weights mu,
+        U_mu the gl0-singular vectors of weight mu, and M the sum of
+        1 (x) M_mu (module docstring).  The blocks are then the M_mu on the
+        nonzero U_mu, each read in U_mu's coordinates and counted
+        weyl_dim(mu) times; a fill check, the sum of weyl_dim(mu) dim U_mu
+        against dim V, raises KoszulError with each block's two factors.
+        Where a certificate fails, the blocks are M on every weight space
+        of V, each with size 1.
 
         M is never formed: the word's line-spot maps are applied to the
-        unit vectors of the kept weights, or to the kernel's basis vectors
-        of those weights, whose images are read at the kernel's pivots and
-        certified by their residue (RestrictionError if one leaves it).  An
-        image entry that joins two weights raises KoszulError with its
-        row, column and both weights (_graded_blocks).  Under the
-        certificate the kept columns suffice for that check: M
-        commutes with signed permutations that carry the columns of a
-        dominant weight onto those of each weight of its orbit and act on
-        the row weights alike, so an entry joining two weights anywhere
-        has a relabelled twin joining two weights in a dominant column.  A
-        word that does not return to its spot raises KoszulError."""
+        basis vectors of the U_mu (or of the weight spaces), and each image
+        is read in V's coordinates, then in U_mu's, every read certified by
+        its residue (RestrictionError if an image leaves the space).  An
+        image entry that joins two weights raises KoszulError with its row,
+        column and both weights (_word_images).  A word that does not
+        return to its spot raises KoszulError."""
         steps, end = self._line_steps(word, spot)
         if end != spot:
             raise KoszulError(
@@ -609,40 +628,100 @@ class KoszulContext:
         lines = [(name, line) for name, line, _ in steps]
         if restricted:
             lines.append(("P", replace(spot, dual=0)))
-        certified = all(self._line_certificate(*nl) for nl in lines)
+        from .glrep import GLAction  # glrep imports koszul
+        act = GLAction(self.space)
+        certified = all(self._certified(act, *nl) for nl in lines)
         weights = self.spot_space(spot).weights()
-        indices, _ = weight_blocks(weights)
-        m = self.space.m
-        if certified:
-            sizes = {w: orbit_size(w, m) for w in indices if is_dominant(w, m)}
-        else:
-            sizes = dict.fromkeys(indices, 1)
-        if not restricted:
-            columns = {w: [{c: 1} for c in indices[w]] for w in sizes}
-            blocks = self._graded_blocks(steps, columns, weights)
-            return list(blocks.values()), list(sizes.values()), len(weights)
-        sub = self.kerp_space(spot)
-        parts = {w: part for w, part in split(sub, weights).items()
-                 if w in sizes}
-        columns = {w: [] for w in parts}
+        sub = (self.kerp_space(spot) if restricted
+               else Subspace.full(len(weights)))
+        # V's basis vectors by weight, and each one's place among them
+        vectors, place = {}, []
         for v, p in zip(sub.nums, sub.pivots):
-            if weights[p] in parts:
-                columns[weights[p]].append(v)
-        graded = self._graded_blocks(steps, columns, weights, sub.den)
-        blocks = []
-        for w, (part, idx) in parts.items():
-            block = graded[w]
-            cols = block.columns()
-            ent, bad = part.read_coordinates(
-                cols.get(c, {}) for c in range(part.dim))
-            if bad is not None:
-                raise RestrictionError(
-                    "loop carries a kernel vector out of Ker(P (x) id)",
-                    witness={"column": idx[part.pivots[bad]],
-                             "column_weight": w})
-            blocks.append(SparseMap._from_ints(part.dim, part.dim, ent,
-                                               block.den))
-        return blocks, [sizes[w] for w in parts], sub.dim
+            vecs = vectors.setdefault(weights[p], [])
+            place.append(len(vecs))
+            vecs.append(v)
+        m = self.space.m
+        # {w: the span the word is applied to, in the coordinates of V's
+        # basis vectors of weight w}
+        if certified:
+            kept = self._singular_coordinates(act, spot, {
+                w: vecs for w, vecs in vectors.items() if is_dominant(w, m)})
+            sizes = {w: weyl_dim(w, m) for w in kept}
+            filled = sum(sizes[w] * ker.dim for w, ker in kept.items())
+            if filled != sub.dim:
+                raise KoszulError(
+                    "the gl0-singular blocks do not fill the loop's space",
+                    witness={"spot": repr(spot), "dim": sub.dim,
+                             "filled": filled,
+                             "blocks": {repr(w): [ker.dim, sizes[w]]
+                                        for w, ker in kept.items() if ker.dim}})
+        else:
+            kept = {w: Subspace.full(len(vecs)) for w, vecs in vectors.items()}
+            sizes = dict.fromkeys(kept, 1)
+        kept = {w: ker for w, ker in kept.items() if ker.dim}
+        bases = {w: [_combine(0, {}, [(x, vectors[w][t]) for t, x in k.items()])
+                     for k in ker.nums]
+                 for w, ker in kept.items()}
+        images, den = self._word_images(steps, bases, weights)
+        owner = [(w, c) for w, basis in bases.items() for c in range(len(basis))]
+        # each image in V's coordinates, then in the kept span's
+        ent = _read(sub, [img for imgs in images.values() for img in imgs],
+                    "the loop's space", owner, bases)
+        coords = [{} for _ in owner]
+        for (j, t), x in ent.items():
+            coords[t][place[j]] = x
+        blocks, at = [], 0
+        for w, ker in kept.items():
+            ent = _read(ker, coords[at:at + ker.dim], "its block",
+                        owner[at:at + ker.dim], bases)
+            blocks.append(SparseMap._from_ints(
+                ker.dim, ker.dim, ent, den * sub.den * ker.den))
+            at += ker.dim
+        return blocks, [sizes[w] for w in kept], sub.dim
+
+    def _certified(self, act, name, line):
+        """Whether the named map at the line spot commutes with the Cartan
+        and the even simple raising generators (glrep.check_equivariance
+        with even=True, on the GLAction act), checked once per (operator,
+        line spot)."""
+        key = (name, line)
+        if key not in self._certificates:
+            from .glrep import check_equivariance  # glrep imports koszul
+            self._certificates[key] = check_equivariance(
+                self, act, name, line, even=True)["ok"]
+        return self._certificates[key]
+
+    def _singular_coordinates(self, act, spot, columns):
+        """{w: the joint kernel of the even simple raising generators on the
+        span of the int vectors columns[w], all of weight w, as a Subspace in
+        their coordinates}.  An even E_(a,a+1) acts on the spot as the sum
+        over its factors of the factor's generator matrix (act.on_basis)
+        with identities on the others and no sign, so it is applied factor
+        by factor (SparseMap.apply_numerators) and no generator matrix of
+        the spot is built.  The images under each generator fill their own
+        band of rows."""
+        from .glrep import even_raising_pairs  # glrep imports koszul
+        space = self.spot_space(spot)
+        dim, factors = space.dim, space.factors
+        pairs = even_raising_pairs(self.space)
+        ents = {w: {} for w in columns}
+        for q, (a, b) in enumerate(pairs):
+            mats = [(act.on_basis(f, a, b), prod(g.dim for g in factors[j + 1:]))
+                    for j, f in enumerate(factors)]
+            mats = [(g, right) for g, right in mats if g.entries]
+            den = lcm(*(g.den for g, _ in mats))
+            for w, vecs in columns.items():
+                ent = ents[w]
+                for c, vec in enumerate(vecs):
+                    for g, right in mats:
+                        scale = den // g.den
+                        for r, x in g.apply_numerators(vec, right).items():
+                            key = (q * dim + r, c)
+                            ent[key] = ent.get(key, 0) + scale * x
+        return {w: SparseMap._from_ints(
+                    len(columns[w]), len(pairs) * dim,
+                    {key: x for key, x in ent.items() if x}).kernel()
+                for w, ent in ents.items()}
 
     def _line_steps(self, word, spot):
         """([(operator name, its line spot, right)], end spot) along the word,
@@ -660,56 +739,30 @@ class KoszulContext:
             spot = end
         return steps, spot
 
-    def _graded_blocks(self, steps, columns, weights, den=1):
-        """{w: block} of the line steps on the int vectors columns[w], of
-        weight w and over den: column c of the block is the image of vector
-        c, its rows the indices of weight w where the word ends (weights),
-        over den times the maps' dens.  The one grading check of a word:
-        an image entry of another weight raises KoszulError with the row,
-        the column (the vector's largest index) and both weights."""
+    def _word_images(self, steps, columns, weights):
+        """({w: [image]}, den): the line steps applied to the int vectors
+        columns[w], of weight w; image c of weight w is den times the image
+        of columns[w][c], den the product of the maps' dens.  The one
+        grading check of a word: an image entry of another weight (weights,
+        those of the spot where the word ends) raises KoszulError with the
+        row, the column (the vector's largest index) and both weights."""
         ops = [(self.operator(name, line), right) for name, line, right in steps]
-        den *= prod(op.den for op, _ in ops)
-        indices, local = weight_blocks(weights)
-        blocks = {}
+        images = {}
         for w, vecs in columns.items():
-            ent = {}
-            for c, vec in enumerate(vecs):
+            images[w] = []
+            for vec in vecs:
                 img = vec
                 for op, right in ops:
                     img = op.apply_numerators(img, right)
-                for r, v in img.items():
+                for r in img:
                     if weights[r] != w:
                         raise KoszulError(
                             "word is not weight-graded",
                             witness={"row": r, "column": max(vec),
                                      "row_weight": weights[r],
                                      "column_weight": w})
-                    ent[(local[r], c)] = v
-            blocks[w] = SparseMap._from_ints(
-                len(vecs), len(indices.get(w, ())), ent, den)
-        return blocks
-
-    def _line_certificate(self, name, line):
-        """Whether the named map at the line spot commutes with the
-        relabellings, checked once per (operator, line spot)."""
-        key = (name, line)
-        if key not in self._certificates:
-            self._certificates[key] = self._relabelling_commutes(
-                self.operator(name, line), line, op_target(name, line))
-        return self._certificates[key]
-
-    def _relabelling_commutes(self, mat, spot, end):
-        """Whether the map from the spot to the end spot commutes with the
-        relabelling of every adjacent pair of same-parity letters: one pass
-        over its entries per pair, testing M[pi(r), pi(c)] = s_r s_c M[r, c]."""
-        get = mat.entries.get
-        for a, b in self.space.swaps():
-            dom_perm, dom_signs = self.spot_space(spot).relabel(a, b)
-            cod_perm, cod_signs = self.spot_space(end).relabel(a, b)
-            for (r, c), v in mat.entries.items():
-                if get((cod_perm[r], dom_perm[c])) != cod_signs[r] * dom_signs[c] * v:
-                    return False
-        return True
+                images[w].append(img)
+        return images, prod(op.den for op, _ in ops)
 
     def loop_spectrum(self, kind, params):
         word, spot, derived, stated = self.loop_setup(kind, params)
@@ -755,12 +808,14 @@ class KoszulContext:
         for t, p in enumerate(w_sub.pivots):
             by_weight.setdefault(weights[p], []).append(t)
         steps, end = self._line_steps(word, spot)
-        blocks = self._graded_blocks(
+        end_dim = self.spot_space(end).dim
+        images, den = self._word_images(
             steps,
             {w: [w_sub.nums[t] for t in ts] for w, ts in by_weight.items()},
             self.spot_space(end).weights())
-        return join(w_sub.dim, ((blocks[w].kernel(), ts)
-                                for w, ts in by_weight.items()))
+        return join(w_sub.dim, ((SparseMap._from_ints(len(ts), end_dim, {
+            (r, c): v for c, img in enumerate(images[w]) for r, v in img.items()
+        }, den).kernel(), ts) for w, ts in by_weight.items()))
 
     def xdanh_check(self, k, l):
         """Dimension bookkeeping for the pair splitting, blocked ranks only."""
@@ -796,6 +851,20 @@ class KoszulContext:
         }
 
 
+def _read(sub, images, where, owner, bases):
+    """Subspace.read_coordinates of the int images in sub's basis; an image
+    outside sub raises RestrictionError with the weight w and the column
+    (the largest index) of the vector bases[w][c] it is the image of,
+    (w, c) = owner[the image's position]."""
+    ent, bad = sub.read_coordinates(images)
+    if bad is not None:
+        w, c = owner[bad]
+        raise RestrictionError(
+            f"loop carries a vector out of {where}",
+            witness={"column": max(bases[w][c]), "column_weight": w})
+    return ent
+
+
 # ---------------------------------------------------------------------------
 # spectrum verification
 
@@ -813,8 +882,10 @@ class SpectrumReport:
     matches_derived: bool | None
     matches_stated: bool | None
     note: str = ""
-    # work: blocks eliminated, and blocks whose eigenspaces a relabelling
-    # carries over from an eliminated one; not part of any report body
+    # work, not part of any report body: the blocks eliminated, and the
+    # further copies they stand for, the sum of size - 1 over them (a block
+    # M_mu on the g0-singular vectors counts weyl_dim(mu) times; see
+    # KoszulContext.loop_blocks)
     blocks_eliminated: int = 0
     blocks_by_symmetry: int = 0
 
@@ -836,8 +907,8 @@ def verify_spectrum(blocks, total_dim, derived, stated, kind, params,
     polynomials per block.  The actual spectrum is then compared against both
     candidate sets.
 
-    sizes[j] is the number of blocks conjugate to blocks[j] that it stands
-    for (one weight orbit, see KoszulContext.loop_blocks); its eigenspace
+    sizes[j] is the number of copies of blocks[j] in the operator
+    (weyl_dim of its weight, see KoszulContext.loop_blocks); its eigenspace
     dimensions and multiplicities count that many times.  Default: 1 each.
     """
     if sizes is None:
@@ -871,16 +942,32 @@ def _eigenspace_dims(pairs, eigenvalues):
     pairs, or None as soon as one block is not diagonalizable with spectrum
     inside the set.  The eigenvalues are taken in increasing order, and a
     block's eliminations stop once its eigenspaces fill it: eigenspaces of
-    distinct eigenvalues are independent, so the rest are 0."""
+    distinct eigenvalues are independent, so the rest are 0.
+
+    For a block N / den and lambda = p / q, the rank of M - lambda is that
+    of q N - p den I, eliminated straight from N's int columns."""
     counts = dict.fromkeys(eigenvalues, 0)
+    order = sorted(eigenvalues)
     for b, size in pairs:
         n = b.dom_dim
-        eye = SparseMap.identity(n)
+        cols = [{} for _ in range(n)]
+        for (r, c), v in b.entries.items():
+            cols[c][r] = v
         found = 0
-        for lam in sorted(eigenvalues):
+        for lam in order:
             if found == n:
                 break
-            g = n - b.add(eye, -lam).rank()
+            q, shift = lam.denominator, lam.numerator * b.den
+            span = Subspace.zero(n)
+            for c, col in enumerate(cols):
+                vec = {r: q * v for r, v in col.items()}
+                x = vec.get(c, 0) - shift
+                if x:
+                    vec[c] = x
+                else:
+                    vec.pop(c, None)
+                span.insert(vec)
+            g = n - span.dim
             counts[lam] += size * g
             found += g
         if found != n:

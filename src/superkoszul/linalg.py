@@ -569,22 +569,28 @@ class Subspace:
         exactly when vec lies in the span.  Ints for int input; TypeError
         on a value that is not an int or a Fraction."""
         _check_exact(vec.values())
-        return self._residue(vec)
-
-    def _residue(self, vec):
-        """residue, trusting vec's values to be exact."""
         return _combine(self.den, vec, [
             (-vec[p], b) for b, p in zip(self.nums, self.pivots) if vec.get(p)])
 
     def insert(self, vec):
         """One fraction-free Gauss-Jordan step, then the common factor is
         cancelled.  The new basis vector's numerators, or None if inside."""
-        for i in vec:
-            if not 0 <= i < self.ambient_dim:
-                raise DimensionError("vector outside ambient space")
-        if not all(type(x) is int for x in vec.values()):
-            vec = _over_common_den(vec)[0]
-        r = self._residue(vec)
+        if not vec:
+            return None
+        if min(vec) < 0 or max(vec) >= self.ambient_dim:
+            raise DimensionError("vector outside ambient space")
+        for x in vec.values():
+            if type(x) is not int:
+                vec = _over_common_den(vec)[0]
+                break
+        den = self.den
+        r = {i: den * x for i, x in vec.items()} if den != 1 else dict(vec)
+        for b, p in zip(self.nums, self.pivots):
+            x = vec.get(p)
+            if x:
+                for i, y in b.items():
+                    r[i] = r.get(i, 0) - x * y
+        r = {i: x for i, x in r.items() if x}
         if not r:
             return None
         p = max(r)
@@ -597,7 +603,6 @@ class Subspace:
         nums = [_combine(a, b, [(-b[p], r)]) if p in b
                 else {i: a * x for i, x in b.items()} if a != 1 else b
                 for b in self.nums]
-        den = self.den
         at = bisect(self.pivots, p)
         nums.insert(at, r if den == 1 else {i: den * x for i, x in r.items()})
         self.pivots.insert(at, p)
@@ -616,7 +621,7 @@ class Subspace:
     def read_coordinates(self, images):
         """(entries, bad): y[p_j] at (j, c) for the int vectors y =
         images[c], y's coordinates over its den, each certified by its
-        residue den*y - sum y[p_j]*nums[j], as in _residue; bad is the
+        residue den*y - sum y[p_j]*nums[j], as in residue; bad is the
         first c outside the span, where reading stops, or None.  One
         pivot -> position dict finds the pivots y meets, so y costs its own
         support, not a pass over the basis."""

@@ -13,15 +13,19 @@ package never works in the tensor power itself: every map between powers is
 assembled from the single-letter factor maps below (multiply by one letter
 and reproject, or split one letter off), whose entries are read off the
 multisets.  expansion lists the words of a basis vector for export; the
-tests check the factor maps against full tensor-power projectors.  A swap
-of two letters of one parity permutes the basis up to signs (relabel).
+tests check the factor maps against full tensor-power projectors.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations, product
+from itertools import (
+    combinations,
+    combinations_with_replacement,
+    permutations,
+    product,
+)
 from math import factorial, lcm
 
 from .linalg import SparseMap, Subspace, SubspaceError
@@ -48,12 +52,6 @@ class SuperSpace:
         if not 0 <= letter < self.dim:
             raise ValueError(f"letter {letter} outside 0..{self.dim - 1}")
         return 0 if letter < self.m else 1
-
-    def swaps(self):
-        """The adjacent transpositions (a, a+1) of two letters of one
-        parity; they generate S_m x S_n."""
-        return [(a, a + 1) for a in range(self.dim - 1)
-                if self.parity(a) == self.parity(a + 1)]
 
     def __eq__(self, other):
         return isinstance(other, SuperSpace) and (self.m, self.n) == (other.m, other.n)
@@ -138,7 +136,6 @@ class PowerBasis:
             self.parities.append(p)
         self._expansions = {}
         self._factor_maps = {}
-        self._relabels = {}
 
     def key(self):
         return (self.space.m, self.space.n, self.kind, self.degree, self.dual)
@@ -218,28 +215,6 @@ class PowerBasis:
         self._factor_maps[key] = m
         return m
 
-    def relabel(self, a, b):
-        """The swap of the letters a and b, of one parity, as (perm, signs):
-        basis vector i goes to signs[i] times basis vector perm[i].
-
-        Swapping the letters in every word of the expansion of mu gives the
-        expansion of nu = sorted(swapped mu) up to one sign, since the sort
-        signs depend on parities only; that sign is the coefficient of the
-        ascending word of nu, which comes from the word u = swapped nu."""
-        key = (a, b)
-        if key not in self._relabels:
-            if self.space.parity(a) != self.space.parity(b):
-                raise ValueError(f"letters {a} and {b} differ in parity")
-            swap = {a: b, b: a}
-            perm, signs = [], []
-            for mu in self.multisets:
-                nu = tuple(sorted(swap.get(x, x) for x in mu))
-                perm.append(self.index[nu])
-                signs.append(sort_sign(self.space, self.kind,
-                                       [swap.get(x, x) for x in nu]))
-            self._relabels[key] = (perm, signs)
-        return self._relabels[key]
-
 
 _PB_CACHE = {}
 
@@ -289,7 +264,6 @@ class ProductSpace:
             self.dim *= f.dim
         self._weights = None
         self._parities = None
-        self._relabels = {}
 
     def weights(self):
         """Each index's weight, the sum of its factors' weights."""
@@ -304,20 +278,6 @@ class ProductSpace:
             self._parities = [sum(ps) & 1 for ps in
                               product(*(f.parities for f in self.factors))]
         return self._parities
-
-    def relabel(self, a, b):
-        """The swap of the letters a and b on the product, as (perm, signs):
-        the product of the factors' relabellings in row-major order.  A
-        letter never leaves its factor, so no crossing sign appears."""
-        key = (a, b)
-        if key not in self._relabels:
-            perm, signs = [0], [1]
-            for f in self.factors:
-                f_perm, f_signs = f.relabel(a, b)
-                perm = [p * f.dim + q for p in perm for q in f_perm]
-                signs = [s * t for s in signs for t in f_signs]
-            self._relabels[key] = (perm, signs)
-        return self._relabels[key]
 
     def __repr__(self):
         return " (x) ".join(repr(f) for f in self.factors)
@@ -344,20 +304,22 @@ def weight_blocks(weights):
 
 def is_dominant(weight, m):
     """Whether the even and the odd coordinates are each non-increasing:
-    the one weight of its S_m x S_n orbit that is."""
+    whether the weight is the highest weight of a finite-dimensional simple
+    gl(m) + gl(n)-module."""
     return all(weight[j] >= weight[j + 1]
                for j in range(len(weight) - 1) if j != m - 1)
 
 
-def orbit_size(weight, m):
-    """The number of weights in the S_m x S_n orbit of the weight: the
-    distinct rearrangements of its even and of its odd coordinates."""
-    size = 1
+def weyl_dim(weight, m):
+    """The dimension of the simple gl(m) + gl(n) module whose highest
+    weight is the even-dominant weight (is_dominant): Weyl's formula for
+    each part, the product over i < j of (w_i - w_j + j - i) / (j - i)."""
+    num = den = 1
     for part in (weight[:m], weight[m:]):
-        size *= factorial(len(part))
-        for mult in Counter(part).values():
-            size //= factorial(mult)
-    return size
+        for i, j in combinations(range(len(part)), 2):
+            num *= part[i] - part[j] + j - i
+            den *= j - i
+    return num // den
 
 
 def split_graded(mat, dom_weights, cod_weights):
@@ -386,23 +348,6 @@ def split_graded(mat, dom_weights, cod_weights):
     return out
 
 
-def split(sub, weights):
-    """{weight: (local Subspace, global indices)} of a graded subspace, one
-    entry per weight its basis meets; raises ValueError on a basis vector
-    that mixes weights."""
-    blocks, local = weight_blocks(weights)
-    parts = {}
-    for v, p in zip(sub.nums, sub.pivots):
-        w = weights[p]
-        if any(weights[i] != w for i in v):
-            raise ValueError("subspace basis vector is not weight-homogeneous")
-        nums, pivots = parts.setdefault(w, ([], []))
-        nums.append({local[i]: x for i, x in v.items()})
-        pivots.append(local[p])
-    return {w: (Subspace(len(blocks[w]), nums, pivots, sub.den), blocks[w])
-            for w, (nums, pivots) in parts.items()}
-
-
 def join(ambient_dim, parts):
     """The subspace spanned by local subspaces mapped through increasing,
     pairwise disjoint index lists: parts is an iterable of (local Subspace,
@@ -423,9 +368,22 @@ def join(ambient_dim, parts):
 
 
 def blocked_rank(mat, dom_weights, cod_weights):
-    return sum(
-        block.rank() for block, _, _ in split_graded(mat, dom_weights, cod_weights).values()
-    )
+    """The rank of a graded map, its columns eliminated weight by weight in
+    place, with no block built; raises ValueError as split_graded does."""
+    cols = {}
+    for (r, c), v in mat.entries.items():
+        if cod_weights[r] != dom_weights[c]:
+            raise ValueError(
+                f"map is not weight-graded: entry ({r},{c}) sends "
+                f"{dom_weights[c]} to {cod_weights[r]}")
+        cols.setdefault(c, {})[r] = v
+    spans = {}
+    for c in sorted(cols):
+        w = dom_weights[c]
+        if w not in spans:
+            spans[w] = Subspace.zero(mat.cod_dim)
+        spans[w].insert(cols[c])
+    return sum(span.dim for span in spans.values())
 
 
 def blocked_kernel(mat, dom_weights, cod_weights):

@@ -16,8 +16,11 @@ transposes, letter weights, row-major indices of a product space, subspace
 sums and containment, Ker(P (x) id) against the incoming image of
 P (x) id eliminated on the whole spot, the homology of the transfer
 complex, the eigenvalue ladder of the insertion-side loop, the loop
-spectra from every weight block with no orbit reduction, the two routes of
-a mixed square composed on the full triple spot, the pair splitting and
+spectra from every weight block with no reduction to gl(m) + gl(n)-singular
+vectors, the multiplicity of each simple gl(m) + gl(n) module in a weight
+multiset by Weyl's alternating sum, the pinned loop cells and the digest of
+their reports, a graded subspace split into its weight blocks, the two
+routes of a mixed square composed on the full triple spot, the pair splitting and
 every summand of the two triple-spot splittings as subspaces, a Z module
 restricted from its whole triple spot, tensor
 products of modules, the calibration of d against del, and
@@ -27,10 +30,16 @@ fraction equality).
 
 from collections import Counter
 from fractions import Fraction
+from hashlib import sha256
 from itertools import permutations
 from math import factorial
 
-from superkoszul.characters import CharacterError, CharFraction, LaurentPoly
+from superkoszul.characters import (
+    CharacterError,
+    CharFraction,
+    LaurentPoly,
+    _perm_sign,
+)
 from superkoszul.glrep import (
     GLModule,
     GradedSpan,
@@ -61,8 +70,8 @@ from superkoszul.superspace import (
     blocked_rank,
     join,
     sort_sign,
-    split,
     split_graded,
+    weight_blocks,
 )
 
 ZERO = Fraction(0)
@@ -684,6 +693,23 @@ def delpqd_table(ctx, i, a):
     return out
 
 
+def split(sub, weights):
+    """{weight: (local Subspace, global indices)} of a graded subspace, one
+    entry per weight its basis meets; raises ValueError on a basis vector
+    that mixes weights."""
+    blocks, local = weight_blocks(weights)
+    parts = {}
+    for v, p in zip(sub.nums, sub.pivots):
+        w = weights[p]
+        if any(weights[i] != w for i in v):
+            raise ValueError("subspace basis vector is not weight-homogeneous")
+        nums, pivots = parts.setdefault(w, ([], []))
+        nums.append({local[i]: x for i, x in v.items()})
+        pivots.append(local[p])
+    return {w: (Subspace(len(blocks[w]), nums, pivots, sub.den), blocks[w])
+            for w, (nums, pivots) in parts.items()}
+
+
 def loop_spectrum_all_blocks(ctx, kind, params):
     """The loop spectrum with every weight block eliminated: the loop
     composed on its spot, split into all its weight blocks (restricted to
@@ -701,6 +727,62 @@ def loop_spectrum_all_blocks(ctx, kind, params):
         blocks = [blk for blk, _, _ in graded.values()]
         total = mat.dom_dim
     return verify_spectrum(blocks, total, derived, stated, kind, params)
+
+
+def gl0_multiplicities(weights, m):
+    """{mu: the multiplicity, when nonzero, of the simple gl(m) + gl(n)
+    module L0(mu) in a module with the given weight multiset}, by Weyl's
+    character formula: the alternating sum over the permutations pi of each
+    part of rho = (m-1, .., 0 | n-1, .., 0), of sign(pi) times the
+    multiplicity of the weight mu + rho - pi(rho)."""
+    count = Counter(map(tuple, weights))
+    n = len(next(iter(count))) - m
+    rho = list(range(m - 1, -1, -1)) + list(range(n - 1, -1, -1))
+    shifts = []
+    for even in permutations(range(m)):
+        for odd in permutations(range(n)):
+            sign = _perm_sign(even) * _perm_sign(odd)
+            rho_pi = [m - 1 - i for i in even] + [n - 1 - j for j in odd]
+            shifts.append((sign, [a - b for a, b in zip(rho, rho_pi)]))
+    out = {}
+    for mu in count:
+        if not all(mu[j] >= mu[j + 1] for j in range(len(mu) - 1)
+                   if j != m - 1):
+            continue
+        k = sum(sign * count.get(tuple(a + b for a, b in zip(mu, shift)), 0)
+                for sign, shift in shifts)
+        if k:
+            out[mu] = k
+    return out
+
+
+# the pinned loop cells: on each alphabet every delPQd (i, a) with i, a <= 2,
+# then the first PdeldQ (i, k, a) cells, i <= 1, k <= 2, a <= 2, in this
+# order, whose spot has dimension at most 1,500
+_DELPQD_CELLS = [("delPQd", (i, a)) for i in range(3) for a in range(3)]
+_PDELDQ_CELLS = [("PdeldQ", (i, k, a))
+                 for i in range(2) for k in (1, 2) for a in range(3)]
+PINNED_LOOP_CELLS = tuple(
+    (mn, kind, params)
+    for mn, count in (((3, 1), 11), ((2, 1), 12), ((2, 2), 12), ((1, 2), 12),
+                      ((4, 1), 6), ((1, 1), 12), ((3, 2), 7))
+    for kind, params in _DELPQD_CELLS + _PDELDQ_CELLS[:count])
+
+
+def loop_report_digest(contexts, cells):
+    """sha256 of every report field a verdict reads (dimension, eigenvalues
+    with multiplicities, diagonalizable, invertible, both matches, note),
+    one line per (alphabet, kind, params) cell; contexts maps an alphabet
+    to its KoszulContext."""
+    lines = []
+    for mn, kind, params in cells:
+        rep = contexts[mn].loop_spectrum(kind, params)
+        lines.append(repr((
+            mn, kind, params, rep.dim,
+            [(str(v), mult) for v, mult in rep.eigenvalues],
+            rep.diagonalizable, rep.invertible, rep.matches_derived,
+            rep.matches_stated, rep.note)))
+    return sha256("\n".join(lines).encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------

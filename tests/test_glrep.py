@@ -21,6 +21,7 @@ from superkoszul.glrep import (
     berezinian_twist,
     check_equivariance,
     dual_module,
+    even_raising_pairs,
     generator_matrix,
     module_from_subspace,
     raising_pairs,
@@ -361,6 +362,27 @@ def test_each_simple_generator_is_multiplied_out(ctx, key):
     skewed = Skewed(ctx.space)
     assert check_equivariance(ctx, skewed, "d", spot)["failing_generators"] == [key]
     assert equivariance_failures(ctx, skewed, "d", spot) == [key]
+
+
+@pytest.mark.parametrize("key", simple_pairs(SuperSpace(3, 1)),
+                         ids=lambda key: f"E{key[0]}{key[1]}")
+def test_the_even_check_multiplies_out_the_even_raising_generators(ctx, key):
+    # the same skew, seen with even=True only where key is an even simple
+    # raising generator; the check then certifies gl(3) + gl(1)
+    spot = Spot(0, 1, 1)
+    cod = ctx.spot_space(op_target("d", spot))
+
+    class Skewed(GLAction):
+        def on_product(self, product, gi, gj):
+            m = super().on_product(product, gi, gj)
+            return 2 * m if product is cod and (gi, gj) == key else m
+
+    report = check_equivariance(ctx, Skewed(ctx.space), "d", spot, even=True)
+    assert report["generators_checked"] == 10
+    even = key in even_raising_pairs(ctx.space)
+    assert report["failing_generators"] == ([key] if even else [])
+    assert even_raising_pairs(ctx.space) == ((0, 1), (1, 2))
+    assert even_raising_pairs(SuperSpace(2, 2)) == ((0, 1), (2, 3))
 
 
 def _corrupt_d(ctx, monkeypatch, delta):

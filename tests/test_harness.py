@@ -196,6 +196,32 @@ def test_default_report_body_is_pinned():
             rep.summary["findings"]) == (449, 0, 117, 3)
 
 
+# sha256 of the stable_body of verify --max-k 3 --max-l 3 --max-i 2 --max-a 2
+# on four more alphabets, and its (pass, fail, skip, findings), recorded at
+# commit ce62b56; a change that moves one of these records on purpose
+# re-records its hash and lists the records in CHANGES.md
+OTHER_ALPHABET_BODIES = {
+    (2, 1): ("e2df39a76ecaeb3668cd061dfe2fb50f0d38df6daeba6f384e5dbacccbbcbfb4",
+             (275, 0, 85, 0)),
+    (2, 2): ("4b484c784ce0fe166ee0335d9b41aadd67b777eeae752300caf862c6c7fbfd32",
+             (274, 0, 86, 0)),
+    (1, 2): ("fa155c39cc0380c005a6bb0c28423e6ba8e10e4fdc144e9f407013eec140ed44",
+             (275, 0, 85, 0)),
+    (4, 1): ("aec6cf2d8f4808b4d35e7dae38d2667c5aed474def5251dbe09070953bbb7c4b",
+             (277, 0, 83, 0)),
+}
+
+
+@pytest.mark.parametrize("m,n", sorted(OTHER_ALPHABET_BODIES))
+def test_small_plan_bodies_off_3_1_are_pinned(m, n):
+    rep = run(VerificationPlan(m=m, n=n, max_k=3, max_l=3, max_i=2, max_a=2))
+    body = stable_body(rep.to_json())
+    digest, counts = OTHER_ALPHABET_BODIES[(m, n)]
+    assert hashlib.sha256(body.encode()).hexdigest() == digest
+    assert (rep.summary["pass"], rep.summary["fail"], rep.summary["skip"],
+            rep.summary["findings"]) == counts
+
+
 def test_spectra_run_reports_stated_set_finding():
     plan = VerificationPlan(checks=("spectra",), max_i=1, max_a=1,
                             max_k=2, max_l=2)

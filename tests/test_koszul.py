@@ -31,7 +31,7 @@ from oracles import (
     xdanh_splitting,
     z_on_the_spot,
 )
-from superkoszul import koszul
+from superkoszul import glrep, koszul
 from superkoszul.koszul import (
     KoszulContext,
     KoszulError,
@@ -43,7 +43,8 @@ from superkoszul.koszul import (
 )
 from superkoszul.harness import VerificationPlan
 from superkoszul.linalg import SparseMap, Subspace
-from superkoszul.superspace import PowerBasis, SuperSpace, power_basis
+from superkoszul.glrep import GLAction
+from superkoszul.superspace import SuperSpace, power_basis, weyl_dim
 
 F = Fraction
 
@@ -634,7 +635,7 @@ def test_verify_spectrum_jordan_block_inside_prediction():
 
 
 # ---------------------------------------------------------------------------
-# loop spectra from one weight block per S_m x S_n orbit
+# loop spectra on the gl(m) + gl(n)-singular vectors
 
 
 def _report_key(rep):
@@ -656,11 +657,24 @@ def _default_spectra_cells(ctx):
 
 @pytest.fixture(scope="module")
 def default_spectra(ctx31):
-    """cell -> (orbit-reduced report, all-blocks report) on every default
-    (3|1) loop."""
+    """cell -> (report on the singular vectors, all-blocks report) on every
+    default (3|1) loop."""
     return {cell: (ctx31.loop_spectrum(*cell),
                    loop_spectrum_all_blocks(ctx31, *cell))
             for cell in _default_spectra_cells(ctx31)}
+
+
+# oracles.loop_report_digest over oracles.PINNED_LOOP_CELLS (135 cells on
+# seven alphabets), recorded at commit ce62b56
+PINNED_LOOP_DIGEST = (
+    "0206311533ccb424447beaa197e286afce03fb733592f3796ea933a7e3246de7")
+
+
+def test_pinned_loop_reports_are_unchanged():
+    cells = oracles.PINNED_LOOP_CELLS
+    assert len(cells) == 135
+    contexts = {mn: KoszulContext(SuperSpace(*mn)) for mn, _, _ in cells}
+    assert oracles.loop_report_digest(contexts, cells) == PINNED_LOOP_DIGEST
 
 
 def test_orbit_reduced_spectra_equal_all_blocks_on_the_default_plan(
@@ -671,13 +685,58 @@ def test_orbit_reduced_spectra_equal_all_blocks_on_the_default_plan(
 
 
 def test_every_default_loop_is_orbit_reduced(default_spectra):
-    # each block the reduction skips is one a relabelling certifies; the
-    # oracle eliminates every nonempty block
+    # every default loop passes the gl0 certificate: its blocks are the
+    # singular blocks, fewer than the weight blocks the oracle eliminates,
+    # and each stands for weyl_dim copies
     for cell, (reduced, full) in default_spectra.items():
         assert full.blocks_by_symmetry == 0, cell
         assert reduced.blocks_by_symmetry > 0, cell
-        assert (reduced.blocks_eliminated + reduced.blocks_by_symmetry
-                == full.blocks_eliminated), cell
+        assert reduced.blocks_eliminated < full.blocks_eliminated, cell
+
+
+def _singular_fill(ctx, kind, params):
+    """(sorted (size, dimension) of the loop's blocks, the same pairs
+    (weyl_dim(mu), multiplicity of L0(mu)) from the oracle's alternating
+    sum over the weight multiset of the loop's space, its dimension)."""
+    word, spot, _, _ = ctx.loop_setup(kind, params)
+    blocks, sizes, total = ctx.loop_blocks(kind, word, spot)
+    weights = ctx.spot_space(spot).weights()
+    if kind == "PdeldQ" and spot.sym >= 1:
+        weights = [weights[p] for p in ctx.kerp_space(spot).pivots]
+    mults = oracles.gl0_multiplicities(weights, ctx.space.m)
+    got = sorted((s, b.dom_dim) for b, s in zip(blocks, sizes))
+    want = sorted((weyl_dim(mu, ctx.space.m), k) for mu, k in mults.items())
+    return got, want, total, len(weights)
+
+
+def test_singular_blocks_fill_every_default_loop(ctx31):
+    cells = _default_spectra_cells(ctx31)
+    assert len(cells) == 21
+    for cell in cells:
+        got, want, total, dim = _singular_fill(ctx31, *cell)
+        assert total == dim == sum(s * n for s, n in got), cell
+        assert got == want, cell
+
+
+@pytest.mark.parametrize("m,n", [(2, 1), (2, 2), (1, 2), (4, 1)])
+def test_singular_blocks_fill_loops_on_other_alphabets(m, n):
+    ctx = KoszulContext(SuperSpace(m, n))
+    for kind, params in [("delPQd", (1, 1)), ("PdeldQ", (0, 1, 1)),
+                         ("PdeldQ", (1, 1, 0))]:
+        got, want, total, dim = _singular_fill(ctx, kind, params)
+        assert total == dim == sum(s * n for s, n in got), (kind, params)
+        assert got == want, (kind, params)
+
+
+def test_a_short_fill_is_refused(monkeypatch):
+    monkeypatch.setattr(koszul, "weyl_dim", lambda w, m: 1)
+    ctx = KoszulContext(SuperSpace(3, 1))
+    word, spot, _, _ = ctx.loop_setup("delPQd", (1, 1))
+    with pytest.raises(KoszulError, match="fill") as exc:
+        ctx.loop_blocks("delPQd", word, spot)
+    w = exc.value.witness
+    assert w["dim"] == ctx.spot_space(spot).dim > w["filled"]
+    assert sum(k for k, _ in w["blocks"].values()) == w["filled"]
 
 
 SMALL_LOOPS = {
@@ -711,45 +770,50 @@ def test_restricted_loop_blocks_are_read_over_the_whole_kernel_den(m, n):
         sub = ctx.kerp_space(spot)
         weights = ctx.spot_space(spot).weights()
         assert any(part.den < sub.den
-                   for part, _ in koszul.split(sub, weights).values())
+                   for part, _ in oracles.split(sub, weights).values())
         reduced = ctx.loop_spectrum("PdeldQ", params)
         full = loop_spectrum_all_blocks(ctx, "PdeldQ", params)
         assert _report_key(reduced) == _report_key(full), params
 
 
 @pytest.mark.parametrize("m,n,kind,params", [
-    (3, 1, "PdeldQ", (0, 1, 1)),  # the sign of a swap inside Lambda_2
-    (2, 2, "delPQd", (1, 1)),  # the sign of two odd letters crossing
+    (3, 1, "PdeldQ", (0, 1, 1)),  # E_01 on Lambda_2, which d and del touch
+    (2, 2, "delPQd", (1, 1)),  # E_23, of two odd letters, on S_1
 ])
 def test_relabelling_without_its_sign_falls_back_to_all_blocks(
         monkeypatch, m, n, kind, params):
-    relabel = PowerBasis.relabel
+    # one entry of an even raising generator on one power basis negated:
+    # the certificate fails, and every weight block is eliminated
+    key, basis_key = {(3, 1): ((0, 1), ("alt", 2)),
+                      (2, 2): ((2, 3), ("sym", 1))}[(m, n)]
+    on_basis = GLAction.on_basis
 
-    def unsigned(basis, a, b):
-        perm, signs = relabel(basis, a, b)
-        return perm, [1] * len(signs)
+    def negated(act, basis, gi, gj):
+        mat = on_basis(act, basis, gi, gj)
+        if (gi, gj) != key or (basis.kind, basis.degree) != basis_key:
+            return mat
+        ent = dict(mat.entries)
+        first = min(ent)
+        ent[first] = -ent[first]
+        return SparseMap._from_ints(mat.dom_dim, mat.cod_dim, ent, mat.den)
 
     full = loop_spectrum_all_blocks(KoszulContext(SuperSpace(m, n)),
                                     kind, params)
-    monkeypatch.setattr(PowerBasis, "relabel", unsigned)
-    rep = KoszulContext(SuperSpace(m, n)).loop_spectrum(kind, params)
+    monkeypatch.setattr(GLAction, "on_basis", negated)
+    ctx = KoszulContext(SuperSpace(m, n))
+    rep = ctx.loop_spectrum(kind, params)
+    assert False in ctx._certificates.values()
     assert rep.blocks_by_symmetry == 0
     assert rep.blocks_eliminated == full.blocks_eliminated
     assert _report_key(rep) == _report_key(full)
 
 
-def _off_relabelling(ctx, name, line):
-    """The named map at the line spot with one entry negated, an entry that
-    the first swap carries to a different one, so that it no longer
-    commutes with the relabellings."""
+def _negated_entry(ctx, name, line):
+    """The named map at the line spot with its first entry negated."""
     op = ctx.operator(name, line)
-    a, b = ctx.space.swaps()[0]
-    dom_perm, _ = ctx.spot_space(line).relabel(a, b)
-    cod_perm, _ = ctx.spot_space(op_target(name, line)).relabel(a, b)
-    r, c = next(k for k in sorted(op.entries)
-                if (cod_perm[k[0]], dom_perm[k[1]]) != k)
     ent = dict(op.entries)
-    ent[(r, c)] = -ent[(r, c)]
+    first = min(ent)
+    ent[first] = -ent[first]
     return SparseMap._from_ints(op.dom_dim, op.cod_dim, ent, op.den)
 
 
@@ -759,9 +823,12 @@ def _off_relabelling(ctx, name, line):
 ])
 def test_one_operator_off_the_relabelling_takes_every_column(
         monkeypatch, kind, params, name, line):
+    # one operator of the word with one entry negated fails the gl0
+    # certificate at its line spot; every weight block is then eliminated,
+    # and the report is the all-blocks oracle's on the same operators
     ctx = KoszulContext(SuperSpace(3, 1))
     monkeypatch.setitem(ctx._operators, (name, line),
-                        _off_relabelling(ctx, name, line))
+                        _negated_entry(ctx, name, line))
     rep = ctx.loop_spectrum(kind, params)
     assert ctx._certificates[(name, line)] is False
     assert rep.blocks_by_symmetry == 0
@@ -771,22 +838,23 @@ def test_one_operator_off_the_relabelling_takes_every_column(
 
 
 def test_each_line_spot_is_certified_once_on_the_default_plan(monkeypatch):
-    # (spot, end) names the operator: the four move the degrees differently
+    # (name, spot) of each equivariance check the spectra make
     calls = []
-    commutes = KoszulContext._relabelling_commutes
+    check = glrep.check_equivariance
 
-    def counted(self, mat, spot, end):
-        calls.append((spot, end))
-        return commutes(self, mat, spot, end)
+    def counted(ctx, act, name, spot, even=False):
+        calls.append((name, spot, even))
+        return check(ctx, act, name, spot, even)
 
-    monkeypatch.setattr(KoszulContext, "_relabelling_commutes", counted)
+    monkeypatch.setattr(glrep, "check_equivariance", counted)
     ctx = KoszulContext(SuperSpace(3, 1))
     cells = _default_spectra_cells(ctx)
     for cell in cells:
         ctx.loop_spectrum(*cell)
     assert len(cells) == 21 and calls
     assert len(calls) == len(set(calls))
-    assert all(0 in (spot.sym, spot.dual) for spot, _ in calls)
+    assert all(even and 0 in (spot.sym, spot.dual)
+               for _, spot, even in calls)
 
 
 def test_a_loop_entry_joining_two_weights_is_refused(monkeypatch):
@@ -816,32 +884,36 @@ def test_a_loop_word_off_its_spot_is_refused(ctx31):
     assert exc.value.witness["reached"] == repr(Spot(1, 1, 3))
 
 
-@pytest.mark.parametrize("m,n", [(3, 1), (2, 2), (1, 2)])
-def test_power_basis_relabel_is_a_signed_involution(m, n):
-    space = SuperSpace(m, n)
-    assert space.swaps()
-    for kind, dual, degree in product(("sym", "alt"), (False, True), range(4)):
-        basis = power_basis(space, kind, degree, dual)
-        for a, b in space.swaps():
-            perm, signs = basis.relabel(a, b)
-            swap = {a: b, b: a}
-            for i in range(basis.dim):
-                j = perm[i]
-                assert perm[j] == i and signs[i] * signs[j] == 1
-                w = list(basis.weights[i])
-                w[a], w[b] = w[b], w[a]
-                assert basis.weights[j] == tuple(w)
-                # the swapped expansion of vector i is signs[i] times the
-                # expansion of vector j, word by word
-                moved = {tuple(swap.get(x, x) for x in word): c
-                         for word, c in basis.expansion(i)}
-                assert moved == {word: signs[i] * c
-                                 for word, c in basis.expansion(j)}
+def test_weyl_dim_fills_every_weight_multiset():
+    # the multiplicities of the L0(mu) from the alternating sum over a
+    # weight multiset are positive, and weyl_dim(mu) copies of each fill
+    # it: the triple spots of degrees <= 2 on five alphabets
+    checked = 0
+    for m, n in [(3, 1), (2, 1), (2, 2), (1, 2), (4, 1)]:
+        ctx = KoszulContext(SuperSpace(m, n))
+        for spot in (Spot(i, k, l) for i in range(3) for k in range(3)
+                     for l in range(3)):
+            space = ctx.spot_space(spot)
+            if space.dim > 1500:
+                continue
+            mults = oracles.gl0_multiplicities(space.weights(), m)
+            assert min(mults.values()) > 0
+            assert sum(k * weyl_dim(mu, m) for mu, k in mults.items()) \
+                == space.dim, (m, n, spot)
+            checked += 1
+    assert checked == 134
 
 
-def test_relabel_refuses_letters_of_different_parity():
-    with pytest.raises(ValueError, match="parity"):
-        power_basis(SuperSpace(3, 1), "sym", 1).relabel(2, 3)
+@pytest.mark.parametrize("weight,m,dim", [
+    ((0, 0, 0, 0), 3, 1), ((1, 0, 0, 0), 3, 3), ((1, 0, -1, 0), 3, 8),
+    ((2, 1, 0, -3), 3, 8), ((3, 0, 0, 5), 3, 10), ((1, 1, 0, 0), 3, 3),
+    ((2, 0, 1, 0), 2, 6), ((0, 0, 1, 0, 0), 2, 3), ((4, 1), 1, 1),
+])
+def test_weyl_dim_of_named_modules(weight, m, dim):
+    # gl(3) + gl(1): the trivial module, C^3, the adjoint, the (2,1,0)
+    # octet, S_3 and Lambda_2 of C^3; gl(2) + gl(2): S_2 (x) C^2; gl(2) +
+    # gl(3): 1 (x) C^3; gl(1) + gl(1): a line
+    assert weyl_dim(weight, m) == dim
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from oracles import (
     from_triples,
     naive_rank,
     naive_rref,
+    split,
     subspace_sum,
     transpose,
 )
@@ -40,7 +41,7 @@ from superkoszul.linalg import (
     SubspaceError,
 )
 from superkoszul.koszul import verify_spectrum
-from superkoszul.superspace import join, split
+from superkoszul.superspace import join
 
 F = Fraction
 

@@ -18,6 +18,7 @@ from oracles import (
     product_index,
     product_unindex,
     project_tensor,
+    split,
     symmetrizer_map,
     tensor_dim,
     tensor_permutation_map,
@@ -39,7 +40,6 @@ from superkoszul.superspace import (
     join,
     power_basis,
     sort_sign,
-    split,
     split_graded,
     sym_dim,
     weight_label,
