@@ -2,7 +2,9 @@
 spectra, character formulas, and matrix and basis exports.
 
 Exit codes: 0 everything checked out, 1 at least one failed check or
-recorded finding, 2 bad configuration or arguments.
+recorded finding, 2 bad configuration or arguments.  A check that raises
+its typed error (a WitnessedError) is a failed check: its message and its
+witness, as JSON, go to stderr.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import fields
 from . import harness
 from .characters import CharacterError
 from .harness import PlanError, VerificationPlan
+from .linalg import WitnessedError
 
 
 def parse_label(text):
@@ -176,6 +179,10 @@ def main(argv=None):
     }
     try:
         return handlers[args.command](args)
+    except WitnessedError as e:
+        witness = json.dumps({"witness": e.witness}, sort_keys=True, default=str)
+        print(f"error: {e}\n{witness}", file=sys.stderr)
+        return 1
     except (PlanError, CharacterError, KeyError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

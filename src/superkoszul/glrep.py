@@ -43,10 +43,13 @@ derivation, signed by the parity sigma of the left factors where E is odd:
   of its odd weight coordinates mod 2 and T_line then joins equal weights;
 - the Cartan carries over, since the idle factor adds the same weight to
   the row and the column of every entry.
-So a pass at the line spot certifies the lifted spot; a failure there is
-checked at the spot itself, and keeps the spot's failing generators.  The
-loop spectra ask only for the even subalgebra gl(m) + gl(n), certified by
-the Cartan and the even simple raising generators (even_raising_pairs).
+So the verdict at the line spot is the verdict at every spot lifted from
+it, and the check is made there alone.  The spot fails every generator the
+line spot fails (E_S* and 1 are independent), and no other, except for P
+and Q where the Cartan fails: T_line sigma - sigma T_line then need not
+vanish, and the spot can also fail an odd simple generator.  The loop
+spectra ask only for the even subalgebra gl(m) + gl(n), certified by the
+Cartan and the even simple raising generators (even_raising_pairs).
 GLModule owns the singular-vector and irreducibility machinery.
 """
 
@@ -56,8 +59,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import prod
 
-from .linalg import RestrictionError, SparseMap, Subspace, WitnessedError
-from .superspace import is_dominant, join, power_basis, split_graded
+from .linalg import RestrictionError, SparseMap, WitnessedError
+from .superspace import GradedSpan, is_dominant, join, power_basis, split_graded
 from .koszul import Spot, idle_field, op_target
 
 
@@ -165,23 +168,22 @@ def check_equivariance(ctx, act, name, spot, even=False):
     multiplied out, which certifies the even subalgebra gl(m) + gl(n) (the
     koszul module docstring says why the raising ones suffice there).
 
-    Away from its line spot, T is the lift of the line map, so a pass at the
-    line spot certifies the spot with no product multiplied there; where the
-    line spot fails, the spot itself is checked, so a failure reports the
-    spot's own failing generators.  certified_by says which ("line" or
-    "spot"); generators_checked counts the E_ij certified, (m+n)^2, or
-    m^2 + n^2 with even=True."""
+    Away from its line spot, T is the lift of the line map, and the verdict
+    at the line spot is the verdict at the spot, so the check is made there
+    alone and no product is multiplied at the spot.  certified_by is "line"
+    for a lifted spot and "spot" where the spot is its own line spot;
+    generators_checked counts the E_ij certified, (m+n)^2, or m^2 + n^2
+    with even=True.  The failing generators are the line spot's, which are
+    the spot's except for P and Q where the Cartan fails: the spot can then
+    also fail an odd simple generator (module docstring)."""
     idle = idle_field(name)
-    if getattr(spot, idle):
-        line = _equivariance_at(ctx, act, name, replace(spot, **{idle: 0}), even)
-        if line["ok"]:
-            return {**line, "certified_by": "line"}
-    return {**_equivariance_at(ctx, act, name, spot, even),
-            "certified_by": "spot"}
+    line = replace(spot, **{idle: 0})
+    return {**_equivariance_at(ctx, act, name, line, even),
+            "certified_by": "line" if line != spot else "spot"}
 
 
 def _equivariance_at(ctx, act, name, spot, even):
-    """The check at the spot itself.  (T E_jj - E_jj T)[r, c] =
+    """The check at a line spot.  (T E_jj - E_jj T)[r, c] =
     T[r, c] (w_dom[c][j] - w_cod[r][j]), so E_jj fails exactly when an entry
     of T joins weights that differ in coordinate j; the simple generators, or
     the even simple raising ones, are multiplied out."""
@@ -206,41 +208,6 @@ def _equivariance_at(ctx, act, name, spot, even):
         "generators_checked": (space.m ** 2 + space.n ** 2 if even
                                else space.dim ** 2),
     }
-
-
-# ---------------------------------------------------------------------------
-# weight-graded span growing, used for cyclicity tests
-
-
-class GradedSpan:
-    """Span of weight-homogeneous vectors, reduced within each weight only.
-
-    Vectors of different weights have disjoint supports, so per-weight
-    echelon bases stay globally independent and insertion is cheap.
-    """
-
-    def __init__(self, ambient_dim, weights):
-        self.ambient_dim = ambient_dim
-        self.weights = weights
-        self.blocks = {}
-
-    @property
-    def dim(self):
-        return sum(b.dim for b in self.blocks.values())
-
-    def weight_of(self, vec):
-        ws = {self.weights[i] for i in vec}
-        if len(ws) != 1:
-            raise ValueError("vector is not weight-homogeneous")
-        return ws.pop()
-
-    def insert(self, vec):
-        """Insert if independent; returns the new basis vector or None."""
-        if not vec:
-            return None
-        w = self.weight_of(vec)
-        block = self.blocks.setdefault(w, Subspace.zero(self.ambient_dim))
-        return block.insert(vec)
 
 
 # ---------------------------------------------------------------------------

@@ -402,7 +402,8 @@ def _check_commutativity(plan):
                     claim, params, "skip", note="a route is undefined here"))
                 continue
             records.append(verdict(
-                claim, params, r["ok"], {"residual_nnz": r["residual_nnz"]},
+                claim, params, r["ok"],
+                {"failing_letter_pairs": r["failing_letter_pairs"]},
                 dims={"dim": r["dim"]}))
     return records, []
 

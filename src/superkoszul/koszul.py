@@ -25,11 +25,15 @@ both routes:
   dP = sum drop_last_y (x) (append_x . prepend_y) (x) prepend_x,
   Pd = sum drop_last_y (x) (prepend_y . append_x) (x) prepend_x,
 
-and for delQ against Q.del the middles are drop_last_x . drop_first_y and
-drop_first_y . drop_last_x, k >= 2.  When the two middles agree on Lambda_k
-for every letter pair, the square commutes at every spot of exterior degree
-k.  The condition is sufficient, not necessary (terms could cancel across
-letter pairs), so where it fails both routes are composed on the spot.
+and for delQ against Q.del the outer factors are append_x on S_i and
+drop_first_y on S*_l, and the middles drop_last_x . drop_first_y and
+drop_first_y . drop_last_x, k >= 2.  Wherever both routes are defined each
+outer family is linearly independent: for distinct letters its maps send a
+suitable basis vector to distinct basis vectors.  A sum of
+A_y (x) D_xy (x) B_x over independent families A and B vanishes exactly
+when every D_xy does, so the square commutes at a spot of exterior degree k
+exactly when the two middles agree on Lambda_k for every letter pair.  The
+certificate is necessary and sufficient, and no route is composed.
 
 All maps preserve weights, so ranks, kernels and spectra decompose over
 weight blocks; the public checks use the blocked paths and the test suite
@@ -68,8 +72,9 @@ is then never formed: the U_mu are found by applying each factor's
 generator matrix (KoszulContext.loop_blocks), and the line maps are
 applied to their bases, each image entry still checked to keep its
 weight.  A fill check, the sum of weyl_dim(mu) dim U_mu against dim V,
-guards the decomposition.  Where a certificate fails, every weight block
-is eliminated, each once, so the verdict stays exact either way.
+guards the decomposition.  A failed certificate raises KoszulError, whose
+witness names each failing operator, its line spot and its generators;
+nothing falls back.
 
 Im d at each pair is built once (KoszulContext.d_image), for the rank of
 d, the homology, the ImD modules and the Z summands.  An echelon basis
@@ -383,41 +388,33 @@ class KoszulContext:
 
     def commute_check(self, which, spot):
         """which="dP": route P-then-d against d-then-P; which="delQ": Q-then-del
-        against del-then-Q.  Returns None when a route is undefined at the spot.
+        against del-then-Q.  Returns None when a route is undefined at the
+        spot, else {"ok", "failing_letter_pairs", "dim"}.
 
         Both routes are sums over letter pairs of the same outer factors
         around a middle on Lambda_alt (module docstring): dP has
         append_x . prepend_y where Pd has prepend_y . append_x, and delQ has
         drop_last_x . drop_first_y where Q.del has drop_first_y . drop_last_x.
-        If the middles agree for every letter pair, x = y included, the
-        square commutes ("certified_by": "factor").  That is sufficient, not
-        necessary; otherwise both routes are composed on the spot and
-        compared ("certified_by": "composition"), so the verdict stays exact
-        and a failure keeps its residual_nnz."""
+        The outer families are linearly independent wherever both routes are
+        defined, so the square commutes exactly when the middles agree for
+        every letter pair, x = y included; nothing is composed on the spot.
+        A failure names the [x, y] pairs whose middles differ, x the letter
+        of d or del and y that of P or Q."""
         if which not in SQUARES:
             raise ValueError(f"unknown square {which!r}")
         first, second = SQUARES[which]
-        words = ([first, second], [second, first])
-        if any(word_end(word, spot) is None for word in words):
+        if any(word_end(word, spot) is None
+               for word in ([first, second], [second, first])):
             return None
-        dim = self.spot_space(spot).dim
-        if self._middles_commute(which, spot.alt):
-            return {"ok": True, "residual_nnz": 0, "dim": dim,
-                    "certified_by": "factor"}
-        a, end = self.composed(words[0], spot)
-        b = self.composed_to(words[1], spot, end)
-        ok = a == b
-        return {
-            "ok": ok,
-            "residual_nnz": 0 if ok else (a - b).nnz(),
-            "dim": dim,
-            "certified_by": "composition",
-        }
+        pairs = self._middles_commute(which, spot.alt)
+        return {"ok": not pairs, "failing_letter_pairs": pairs,
+                "dim": self.spot_space(spot).dim}
 
     def _middles_commute(self, which, alt):
-        """Whether the square's two middles on Lambda_alt agree for every
-        letter pair, computed once per (square, exterior degree).  Only
-        called where both routes are defined, so every degree is >= 0."""
+        """The [x, y] letter pairs whose two middles on Lambda_alt differ,
+        computed once per (square, exterior degree); empty when the square
+        is certified.  Callers only read the list.  Only called where both
+        routes are defined, so every degree is >= 0."""
         key = (which, alt)
         if key not in self._certificates:
             (f_op, f_step), (s_op, s_step) = map(_alt_factor, SQUARES[which])
@@ -425,10 +422,10 @@ class KoszulContext:
             after_first = self.alt_basis(alt + f_step)
             after_second = self.alt_basis(alt + s_step)
             letters = range(self.space.dim)
-            self._certificates[key] = all(
-                after_first.factor_map(s_op, x) @ here.factor_map(f_op, y)
-                == after_second.factor_map(f_op, y) @ here.factor_map(s_op, x)
-                for x in letters for y in letters)
+            self._certificates[key] = [
+                [x, y] for x in letters for y in letters
+                if after_first.factor_map(s_op, x) @ here.factor_map(f_op, y)
+                != after_second.factor_map(f_op, y) @ here.factor_map(s_op, x)]
         return self._certificates[key]
 
     # -- exactness ---------------------------------------------------------------
@@ -600,24 +597,26 @@ class KoszulContext:
         """The blocks of the loop operator M on V, the spot, or Ker(P (x) id)
         for the PdeldQ loop.  Returns (blocks, sizes, total_dim).
 
-        Where every operator of the word, and P at the spot's line for the
-        kernel, passes the gl0 certificate at its line spot (_certified),
-        V is the sum of L0(mu) (x) U_mu over the even-dominant weights mu,
-        U_mu the gl0-singular vectors of weight mu, and M the sum of
-        1 (x) M_mu (module docstring).  The blocks are then the M_mu on the
-        nonzero U_mu, each read in U_mu's coordinates and counted
-        weyl_dim(mu) times; a fill check, the sum of weyl_dim(mu) dim U_mu
-        against dim V, raises KoszulError with each block's two factors.
-        Where a certificate fails, the blocks are M on every weight space
-        of V, each with size 1.
+        Every operator of the word, and P at the spot's line for the
+        kernel, must pass the gl0 certificate at its line spot (_certified);
+        a failure raises KoszulError whose witness gives the spot and each
+        failing operator with its line spot and generators.  V is then the
+        sum of L0(mu) (x) U_mu over the even-dominant weights mu, U_mu the
+        gl0-singular vectors of weight mu, and M the sum of 1 (x) M_mu
+        (module docstring).  The blocks are the M_mu on the nonzero U_mu,
+        each counted weyl_dim(mu) times; a fill check, the sum of
+        weyl_dim(mu) dim U_mu against dim V, raises KoszulError with each
+        block's two factors.
 
         M is never formed: the word's line-spot maps are applied to the
-        basis vectors of the U_mu (or of the weight spaces), and each image
-        is read in V's coordinates, then in U_mu's, every read certified by
-        its residue (RestrictionError if an image leaves the space).  An
-        image entry that joins two weights raises KoszulError with its row,
-        column and both weights (_word_images).  A word that does not
-        return to its spot raises KoszulError."""
+        basis vectors of the U_mu, and each image is read in U_mu's basis,
+        certified by its residue (RestrictionError if an image leaves
+        U_mu).  V's basis vectors of weight mu are a slice of its reduced
+        echelon basis, and U_mu's basis their combination by a reduced
+        echelon kernel, so it is reduced echelon in the spot's coordinates
+        too.  An image entry that joins two weights raises KoszulError with
+        its row, column and both weights (_word_images).  A word that does
+        not return to its spot raises KoszulError."""
         steps, end = self._line_steps(word, spot)
         if end != spot:
             raise KoszulError(
@@ -630,65 +629,63 @@ class KoszulContext:
             lines.append(("P", replace(spot, dual=0)))
         from .glrep import GLAction  # glrep imports koszul
         act = GLAction(self.space)
-        certified = all(self._certified(act, *nl) for nl in lines)
+        failing = [{"operator": name, "line_spot": repr(line),
+                    "generators": [list(g) for g in bad]}
+                   for name, line in lines
+                   if (bad := self._certified(act, name, line))]
+        if failing:
+            raise KoszulError(
+                "the loop's operators fail the gl0 certificate",
+                witness={"spot": repr(spot), "failing": failing})
         weights = self.spot_space(spot).weights()
         sub = (self.kerp_space(spot) if restricted
                else Subspace.full(len(weights)))
-        # V's basis vectors by weight, and each one's place among them
-        vectors, place = {}, []
-        for v, p in zip(sub.nums, sub.pivots):
-            vecs = vectors.setdefault(weights[p], [])
-            place.append(len(vecs))
-            vecs.append(v)
         m = self.space.m
-        # {w: the span the word is applied to, in the coordinates of V's
-        # basis vectors of weight w}
-        if certified:
-            kept = self._singular_coordinates(act, spot, {
-                w: vecs for w, vecs in vectors.items() if is_dominant(w, m)})
-            sizes = {w: weyl_dim(w, m) for w in kept}
-            filled = sum(sizes[w] * ker.dim for w, ker in kept.items())
-            if filled != sub.dim:
-                raise KoszulError(
-                    "the gl0-singular blocks do not fill the loop's space",
-                    witness={"spot": repr(spot), "dim": sub.dim,
-                             "filled": filled,
-                             "blocks": {repr(w): [ker.dim, sizes[w]]
-                                        for w, ker in kept.items() if ker.dim}})
-        else:
-            kept = {w: Subspace.full(len(vecs)) for w, vecs in vectors.items()}
-            sizes = dict.fromkeys(kept, 1)
+        # V's basis vectors and their pivots at each even-dominant weight
+        parts = {}
+        for v, p in zip(sub.nums, sub.pivots):
+            if is_dominant(weights[p], m):
+                parts.setdefault(weights[p], []).append((v, p))
+        kept = self._singular_coordinates(
+            act, spot, {w: [v for v, _ in vp] for w, vp in parts.items()})
+        sizes = {w: weyl_dim(w, m) for w in kept}
+        filled = sum(sizes[w] * ker.dim for w, ker in kept.items())
+        if filled != sub.dim:
+            raise KoszulError(
+                "the gl0-singular blocks do not fill the loop's space",
+                witness={"spot": repr(spot), "dim": sub.dim,
+                         "filled": filled,
+                         "blocks": {repr(w): [ker.dim, sizes[w]]
+                                    for w, ker in kept.items() if ker.dim}})
         kept = {w: ker for w, ker in kept.items() if ker.dim}
-        bases = {w: [_combine(0, {}, [(x, vectors[w][t]) for t, x in k.items()])
+        bases = {w: [_combine(0, {}, [(x, parts[w][t][0]) for t, x in k.items()])
                      for k in ker.nums]
                  for w, ker in kept.items()}
         images, den = self._word_images(steps, bases, weights)
-        owner = [(w, c) for w, basis in bases.items() for c in range(len(basis))]
-        # each image in V's coordinates, then in the kept span's
-        ent = _read(sub, [img for imgs in images.values() for img in imgs],
-                    "the loop's space", owner, bases)
-        coords = [{} for _ in owner]
-        for (j, t), x in ent.items():
-            coords[t][place[j]] = x
-        blocks, at = [], 0
+        blocks = []
         for w, ker in kept.items():
-            ent = _read(ker, coords[at:at + ker.dim], "its block",
-                        owner[at:at + ker.dim], bases)
+            u_mu = Subspace(sub.ambient_dim, bases[w],
+                            [parts[w][t][1] for t in ker.pivots],
+                            sub.den * ker.den)
+            ent, bad = u_mu.read_coordinates(images[w])
+            if bad is not None:
+                raise RestrictionError(
+                    "loop carries a vector out of its block",
+                    witness={"column": max(bases[w][bad]), "column_weight": w})
             blocks.append(SparseMap._from_ints(
                 ker.dim, ker.dim, ent, den * sub.den * ker.den))
-            at += ker.dim
         return blocks, [sizes[w] for w in kept], sub.dim
 
     def _certified(self, act, name, line):
-        """Whether the named map at the line spot commutes with the Cartan
-        and the even simple raising generators (glrep.check_equivariance
-        with even=True, on the GLAction act), checked once per (operator,
-        line spot)."""
+        """The generators that fail to commute with the named map at the
+        line spot among the Cartan and the even simple raising generators
+        (glrep.check_equivariance with even=True, on the GLAction act),
+        checked once per (operator, line spot); empty when certified."""
         key = (name, line)
         if key not in self._certificates:
             from .glrep import check_equivariance  # glrep imports koszul
             self._certificates[key] = check_equivariance(
-                self, act, name, line, even=True)["ok"]
+                self, act, name, line, even=True)["failing_generators"]
         return self._certificates[key]
 
     def _singular_coordinates(self, act, spot, columns):
@@ -849,20 +846,6 @@ class KoszulContext:
             "rank_sum": rank_sum,
             "ok": ok,
         }
-
-
-def _read(sub, images, where, owner, bases):
-    """Subspace.read_coordinates of the int images in sub's basis; an image
-    outside sub raises RestrictionError with the weight w and the column
-    (the largest index) of the vector bases[w][c] it is the image of,
-    (w, c) = owner[the image's position]."""
-    ent, bad = sub.read_coordinates(images)
-    if bad is not None:
-        w, c = owner[bad]
-        raise RestrictionError(
-            f"loop carries a vector out of {where}",
-            witness={"column": max(bases[w][c]), "column_weight": w})
-    return ent
 
 
 # ---------------------------------------------------------------------------

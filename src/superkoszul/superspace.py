@@ -322,6 +322,11 @@ def weyl_dim(weight, m):
     return num // den
 
 
+def _not_graded(r, c, wc, wr):
+    return ValueError(
+        f"map is not weight-graded: entry ({r},{c}) sends {wc} to {wr}")
+
+
 def split_graded(mat, dom_weights, cod_weights):
     """Per-weight blocks of a graded map; raises if any entry crosses weights.
 
@@ -334,9 +339,7 @@ def split_graded(mat, dom_weights, cod_weights):
     for (r, c), v in mat.entries.items():
         wr, wc = cod_weights[r], dom_weights[c]
         if wr != wc:
-            raise ValueError(
-                f"map is not weight-graded: entry ({r},{c}) sends {wc} to {wr}"
-            )
+            raise _not_graded(r, c, wc, wr)
         ents.setdefault(wc, {})[(cod_local[r], dom_local[c])] = v
     out = {}
     for w in set(dom_blocks) | set(cod_blocks):
@@ -367,23 +370,59 @@ def join(ambient_dim, parts):
     return Subspace(ambient_dim, [merged[p] for p in pivots], pivots, den)
 
 
-def blocked_rank(mat, dom_weights, cod_weights):
-    """The rank of a graded map, its columns eliminated weight by weight in
-    place, with no block built; raises ValueError as split_graded does."""
+class GradedSpan:
+    """Span of weight-homogeneous vectors, reduced within each weight only.
+
+    Vectors of different weights have disjoint supports, so per-weight
+    echelon bases stay globally independent and insertion is cheap.
+    """
+
+    def __init__(self, ambient_dim, weights):
+        self.ambient_dim = ambient_dim
+        self.weights = weights
+        self.blocks = {}
+
+    @property
+    def dim(self):
+        return sum(b.dim for b in self.blocks.values())
+
+    def insert(self, vec):
+        """Insert if independent; returns the new basis vector or None.
+        ValueError on a vector that mixes weights."""
+        if not vec:
+            return None
+        ws = {self.weights[i] for i in vec}
+        if len(ws) != 1:
+            raise ValueError("vector is not weight-homogeneous")
+        block = self.blocks.setdefault(ws.pop(), Subspace.zero(self.ambient_dim))
+        return block.insert(vec)
+
+    def subspace(self):
+        """The span as one Subspace: each weight's basis is reduced echelon
+        in ambient coordinates, and bases of different weights have
+        disjoint supports, so join merges them with no elimination."""
+        every = range(self.ambient_dim)
+        return join(self.ambient_dim, ((b, every) for b in self.blocks.values()))
+
+
+def _column_span(mat, dom_weights, cod_weights):
+    """The GradedSpan of a graded map's columns, each inserted into the span
+    of its weight in ambient coordinates; raises ValueError as split_graded
+    does."""
     cols = {}
     for (r, c), v in mat.entries.items():
         if cod_weights[r] != dom_weights[c]:
-            raise ValueError(
-                f"map is not weight-graded: entry ({r},{c}) sends "
-                f"{dom_weights[c]} to {cod_weights[r]}")
+            raise _not_graded(r, c, dom_weights[c], cod_weights[r])
         cols.setdefault(c, {})[r] = v
-    spans = {}
+    span = GradedSpan(mat.cod_dim, cod_weights)
     for c in sorted(cols):
-        w = dom_weights[c]
-        if w not in spans:
-            spans[w] = Subspace.zero(mat.cod_dim)
-        spans[w].insert(cols[c])
-    return sum(span.dim for span in spans.values())
+        span.insert(cols[c])
+    return span
+
+
+def blocked_rank(mat, dom_weights, cod_weights):
+    """The rank of a graded map: the dimension of its column span."""
+    return _column_span(mat, dom_weights, cod_weights).dim
 
 
 def blocked_kernel(mat, dom_weights, cod_weights):
@@ -392,5 +431,6 @@ def blocked_kernel(mat, dom_weights, cod_weights):
 
 
 def blocked_image(mat, dom_weights, cod_weights):
-    blocks = split_graded(mat, dom_weights, cod_weights).values()
-    return join(mat.cod_dim, ((b.image(), cod_idx) for b, _, cod_idx in blocks))
+    """The image of a graded map: its column span merged into one Subspace
+    (GradedSpan.subspace)."""
+    return _column_span(mat, dom_weights, cod_weights).subspace()

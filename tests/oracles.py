@@ -42,7 +42,6 @@ from superkoszul.characters import (
 )
 from superkoszul.glrep import (
     GLModule,
-    GradedSpan,
     ModuleError,
     dual_module,
     module_from_subspace,
@@ -64,6 +63,7 @@ from superkoszul.linalg import (
     SubspaceError,
 )
 from superkoszul.superspace import (
+    GradedSpan,
     ProductSpace,
     blocked_image,
     blocked_kernel,
@@ -791,8 +791,10 @@ def loop_report_digest(contexts, cells):
 
 def commute_by_composition(ctx, which, spot):
     """The mixed square compared on the full triple spot: both routes
-    composed and subtracted.  Same record as KoszulContext.commute_check
-    without certified_by; None when a route is undefined."""
+    composed and subtracted, the reference that KoszulContext.commute_check's
+    letter-pair certificate is tested against (same ok and dim; a failure
+    here counts the residual's entries, residual_nnz); None when a route is
+    undefined."""
     words = {"dP": (["P", "d"], ["d", "P"]),
              "delQ": (["Q", "del"], ["del", "Q"])}[which]
     if any(word_end(word, spot) is None for word in words):

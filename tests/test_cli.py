@@ -12,7 +12,7 @@ import pytest
 import superkoszul
 from oracles import from_triples
 from superkoszul.cli import main, parse_label, parse_ints
-from superkoszul import harness
+from superkoszul import harness, koszul
 from superkoszul.harness import VerificationPlan, stable_body
 from superkoszul.koszul import KoszulContext
 from superkoszul.superspace import SuperSpace
@@ -296,6 +296,30 @@ def test_spectrum_exit_codes(capsys):
     code, out, _ = run_cli(capsys, "spectrum", "delPQd", "1", "1")
     assert code == 1
     assert json.loads(out)["matches_stated"] is False
+
+
+def test_a_failed_check_exits_one_with_its_witness(monkeypatch, capsys):
+    # a check that raises its typed error is a failed check, with the
+    # message and the JSON witness on stderr; a malformed request is still
+    # a configuration error
+    weyl_dim = koszul.weyl_dim
+    monkeypatch.setattr(koszul, "weyl_dim", lambda w, m: weyl_dim(w, m) + 1)
+    for argv, spot in (
+            (["spectrum", "delPQd", "1", "1"], "S_1.L_0.S*_2"),
+            (["verify", "--checks", "spectra", "--jobs", "1", "--max-i", "1",
+              "--max-a", "1", "--max-k", "1", "--max-l", "1"],
+             "S_0.L_0.S*_1")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == "", argv
+        message, witness = err.splitlines()
+        assert message == ("error: the gl0-singular blocks do not fill the "
+                           "loop's space")
+        witness = json.loads(witness)["witness"]
+        assert witness["spot"] == spot
+        assert witness["filled"] > witness["dim"]
+    code, out, err = run_cli(capsys, "spectrum", "delPQd", "-1", "0")
+    assert code == 2 and out == ""
+    assert err == "error: invalid loop parameters\n"
 
 
 def test_character_typical(capsys):

@@ -15,7 +15,6 @@ from superkoszul.glrep import (
     Constructor,
     GLAction,
     GLModule,
-    GradedSpan,
     ModuleError,
     ambient_module,
     berezinian_twist,
@@ -54,6 +53,7 @@ from superkoszul.koszul import (
 )
 from superkoszul.linalg import RestrictionError, SparseMap, Subspace
 from superkoszul.superspace import (
+    GradedSpan,
     ProductSpace,
     SuperSpace,
     blocked_image,
@@ -472,8 +472,72 @@ def test_line_spot_corruption_fails_at_the_lifted_spots(monkeypatch):
     for spot in (line, Spot(1, 1, 1), Spot(2, 1, 1)):
         report = check_equivariance(ctx, act, "d", spot)
         want = equivariance_at_spot(ctx, act, "d", spot)
-        assert report["ok"] is False and report["certified_by"] == "spot"
+        assert report["ok"] is False
+        assert report["certified_by"] == ("spot" if spot == line else "line")
         assert {key: report[key] for key in want} == want, spot
+
+
+def _faults(ctx, name, line):
+    """(label, faulted map) pairs of the named map at the line spot: its
+    first entry doubled, and its first entry moved to a row of another
+    weight, of the other parity where the codomain has one; none for a zero
+    map."""
+    mat = ctx.operator(name, line)
+    if not mat.entries:
+        return []
+    dom, cod = ctx.spot_space(line), ctx.spot_space(op_target(name, line))
+    dw, cw = dom.weights(), cod.weights()
+    (r, c), v = min(mat.entries.items())
+    doubled = dict(mat.entries)
+    doubled[(r, c)] = 2 * v
+    faults = [("doubled", doubled)]
+    far = sorted((q for q in range(mat.cod_dim) if cw[q] != dw[c]),
+                 key=lambda q: cod.parities()[q] == dom.parities()[c])
+    if far:
+        moved = dict(mat.entries)
+        del moved[(r, c)]
+        moved[(far[0], c)] = moved.get((far[0], c), 0) + v
+        faults.append(("moved", {k: x for k, x in moved.items() if x}))
+    return [(label, SparseMap._from_ints(mat.dom_dim, mat.cod_dim, ent, mat.den))
+            for label, ent in faults]
+
+
+@pytest.mark.parametrize("space", [SuperSpace(3, 1), SuperSpace(2, 2)],
+                         ids=["3|1", "2|2"])
+def test_a_faulted_line_map_is_judged_at_its_line_spot_as_at_each_spot(space):
+    # a fault in the line map is a fault at every spot lifted from it: the
+    # verdict there is the check made at the spot itself, and so are the
+    # failing generators, except for P and Q where the Cartan fails, whose
+    # spot may fail an odd simple generator more
+    cartan = {(j, j) for j in range(space.dim)}
+    compared = extra = 0
+    for name in OPS:
+        idle = idle_field(name)
+        for line in GRID:
+            if getattr(line, idle) or not op_applicable(name, line):
+                continue
+            for label, bad in _faults(KoszulContext(space), name, line):
+                ctx = KoszulContext(space)
+                ctx._operators[(name, line)] = bad
+                act = GLAction(space)
+                for degree in (1, 2):
+                    spot = replace(line, **{idle: degree})
+                    report = check_equivariance(ctx, act, name, spot)
+                    want = equivariance_at_spot(ctx, act, name, spot)
+                    key = (name, line, label, degree)
+                    assert report["certified_by"] == "line", key
+                    assert report["ok"] is want["ok"] is False, key
+                    got = set(report["failing_generators"])
+                    spot_set = set(want["failing_generators"])
+                    if name in ("P", "Q") and got & cartan:
+                        assert got <= spot_set, key
+                        assert all(space.parity(i) != space.parity(j)
+                                   for i, j in spot_set - got), key
+                        extra += got != spot_set
+                    else:
+                        assert got == spot_set, key
+                    compared += 1
+    assert compared > 0 and extra > 0
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,9 @@ singular line (submodule_span), and no dual module is built, since a unique
 singular line that generates the module already decides irreducibility.
 harness.check_module is the one check of a module, for verify and construct
 alike: only it runs the irreducibility test.
+Each certificate decides alone: no mixed square is composed on its spot
+(only the identities and the two squared maps compose words), and the
+equivariance of an operator is checked once, at its line spot.
 """
 
 import ast
@@ -79,3 +82,19 @@ def test_the_super_derivation_sign_is_applied_only_in_product_matrix():
             k.arg == "left_parities" for k in call.keywords)
 
     assert _package_calls("lift", signed) == ["glrep.py:GLAction.product_matrix"]
+
+
+def test_composed_is_called_only_by_the_identities_and_the_squares():
+    assert sorted(_package_calls("composed")) == [
+        "koszul.py:KoszulContext.composed_to",
+        "koszul.py:KoszulContext.d_squared_is_zero",
+        "koszul.py:KoszulContext.p_squared_is_zero",
+    ]
+
+
+def test_composed_to_is_called_only_by_identity():
+    assert _package_calls("composed_to") == ["koszul.py:KoszulContext._identity"]
+
+
+def test_equivariance_is_checked_once_in_check_equivariance():
+    assert _package_calls("_equivariance_at") == ["glrep.py:check_equivariance"]

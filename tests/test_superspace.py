@@ -28,6 +28,7 @@ from oracles import (
     weight_of_letter,
     word_index,
 )
+from superkoszul.koszul import KoszulContext, Spot
 from superkoszul.linalg import SparseMap, Subspace, SubspaceError
 from superkoszul.superspace import (
     ProductSpace,
@@ -367,6 +368,45 @@ def test_split_graded_rejects_cross_weight():
     m = SparseMap(pb.dim, pb.dim, {(0, 1): F(1)})  # sends weight of x2 to x1
     with pytest.raises(ValueError):
         split_graded(m, pb.weights, pb.weights)
+
+
+def test_blocked_image_and_rank_refuse_a_cross_weight_entry_as_split_graded():
+    pb = power_basis(V31, "sym", 1)
+    m = SparseMap(pb.dim, pb.dim, {(0, 0): F(1), (0, 1): F(1)})
+    with pytest.raises(ValueError) as want:
+        split_graded(m, pb.weights, pb.weights)
+    for blocked in (blocked_image, blocked_rank):
+        with pytest.raises(ValueError) as got:
+            blocked(m, pb.weights, pb.weights)
+        assert str(got.value) == str(want.value)
+
+
+def _split_image_join(mat, dom_weights, cod_weights):
+    """The image of a graded map block by block: split, image, join."""
+    blocks = split_graded(mat, dom_weights, cod_weights).values()
+    return join(mat.cod_dim, ((b.image(), cod_idx) for b, _, cod_idx in blocks))
+
+
+@pytest.mark.parametrize("m,n", [(3, 1), (2, 1), (2, 2), (1, 2), (4, 1)])
+def test_column_span_image_equals_split_image_join(m, n):
+    # blocked_image inserts each column into its weight's span in ambient
+    # coordinates and merges the spans: the same reduced echelon basis as
+    # the per-block images joined, on d, del.d and P
+    ctx = KoszulContext(SuperSpace(m, n))
+    cases = []
+    for k in range(3):
+        for l in range(3):
+            src = ctx.pair_space(k, l).weights()
+            d = ctx.pair_d(k, l)
+            cases.append((d, src, ctx.pair_space(k + 1, l + 1).weights()))
+            cases.append((ctx.pair_del(k + 1, l + 1) @ d, src, src))
+            p = Spot(k + 1, l, 0)
+            cases.append((ctx.operator("P", p), ctx.spot_space(p).weights(),
+                          ctx.spot_space(Spot(k, l + 1, 0)).weights()))
+    for mat, dw, cw in cases:
+        want = _split_image_join(mat, dw, cw)
+        assert blocked_image(mat, dw, cw) == want
+        assert blocked_rank(mat, dw, cw) == want.dim
 
 
 def test_blocked_char_poly_matches_plain():
