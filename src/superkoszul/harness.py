@@ -25,6 +25,7 @@ from fractions import Fraction
 from . import characters as chars
 from .glrep import Constructor, GLAction, check_equivariance
 from .koszul import KoszulContext, Spot, op_applicable
+from .linalg import WitnessedError
 from .superspace import SuperSpace, power_basis, weight_label
 
 
@@ -429,6 +430,20 @@ def _check_equivariance(plan):
     return records, []
 
 
+def _loop_spectrum(ctx, kind, loop_params, records, claim, params):
+    """The loop's SpectrumReport; None when a check inside it raises its
+    typed error, which is then appended to records as the cell's failed
+    record, with the error's message and witness (made JSON-safe as the
+    CLI prints it), so the other cells still run."""
+    try:
+        return ctx.loop_spectrum(kind, loop_params)
+    except WitnessedError as e:
+        records.append(record(claim, params, "fail", witness={
+            "error": str(e),
+            "witness": json.loads(json.dumps(e.witness, default=str))}))
+        return None
+
+
 def _check_spectra(plan):
     if (plan.m, plan.n) != (3, 1):
         return [record(
@@ -441,7 +456,10 @@ def _check_spectra(plan):
     example = None
     for i in range(plan.max_i + 1):
         for a in range(1, plan.max_a + 1):
-            rep = ctx.loop_spectrum("delPQd", (i, a))
+            rep = _loop_spectrum(ctx, "delPQd", (i, a), records,
+                                 "SPECTRUM-DELPQD", {"i": i, "a": a})
+            if rep is None:
+                continue
             ok = rep.diagonalizable and rep.invertible and rep.matches_derived
             records.append(verdict(
                 "SPECTRUM-DELPQD", {"i": i, "a": a}, ok, _spectrum_json(rep),
@@ -473,7 +491,10 @@ def _check_spectra(plan):
                         "SPECTRUM-PDELDQ", params, "skip",
                         note="dimension cap exceeded"))
                     continue
-                rep = ctx.loop_spectrum("PdeldQ", (i, k, a))
+                rep = _loop_spectrum(ctx, "PdeldQ", (i, k, a), records,
+                                     "SPECTRUM-PDELDQ", params)
+                if rep is None:
+                    continue
                 ok = (rep.diagonalizable and rep.invertible
                       and rep.matches_stated)
                 records.append(verdict(

@@ -71,13 +71,24 @@ maps commutes, so M does, and its Cartan part makes M weight-graded.  M
 is then never formed: the U_mu are found by applying each factor's
 generator matrix (KoszulContext.loop_blocks), and the line maps are
 applied to their bases, each image entry still checked to keep its
-weight.  A fill check, the sum of weyl_dim(mu) dim U_mu against dim V,
-guards the decomposition.  A failed certificate raises KoszulError, whose
-witness names each failing operator, its line spot and its generators;
-nothing falls back.
+weight.  A failed certificate raises KoszulError, whose witness names each
+failing operator, its line spot and its generators; nothing falls back.
+
+The U_mu are sought only where the g0 character says they are nonzero.
+By Weyl's character formula and denominator identity, dim U_mu, the
+number n_mu of copies of L0(mu) in V, is read off V's weight multiset
+(superspace.g0_multiplicities), and the singular vectors are eliminated
+only at the weights with n_mu > 0.  The count decides nothing.  A fill
+check, the sum of weyl_dim(mu) dim U_mu over the weights searched against
+dim V, stays the one certificate of the decomposition: over all
+even-dominant weights that sum is dim V with every term >= 0, so equality
+proves U_mu = 0 at every weight skipped.  A wrong count fails the fill
+check with its witness (filled < dim); it cannot give a wrong spectrum.
 
 Im d at each pair is built once (KoszulContext.d_image), for the rank of
-d, the homology, the ImD modules and the Z summands.  An echelon basis
+d, the homology, the pair splitting, the ImD modules and the Z summands;
+Im(del.d) = del(Im d), so the splitting's ranks come from del applied to
+that image's basis.  An echelon basis
 lifted by an identity factor stays reduced echelon (Subspace.lift), so
 Ker(P (x) id) and W = S (x) Im d need no elimination of their own, and
 Ker(P (x) id) = Im(P (x) id) is decided at the line spot.
@@ -98,11 +109,11 @@ from .linalg import (
     _combine,
 )
 from .superspace import (
+    GradedSpan,
     ProductSpace,
     blocked_image,
     blocked_kernel,
-    blocked_rank,
-    is_dominant,
+    g0_multiplicities,
     join,
     power_basis,
     weyl_dim,
@@ -603,10 +614,13 @@ class KoszulContext:
         failing operator with its line spot and generators.  V is then the
         sum of L0(mu) (x) U_mu over the even-dominant weights mu, U_mu the
         gl0-singular vectors of weight mu, and M the sum of 1 (x) M_mu
-        (module docstring).  The blocks are the M_mu on the nonzero U_mu,
-        each counted weyl_dim(mu) times; a fill check, the sum of
-        weyl_dim(mu) dim U_mu against dim V, raises KoszulError with each
-        block's two factors.
+        (module docstring).  U_mu is sought only at the weights where
+        g0_multiplicities, counted once from V's pivot weights, is > 0.
+        The blocks are the M_mu on the nonzero U_mu, each counted
+        weyl_dim(mu) times; a fill check, the sum of weyl_dim(mu) dim U_mu
+        over the weights searched against dim V, raises KoszulError with
+        each block's two factors, so a weight the count wrongly skips is
+        refused, never silently dropped.
 
         M is never formed: the word's line-spot maps are applied to the
         basis vectors of the U_mu, and each image is read in U_mu's basis,
@@ -641,10 +655,12 @@ class KoszulContext:
         sub = (self.kerp_space(spot) if restricted
                else Subspace.full(len(weights)))
         m = self.space.m
-        # V's basis vectors and their pivots at each even-dominant weight
+        # V's basis vectors and their pivots at each weight where the g0
+        # character counts a simple summand: U_mu is 0 everywhere else
+        counted = g0_multiplicities([weights[p] for p in sub.pivots], m)
         parts = {}
         for v, p in zip(sub.nums, sub.pivots):
-            if is_dominant(weights[p], m):
+            if counted.get(weights[p], 0) > 0:
                 parts.setdefault(weights[p], []).append((v, p))
         kept = self._singular_coordinates(
             act, spot, {w: [v for v, _ in vp] for w, vp in parts.items()})
@@ -815,24 +831,32 @@ class KoszulContext:
         }, den).kernel(), ts) for w, ts in by_weight.items()))
 
     def xdanh_check(self, k, l):
-        """Dimension bookkeeping for the pair splitting, blocked ranks only."""
-        ps = self.pair_space(k, l)
-        dim = ps.dim
-        rank_in = self.d_rank(k - 1, l - 1) if (k >= 1 and l >= 1) else 0
-        rank_out = self.d_rank(k, l)
-        proj = self.pair_del(k + 1, l + 1) @ self.pair_d(k, l)
-        rank_proj = blocked_rank(proj, ps.weights(), ps.weights())
-        # the two generating maps side by side span A + B
-        blocks, off = [], 0
-        if k >= 1 and l >= 1:
-            din = self.pair_d(k - 1, l - 1)
-            blocks, off = [(0, 0, din)], din.dom_dim
-        blocks.append((0, off, proj))
-        stacked = SparseMap.numerator_blocks(off + proj.dom_dim, dim, blocks)
-        prev_w = (
-            self.pair_space(k - 1, l - 1).weights() if (k >= 1 and l >= 1) else []
-        )
-        rank_sum = blocked_rank(stacked, list(prev_w) + list(ps.weights()), ps.weights())
+        """Dimension bookkeeping for the pair splitting
+        Lambda_k (x) S*_l = Im d_(k-1,l-1) (+) Im(del.d): rank_in and
+        rank_out are the ranks of the incoming and the outgoing d, rank_proj
+        that of del.d and rank_sum the dimension of the sum of the two
+        images.
+
+        Im(del.d) = del(Im d_(k,l)), so del is applied to the basis of the
+        shared image d_image(k, l) and the images are inserted into a
+        GradedSpan, whose dimension is rank_proj; the same images inserted
+        into a GradedSpan seeded with the basis of d_image(k-1, l-1) give
+        rank_sum.  No composite and no stacked map is built."""
+        weights = self.pair_space(k, l).weights()
+        dim = len(weights)
+        incoming = (self.d_image(k - 1, l - 1).nums if (k >= 1 and l >= 1)
+                    else [])
+        outgoing = self.d_image(k, l).nums
+        rank_in, rank_out = len(incoming), len(outgoing)
+        delta = self.pair_del(k + 1, l + 1)
+        proj, total = GradedSpan(dim, weights), GradedSpan(dim, weights)
+        for v in incoming:
+            total.insert(v)
+        for v in outgoing:
+            img = delta.apply_numerators(v)
+            proj.insert(img)
+            total.insert(img)
+        rank_proj, rank_sum = proj.dim, total.dim
         ok = (
             rank_in + rank_out == dim
             and rank_proj == rank_out

@@ -27,7 +27,9 @@ from itertools import (
     product,
 )
 from math import factorial, lcm
+from operator import add
 
+from .characters import _perm_sign
 from .linalg import SparseMap, Subspace, SubspaceError
 
 KINDS = ("sym", "alt")
@@ -266,10 +268,15 @@ class ProductSpace:
         self._parities = None
 
     def weights(self):
-        """Each index's weight, the sum of its factors' weights."""
+        """Each index's weight, the sum of its factors' weights, folded in
+        factor by factor in row-major order; a degree-0 factor (one vector
+        of weight zero) adds nothing and is skipped."""
         if self._weights is None:
-            self._weights = [tuple(map(sum, zip(*ws))) for ws in
-                             product(*(f.weights for f in self.factors))]
+            ws = [(0,) * self.factors[0].space.dim]
+            for f in self.factors:
+                if f.degree:
+                    ws = [tuple(map(add, a, b)) for a in ws for b in f.weights]
+            self._weights = ws
         return self._weights
 
     def parities(self):
@@ -320,6 +327,28 @@ def weyl_dim(weight, m):
             num *= part[i] - part[j] + j - i
             den *= j - i
     return num // den
+
+
+def g0_multiplicities(weights, m):
+    """{mu: n_mu} for each even-dominant weight mu (is_dominant) among the
+    weights of a gl(m) + gl(n)-module's basis vectors, n_mu the number of
+    copies of the simple module of highest weight mu in it.  By Weyl's
+    character formula and denominator identity, n_mu is the sum over w in
+    S_m x S_n of sgn(w) times the number of basis vectors of weight
+    mu + rho - w rho, rho = (m-1, .., 0 | n-1, .., 0), so that
+    (rho - w rho)_i = w(i) - i within each part."""
+    count = Counter(weights)
+    if not count:
+        return {}
+    n = len(next(iter(count))) - m
+    shifts = [(_perm_sign(even) * _perm_sign(odd),
+               tuple(w - i for i, w in enumerate(even))
+               + tuple(w - j for j, w in enumerate(odd)))
+              for even in permutations(range(m))
+              for odd in permutations(range(n))]
+    return {mu: sum(sign * count.get(tuple(a + b for a, b in zip(mu, shift)), 0)
+                    for sign, shift in shifts)
+            for mu in count if is_dominant(mu, m)}
 
 
 def _not_graded(r, c, wc, wr):

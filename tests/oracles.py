@@ -17,10 +17,11 @@ sums and containment, Ker(P (x) id) against the incoming image of
 P (x) id eliminated on the whole spot, the homology of the transfer
 complex, the eigenvalue ladder of the insertion-side loop, the loop
 spectra from every weight block with no reduction to gl(m) + gl(n)-singular
-vectors, the multiplicity of each simple gl(m) + gl(n) module in a weight
-multiset by Weyl's alternating sum, the pinned loop cells and the digest of
-their reports, a graded subspace split into its weight blocks, the two
-routes of a mixed square composed on the full triple spot, the pair splitting and
+vectors, the gl(m) + gl(n)-singular vectors of a loop's space sought at
+every even-dominant weight, the pinned loop cells and the digest of their
+reports, a graded subspace split into its weight blocks, the two routes of
+a mixed square composed on the full triple spot, the pair splitting's ranks
+from the composite del.d and the stacked map, the pair splitting and
 every summand of the two triple-spot splittings as subspaces, a Z module
 restricted from its whole triple spot, tensor
 products of modules, the calibration of d against del, and
@@ -38,9 +39,9 @@ from superkoszul.characters import (
     CharacterError,
     CharFraction,
     LaurentPoly,
-    _perm_sign,
 )
 from superkoszul.glrep import (
+    GLAction,
     GLModule,
     ModuleError,
     dual_module,
@@ -68,6 +69,7 @@ from superkoszul.superspace import (
     blocked_image,
     blocked_kernel,
     blocked_rank,
+    is_dominant,
     join,
     sort_sign,
     split_graded,
@@ -729,31 +731,28 @@ def loop_spectrum_all_blocks(ctx, kind, params):
     return verify_spectrum(blocks, total, derived, stated, kind, params)
 
 
-def gl0_multiplicities(weights, m):
-    """{mu: the multiplicity, when nonzero, of the simple gl(m) + gl(n)
-    module L0(mu) in a module with the given weight multiset}, by Weyl's
-    character formula: the alternating sum over the permutations pi of each
-    part of rho = (m-1, .., 0 | n-1, .., 0), of sign(pi) times the
-    multiplicity of the weight mu + rho - pi(rho)."""
-    count = Counter(map(tuple, weights))
-    n = len(next(iter(count))) - m
-    rho = list(range(m - 1, -1, -1)) + list(range(n - 1, -1, -1))
-    shifts = []
-    for even in permutations(range(m)):
-        for odd in permutations(range(n)):
-            sign = _perm_sign(even) * _perm_sign(odd)
-            rho_pi = [m - 1 - i for i in even] + [n - 1 - j for j in odd]
-            shifts.append((sign, [a - b for a, b in zip(rho, rho_pi)]))
-    out = {}
-    for mu in count:
-        if not all(mu[j] >= mu[j + 1] for j in range(len(mu) - 1)
-                   if j != m - 1):
-            continue
-        k = sum(sign * count.get(tuple(a + b for a, b in zip(mu, shift)), 0)
-                for sign, shift in shifts)
-        if k:
-            out[mu] = k
-    return out
+def loop_space(ctx, kind, params):
+    """(spot, V) of a loop: V is the whole spot, or Ker(P (x) id) for a
+    PdeldQ loop with sym >= 1."""
+    _, spot, _, _ = ctx.loop_setup(kind, params)
+    if kind == "PdeldQ" and spot.sym >= 1:
+        return spot, ctx.kerp_space(spot)
+    return spot, Subspace.full(ctx.spot_space(spot).dim)
+
+
+def singular_dims_by_search(ctx, kind, params):
+    """{mu: dim U_mu} at every even-dominant weight mu of a loop's space V,
+    U_mu its gl(m) + gl(n)-singular vectors of weight mu: the joint kernel
+    of the even simple raising generators sought on all of V's basis
+    vectors of each such weight, with no count to say where U_mu is 0."""
+    spot, sub = loop_space(ctx, kind, params)
+    weights = ctx.spot_space(spot).weights()
+    columns = {}
+    for v, p in zip(sub.nums, sub.pivots):
+        if is_dominant(weights[p], ctx.space.m):
+            columns.setdefault(weights[p], []).append(v)
+    kernels = ctx._singular_coordinates(GLAction(ctx.space), spot, columns)
+    return {mu: ker.dim for mu, ker in kernels.items()}
 
 
 # the pinned loop cells: on each alphabet every delPQd (i, a) with i, a <= 2,
@@ -808,6 +807,31 @@ def commute_by_composition(ctx, which, spot):
 
 # ---------------------------------------------------------------------------
 # the pair splitting as subspaces
+
+
+def xdanh_by_composition(ctx, k, l):
+    """KoszulContext.xdanh_check's record the long way: every rank by
+    blocked_rank, rank_proj of the composite del.d and rank_sum of
+    d_(k-1,l-1) and del.d stacked side by side."""
+    ps = ctx.pair_space(k, l)
+    dim = ps.dim
+    rank_out = blocked_rank(ctx.pair_d(k, l), ps.weights(),
+                            ctx.pair_space(k + 1, l + 1).weights())
+    proj = ctx.pair_del(k + 1, l + 1) @ ctx.pair_d(k, l)
+    rank_proj = blocked_rank(proj, ps.weights(), ps.weights())
+    blocks, off, prev_w, rank_in = [], 0, [], 0
+    if k >= 1 and l >= 1:
+        din = ctx.pair_d(k - 1, l - 1)
+        prev_w = list(ctx.pair_space(k - 1, l - 1).weights())
+        rank_in = blocked_rank(din, prev_w, ps.weights())
+        blocks, off = [(0, 0, din)], din.dom_dim
+    blocks.append((0, off, proj))
+    stacked = SparseMap.numerator_blocks(off + proj.dom_dim, dim, blocks)
+    rank_sum = blocked_rank(stacked, prev_w + list(ps.weights()), ps.weights())
+    return {"dim": dim, "rank_in": rank_in, "rank_out": rank_out,
+            "rank_proj": rank_proj, "rank_sum": rank_sum,
+            "ok": (rank_in + rank_out == dim and rank_proj == rank_out
+                   and rank_sum == dim)}
 
 
 def xdanh_splitting(ctx, k, l):

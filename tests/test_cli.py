@@ -298,25 +298,41 @@ def test_spectrum_exit_codes(capsys):
     assert json.loads(out)["matches_stated"] is False
 
 
-def test_a_failed_check_exits_one_with_its_witness(monkeypatch, capsys):
-    # a check that raises its typed error is a failed check, with the
-    # message and the JSON witness on stderr; a malformed request is still
-    # a configuration error
+def test_a_failed_check_exits_one_with_its_witness(monkeypatch, capsys,
+                                                   tmp_path):
+    # a check that raises its typed error is a failed check: a single
+    # request prints the message and the JSON witness on stderr, and verify
+    # records each failed cell with both and still writes its report; a
+    # malformed request is still a configuration error
     weyl_dim = koszul.weyl_dim
     monkeypatch.setattr(koszul, "weyl_dim", lambda w, m: weyl_dim(w, m) + 1)
-    for argv, spot in (
-            (["spectrum", "delPQd", "1", "1"], "S_1.L_0.S*_2"),
-            (["verify", "--checks", "spectra", "--jobs", "1", "--max-i", "1",
-              "--max-a", "1", "--max-k", "1", "--max-l", "1"],
-             "S_0.L_0.S*_1")):
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 1 and out == "", argv
-        message, witness = err.splitlines()
-        assert message == ("error: the gl0-singular blocks do not fill the "
-                           "loop's space")
-        witness = json.loads(witness)["witness"]
-        assert witness["spot"] == spot
-        assert witness["filled"] > witness["dim"]
+    message = "the gl0-singular blocks do not fill the loop's space"
+    code, out, err = run_cli(capsys, "spectrum", "delPQd", "1", "1")
+    assert code == 1 and out == ""
+    line, witness = err.splitlines()
+    assert line == f"error: {message}"
+    witness = json.loads(witness)["witness"]
+    assert witness["spot"] == "S_1.L_0.S*_2"
+    assert witness["filled"] > witness["dim"]
+    argv = ["verify", "--checks", "spectra", "--jobs", "1", "--max-i", "1",
+            "--max-a", "1", "--max-k", "1", "--max-l", "1"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert lines[0] == "pass 0  fail 4  skip 0  findings 0"
+    assert len(lines) == 5 and all(
+        line.startswith("FAIL [SPECTRUM-") for line in lines[1:])
+    path = tmp_path / "report.json"
+    assert run_cli(capsys, *argv, "--json", str(path))[0] == 1
+    records = json.loads(path.read_text(encoding="utf-8"))["records"]
+    assert len(records) == 4
+    for rec in records:
+        assert rec["status"] == "fail", rec["params"]
+        assert rec["witness"]["error"] == message
+        witness = rec["witness"]["witness"]
+        assert witness["filled"] > witness["dim"], rec["params"]
+    first = next(r for r in records if r["params"] == {"i": 0, "a": 1})
+    assert first["witness"]["witness"]["spot"] == "S_0.L_0.S*_1"
     code, out, err = run_cli(capsys, "spectrum", "delPQd", "-1", "0")
     assert code == 2 and out == ""
     assert err == "error: invalid loop parameters\n"

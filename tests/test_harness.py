@@ -33,7 +33,7 @@ from superkoszul.harness import (
     _module_cell,
 )
 from superkoszul.glrep import Constructor
-from superkoszul.koszul import KoszulContext, idle_field
+from superkoszul.koszul import KoszulContext, KoszulError, idle_field
 from superkoszul.linalg import SparseMap
 from superkoszul.superspace import SuperSpace
 
@@ -231,6 +231,29 @@ def test_spectra_run_reports_stated_set_finding():
     f = rep.findings[0]
     assert f["claim"] == "SPECTRUM-DELPQD"
     assert f["params"]["cells"] == [[1, 1]]
+    assert rep.exit_code() == 1
+
+
+def test_a_witnessed_error_fails_one_spectra_cell(monkeypatch):
+    # the loop at (i, a) = (1, 1) raises its typed error: that cell is a
+    # failed record with the message and the witness, and the other cells
+    # and the finding's scan still run
+    loop_spectrum = KoszulContext.loop_spectrum
+
+    def broken(self, kind, params):
+        if (kind, params) == ("delPQd", (1, 1)):
+            raise KoszulError("a broken cell", witness={"at": (1, 1)})
+        return loop_spectrum(self, kind, params)
+
+    monkeypatch.setattr(KoszulContext, "loop_spectrum", broken)
+    rep = run(VerificationPlan(checks=("spectra",), max_i=1, max_a=1,
+                               max_k=1, max_l=1))
+    (bad,) = [r for r in rep.records if r["status"] == "fail"]
+    assert (bad["claim"], bad["params"]) == ("SPECTRUM-DELPQD",
+                                             {"i": 1, "a": 1})
+    assert bad["witness"] == {"error": "a broken cell",
+                              "witness": {"at": [1, 1]}}
+    assert rep.summary["pass"] == 3 and rep.summary["findings"] == 0
     assert rep.exit_code() == 1
 
 

@@ -44,7 +44,12 @@ from superkoszul.koszul import (
 from superkoszul.harness import VerificationPlan
 from superkoszul.linalg import SparseMap, Subspace
 from superkoszul.glrep import GLAction
-from superkoszul.superspace import SuperSpace, power_basis, weyl_dim
+from superkoszul.superspace import (
+    SuperSpace,
+    g0_multiplicities,
+    power_basis,
+    weyl_dim,
+)
 
 F = Fraction
 
@@ -745,18 +750,24 @@ def test_every_default_loop_is_orbit_reduced(default_spectra):
         assert reduced.blocks_eliminated < full.blocks_eliminated, cell
 
 
+def _loop_weights(ctx, kind, params):
+    """The weights of the basis vectors of the loop's space V."""
+    spot, sub = oracles.loop_space(ctx, kind, params)
+    weights = ctx.spot_space(spot).weights()
+    return [weights[p] for p in sub.pivots]
+
+
 def _singular_fill(ctx, kind, params):
     """(sorted (size, dimension) of the loop's blocks, the same pairs
-    (weyl_dim(mu), multiplicity of L0(mu)) from the oracle's alternating
-    sum over the weight multiset of the loop's space, its dimension)."""
+    (weyl_dim(mu), multiplicity of L0(mu)) from the g0 character of the
+    loop's space, its dimension)."""
     word, spot, _, _ = ctx.loop_setup(kind, params)
     blocks, sizes, total = ctx.loop_blocks(kind, word, spot)
-    weights = ctx.spot_space(spot).weights()
-    if kind == "PdeldQ" and spot.sym >= 1:
-        weights = [weights[p] for p in ctx.kerp_space(spot).pivots]
-    mults = oracles.gl0_multiplicities(weights, ctx.space.m)
+    weights = _loop_weights(ctx, kind, params)
+    mults = g0_multiplicities(weights, ctx.space.m)
     got = sorted((s, b.dom_dim) for b, s in zip(blocks, sizes))
-    want = sorted((weyl_dim(mu, ctx.space.m), k) for mu, k in mults.items())
+    want = sorted((weyl_dim(mu, ctx.space.m), k) for mu, k in mults.items()
+                  if k)
     return got, want, total, len(weights)
 
 
@@ -788,6 +799,62 @@ def test_a_short_fill_is_refused(monkeypatch):
     w = exc.value.witness
     assert w["dim"] == ctx.spot_space(spot).dim > w["filled"]
     assert sum(k for k, _ in w["blocks"].values()) == w["filled"]
+
+
+def test_the_g0_count_is_the_singular_dimension_on_the_pinned_cells():
+    # at every even-dominant weight of each pinned loop's space, the count
+    # from the weight multiset equals dim U_mu, found by searching all of
+    # the space's basis vectors of that weight
+    contexts = {}
+    for mn, kind, params in oracles.PINNED_LOOP_CELLS:
+        ctx = contexts.setdefault(mn, KoszulContext(SuperSpace(*mn)))
+        counted = g0_multiplicities(_loop_weights(ctx, kind, params), mn[0])
+        assert counted == oracles.singular_dims_by_search(
+            ctx, kind, params), (mn, kind, params)
+    assert len(contexts) == 7
+
+
+def test_a_count_that_drops_a_summand_fails_the_fill_check(monkeypatch):
+    # the count only says where to look: a weight it wrongly skips leaves
+    # its weyl_dim(mu) * n_mu dimensions unfilled, and the fill check
+    # refuses the loop
+    count = koszul.g0_multiplicities
+    dropped = []
+
+    def drop_one(weights, m):
+        out = count(weights, m)
+        mu = next(mu for mu, k in out.items() if k > 0)
+        dropped.append(weyl_dim(mu, m) * out.pop(mu))
+        return out
+
+    monkeypatch.setattr(koszul, "g0_multiplicities", drop_one)
+    ctx = KoszulContext(SuperSpace(3, 1))
+    word, spot, _, _ = ctx.loop_setup("delPQd", (1, 1))
+    with pytest.raises(KoszulError, match="fill") as exc:
+        ctx.loop_blocks("delPQd", word, spot)
+    w = exc.value.witness
+    assert w["dim"] == ctx.spot_space(spot).dim
+    assert w["filled"] == w["dim"] - dropped[0] < w["dim"]
+
+
+def test_the_default_loops_search_only_where_the_count_is_positive(
+        monkeypatch):
+    # the 21 default cells hold 1,989 basis vectors at even-dominant
+    # weights; 914 of them sit at weights the g0 character counts
+    searched = []
+    singular = KoszulContext._singular_coordinates
+
+    def counted(self, act, spot, columns):
+        searched.append(sum(map(len, columns.values())))
+        return singular(self, act, spot, columns)
+
+    monkeypatch.setattr(KoszulContext, "_singular_coordinates", counted)
+    ctx = KoszulContext(SuperSpace(3, 1))
+    cells = _default_spectra_cells(ctx)
+    for cell in cells:
+        ctx.loop_spectrum(*cell)
+    assert len(cells) == len(searched) == 21
+    assert sum(searched) == 914
 
 
 SMALL_LOOPS = {
@@ -962,8 +1029,8 @@ def test_a_loop_word_off_its_spot_is_refused(ctx31):
 
 def test_weyl_dim_fills_every_weight_multiset():
     # the multiplicities of the L0(mu) from the alternating sum over a
-    # weight multiset are positive, and weyl_dim(mu) copies of each fill
-    # it: the triple spots of degrees <= 2 on five alphabets
+    # weight multiset are never negative, and weyl_dim(mu) copies of each
+    # fill it: the triple spots of degrees <= 2 on five alphabets
     checked = 0
     for m, n in [(3, 1), (2, 1), (2, 2), (1, 2), (4, 1)]:
         ctx = KoszulContext(SuperSpace(m, n))
@@ -972,8 +1039,8 @@ def test_weyl_dim_fills_every_weight_multiset():
             space = ctx.spot_space(spot)
             if space.dim > 1500:
                 continue
-            mults = oracles.gl0_multiplicities(space.weights(), m)
-            assert min(mults.values()) > 0
+            mults = g0_multiplicities(space.weights(), m)
+            assert min(mults.values()) >= 0
             assert sum(k * weyl_dim(mu, m) for mu, k in mults.items()) \
                 == space.dim, (m, n, spot)
             checked += 1
@@ -1009,6 +1076,14 @@ def test_xdanh_rank_sum_is_the_dimension_of_the_summed_images(ctx31, k, l):
     if k >= 1 and l >= 1:
         images = subspace_sum(ctx31.pair_d(k - 1, l - 1).image(), images)
     assert ctx31.xdanh_check(k, l)["rank_sum"] == images.dim
+
+
+@pytest.mark.parametrize("m,n", [(3, 1), (2, 1), (2, 2), (1, 2), (4, 1)])
+def test_xdanh_ranks_equal_the_composite_and_stacked_ranks(m, n):
+    ctx = KoszulContext(SuperSpace(m, n))
+    for k, l in product(range(5), repeat=2):
+        assert ctx.xdanh_check(k, l) == oracles.xdanh_by_composition(
+            ctx, k, l), (k, l)
 
 
 def test_xdanh_23_dimensions(ctx31):

@@ -16,6 +16,10 @@ alike: only it runs the irreducibility test.
 Each certificate decides alone: no mixed square is composed on its spot
 (only the identities and the two squared maps compose words), and the
 equivariance of an operator is checked once, at its line spot.
+The pair splitting's ranks extend the shared Im d: xdanh_check builds no
+composite del.d and no stacked map.  The g0 count of a loop's space is read
+in one place, loop_blocks, where it only says where to seek singular
+vectors.
 """
 
 import ast
@@ -98,3 +102,29 @@ def test_composed_to_is_called_only_by_identity():
 
 def test_equivariance_is_checked_once_in_check_equivariance():
     assert _package_calls("_equivariance_at") == ["glrep.py:check_equivariance"]
+
+
+def _function(module, qualname):
+    """The ast node of the named function (Class.method) in the module."""
+    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    node = tree
+    for name in qualname.split("."):
+        node = next(n for n in ast.iter_child_nodes(node)
+                    if isinstance(n, (ast.ClassDef, ast.FunctionDef))
+                    and n.name == name)
+    return node
+
+
+def test_xdanh_check_composes_and_stacks_nothing():
+    # Im(del.d) is del applied to the shared Im d: no composite del.d and
+    # no stacked map whose rank is taken
+    body = _function("koszul.py", "KoszulContext.xdanh_check")
+    assert not any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.MatMult)
+                   for n in ast.walk(body))
+    assert not [c for c in ("compose", "blocked_rank", "numerator_blocks")
+                if _calls(body, c)]
+
+
+def test_the_g0_count_is_read_only_by_loop_blocks():
+    assert _package_calls("g0_multiplicities") == [
+        "koszul.py:KoszulContext.loop_blocks"]

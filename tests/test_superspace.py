@@ -6,7 +6,7 @@ independent (and much slower) implementations of the same objects.
 """
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -304,6 +304,20 @@ def test_product_indexing_roundtrip():
     assert ps.dim == 7 * 4
     for flat in range(ps.dim):
         assert product_index(ps, product_unindex(ps, flat)) == flat
+
+
+@pytest.mark.parametrize("m,n", [(3, 1), (2, 2), (1, 2)])
+def test_folded_product_weights_equal_the_summed_product(m, n):
+    # the weights are folded in factor by factor with the degree-0 factors
+    # skipped; the reference sums every factor's weight over the whole
+    # itertools.product, on every spot up to (3, 3, 3)
+    space = SuperSpace(m, n)
+    for i, k, l in product(range(4), repeat=3):
+        factors = (power_basis(space, "sym", i), power_basis(space, "alt", k),
+                   power_basis(space, "sym", l, dual=True))
+        want = [tuple(map(sum, zip(*ws)))
+                for ws in product(*(f.weights for f in factors))]
+        assert ProductSpace(*factors).weights() == want, (i, k, l)
 
 
 def test_product_weights_additive():
