@@ -2,9 +2,9 @@
 spectra, character formulas, and matrix and basis exports.
 
 Exit codes: 0 everything checked out, 1 at least one failed check or
-recorded finding, 2 bad configuration or arguments.  A check that raises
-its typed error (a WitnessedError) is a failed check: its message and its
-witness, as JSON, go to stderr.
+recorded finding, 2 bad configuration or arguments, or an output file that
+cannot be written.  A check that raises its typed error (a WitnessedError)
+is a failed check: its message and its witness, as JSON, go to stderr.
 """
 
 from __future__ import annotations
@@ -185,6 +185,11 @@ def main(argv=None):
         return 1
     except (PlanError, CharacterError, KeyError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except OSError as e:
+        # only the output is written: a --json or --out file, or stdout
+        target = "output" if e.filename is None else e.filename
+        print(f"error: cannot write {target}: {e.strerror or e}", file=sys.stderr)
         return 2
 
 

@@ -60,7 +60,7 @@ from fractions import Fraction
 from math import prod
 
 from .linalg import RestrictionError, SparseMap, WitnessedError
-from .superspace import GradedSpan, is_dominant, join, power_basis, split_graded
+from .superspace import GradedSpan, is_dominant, join, power_basis, weight_blocks
 from .koszul import Spot, idle_field, op_target
 
 
@@ -249,12 +249,15 @@ class GLModule:
     def raising_kernel(self):
         """Joint kernel of the simple raising generators: the singular space.
 
-        The E_(i,i+1) are stacked into one map, each generator's rows below
-        the previous one's.  E_(i,i+1) raises a weight by e_i - e_(i+1), so
-        each of its rows is labelled with the row's weight minus that step,
-        the weight of the columns it meets, and split_graded cuts the map
-        into one block per weight; it raises ValueError if a raising
-        generator is not weight-graded.
+        E_(i,i+1) raises a weight by e_i - e_(i+1), so the entries of a
+        raising generator at the columns of one weight w lie in rows of
+        weight w plus its step.  The joint map is therefore cut into one
+        block per column weight (weight_blocks), built straight from the
+        generators' numerators (a generator's den scales its rows, which
+        keeps the joint kernel), each block's rows numbered as they first
+        appear, and the kernel is the blocks' kernels joined.  Every entry
+        is checked against its generator's step, at every column weight:
+        ValueError if a raising generator is not weight-graded.
 
         Only the blocks at even-dominant weights (is_dominant) are
         eliminated.  For each even simple root, E_(i,i+1), E_(i+1,i) and
@@ -264,17 +267,31 @@ class GLModule:
         (Kac 1977, Lie superalgebras).  So the kernel vanishes at every
         other weight.
         """
-        dim = self.dim
-        pairs = raising_pairs(self.space)
-        stacked = SparseMap.numerator_blocks(dim, len(pairs) * dim, (
-            (t * dim, 0, self.gens[p]) for t, p in enumerate(pairs)))
-        row_weights = [tuple(x - (k == i) + (k == j) for k, x in enumerate(w))
-                       for i, j in pairs for w in self.weights]
+        dim, weights = self.dim, self.weights
+        cols, local = weight_blocks(weights)
         m = self.space.m
+        blocks = {w: {} for w in cols if is_dominant(w, m)}
+        rows = {w: {} for w in blocks}
+        for t, (i, j) in enumerate(raising_pairs(self.space)):
+            off = t * dim
+            raised = {}
+            for (r, c), v in self.gens[(i, j)].entries.items():
+                wc = weights[c]
+                want = raised.get(wc)
+                if want is None:
+                    want = raised[wc] = tuple(
+                        x + (k == i) - (k == j) for k, x in enumerate(wc))
+                if weights[r] != want:
+                    raise ValueError(
+                        f"map is not weight-graded: E_({i},{j}) entry "
+                        f"({r},{c}) sends {wc} to {weights[r]}, not {want}")
+                block = blocks.get(wc)
+                if block is not None:
+                    seen = rows[wc]
+                    block[(seen.setdefault(off + r, len(seen)), local[c])] = v
         return join(dim, (
-            (block.kernel(), idx) for w, (block, idx, _) in
-            split_graded(stacked, self.weights, row_weights).items()
-            if is_dominant(w, m)))
+            (SparseMap._from_ints(len(cols[w]), len(rows[w]), ent).kernel(),
+             cols[w]) for w, ent in blocks.items()))
 
     def singular_weights(self):
         """(the raising kernel, each of its vectors' weight), the kernel

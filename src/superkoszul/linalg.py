@@ -139,25 +139,6 @@ class SparseMap:
         return cls(dom_dim, cod_dim, {
             (r, c): v for c, col in columns.items() for r, v in col.items()})
 
-    @classmethod
-    def numerator_blocks(cls, dom_dim, cod_dim, blocks):
-        """The dom_dim x cod_dim map holding each (row, col, map) of blocks
-        as its numerator matrix, with its top-left entry at (row, col).
-
-        Each block is its map scaled by the map's den, a positive int, which
-        keeps the joint kernel of blocks stacked in rows and the span of
-        blocks side by side in columns.  Raises DimensionError if a block
-        does not fit."""
-        ent = {}
-        for row, col, m in blocks:
-            if (min(row, col) < 0 or row + m.cod_dim > cod_dim
-                    or col + m.dom_dim > dom_dim):
-                raise DimensionError(
-                    f"a {m.cod_dim}x{m.dom_dim} block at ({row},{col}) "
-                    f"leaves {cod_dim}x{dom_dim}")
-            ent.update(((row + r, col + c), v) for (r, c), v in m.entries.items())
-        return cls._from_ints(dom_dim, cod_dim, ent)
-
     # -- plumbing ------------------------------------------------------------
 
     def entry(self, r, c):
@@ -204,17 +185,22 @@ class SparseMap:
         """den times the image of vec under id_left (x) self (x) id_right,
         indexed as lift, with each index's left copy read off the index:
         vec against the numerator columns, so ints for an int vec, and no
-        lift is built."""
+        lift is built.  With right == 1 an index inside the domain is its
+        own column, read with no divmod."""
         cols = self.columns()
         dom, cod = self.dom_dim * right, self.cod_dim * right
+        plain = right == 1
         out = {}
         for i, x in vec.items():
-            a, rest = divmod(i, dom)
-            c, b = divmod(rest, right)
+            if plain and i < dom:
+                c, base = i, 0
+            else:
+                a, rest = divmod(i, dom)
+                c, b = divmod(rest, right)
+                base = a * cod + b
             col = cols.get(c)
             if col is None:
                 continue
-            base = a * cod + b
             for r, v in col.items():
                 k = base + r * right
                 out[k] = out.get(k, 0) + x * v
@@ -621,21 +607,23 @@ class Subspace:
     def read_coordinates(self, images):
         """(entries, bad): y[p_j] at (j, c) for the int vectors y =
         images[c], y's coordinates over its den, each certified by its
-        residue den*y - sum y[p_j]*nums[j], as in residue; bad is the
-        first c outside the span, where reading stops, or None.  One
-        pivot -> position dict finds the pivots y meets, so y costs its own
-        support, not a pass over the basis."""
+        residue den*y - sum y[p_j]*nums[j], as in residue but built in
+        place in one dict as the pivots are read; bad is the first c
+        outside the span, where reading stops, or None.  One pivot ->
+        position dict finds the pivots y meets, so y costs its own support
+        and the basis vectors at those pivots, not a pass over the basis."""
         at = {p: j for j, p in enumerate(self.pivots)}
         nums, den = self.nums, self.den
         ent = {}
         for c, y in enumerate(images):
-            terms = []
+            res = {i: den * x for i, x in y.items()} if den != 1 else dict(y)
             for i, x in y.items():
                 j = at.get(i)
                 if j is not None:
                     ent[(j, c)] = x
-                    terms.append((-x, nums[j]))
-            if _combine(den, y, terms):
+                    for k, z in nums[j].items():
+                        res[k] = res.get(k, 0) - x * z
+            if any(res.values()):
                 return ent, c
         return ent, None
 

@@ -420,10 +420,15 @@ class GradedSpan:
         ValueError on a vector that mixes weights."""
         if not vec:
             return None
-        ws = {self.weights[i] for i in vec}
-        if len(ws) != 1:
-            raise ValueError("vector is not weight-homogeneous")
-        block = self.blocks.setdefault(ws.pop(), Subspace.zero(self.ambient_dim))
+        weights = self.weights
+        entries = iter(vec)
+        w = weights[next(entries)]
+        for i in entries:
+            if weights[i] != w:
+                raise ValueError("vector is not weight-homogeneous")
+        block = self.blocks.get(w)
+        if block is None:
+            block = self.blocks[w] = Subspace.zero(self.ambient_dim)
         return block.insert(vec)
 
     def subspace(self):

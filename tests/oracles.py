@@ -20,10 +20,10 @@ spectra from every weight block with no reduction to gl(m) + gl(n)-singular
 vectors, the gl(m) + gl(n)-singular vectors of a loop's space sought at
 every even-dominant weight, the pinned loop cells and the digest of their
 reports, a graded subspace split into its weight blocks, the two routes of
-a mixed square composed on the full triple spot, the pair splitting's ranks
-from the composite del.d and the stacked map, the pair splitting and
-every summand of the two triple-spot splittings as subspaces, a Z module
-restricted from its whole triple spot, tensor
+a mixed square composed on the full triple spot, maps stacked as numerator
+blocks, the pair splitting's ranks from the composite del.d and the stacked
+map, the pair splitting and every summand of the two triple-spot splittings
+as subspaces, a Z module restricted from its whole triple spot, tensor
 products of modules, the calibration of d against del, and
 Laurent-polynomial helpers (powers, inverted and permuted variables,
 fraction equality).
@@ -809,6 +809,25 @@ def commute_by_composition(ctx, which, spot):
 # the pair splitting as subspaces
 
 
+def numerator_blocks(dom_dim, cod_dim, blocks):
+    """The dom_dim x cod_dim map holding each (row, col, map) of blocks as
+    its numerator matrix, with its top-left entry at (row, col).
+
+    Each block is its map scaled by the map's den, a positive int, which
+    keeps the joint kernel of blocks stacked in rows and the span of blocks
+    side by side in columns.  Raises DimensionError if a block does not
+    fit."""
+    ent = {}
+    for row, col, m in blocks:
+        if (min(row, col) < 0 or row + m.cod_dim > cod_dim
+                or col + m.dom_dim > dom_dim):
+            raise DimensionError(
+                f"a {m.cod_dim}x{m.dom_dim} block at ({row},{col}) "
+                f"leaves {cod_dim}x{dom_dim}")
+        ent.update(((row + r, col + c), v) for (r, c), v in m.entries.items())
+    return SparseMap._from_ints(dom_dim, cod_dim, ent)
+
+
 def xdanh_by_composition(ctx, k, l):
     """KoszulContext.xdanh_check's record the long way: every rank by
     blocked_rank, rank_proj of the composite del.d and rank_sum of
@@ -826,7 +845,7 @@ def xdanh_by_composition(ctx, k, l):
         rank_in = blocked_rank(din, prev_w, ps.weights())
         blocks, off = [(0, 0, din)], din.dom_dim
     blocks.append((0, off, proj))
-    stacked = SparseMap.numerator_blocks(off + proj.dom_dim, dim, blocks)
+    stacked = numerator_blocks(off + proj.dom_dim, dim, blocks)
     rank_sum = blocked_rank(stacked, prev_w + list(ps.weights()), ps.weights())
     return {"dim": dim, "rank_in": rank_in, "rank_out": rank_out,
             "rank_proj": rank_proj, "rank_sum": rank_sum,

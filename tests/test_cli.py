@@ -382,3 +382,32 @@ def test_export_basis_cli(capsys, tmp_path):
         capsys, "export", "basis", "alt", "2", "3,1", "--out", str(out_file))
     assert code == 0
     assert json.loads(out_file.read_text())["dim"] == 7
+
+
+# ---------------------------------------------------------------------------
+# output files
+
+
+OUTPUT_REQUESTS = {
+    "verify": ["verify", "--checks", "identities", "--max-k", "1", "--max-l",
+               "1", "--max-p", "1", "--max-r", "1", "--json"],
+    "construct": ["construct", "Y", "1", "1", "--json"],
+    "spectrum": ["spectrum", "delPQd", "1", "1", "--json"],
+    "character": ["character", "typical", "2,1,0|-1", "--json"],
+    "export-matrix": ["export", "matrix", "d", "3,3", "--out"],
+    "export-basis": ["export", "basis", "alt", "2", "--out"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUT_REQUESTS))
+@pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
+def test_an_unwritable_output_is_a_configuration_error(capsys, tmp_path,
+                                                       command, where):
+    # a missing parent directory, or a path that is a directory: one error
+    # line naming the path and exit 2, not a traceback
+    path = tmp_path / "missing" / "x.json" if where == "missing-dir" else tmp_path
+    code, out, err = run_cli(capsys, *OUTPUT_REQUESTS[command], str(path))
+    assert code == 2
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "missing").exists()

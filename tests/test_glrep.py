@@ -57,6 +57,7 @@ from superkoszul.superspace import (
     ProductSpace,
     SuperSpace,
     blocked_image,
+    is_dominant,
     power_basis,
 )
 
@@ -555,9 +556,13 @@ def test_graded_span_insert_and_contains():
 
 
 def test_graded_span_rejects_mixed_weight():
-    span = GradedSpan(2, [(1, 0), (0, 1)])
+    span = GradedSpan(3, [(1, 0), (0, 1), (1, 0)])
     with pytest.raises(ValueError):
         span.insert({0: F(1), 1: F(1)})
+    # the first two entries agree, so only the last shows the mix
+    with pytest.raises(ValueError, match="not weight-homogeneous"):
+        span.insert({0: F(1), 2: F(2), 1: F(3)})
+    assert span.dim == 0 and not span.blocks
 
 
 # ---------------------------------------------------------------------------
@@ -1065,6 +1070,16 @@ def test_raising_kernel_rejects_a_generator_off_its_weight_step(con):
     bad = GLModule(space=v.space, name="bad", gens=v.gens,
                    weights=v.weights[::-1], parities=v.parities)
     with pytest.raises(ValueError, match="not weight-graded"):
+        bad.raising_kernel()
+    # the one bad entry sits at a column whose block is never eliminated:
+    # E_(0,1) sends e1, of the non-dominant weight (0,1,0,0), to e0 and to e2
+    assert not is_dominant(v.weights[1], v.space.m)
+    e01 = v.gens[(0, 1)]
+    gens = {**v.gens, (0, 1): SparseMap(4, 4, {**{
+        k: F(x, e01.den) for k, x in e01.entries.items()}, (2, 1): F(1)})}
+    bad = GLModule(space=v.space, name="bad", gens=gens, weights=v.weights,
+                   parities=v.parities)
+    with pytest.raises(ValueError, match=r"not weight-graded: E_\(0,1\) entry \(2,1\)"):
         bad.raising_kernel()
 
 

@@ -27,6 +27,7 @@ from oracles import (
     from_triples,
     naive_rank,
     naive_rref,
+    numerator_blocks,
     split,
     subspace_sum,
     transpose,
@@ -421,6 +422,19 @@ def test_restrict_certifies_an_image_whose_basis_terms_cancel():
     assert dense(m.restrict(Subspace.full(1), cod)) == [[F(1)], [F(1)]]
 
 
+def test_read_coordinates_refuses_an_extra_entry_off_the_pivots():
+    # the third image has the pivot coordinates of b0 + b1 and one more
+    # entry at index 2, which no basis vector meets: only the residue sees it
+    cod = Subspace(4, [{0: 1, 1: 1}, {3: 1}], [1, 3])
+    images = [{0: 1, 1: 1}, {0: 2, 1: 2, 3: -1}, {0: 1, 1: 1, 2: 7, 3: 1},
+              {3: 1}]
+    ent, bad = cod.read_coordinates(images)
+    assert bad == 2
+    assert ent == {(0, 0): 1, (0, 1): 2, (1, 1): -1, (0, 2): 1, (1, 2): 1}
+    assert cod.read_coordinates(images[:2] + images[3:]) == (
+        {(0, 0): 1, (0, 1): 2, (1, 1): -1, (1, 2): 1}, None)
+
+
 def test_restrict_then_apply_commutes():
     m = from_dense([[1, 1, 0], [0, 1, 0], [0, 0, 4]])
     dom = Subspace.from_vectors(3, [{0: F(1)}, {1: F(1)}])
@@ -738,26 +752,27 @@ def test_prop_cayley_hamilton(m):
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_prop_numerator_blocks_keep_joint_kernels_and_summed_images(data):
-    # blocks stacked in rows meet in the intersection of the kernels, and
-    # blocks side by side span the sum of the images, whatever the dens
+    # the stacking oracle of xdanh_by_composition: blocks stacked in rows
+    # meet in the intersection of the kernels, and blocks side by side span
+    # the sum of the images, whatever the dens
     n, r1, r2 = data.draw(DIMS), data.draw(DIMS), data.draw(DIMS)
     a, b = data.draw(maps_of_shape(n, r1)), data.draw(maps_of_shape(n, r2))
-    rows = SparseMap.numerator_blocks(n, r1 + r2, [(0, 0, a), (r1, 0, b)])
+    rows = numerator_blocks(n, r1 + r2, [(0, 0, a), (r1, 0, b)])
     assert rows.den == 1 and rows.kernel() == a.kernel().intersect(b.kernel())
     c1, c2 = data.draw(DIMS), data.draw(DIMS)
     a, b = data.draw(maps_of_shape(c1, n)), data.draw(maps_of_shape(c2, n))
-    cols = SparseMap.numerator_blocks(c1 + c2, n, [(0, 0, a), (0, c1, b)])
+    cols = numerator_blocks(c1 + c2, n, [(0, 0, a), (0, c1, b)])
     assert cols.image() == subspace_sum(a.image(), b.image())
     assert cols.rank() == naive_rank(cols)
 
 
 def test_numerator_blocks_refuse_a_block_that_does_not_fit():
     m = SparseMap.identity(2)
-    assert SparseMap.numerator_blocks(2, 4, [(2, 0, m)]).entries == {
+    assert numerator_blocks(2, 4, [(2, 0, m)]).entries == {
         (2, 0): 1, (3, 1): 1}
     for row, col in ((3, 0), (0, 1), (-1, 0)):
         with pytest.raises(DimensionError):
-            SparseMap.numerator_blocks(2, 4, [(row, col, m)])
+            numerator_blocks(2, 4, [(row, col, m)])
 
 
 @given(sparse_maps(), sparse_maps())

@@ -17,9 +17,10 @@ Each certificate decides alone: no mixed square is composed on its spot
 (only the identities and the two squared maps compose words), and the
 equivariance of an operator is checked once, at its line spot.
 The pair splitting's ranks extend the shared Im d: xdanh_check builds no
-composite del.d and no stacked map.  The g0 count of a loop's space is read
-in one place, loop_blocks, where it only says where to seek singular
-vectors.
+composite del.d and no stacked map, and GLModule.raising_kernel cuts the
+raising generators into weight blocks with no stacked map either.  The g0
+count of a loop's space is read in one place, loop_blocks, where it only
+says where to seek singular vectors.
 """
 
 import ast
@@ -122,6 +123,14 @@ def test_xdanh_check_composes_and_stacks_nothing():
     assert not any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.MatMult)
                    for n in ast.walk(body))
     assert not [c for c in ("compose", "blocked_rank", "numerator_blocks")
+                if _calls(body, c)]
+
+
+def test_raising_kernel_stacks_and_splits_nothing():
+    # each weight block is built straight from the raising generators'
+    # entries: no stacked map and no split of one
+    body = _function("glrep.py", "GLModule.raising_kernel")
+    assert not [c for c in ("numerator_blocks", "split_graded")
                 if _calls(body, c)]
 
 
