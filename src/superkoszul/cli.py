@@ -108,7 +108,10 @@ def _cmd_verify(args):
     knobs = {f.name: getattr(args, f.name) for f in fields(VerificationPlan)}
     knobs["checks"] = tuple(
         c.strip() for c in args.checks.split(",") if c.strip())
-    plan = VerificationPlan(**knobs)
+    plan = VerificationPlan(**knobs).validate()
+    if args.json_out:
+        # refuse an unwritable report path before the run, not after it
+        open(args.json_out, "a", encoding="utf-8").close()
     report = harness.run(plan)
     if args.json_out:
         _emit(report.to_json(), args.json_out)

@@ -485,7 +485,7 @@ def _check_spectra(plan):
         for k in range(1, min(plan.max_k, 2) + 1):
             for a in range(1, min(plan.max_a, 2) + 1):
                 params = {"i": i, "k": k, "a": a}
-                _, spot, _, _ = ctx.loop_setup("PdeldQ", (i, k, a))
+                spot = ctx.loop_setup("PdeldQ", (i, k, a))[1]
                 if ctx.spot_space(spot).dim > plan.dim_cap:
                     records.append(record(
                         "SPECTRUM-PDELDQ", params, "skip",
@@ -735,7 +735,8 @@ def run(plan):
         try:
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=plan.jobs) as pool:
+            workers = min(plan.jobs, len(plan.checks))  # forked at once
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 futs = [pool.submit(run_group, plan_dict, g)
                         for g in plan.checks]
                 results = [f.result() for f in futs]

@@ -85,6 +85,11 @@ even-dominant weights that sum is dim V with every term >= 0, so equality
 proves U_mu = 0 at every weight skipped.  A wrong count fails the fill
 check with its witness (filled < dim); it cannot give a wrong spectrum.
 
+Each block M_mu is decided by eigenspace nullities, and generalised ones
+where those do not fill it, over the loop's eigenvalue formula on every
+alphabet (loop_setup, verify_spectrum); no characteristic polynomial is
+taken.
+
 Im d at each pair is built once (KoszulContext.d_image), for the rank of
 d, the homology, the pair splitting, the ImD modules and the Z summands;
 Im(del.d) = del(Im d), so the splitting's ranks come from del applied to
@@ -549,60 +554,53 @@ class KoszulContext:
     # -- loop operators and spectra ---------------------------------------------------
 
     def loop_setup(self, kind, params):
-        """(word, base spot, derived eigenvalue set, stated eigenvalue set).
+        """(word, base spot, derived set, stated set, candidates).
 
-        derived is the set the operator identities force (the spectrum is
-        verified against it by eigenspace dimensions); stated is the closed
-        form carried in the claim registry for this loop, kept separate so
-        disagreements surface as findings.  For the insertion-side loop the two differ at i >= 1:
-        the stated numerator is a+i+3-j where the recursion forces a+2i+3-j.
-        Both are (3|1)-specific; other alphabets get no prediction.
+        candidates are the loop's eigenvalues by the (3|1) formula with 3
+        read as m-n+1 and 4 as m-n+2; no level is capped, since a value
+        the spectrum lacks has nullity 0.  derived and stated are (3|1)
+        claims, None elsewhere: derived, the candidates, is forced by the
+        operator identities; stated is the claim registry's closed form,
+        kept apart so disagreements surface as findings.  For delPQd the
+        two differ at i >= 1: the stated numerator is a+i+3-j.
         """
         arity = {"delPQd": 2, "PdeldQ": 3}.get(kind)
         if arity is not None and len(params) != arity:
             raise ValueError(
                 f"{kind} takes {arity} parameters, got {len(params)}")
+        mn = self.space.m - self.space.n
         if kind == "delPQd":
             i, a = params
             if i < 0 or a + i < 0:
                 raise ValueError("invalid loop parameters")
             spot = Spot(i, 0, a + i)
             word = ["d", "Q", "P", "del"]
-            derived = stated = None
-            if (self.space.m, self.space.n) == (3, 1):
-                # On S_p with no exterior letters the transfer loop QP is the
-                # identity (the r = 0 case of the transfer identity), which
-                # rewrites the loop at (i, a) as c*id + s*(conjugate of the
-                # loop at (i-1, a)); unrolling the recursion forces the
-                # eigenvalue (a+2i+3-j)j / ((i+1)(a+i+1)) for j = 1..i+1
-                derived = frozenset(
-                    Fraction((a + 2 * i + 3 - j) * j, (i + 1) * (a + i + 1))
-                    for j in range(1, i + 2)
-                )
-                stated = frozenset(
-                    Fraction((a + i + 3 - j) * j, (i + 1) * (a + i + 1))
-                    for j in range(1, i + 2)
-                )
+            # On S_p with no exterior letters the transfer loop QP is the
+            # identity (the r = 0 case of the transfer identity), which
+            # rewrites the loop at (i, a) as c*id + s*(conjugate of the loop
+            # at (i-1, a)); unrolling the recursion forces the eigenvalue
+            # (a+2i+3-j)j / ((i+1)(a+i+1)) for j = 1..i+1 on (3|1)
+            js = range(1, i + 2)
+            top, den = a + 2 * i + mn + 1, (i + 1) * (a + i + 1)
         elif kind == "PdeldQ":
             i, k, a = params
             if i < 0 or k < 1 or a + i + k + 1 < 0:
                 raise ValueError("invalid loop parameters")
-            l = a + i + k + 1
-            spot = Spot(i, k + 1, l)
+            spot = Spot(i, k + 1, a + i + k + 1)
             word = ["Q", "d", "del", "P"]
-            derived = stated = None
-            if (self.space.m, self.space.n) == (3, 1):
-                js = set(range(1, i + 2)) | {i + k + 1}
-                derived = stated = frozenset(
-                    Fraction(
-                        (a + k + 2 * i + 4 - j) * j,
-                        (i + 1) * (k + 1) ** 2 * (a + i + k + 2),
-                    )
-                    for j in js
-                )
+            js = set(range(1, i + 2)) | {i + k + 1}
+            top = a + k + 2 * i + mn + 2
+            den = (i + 1) * (k + 1) ** 2 * (a + i + k + 2)
         else:
             raise ValueError(f"unknown loop kind {kind!r}")
-        return word, spot, derived, stated
+        candidates = frozenset(Fraction((top - j) * j, den) for j in js)
+        derived = stated = None
+        if (self.space.m, self.space.n) == (3, 1):
+            derived = stated = candidates
+            if kind == "delPQd":
+                stated = frozenset(
+                    Fraction((a + i + 3 - j) * j, den) for j in js)
+        return word, spot, derived, stated, candidates
 
     def loop_blocks(self, kind, word, spot):
         """The blocks of the loop operator M on V, the spot, or Ker(P (x) id)
@@ -778,10 +776,11 @@ class KoszulContext:
         return images, prod(op.den for op, _ in ops)
 
     def loop_spectrum(self, kind, params):
-        word, spot, derived, stated = self.loop_setup(kind, params)
+        word, spot, derived, stated, candidates = self.loop_setup(
+            kind, params)
         blocks, sizes, total = self.loop_blocks(kind, word, spot)
         return verify_spectrum(blocks, total, derived, stated, kind, params,
-                               sizes)
+                               sizes, candidates)
 
     # -- splittings ----------------------------------------------------------------
 
@@ -904,28 +903,34 @@ def _match(spec_set, target, diag):
 
 
 def verify_spectrum(blocks, total_dim, derived, stated, kind, params,
-                    sizes=None):
-    """Spectrum of a block-diagonal operator, prediction-first.
+                    sizes=None, candidates=None):
+    """Spectrum of a block-diagonal operator over candidate eigenvalues
+    (default: derived), compared with the derived and stated sets.
 
-    A block M is diagonalizable with spectrum inside the derived set exactly
-    when the dimensions n - rank(M - lambda) over the set add up to n, since
-    eigenspaces of distinct eigenvalues are independent; those dimensions are
-    then the multiplicities.  Otherwise fall back to exact characteristic
-    polynomials per block.  The actual spectrum is then compared against both
-    candidate sets.
+    Eigenspaces of distinct eigenvalues are independent, so a block whose
+    nullities n - rank(M - lambda) over the candidates add up to its size n
+    is diagonalizable with those multiplicities.  Otherwise the generalised
+    nullities, of (M - lambda)^p with p raised until they stop growing, are
+    the algebraic multiplicities and the block is not diagonalizable; if
+    they do not add up to n either, an eigenvalue lies outside the
+    candidates, and SpectrumError names the block's dimension and how much
+    was filled.  Nothing falls back.
 
     sizes[j] is the number of copies of blocks[j] in the operator
-    (weyl_dim of its weight, see KoszulContext.loop_blocks); its eigenspace
-    dimensions and multiplicities count that many times.  Default: 1 each.
+    (weyl_dim of its weight, see KoszulContext.loop_blocks); its
+    multiplicities count that many times.  Default: 1 each.
     """
     if sizes is None:
         sizes = [1] * len(blocks)
+    order = sorted(derived or () if candidates is None else candidates)
     pairs = [(b, s) for b, s in zip(blocks, sizes, strict=True)
              if b.dom_dim > 0]
-    counts = None if derived is None else _eigenspace_dims(pairs, derived)
-    diag, note = True, ""
-    if counts is None:
-        counts, diag, note = _block_spectra(pairs)
+    counts, diag = {}, True
+    for b, size in pairs:
+        mults, diagonal = _block_multiplicities(b, order)
+        diag = diag and diagonal
+        for lam, g in mults.items():
+            counts[lam] = counts.get(lam, 0) + size * g
     spec_set = set(counts)
     return SpectrumReport(
         kind=kind,
@@ -938,65 +943,54 @@ def verify_spectrum(blocks, total_dim, derived, stated, kind, params,
         invertible=ZERO not in spec_set and total_dim == sum(counts.values()),
         matches_derived=_match(spec_set, derived, diag),
         matches_stated=_match(spec_set, stated, diag),
-        note=note,
+        note="" if diag else "defective eigenvalue present",
         blocks_eliminated=len(pairs),
         blocks_by_symmetry=sum(s for _, s in pairs) - len(pairs),
     )
 
 
-def _eigenspace_dims(pairs, eigenvalues):
-    """eigenvalue -> total eigenspace dimension over the (block, size)
-    pairs, or None as soon as one block is not diagonalizable with spectrum
-    inside the set.  The eigenvalues are taken in increasing order, and a
-    block's eliminations stop once its eigenspaces fill it: eigenspaces of
-    distinct eigenvalues are independent, so the rest are 0.
+def _block_multiplicities(b, order):
+    """({lambda: multiplicity}, diagonalizable) of one block over the
+    increasing candidates.  M - lambda is q N - p den I for b = N / den and
+    lambda = p / q; Im (M - lambda)^p is M - lambda applied to the basis of
+    Im (M - lambda)^(p-1), from the whole space, until it stops falling."""
+    n = b.dom_dim
+    cols = [{} for _ in range(n)]
+    for (r, c), v in b.entries.items():
+        cols[c][r] = v
 
-    For a block N / den and lambda = p / q, the rank of M - lambda is that
-    of q N - p den I, eliminated straight from N's int columns."""
-    counts = dict.fromkeys(eigenvalues, 0)
-    order = sorted(eigenvalues)
-    for b, size in pairs:
-        n = b.dom_dim
-        cols = [{} for _ in range(n)]
-        for (r, c), v in b.entries.items():
-            cols[c][r] = v
-        found = 0
-        for lam in order:
-            if found == n:
-                break
-            q, shift = lam.denominator, lam.numerator * b.den
-            span = Subspace.zero(n)
-            for c, col in enumerate(cols):
-                vec = {r: q * v for r, v in col.items()}
-                x = vec.get(c, 0) - shift
-                if x:
-                    vec[c] = x
-                else:
-                    vec.pop(c, None)
-                span.insert(vec)
-            g = n - span.dim
-            counts[lam] += size * g
+    def shifted(lam):
+        q, shift = lam.denominator, lam.numerator * b.den
+        for c, col in enumerate(cols):
+            vec = {r: q * v for r, v in col.items()}
+            x = vec.get(c, 0) - shift
+            if x:
+                vec[c] = x
+            else:
+                vec.pop(c, None)
+            yield vec
+
+    nullities, found = {}, 0
+    for lam in order:
+        if found == n:
+            break
+        g = n - Subspace.from_vectors(n, shifted(lam)).dim
+        if g:
+            nullities[lam] = g
             found += g
-        if found != n:
-            return None
-    return {lam: g for lam, g in counts.items() if g}
-
-
-def _block_spectra(pairs):
-    """(eigenvalue -> algebraic multiplicity, diagonalizable, note) from exact
-    characteristic polynomials, block by block over the (block, size)
-    pairs."""
-    counts = {}
-    diag = True
-    note = ""
-    for b, size in pairs:
-        try:
-            spec = b.rational_spectrum()
-        except SpectrumError as e:
-            return {}, False, f"block spectrum not certified rational: {e}"
-        diag = diag and spec.diagonalizable
-        for lam, alg, geo in spec.pairs:
-            counts[lam] = counts.get(lam, 0) + size * alg
-            if alg != geo:
-                note = "defective eigenvalue present"
-    return counts, diag, note
+    if found == n:
+        return nullities, True
+    mults = {}
+    for lam in nullities:
+        a, im, prev = list(shifted(lam)), Subspace.full(n), n + 1
+        while im.dim < prev:
+            prev, im = im.dim, Subspace.from_vectors(n, [
+                _combine(0, {}, [(x, a[c]) for c, x in v.items()])
+                for v in im.nums])
+        mults[lam] = n - im.dim
+    filled = sum(mults.values())
+    if filled != n:
+        raise SpectrumError(
+            f"the candidate eigenvalues fill {filled} of a block of "
+            f"dimension {n}", witness={"dim": n, "filled": filled})
+    return mults, False

@@ -19,7 +19,8 @@ so its rational roots are ints dividing its lowest nonzero coefficient c0,
 and none exceeds the matrix's largest absolute column sum R.  Trying each
 e <= min(R, isqrt|c0|) that divides c0, with its co-divisor c0/e, finds
 them all; a search of more than MAX_TRIAL_DIVISIONS steps is refused with
-SpectrumError before it starts.
+SpectrumError before it starts.  No package code calls it or char_poly:
+they are the tests' reference, kept while perfbench/spans.py traces it.
 
 A Subspace keeps the reduced echelon basis whose pivots are each vector's
 largest index, built one vector at a time by Subspace.insert, the one

@@ -715,8 +715,9 @@ def split(sub, weights):
 def loop_spectrum_all_blocks(ctx, kind, params):
     """The loop spectrum with every weight block eliminated: the loop
     composed on its spot, split into all its weight blocks (restricted to
-    Ker(P (x) id) for PdeldQ), each counted once."""
-    word, spot, derived, stated = ctx.loop_setup(kind, params)
+    Ker(P (x) id) for PdeldQ), each counted once, over the loop's
+    candidate eigenvalues."""
+    word, spot, derived, stated, candidates = ctx.loop_setup(kind, params)
     mat = ctx.composed_to(word, spot, spot)
     weights = ctx.spot_space(spot).weights()
     graded = split_graded(mat, weights, weights)
@@ -728,13 +729,14 @@ def loop_spectrum_all_blocks(ctx, kind, params):
     else:
         blocks = [blk for blk, _, _ in graded.values()]
         total = mat.dom_dim
-    return verify_spectrum(blocks, total, derived, stated, kind, params)
+    return verify_spectrum(blocks, total, derived, stated, kind, params,
+                           candidates=candidates)
 
 
 def loop_space(ctx, kind, params):
     """(spot, V) of a loop: V is the whole spot, or Ker(P (x) id) for a
     PdeldQ loop with sym >= 1."""
-    _, spot, _, _ = ctx.loop_setup(kind, params)
+    _, spot, _, _, _ = ctx.loop_setup(kind, params)
     if kind == "PdeldQ" and spot.sym >= 1:
         return spot, ctx.kerp_space(spot)
     return spot, Subspace.full(ctx.spot_space(spot).dim)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+from fractions import Fraction
 import subprocess
 import sys
 from pathlib import Path
@@ -338,6 +339,49 @@ def test_a_failed_check_exits_one_with_its_witness(monkeypatch, capsys,
     assert err == "error: invalid loop parameters\n"
 
 
+def test_a_cell_outside_its_candidates_fails_alone(monkeypatch, capsys,
+                                                   tmp_path):
+    # the (3|1) formula with its level j = 2 dropped at delPQd (1, 1): the
+    # candidates do not fill that loop and nothing falls back, so a single
+    # request exits 1 with the block's witness, and verify fails that cell
+    # alone and still runs the other three
+    argv = ["verify", "--checks", "spectra", "--jobs", "1", "--max-i", "1",
+            "--max-a", "1", "--max-k", "1", "--max-l", "1", "--json"]
+    # exit 1 here is the stated-set finding at (1, 1)
+    assert run_cli(capsys, *argv, str(tmp_path / "whole.json"))[0] == 1
+    whole = json.loads((tmp_path / "whole.json").read_text(encoding="utf-8"))
+    assert whole["summary"]["fail"] == 0
+    loop_setup = KoszulContext.loop_setup
+
+    def short(ctx, kind, params):
+        word, spot, derived, stated, candidates = loop_setup(ctx, kind, params)
+        if (kind, tuple(params)) == ("delPQd", (1, 1)):
+            assert Fraction(4, 3) in candidates == derived
+            candidates = derived = candidates - {Fraction(4, 3)}
+        return word, spot, derived, stated, candidates
+
+    monkeypatch.setattr(KoszulContext, "loop_setup", short)
+    code, out, err = run_cli(capsys, "spectrum", "delPQd", "1", "1")
+    assert code == 1 and out == ""
+    line, witness = err.splitlines()
+    assert line.startswith("error: the candidate eigenvalues fill ")
+    witness = json.loads(witness)["witness"]
+    assert 0 <= witness["filled"] < witness["dim"]
+    assert line.endswith(f"fill {witness['filled']} of a block of dimension "
+                         f"{witness['dim']}")
+    assert run_cli(capsys, *argv, str(tmp_path / "short.json"))[0] == 1
+    short = json.loads((tmp_path / "short.json").read_text(encoding="utf-8"))
+    assert short["summary"]["fail"] == 1
+    assert len(short["records"]) == len(whole["records"]) == 4
+    for rec, before in zip(short["records"], whole["records"]):
+        if rec["params"] == {"i": 1, "a": 1}:
+            assert rec["claim"] == "SPECTRUM-DELPQD" and rec["status"] == "fail"
+            assert rec["witness"] == {"error": line[len("error: "):],
+                                      "witness": witness}
+        else:
+            assert rec == before and rec["status"] == "pass", rec["params"]
+
+
 def test_character_typical(capsys):
     code, out, _ = run_cli(capsys, "character", "typical", "2,1,-1|1")
     assert code == 0
@@ -401,13 +445,20 @@ OUTPUT_REQUESTS = {
 
 @pytest.mark.parametrize("command", sorted(OUTPUT_REQUESTS))
 @pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
-def test_an_unwritable_output_is_a_configuration_error(capsys, tmp_path,
-                                                       command, where):
+def test_an_unwritable_output_is_a_configuration_error(monkeypatch, capsys,
+                                                       tmp_path, command,
+                                                       where):
     # a missing parent directory, or a path that is a directory: one error
-    # line naming the path and exit 2, not a traceback
+    # line naming the path and exit 2, not a traceback; verify refuses the
+    # path before it runs the plan
+    def refuse(plan):
+        raise AssertionError("the plan ran")
+
+    monkeypatch.setattr(harness, "run", refuse)
     path = tmp_path / "missing" / "x.json" if where == "missing-dir" else tmp_path
     code, out, err = run_cli(capsys, *OUTPUT_REQUESTS[command], str(path))
     assert code == 2
     assert err.startswith(f"error: cannot write {path}: ")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not (tmp_path / "missing").exists()
+

@@ -437,3 +437,39 @@ def test_store_report_writes_indented_sorted_json(tmp_path):
         '{\n  "a": "x",\n  "b": [\n    1,\n    {\n      "c": 3,\n'
         '      "d": 2\n    }\n  ]\n}\n'
     )
+
+
+def test_a_pool_has_no_more_workers_than_groups(monkeypatch):
+    # a process pool forks all its workers at once, so --jobs beyond the
+    # number of check groups must not reach it; the report keeps the plan's
+    # jobs as given.  A fake pool runs the groups in this process
+    import concurrent.futures
+
+    seen = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = concurrent.futures.Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    small = dict(max_k=1, max_l=1, max_i=1, max_a=1, max_p=1, max_r=1)
+    checks = ("identities", "exactness")
+    wide = run(VerificationPlan(checks=checks, jobs=10000, **small))
+    assert seen == [2]
+    assert wide.plan["jobs"] == 10000
+    run(VerificationPlan(checks=checks + ("splittings",), jobs=2, **small))
+    assert seen == [2, 2]
+    one = run(VerificationPlan(checks=checks, jobs=1, **small))
+    assert seen == [2, 2]
+    assert (one.records, one.findings) == (wide.records, wide.findings)

@@ -42,7 +42,7 @@ from superkoszul.koszul import (
     word_end,
 )
 from superkoszul.harness import VerificationPlan
-from superkoszul.linalg import SparseMap, Subspace
+from superkoszul.linalg import SparseMap, SpectrumError, Subspace
 from superkoszul.glrep import GLAction
 from superkoszul.superspace import (
     SuperSpace,
@@ -625,7 +625,7 @@ def test_delpqd_spectra(ctx31, i, a):
 
 
 def test_delpqd_stated_vs_derived_sets(ctx31):
-    _, _, derived, stated = ctx31.loop_setup("delPQd", (1, 1))
+    _, _, derived, stated, _ = ctx31.loop_setup("delPQd", (1, 1))
     assert stated == frozenset({F(2, 3), F(1)})
     assert derived == frozenset({F(5, 6), F(4, 3)})
 
@@ -653,7 +653,7 @@ def test_pdeldq_spectra(ctx31, i, k, a):
 def test_pdeldq_cells_above_the_default_cap(ctx31, cell):
     # the default dim_cap of verify skips these three cells (spot
     # dimension up to 4608); run on their own they pass the same gate
-    _, spot, _, _ = ctx31.loop_setup("PdeldQ", cell)
+    _, spot, _, _, _ = ctx31.loop_setup("PdeldQ", cell)
     assert ctx31.spot_space(spot).dim > VerificationPlan().dim_cap
     rep = ctx31.loop_spectrum("PdeldQ", cell)
     assert rep.diagonalizable and rep.invertible and rep.matches_stated
@@ -661,8 +661,9 @@ def test_pdeldq_cells_above_the_default_cap(ctx31, cell):
 
 
 def test_loop_spectrum_without_prediction(ctx21):
-    # no closed form is wired for other alphabets; the fallback still
-    # certifies the exact spectrum
+    # off (3|1) no set is claimed; the (m|n) formula's candidates still
+    # fill every block, so the exact spectrum is certified
+    assert ctx21.loop_setup("delPQd", (1, 1))[4] == frozenset({F(2, 3), F(1)})
     rep = ctx21.loop_spectrum("delPQd", (1, 1))
     assert rep.derived is None and rep.stated is None
     assert rep.diagonalizable
@@ -672,11 +673,23 @@ def test_loop_spectrum_without_prediction(ctx21):
 
 
 def test_verify_spectrum_fallback_detects_bad_prediction():
+    # the eigenvalue 2 is not a candidate: nothing falls back, and the
+    # error names the block's dimension and how much the candidates fill
     m = SparseMap.from_columns(2, 2, {0: {0: F(1)}, 1: {1: F(2)}})
-    rep = verify_spectrum([m], 2, frozenset({F(1)}), frozenset({F(1)}), "x", ())
-    assert not rep.matches_derived and not rep.matches_stated
-    assert dict(rep.eigenvalues) == {F(1): 1, F(2): 1}
-    assert rep.diagonalizable
+    with pytest.raises(SpectrumError,
+                       match="fill 1 of a block of dimension 2") as exc:
+        verify_spectrum([m], 2, frozenset({F(1)}), frozenset({F(1)}), "x", ())
+    assert exc.value.witness == {"dim": 2, "filled": 1}
+    # a Jordan block at 2 beside the line at 1 is filled only by its
+    # generalised nullity
+    j = SparseMap.from_columns(3, 3, {0: {0: F(1)}, 1: {1: F(2)},
+                                      2: {1: F(1), 2: F(2)}})
+    with pytest.raises(SpectrumError) as exc:
+        verify_spectrum([j], 3, frozenset({F(1), F(3)}), None, "x", ())
+    assert exc.value.witness == {"dim": 3, "filled": 1}
+    rep = verify_spectrum([j], 3, frozenset({F(1), F(2)}), None, "x", ())
+    assert dict(rep.eigenvalues) == {F(1): 1, F(2): 2}
+    assert not rep.diagonalizable and rep.note == "defective eigenvalue present"
 
 
 def test_verify_spectrum_jordan_block_inside_prediction():
@@ -705,7 +718,7 @@ def _default_spectra_cells(ctx):
     cells = [("delPQd", (i, a)) for i in range(plan.max_i + 1)
              for a in range(1, plan.max_a + 1)]
     for i, k, a in product(range(3), range(1, 3), range(1, 3)):
-        _, spot, _, _ = ctx.loop_setup("PdeldQ", (i, k, a))
+        _, spot, _, _, _ = ctx.loop_setup("PdeldQ", (i, k, a))
         if ctx.spot_space(spot).dim <= plan.dim_cap:
             cells.append(("PdeldQ", (i, k, a)))
     return cells
@@ -761,7 +774,7 @@ def _singular_fill(ctx, kind, params):
     """(sorted (size, dimension) of the loop's blocks, the same pairs
     (weyl_dim(mu), multiplicity of L0(mu)) from the g0 character of the
     loop's space, its dimension)."""
-    word, spot, _, _ = ctx.loop_setup(kind, params)
+    word, spot, _, _, _ = ctx.loop_setup(kind, params)
     blocks, sizes, total = ctx.loop_blocks(kind, word, spot)
     weights = _loop_weights(ctx, kind, params)
     mults = g0_multiplicities(weights, ctx.space.m)
@@ -793,7 +806,7 @@ def test_singular_blocks_fill_loops_on_other_alphabets(m, n):
 def test_a_short_fill_is_refused(monkeypatch):
     monkeypatch.setattr(koszul, "weyl_dim", lambda w, m: 1)
     ctx = KoszulContext(SuperSpace(3, 1))
-    word, spot, _, _ = ctx.loop_setup("delPQd", (1, 1))
+    word, spot, _, _, _ = ctx.loop_setup("delPQd", (1, 1))
     with pytest.raises(KoszulError, match="fill") as exc:
         ctx.loop_blocks("delPQd", word, spot)
     w = exc.value.witness
@@ -829,7 +842,7 @@ def test_a_count_that_drops_a_summand_fails_the_fill_check(monkeypatch):
 
     monkeypatch.setattr(koszul, "g0_multiplicities", drop_one)
     ctx = KoszulContext(SuperSpace(3, 1))
-    word, spot, _, _ = ctx.loop_setup("delPQd", (1, 1))
+    word, spot, _, _, _ = ctx.loop_setup("delPQd", (1, 1))
     with pytest.raises(KoszulError, match="fill") as exc:
         ctx.loop_blocks("delPQd", word, spot)
     w = exc.value.witness
@@ -867,8 +880,8 @@ SMALL_LOOPS = {
 
 @pytest.mark.parametrize("m,n", sorted(SMALL_LOOPS))
 def test_orbit_reduced_char_poly_fallback_equals_all_blocks(m, n):
-    # no prediction off (3|1): the multiplicities come from characteristic
-    # polynomials, scaled by orbit size
+    # no prediction off (3|1): the multiplicities are nullities over the
+    # (m|n) formula's candidates, scaled by weyl_dim
     ctx = KoszulContext(SuperSpace(m, n))
     for kind, params in SMALL_LOOPS[(m, n)]:
         reduced = ctx.loop_spectrum(kind, params)
@@ -884,7 +897,7 @@ def test_restricted_loop_blocks_are_read_over_the_whole_kernel_den(m, n):
     # vectors, so each block is still read over the kernel's den
     ctx = KoszulContext(SuperSpace(m, n))
     for params in [(1, 1, 0), (1, 2, -1)]:
-        word, spot, _, _ = ctx.loop_setup("PdeldQ", params)
+        word, spot, _, _, _ = ctx.loop_setup("PdeldQ", params)
         sub = ctx.kerp_space(spot)
         weights = ctx.spot_space(spot).weights()
         assert any(part.den < sub.den
@@ -921,7 +934,7 @@ def test_relabelling_without_its_sign_falls_back_to_all_blocks(
     with pytest.raises(KoszulError, match="gl0 certificate") as exc:
         ctx.loop_spectrum(kind, params)
     w = exc.value.witness
-    word, spot, _, _ = ctx.loop_setup(kind, params)
+    word, spot, _, _, _ = ctx.loop_setup(kind, params)
     assert w["spot"] == repr(spot) and w["failing"]
     for fail in w["failing"]:
         assert fail["generators"] == [list(key)], fail

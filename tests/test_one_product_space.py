@@ -21,6 +21,9 @@ composite del.d and no stacked map, and GLModule.raising_kernel cuts the
 raising generators into weight blocks with no stacked map either.  The g0
 count of a loop's space is read in one place, loop_blocks, where it only
 says where to seek singular vectors.
+A spectrum is decided one way, by nullities over the loop's candidate
+eigenvalues: no characteristic polynomial is taken outside linalg, and
+verify_spectrum catches nothing to fall back on.
 """
 
 import ast
@@ -137,3 +140,15 @@ def test_raising_kernel_stacks_and_splits_nothing():
 def test_the_g0_count_is_read_only_by_loop_blocks():
     assert _package_calls("g0_multiplicities") == [
         "koszul.py:KoszulContext.loop_blocks"]
+
+
+def test_the_spectrum_is_decided_by_nullities_alone():
+    # char_poly and rational_spectrum stay in linalg as the tests' reference;
+    # no package code reaches them, and verify_spectrum has no second route
+    # behind a try
+    assert _package_calls("rational_spectrum") == []
+    assert _package_calls("char_poly") == ["linalg.py:SparseMap.rational_spectrum"]
+    tries = (ast.Try, getattr(ast, "TryStar", ast.Try))
+    for name in ("verify_spectrum", "_block_multiplicities"):
+        body = _function("koszul.py", name)
+        assert not any(isinstance(n, tries) for n in ast.walk(body)), name
