@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
 
 from . import harness
 from .characters import CharacterError
@@ -57,14 +56,14 @@ def _build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("verify", help="run a verification plan")
-    for f in fields(VerificationPlan):
-        if f.name == "checks":
-            v.add_argument("--checks", default=",".join(f.default),
+    for name, default in harness.PLAN_DEFAULTS.items():
+        if name == "checks":
+            v.add_argument("--checks", default=",".join(default),
                            help="comma separated subset of: "
                                 + ", ".join(harness.CHECK_GROUPS))
         else:
-            v.add_argument("--" + f.name.replace("_", "-"), type=int,
-                           default=f.default)
+            v.add_argument("--" + name.replace("_", "-"), type=int,
+                           default=default)
     v.add_argument("--json", dest="json_out", default=None,
                    help="write the full report to this file")
 
@@ -105,7 +104,7 @@ def _build_parser():
 
 
 def _cmd_verify(args):
-    knobs = {f.name: getattr(args, f.name) for f in fields(VerificationPlan)}
+    knobs = {name: getattr(args, name) for name in harness.PLAN_DEFAULTS}
     knobs["checks"] = tuple(
         c.strip() for c in args.checks.split(",") if c.strip())
     plan = VerificationPlan(**knobs).validate()

@@ -55,7 +55,6 @@ GLModule owns the singular-vector and irreducibility machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import prod
 
@@ -177,7 +176,7 @@ def check_equivariance(ctx, act, name, spot, even=False):
     the spot's except for P and Q where the Cartan fails: the spot can then
     also fail an odd simple generator (module docstring)."""
     idle = idle_field(name)
-    line = replace(spot, **{idle: 0})
+    line = spot._replace(**{idle: 0})
     return {**_equivariance_at(ctx, act, name, line, even),
             "certified_by": "line" if line != spot else "spot"}
 
@@ -214,7 +213,6 @@ def _equivariance_at(ctx, act, name, spot, even):
 # modules
 
 
-@dataclass(frozen=True)
 class GLModule:
     """A gl(m|n)-module given by its simple-root generator matrices.
 
@@ -226,15 +224,23 @@ class GLModule:
     (is_irreducible).  The module is frozen, so a construction hands out
     the one it built.  A twist keeps the matrices and shifts every weight
     by one amount, which leaves each weight block, and so both facts,
-    unchanged: it shares the record.
+    unchanged: it shares the record.  Assigning or deleting an attribute
+    raises AttributeError.
     """
 
-    space: object
-    name: str
-    gens: dict
-    weights: list
-    parities: list
-    facts: dict = field(default_factory=dict, repr=False, compare=False)
+    __slots__ = ("space", "name", "gens", "weights", "parities", "facts")
+
+    def __init__(self, space, name, gens, weights, parities, facts=None):
+        values = (space, name, gens, weights, parities,
+                  {} if facts is None else facts)
+        for slot, value in zip(self.__slots__, values):
+            object.__setattr__(self, slot, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a GLModule is frozen: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"a GLModule is frozen: cannot delete {name!r}")
 
     @property
     def dim(self):
@@ -357,17 +363,18 @@ class GLModule:
         info["generated_dim"] = facts["generated_dim"]
         return facts["generated_dim"] == self.dim, info
 
-    def twist(self, weight, parity):
+    def twist(self, weight, parity, name=None):
         """Tensor with a one-dimensional module of the given weight/parity.
 
         Off-diagonal generators kill the line, so the generator matrices stay
         as they are: only the weights shift, and element parities flip when
         the line is odd.  The twist is a new module that shares this one's
-        generator matrices and record of facts.
+        generator matrices and record of facts; its name defaults to this
+        module's name with the twist appended.
         """
         return GLModule(
             space=self.space,
-            name=f"{self.name}*twist{tuple(weight)}",
+            name=name or f"{self.name}*twist{tuple(weight)}",
             gens=self.gens,
             weights=[
                 tuple(a + b for a, b in zip(w, weight)) for w in self.weights
@@ -503,7 +510,7 @@ def berezinian_twist(mod, t, name):
     new module with the given name, also for t = 0."""
     if t < 0:
         raise ValueError(f"twist count must be at least 0, got {t}")
-    return replace(mod.twist((t, t, t, -t), t % 2), name=name)
+    return mod.twist((t, t, t, -t), t % 2, name)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 
 from . import characters as chars
@@ -195,25 +194,55 @@ def hook_to_label(shape):
 # plan and report containers
 
 
-@dataclass
+# The plan's fields with their defaults, in report order.  The verify flags
+# of the CLI are read off this table.
+PLAN_DEFAULTS = {
+    "m": 3,
+    "n": 1,
+    "max_k": 4,
+    "max_l": 4,
+    "max_i": 3,
+    "max_a": 3,
+    "max_p": 3,
+    "max_r": 3,
+    "dim_cap": 3000,
+    "checks": CHECK_GROUPS,
+    "jobs": 1,
+}
+
+
+def check_alphabet(m, n):
+    """PlanError unless both alphabet sizes are at least 1: the one check
+    of an alphabet, for a plan and for an export."""
+    if m < 1 or n < 1:
+        raise PlanError("alphabet sizes must be at least 1")
+
+
 class VerificationPlan:
-    m: int = 3
-    n: int = 1
-    max_k: int = 4
-    max_l: int = 4
-    max_i: int = 3
-    max_a: int = 3
-    max_p: int = 3
-    max_r: int = 3
-    dim_cap: int = 3000
-    checks: tuple = CHECK_GROUPS
-    jobs: int = 1
+    """A verify run: the fields of PLAN_DEFAULTS, each given by keyword or
+    left at its default.  Two plans are equal when every field is."""
+
+    __slots__ = tuple(PLAN_DEFAULTS)
+
+    def __init__(self, **fields):
+        unknown = sorted(set(fields) - set(PLAN_DEFAULTS))
+        if unknown:
+            raise TypeError(f"unknown plan fields: {unknown}")
+        for name, default in PLAN_DEFAULTS.items():
+            setattr(self, name, fields.get(name, default))
+
+    def __eq__(self, other):
+        if type(other) is not VerificationPlan:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in PLAN_DEFAULTS)
+
+    def __repr__(self):
+        return f"VerificationPlan({self.as_dict()})"
 
     def validate(self):
         bounds = (self.max_k, self.max_l, self.max_i, self.max_a,
                   self.max_p, self.max_r)
-        if self.m < 1 or self.n < 1:
-            raise PlanError("alphabet sizes must be at least 1")
+        check_alphabet(self.m, self.n)
         if any(b < 1 for b in bounds):
             raise PlanError("index bounds must be at least 1")
         if self.dim_cap < 1 or self.jobs < 1:
@@ -226,7 +255,8 @@ class VerificationPlan:
         return self
 
     def as_dict(self):
-        return {**asdict(self), "checks": list(self.checks)}
+        return {**{f: getattr(self, f) for f in PLAN_DEFAULTS},
+                "checks": list(self.checks)}
 
     @classmethod
     def from_dict(cls, d):
@@ -271,14 +301,21 @@ def finding(claim, params, description, stated, derived):
     }
 
 
-@dataclass
 class Report:
-    plan: dict
-    records: list
-    findings: list
-    summary: dict = field(default_factory=dict)
-    timings: dict = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
+    """A verify run's report: the plan as a dict, the records and findings,
+    and, once finished, the summary; timings and meta are the channels that
+    vary between runs."""
+
+    __slots__ = ("plan", "records", "findings", "summary", "timings", "meta")
+
+    def __init__(self, plan, records, findings, summary=None, timings=None,
+                 meta=None):
+        self.plan = plan
+        self.records = records
+        self.findings = findings
+        self.summary = {} if summary is None else summary
+        self.timings = {} if timings is None else timings
+        self.meta = {} if meta is None else meta
 
     def finish(self):
         counts = {"pass": 0, "fail": 0, "skip": 0}
@@ -297,7 +334,7 @@ class Report:
         return 0 if self.summary.get("ok") else 1
 
     def to_json(self):
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {f: getattr(self, f) for f in self.__slots__}
 
 
 def _param_key(params):
@@ -850,6 +887,7 @@ def character_report(formula, label):
 def _alphabet(alphabet):
     if len(alphabet) != 2:
         raise ValueError(f"an alphabet is two sizes m,n, got {alphabet!r}")
+    check_alphabet(*alphabet)
     return alphabet
 
 

@@ -101,7 +101,7 @@ Ker(P (x) id) = Im(P (x) id) is decided at the line spot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm, prod
 
@@ -131,13 +131,10 @@ class KoszulError(WitnessedError, ValueError):
     """A structural claim about the complex fails; the witness shows where."""
 
 
-@dataclass(frozen=True)
-class Spot:
+class Spot(namedtuple("Spot", ("sym", "alt", "dual"))):
     """Indices of the triple product S_sym (x) Lambda_alt (x) S*_dual."""
 
-    sym: int
-    alt: int
-    dual: int
+    __slots__ = ()
 
     @property
     def valid(self):
@@ -179,7 +176,7 @@ def idle_field(name):
 
 def op_target(name, spot):
     left, right, _ = OPERATORS[name]
-    return replace(spot, **{f: getattr(spot, f) + step
+    return spot._replace(**{f: getattr(spot, f) + step
                             for f, _, step in (left, right)})
 
 
@@ -294,7 +291,7 @@ class KoszulContext:
         idle = idle_field(name)
         degree = getattr(spot, idle)
         if degree:
-            m = self.operator(name, replace(spot, **{idle: 0}))
+            m = self.operator(name, spot._replace(**{idle: 0}))
             dim = self._basis(idle, degree).dim
             m = m.lift(left=dim) if idle == "sym" else m.lift(right=dim)
         else:
@@ -504,7 +501,7 @@ class KoszulContext:
             return blocked_kernel(
                 self.operator("P", spot), self.spot_space(spot).weights(),
                 self.spot_space(op_target("P", spot)).weights())
-        lifted = self.kerp_space(replace(spot, dual=0)).lift(
+        lifted = self.kerp_space(spot._replace(dual=0)).lift(
             right=self.dual_basis(spot.dual).dim)
         if len(set(lifted.pivots)) != lifted.dim:
             raise KoszulError(
@@ -524,7 +521,7 @@ class KoszulContext:
         scale by dim S*_dual."""
         if spot.alt < 1:
             raise ValueError("needs alt >= 1")
-        line = replace(spot, dual=0)
+        line = spot._replace(dual=0)
         back = Spot(spot.sym + 1, spot.alt - 1, 0)
         ker = self.kerp_space(line)
         im = blocked_image(self.operator("P", back),
@@ -638,7 +635,7 @@ class KoszulContext:
         restricted = kind == "PdeldQ" and spot.sym >= 1
         lines = [(name, line) for name, line, _ in steps]
         if restricted:
-            lines.append(("P", replace(spot, dual=0)))
+            lines.append(("P", spot._replace(dual=0)))
         from .glrep import GLAction  # glrep imports koszul
         act = GLAction(self.space)
         failing = [{"operator": name, "line_spot": repr(line),
@@ -746,7 +743,7 @@ class KoszulContext:
             end = checked_target(name, spot)
             idle = idle_field(name)
             right = self.dual_basis(spot.dual).dim if idle == "dual" else 1
-            steps.append((name, replace(spot, **{idle: 0}), right))
+            steps.append((name, spot._replace(**{idle: 0}), right))
             spot = end
         return steps, spot
 
@@ -875,25 +872,17 @@ class KoszulContext:
 # spectrum verification
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
-    kind: str
-    params: tuple
-    dim: int
-    derived: frozenset | None  # set forced by the operator identities
-    stated: frozenset | None  # closed form carried by the claim registry
-    eigenvalues: tuple  # ((value, multiplicity), ...) sorted by value
-    diagonalizable: bool
-    invertible: bool
-    matches_derived: bool | None
-    matches_stated: bool | None
-    note: str = ""
-    # work, not part of any report body: the blocks eliminated, and the
-    # further copies they stand for, the sum of size - 1 over them (a block
-    # M_mu on the g0-singular vectors counts weyl_dim(mu) times; see
-    # KoszulContext.loop_blocks)
-    blocks_eliminated: int = 0
-    blocks_by_symmetry: int = 0
+# derived: the set forced by the operator identities; stated: the closed form
+# carried by the claim registry (each a frozenset, or None); eigenvalues:
+# ((value, multiplicity), ...) sorted by value.  blocks_eliminated and
+# blocks_by_symmetry are work, not part of any report body: the blocks
+# eliminated, and the further copies they stand for, the sum of size - 1
+# over them (a block M_mu on the g0-singular vectors counts weyl_dim(mu)
+# times; see KoszulContext.loop_blocks)
+SpectrumReport = namedtuple("SpectrumReport", (
+    "kind", "params", "dim", "derived", "stated", "eigenvalues",
+    "diagonalizable", "invertible", "matches_derived", "matches_stated",
+    "note", "blocks_eliminated", "blocks_by_symmetry"), defaults=("", 0, 0))
 
 
 def _match(spec_set, target, diag):

@@ -32,7 +32,7 @@ the kernel basis off the reduced rows.
 from __future__ import annotations
 
 from bisect import bisect
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -492,12 +492,9 @@ def _over_common_den(vals):
             for k, v in vals.items() if v}, den
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues with algebraic and geometric multiplicities."""
-
-    pairs: tuple  # ((eigenvalue, alg, geo), ...)
-    diagonalizable: bool
+# Eigenvalues with algebraic and geometric multiplicities: pairs is
+# ((eigenvalue, alg, geo), ...)
+Spectrum = namedtuple("Spectrum", ("pairs", "diagonalizable"))
 
 
 # ---------------------------------------------------------------------------

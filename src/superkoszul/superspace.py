@@ -102,6 +102,25 @@ def sort_sign(space, kind, word):
     return sign
 
 
+def distinct_orderings(mu):
+    """The distinct orderings of the ascending tuple mu, in ascending
+    lexicographic order, one step each: the next permutation of a multiset
+    (Knuth, TAOCP 7.2.1.2, Algorithm L)."""
+    a, n = list(mu), len(mu)
+    while True:
+        yield tuple(a)
+        j = n - 2
+        while j >= 0 and a[j] >= a[j + 1]:
+            j -= 1
+        if j < 0:
+            return
+        k = n - 1
+        while a[j] >= a[k]:
+            k -= 1
+        a[j], a[k] = a[k], a[j]
+        a[j + 1:] = a[:j:-1]
+
+
 class PowerBasis:
     """Basis of the degree-N sym/alt power, indexed by admissible multisets.
 
@@ -149,15 +168,12 @@ class PowerBasis:
     # -- tensor realization ---------------------------------------------------
 
     def expansion(self, idx):
-        """[(word, coeff)] over distinct orderings; ascending word has coeff 1."""
+        """[(word, coeff)] over the distinct orderings in ascending order;
+        the ascending word has coeff 1."""
         if idx not in self._expansions:
-            mu = self.multisets[idx]
-            terms = []
-            for word in sorted(set(permutations(mu))):
-                terms.append(
-                    (word, Fraction(sort_sign(self.space, self.kind, word)))
-                )
-            self._expansions[idx] = terms
+            self._expansions[idx] = [
+                (word, Fraction(sort_sign(self.space, self.kind, word)))
+                for word in distinct_orderings(self.multisets[idx])]
         return self._expansions[idx]
 
     # -- single-letter factor maps ---------------------------------------------

@@ -1,9 +1,10 @@
 """Reference constructions the tests compare the package against.
 
-None of these is used by the package itself: power bases realized in the
-full tensor power and tensors projected back word by word, E_ij acting on
-those words, E_ij on a tensor product as a sum of Kronecker products with
-identity and signed-identity factors, full tensor-power symmetrizers, a
+None of these is used by the package itself: a basis vector's words from
+every ordering of its multiset, power bases realized in the full tensor
+power and tensors projected back word by word, E_ij acting on those words,
+E_ij on a tensor product as a sum of Kronecker products with identity and
+signed-identity factors, full tensor-power symmetrizers, a
 characteristic polynomial multiplied out block by block, dense Fraction
 matrices standing in for SparseMap's arithmetic, the gl(m|n)
 supercommutator relations, the action of every E_ij (Cartan included)
@@ -251,6 +252,13 @@ def product_unindex(ps, flat):
         out.append(flat % f.dim)
         flat //= f.dim
     return tuple(reversed(out))
+
+
+def expansion_by_permutations(basis, idx):
+    """PowerBasis.expansion from every ordering of the multiset: its d!
+    orderings built, deduplicated and sorted (small degrees only)."""
+    return [(word, Fraction(sort_sign(basis.space, basis.kind, word)))
+            for word in sorted(set(permutations(basis.multisets[idx])))]
 
 
 def norm_constant(basis, mu):

@@ -420,6 +420,20 @@ def test_export_matrix_cli(capsys):
     assert mat == KoszulContext(SuperSpace(3, 1)).pair_d(1, 1)
 
 
+@pytest.mark.parametrize("argv", [
+    "export basis sym 2 0,1",
+    "export basis alt 2 0,0",
+    "export matrix d 1,1 0,1",
+    "verify --m 0",
+    "verify --n 0",
+])
+def test_an_empty_alphabet_is_refused_alike(capsys, argv):
+    # export and verify share one alphabet check
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 2 and out == ""
+    assert err == "error: alphabet sizes must be at least 1\n"
+
+
 def test_export_basis_cli(capsys, tmp_path):
     out_file = tmp_path / "basis.json"
     code, _, _ = run_cli(

@@ -5,7 +5,6 @@ from exact construction runs; highest weights are internal exponent tuples,
 so the fourth entry is the negative of the label coordinate.
 """
 
-from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import pytest
@@ -459,7 +458,7 @@ def test_operators_are_the_lift_of_their_line_spot_map(ctx):
             if not op_applicable(name, spot):
                 continue
             idle = idle_field(name)
-            line = ctx.operator(name, replace(spot, **{idle: 0}))
+            line = ctx.operator(name, spot._replace(**{idle: 0}))
             eye = SparseMap.identity(ctx._basis(idle, getattr(spot, idle)).dim)
             want = eye.kron(line) if idle == "sym" else line.kron(eye)
             assert ctx.operator(name, spot) == want, (name, spot)
@@ -522,7 +521,7 @@ def test_a_faulted_line_map_is_judged_at_its_line_spot_as_at_each_spot(space):
                 ctx._operators[(name, line)] = bad
                 act = GLAction(space)
                 for degree in (1, 2):
-                    spot = replace(line, **{idle: degree})
+                    spot = line._replace(**{idle: degree})
                     report = check_equivariance(ctx, act, name, spot)
                     want = equivariance_at_spot(ctx, act, name, spot)
                     key = (name, line, label, degree)
@@ -957,10 +956,13 @@ def test_constructor_builds_each_module_once(monkeypatch):
 def test_a_built_module_is_frozen():
     con = Constructor(KoszulContext(SuperSpace(3, 1)))
     mod = con.image_module(2, 2)
+    fields = ("name", "weights", "gens", "facts")
+    before = [getattr(mod, f) for f in fields]
     for name, value in [("name", "renamed"), ("weights", []), ("gens", {}),
                         ("facts", {})]:
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError):
             setattr(mod, name, value)
+    assert all(getattr(mod, f) is was for f, was in zip(fields, before))
     assert mod.name == "ImD(2,2)" and con.image_module(2, 2) is mod
 
 

@@ -3,10 +3,11 @@ builders."""
 
 import hashlib
 import json
+import time
 
 import pytest
 
-from oracles import from_triples
+from oracles import expansion_by_permutations, from_triples
 from superkoszul import characters, harness
 from superkoszul.characters import LaurentPoly
 from superkoszul.glrep import CONSTRUCTIONS
@@ -35,7 +36,7 @@ from superkoszul.harness import (
 from superkoszul.glrep import Constructor
 from superkoszul.koszul import KoszulContext, KoszulError, idle_field
 from superkoszul.linalg import SparseMap
-from superkoszul.superspace import SuperSpace
+from superkoszul.superspace import PowerBasis, SuperSpace, power_basis
 
 
 SMALL = dict(max_k=2, max_l=2, max_i=1, max_a=1, max_p=2, max_r=2)
@@ -428,6 +429,37 @@ def test_export_basis_alt2():
     assert out["dim"] == 7 and len(out["vectors"]) == 7
     for vec in out["vectors"]:
         assert set(vec) == {"label", "weight", "parity", "expansion"}
+
+
+@pytest.mark.parametrize("alphabet", [(3, 1), (2, 2), (1, 2)])
+def test_export_basis_expansions_match_the_permutation_oracle(alphabet):
+    # the distinct orderings come in the order of the sorted d! orderings,
+    # so the export is byte-identical
+    space = SuperSpace(*alphabet)
+    for kind in ("sym", "alt"):
+        for dual in (False, True):
+            for degree in range(8):
+                out = export_basis(kind, degree, alphabet, dual=dual)
+                basis = power_basis(space, kind, degree, dual)
+                want = [[[list(word), str(c)]
+                         for word, c in expansion_by_permutations(basis, idx)]
+                        for idx in range(basis.dim)]
+                got = [vec["expansion"] for vec in out["vectors"]]
+                assert got == want, (kind, dual, degree)
+
+
+def test_basis_expansion_costs_its_distinct_words():
+    # eleven 0s and one 1 at degree 12: 12 words out of 12! orderings
+    basis = PowerBasis(SuperSpace(3, 1), "sym", 12)
+    idx = basis.index[(0,) * 11 + (1,)]
+    t0 = time.perf_counter()
+    terms = basis.expansion(idx)
+    elapsed = time.perf_counter() - t0
+    words = [word for word, _ in terms]
+    assert words == sorted((0,) * k + (1,) + (0,) * (11 - k)
+                           for k in range(12))
+    assert [c for _, c in terms] == [1] * 12
+    assert elapsed < 1.0
 
 
 def test_store_report_writes_indented_sorted_json(tmp_path):
