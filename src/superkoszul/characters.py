@@ -48,9 +48,6 @@ class LaurentPoly:
     def is_zero(self):
         return not self.terms
 
-    def __bool__(self):
-        return bool(self.terms)
-
     def __eq__(self, other):
         return isinstance(other, LaurentPoly) and self.terms == other.terms
 
@@ -136,16 +133,6 @@ def divide_exact(num, den, step_cap=20000):
     """
     if den.is_zero():
         raise CharacterError("division by zero polynomial")
-    if num.is_zero():
-        return LaurentPoly.zero()
-    if len(den.terms) == 1:
-        (de, dc), = den.terms.items()
-        return LaurentPoly(
-            {
-                tuple(a - b for a, b in zip(e, de)): _divide_coeff(c, dc)
-                for e, c in num.terms.items()
-            }
-        )
     q = {}
     rem = num
     de, dc = _lead(den)
@@ -172,11 +159,6 @@ class CharFraction:
             raise CharacterError("zero denominator")
         self.num = num
         self.den = den
-
-    def __mul__(self, other):
-        if isinstance(other, LaurentPoly):
-            other = CharFraction(other)
-        return CharFraction(self.num * other.num, self.den * other.den)
 
     def __neg__(self):
         return CharFraction(-self.num, self.den)

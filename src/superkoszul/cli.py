@@ -41,10 +41,7 @@ def parse_ints(text):
 
 
 def _emit(obj, out_path=None):
-    if out_path:
-        harness.store_report(obj, out_path)
-    else:
-        print(json.dumps(obj, indent=2, sort_keys=True))
+    harness.store_report(obj, out_path)
 
 
 def _build_parser():

@@ -518,7 +518,8 @@ def berezinian_twist(mod, t, name):
 
 
 class Constructor:
-    """Builds the named modules out of one Koszul context.
+    """Builds the named modules out of one Koszul context, one method per
+    family; harness.FAMILIES maps each family's name to its method.
 
     ImD and Z modules are built once per argument tuple: the families reuse
     them (Mmp(m,p) is a twisted ImD(m+2,m+p), Z1 and Mfinal are Z modules),
@@ -632,31 +633,3 @@ class Constructor:
         spot = Spot(k - 1, l + 1, 0)
         return self._spot_module(spot, self.ctx.kerp_space(spot),
                                  f"I{tuple(shape)}")
-
-    def construct(self, name, params):
-        try:
-            method, arity = CONSTRUCTIONS[name.lower()]
-        except KeyError:
-            raise ValueError(f"unknown construction {name!r}") from None
-        if arity is None:
-            return getattr(self, method)(params)
-        if len(params) != arity:
-            raise ValueError(
-                f"{name} takes {arity} parameters, got {len(params)}"
-            )
-        return getattr(self, method)(*params)
-
-
-# lower-case construction name -> (Constructor method, parameter count);
-# None hands the whole parameter tuple over as one shape
-CONSTRUCTIONS = {
-    "h31": ("h31", 0),
-    "imd": ("image_module", 2),
-    "mmp": ("mmp", 2),
-    "y": ("y_summand", 2),
-    "ysummand": ("y_summand", 2),
-    "z1": ("z1", 1),
-    "zk": ("zk", 3),
-    "mfinal": ("mfinal", 3),
-    "ilambda": ("ilambda", None),
-}

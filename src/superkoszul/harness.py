@@ -7,18 +7,21 @@ independent units that can run in separate processes; report assembly is
 single threaded and the record order is fixed by sorting, so two runs of the
 same plan agree byte for byte outside the timing fields.
 
-`FAMILIES` holds, for each module construction, its claim, its closed
-character and its highest-weight label.  `check_module` is the one check of
-a module: irreducibility, the closed form and the V formula at the derived
-highest weight.  The constructions and characters groups and the
-single-module `construct_report` all run it, so `verify` and `construct`
-certify a module the same way.
+`FAMILIES` is the one declaration of each module family: its `Constructor`
+method and parameter count, its claim, its closed character and its
+highest-weight label; `build_module` builds a family by name from it.
+`check_module` is the one check of a module: irreducibility, the closed
+form and the V formula at the derived highest weight.  The constructions
+and characters groups and the single-module `construct_report` all run it,
+so `verify` and `construct` certify a module the same way.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 import time
+from contextlib import nullcontext
 from fractions import Fraction
 
 from . import characters as chars
@@ -150,23 +153,35 @@ SCHUR_GRID = (
     (3, 1),
 )
 
-_Y_FAMILY = ("Y-CHAR", "y_char", lambda n, p: (n, 0, 1 - p, 1))
 
-# lower-case construction name -> (claim, name of the closed character in
-# `characters`, highest-weight label as a function of the construction
-# parameters).  The character is named rather than held, so it is looked up
-# when a check runs.  Z1's label is the constructed one; the stated label
-# and the stated general Z character differ and are reported as findings.
+def hook_to_label(shape):
+    """Highest-weight label of the hook module: pad to three rows, each
+    further row lowers the fourth coordinate by one."""
+    shape = tuple(shape) + (0, 0, 0)
+    return (shape[0], shape[1], shape[2], -max(len(tuple(p for p in shape if p)) - 3, 0))
+
+
+_Y_FAMILY = ("y_summand", 2, "Y-CHAR", "y_char", lambda n, p: (n, 0, 1 - p, 1))
+
+# lower-case construction name -> (Constructor method, parameter count, claim,
+# name of the closed character in `characters`, highest-weight label as a
+# function of the construction parameters).  A parameter count of None hands
+# the whole parameter tuple over as one shape.  The method and the character
+# are named rather than held, so they are looked up when a module is built or
+# checked.  Z1's label is the constructed one; the stated label and the
+# stated general Z character differ and are reported as findings.
 FAMILIES = {
-    "h31": ("H31", "h31_char", lambda: (1, 1, 1, 1)),
-    "imd": ("IMD-SIMPLE", "image_char", None),
+    "h31": ("h31", 0, "H31", "h31_char", lambda: (1, 1, 1, 1)),
+    "imd": ("image_module", 2, "IMD-SIMPLE", "image_char", None),
     "y": _Y_FAMILY,
     "ysummand": _Y_FAMILY,
-    "z1": ("Z1-CHAR", "z1_char", lambda m: (2, 1, -m, 1)),
-    "zk": ("ZK-CHAR", "zk_char", lambda k, l, m: (k + 1, 1, 1 - m, 3 - l)),
-    "mmp": ("MMP-CHAR", "mmp_char", lambda m, p: (m, m, -p, 0)),
-    "mfinal": ("MFINAL-CHAR", "mfinal_char",
+    "z1": ("z1", 1, "Z1-CHAR", "z1_char", lambda m: (2, 1, -m, 1)),
+    "zk": ("zk", 3, "ZK-CHAR", "zk_char",
+           lambda k, l, m: (k + 1, 1, 1 - m, 3 - l)),
+    "mmp": ("mmp", 2, "MMP-CHAR", "mmp_char", lambda m, p: (m, m, -p, 0)),
+    "mfinal": ("mfinal", 3, "MFINAL-CHAR", "mfinal_char",
                lambda m, t, p: (m + t, m, 1 - p, 1)),
+    "ilambda": ("ilambda", None, "SCHUR-CONSISTENCY", None, hook_to_label),
 }
 
 # (construction, parameters) of each module the constructions group
@@ -181,13 +196,6 @@ MODULE_CELLS = (
     *(("mfinal", {"m": m, "t": t, "p": p})
       for m in (1, 2) for t in (1, 2) for p in (1, 2)),
 )
-
-
-def hook_to_label(shape):
-    """Highest-weight label of the hook module: pad to three rows, each
-    further row lowers the fourth coordinate by one."""
-    shape = tuple(shape) + (0, 0, 0)
-    return (shape[0], shape[1], shape[2], -max(len(tuple(p for p in shape if p)) - 3, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -581,6 +589,21 @@ def _check_splittings(plan):
     return records, []
 
 
+def build_module(con, name, params):
+    """The named module, built by its family's `Constructor` method, which is
+    looked up on con when called; ValueError on an unknown name or a wrong
+    parameter count."""
+    try:
+        method, arity = FAMILIES[name.lower()][:2]
+    except KeyError:
+        raise ValueError(f"unknown construction {name!r}") from None
+    if arity is None:
+        return getattr(con, method)(params)
+    if len(params) != arity:
+        raise ValueError(f"{name} takes {arity} parameters, got {len(params)}")
+    return getattr(con, method)(*params)
+
+
 def check_module(con, name, params):
     """Build a named module and check it: it is irreducible, its enumeration
     equals its closed form, and its unsigned enumeration equals the V formula
@@ -589,13 +612,14 @@ def check_module(con, name, params):
     The closed form of a family is its closed character from `FAMILIES`,
     looked up in `characters` when called, against the unsigned enumeration;
     ImD with k < 2 or on the degenerate line k - l = m - n has none.  The
-    closed form of a hook is the hook determinant of h_r(x1+x2+x3-y),
-    against the signed enumeration; the weight-(1,1,1,-1) line (H31) has
-    none.  `verify` and `construct` both check a module here.
+    closed form of a hook, which has no closed character, is the hook
+    determinant of h_r(x1+x2+x3-y), against the signed enumeration; the
+    weight-(1,1,1,-1) line (H31) has none.  `verify` and `construct` both
+    check a module here.
 
     Returns the module, the checks and the unsigned enumeration.
     """
-    mod = con.construct(name, params)
+    mod = build_module(con, name, params)
     irr, info = mod.is_irreducible()
     derived = None
     if info["singular_dim"] == 1:
@@ -604,22 +628,21 @@ def check_module(con, name, params):
     unsigned = chars.supercharacter(mod, signed=False)
     enum = chars.CharFraction(unsigned)
     key = name.lower()
+    _, _, claim, closed_name, _ = FAMILIES[key]
     closed = None
-    if key in FAMILIES:
-        claim, closed_name, _ = FAMILIES[key]
-        if key == "imd" and params[0] < 2:
-            closed = {"claim": claim, "skipped": "closed form needs k >= 2"}
-        elif key == "imd" and params[0] - params[1] == mod.space.m - mod.space.n:
-            closed = {"claim": claim,
-                      "skipped": "image coincides with the degenerate line"}
-        else:
-            closed = {"claim": claim, "convention": "unsigned",
-                      **enum.compare(getattr(chars, closed_name)(*params))}
+    if key == "imd" and params[0] < 2:
+        closed = {"claim": claim, "skipped": "closed form needs k >= 2"}
+    elif key == "imd" and params[0] - params[1] == mod.space.m - mod.space.n:
+        closed = {"claim": claim,
+                  "skipped": "image coincides with the degenerate line"}
+    elif closed_name is not None:
+        closed = {"claim": claim, "convention": "unsigned",
+                  **enum.compare(getattr(chars, closed_name)(*params))}
     elif tuple(params) != (1, 1, 1, -1):
         jt = chars.ch_schur_super(params)
         signed = chars.supercharacter(mod, signed=True)
         equal = jt == signed
-        closed = {"claim": "SCHUR-CONSISTENCY", "convention": "signed",
+        closed = {"claim": claim, "convention": "signed",
                   "equal": equal, "up_to_sign": equal or jt == -signed}
     if derived is None:
         v_leg = {"label": None, "error": "no highest weight: singular space "
@@ -686,7 +709,7 @@ def _check_constructions(plan):
     z1_cells = []
     zk_cells = []
     for name, params in MODULE_CELLS:
-        claim, _, label_of = FAMILIES[name]
+        _, _, claim, _, label_of = FAMILIES[name]
         args = tuple(params.values())
         note = "stated label differs; see findings" if name == "z1" else ""
         rec, checks, unsigned = _module_cell(
@@ -735,10 +758,10 @@ def _check_characters(plan):
             "KAC-TYPICAL-CONSISTENCY", {"label": list(lab)}, cmp["equal"], cmp))
     ctx = _context(plan)
     con = Constructor(ctx)
+    _, _, claim, _, label_of = FAMILIES["ilambda"]
     for shape in SCHUR_GRID:
-        rec, _, _ = _module_cell(con, "SCHUR-CONSISTENCY", "ilambda",
-                                 {"shape": list(shape)}, shape,
-                                 hook_to_label(shape))
+        rec, _, _ = _module_cell(con, claim, "ilambda", {"shape": list(shape)},
+                                 shape, label_of(shape))
         records.append(rec)
     return records, []
 
@@ -930,8 +953,12 @@ def export_basis(kind, degree, alphabet, dual=False):
     }
 
 
-def store_report(obj, path):
-    """Write a JSON document to a file: two-space indent, sorted keys, and a
-    trailing newline."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+def store_report(obj, path=None):
+    """Write a JSON document to a file, or to stdout when there is no path:
+    two-space indent, sorted keys, and a trailing newline.  The document is
+    written as it is encoded, never held as one string; stdout is looked up
+    when called."""
+    out = open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout)
+    with out as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")

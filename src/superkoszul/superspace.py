@@ -19,7 +19,6 @@ tests check the factor maps against full tensor-power projectors.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from itertools import (
     combinations,
     combinations_with_replacement,
@@ -155,7 +154,6 @@ class PowerBasis:
                 p ^= space.parity(letter)
             self.weights.append(tuple(w))
             self.parities.append(p)
-        self._expansions = {}
         self._factor_maps = {}
 
     def key(self):
@@ -168,13 +166,10 @@ class PowerBasis:
     # -- tensor realization ---------------------------------------------------
 
     def expansion(self, idx):
-        """[(word, coeff)] over the distinct orderings in ascending order;
-        the ascending word has coeff 1."""
-        if idx not in self._expansions:
-            self._expansions[idx] = [
-                (word, Fraction(sort_sign(self.space, self.kind, word)))
+        """[(word, sign)] over the distinct orderings in ascending order;
+        the ascending word has sign 1."""
+        return [(word, sort_sign(self.space, self.kind, word))
                 for word in distinct_orderings(self.multisets[idx])]
-        return self._expansions[idx]
 
     # -- single-letter factor maps ---------------------------------------------
     #
@@ -281,7 +276,6 @@ class ProductSpace:
         for f in factors:
             self.dim *= f.dim
         self._weights = None
-        self._parities = None
 
     def weights(self):
         """Each index's weight, the sum of its factors' weights, folded in
@@ -297,10 +291,8 @@ class ProductSpace:
 
     def parities(self):
         """Each index's parity, the sum of its factors' parities mod 2."""
-        if self._parities is None:
-            self._parities = [sum(ps) & 1 for ps in
-                              product(*(f.parities for f in self.factors))]
-        return self._parities
+        return [sum(ps) & 1 for ps in
+                product(*(f.parities for f in self.factors))]
 
     def __repr__(self):
         return " (x) ".join(repr(f) for f in self.factors)

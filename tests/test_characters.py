@@ -170,7 +170,8 @@ def test_coefficients_stay_ints():
              ch_schur_super((2, 1, 1)), ch_v((2, 1, -1, 1)).num,
              kac_sum((2, 1, -1, 1)).den, divide_exact(p * x(2), p))
     for q in built:
-        assert q and all(type(c) is int for c in q.terms.values())
+        assert not q.is_zero()
+        assert all(type(c) is int for c in q.terms.values())
 
 
 def test_divide_exact_rejects_a_non_integral_quotient():

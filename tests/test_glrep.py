@@ -43,6 +43,7 @@ from oracles import (
     xdanh_splitting,
     z_summand_on_the_spot,
 )
+from superkoszul.harness import build_module
 from superkoszul.koszul import (
     KoszulContext,
     Spot,
@@ -255,7 +256,7 @@ def test_simple_generators_are_the_full_restriction(origins, name, params,
     # the oracle restricts all 16 E_ij: it raises if the module is not
     # invariant under some non-simple generator
     con, seen = origins
-    mod = con.construct(name, params)
+    mod = build_module(con, name, params)
     (origin,) = seen
     full = full_action(con.act, *origin)
     assert list(mod.gens) == list(simple_pairs(con.ctx.space))
@@ -726,11 +727,11 @@ def test_ilambda_rejects_non_hooks(con):
 
 
 def test_construct_dispatch(con):
-    assert con.construct("ysummand", (1, 1)).dim == 15
-    assert con.construct("mfinal", (1, 1, 1)).dim == 64
-    assert con.construct("ilambda", (2, 1)).dim == 20
+    assert build_module(con, "ysummand", (1, 1)).dim == 15
+    assert build_module(con, "mfinal", (1, 1, 1)).dim == 64
+    assert build_module(con, "ilambda", (2, 1)).dim == 20
     with pytest.raises(ValueError):
-        con.construct("nope", ())
+        build_module(con, "nope", ())
 
 
 # ---------------------------------------------------------------------------
@@ -1022,7 +1023,7 @@ def _agreement_modules():
         other = Constructor(KoszulContext(SuperSpace(m, n)))
         mods += [other.image_module(k, l) for k in range(4) for l in range(4)]
     con = Constructor(KoszulContext(SuperSpace(3, 1)))
-    mods += [con.construct(name, tuple(params.values()))
+    mods += [build_module(con, name, tuple(params.values()))
              for name, params in harness.MODULE_CELLS]
     mods += [con.ilambda(shape) for shape in HOOKS]
     mods.append(con.image_module(4, 2))
@@ -1053,7 +1054,7 @@ def test_lowering_closure_decides_imd_1_1_on_2_2():
 def test_raising_kernel_is_the_unblocked_singular_space(con):
     # the stacked raising generators eliminated one dominant weight at a
     # time give the joint kernel the oracle eliminates in one piece
-    mods = [con.construct(name, tuple(params.values()))
+    mods = [build_module(con, name, tuple(params.values()))
             for name, params in harness.MODULE_CELLS]
     mods += [con.ilambda(shape) for shape in HOOKS]
     mods.append(con.zk(1, 2, 0))  # reducible: two singular lines
