@@ -222,6 +222,26 @@ def test_small_plan_bodies_off_3_1_are_pinned(m, n):
             rep.summary["findings"]) == counts
 
 
+# a deeper (3|1) plan than the default: it reaches more ImD cells,
+# certificates and Ker P restrictions.  sha256 of its stable_body and its
+# (pass, fail, skip, findings), recorded at commit c3155e5; a change that
+# moves one of its records on purpose re-records the hash and lists the
+# records in CHANGES.md
+DEEP_PLAN = dict(max_k=6, max_l=6, max_i=5, max_a=5, max_p=5, max_r=5,
+                 dim_cap=100000)
+DEEP_BODY = ("c4f7dbfabcffcb0d486eee806703d0387b4570263e530e822f6042da160f57ff",
+             (937, 0, 204, 3))
+
+
+def test_deep_plan_body_is_pinned():
+    rep = run(VerificationPlan(**DEEP_PLAN))
+    body = stable_body(rep.to_json())
+    digest, counts = DEEP_BODY
+    assert hashlib.sha256(body.encode()).hexdigest() == digest
+    assert (rep.summary["pass"], rep.summary["fail"], rep.summary["skip"],
+            rep.summary["findings"]) == counts
+
+
 def test_spectra_run_reports_stated_set_finding():
     plan = VerificationPlan(checks=("spectra",), max_i=1, max_a=1,
                             max_k=2, max_l=2)
