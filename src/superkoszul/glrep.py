@@ -56,7 +56,8 @@ GLModule owns the singular-vector and irreducibility machinery.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
+from operator import add
 
 from .linalg import RestrictionError, SparseMap, WitnessedError
 from .superspace import GradedSpan, is_dominant, join, power_basis, weight_blocks
@@ -141,23 +142,40 @@ class GLAction:
     def product_matrix(self, factors, gi, gj):
         """E_(gi,gj) on the tensor product of the factors, indexed as kron,
         as the derivation: each factor's matrix lifted past the others,
-        signed where an odd E crosses an odd left part, and the terms added
-        into one dict (for E_jj they overlap on the diagonal).  A factor is
-        a power basis or a built module; a module supplies its own
-        restricted matrix, so it takes a simple-root generator only.  Not
-        cached: a module build restricts it once."""
+        signed where an odd E crosses an odd left part.  A factor is a power
+        basis or a built module; a module supplies its own restricted
+        matrix, so it takes a simple-root generator only.  Not cached: a
+        module build restricts it once.
+
+        For gi != gj the lifted terms are written into one dict over the
+        lcm of their dens: E_(gi,gj) moves a weight, so a factor's matrix
+        has no diagonal entry, and the term of factor f changes the index
+        of factor f alone, which makes the terms' entries disjoint.  For
+        E_jj they overlap on the diagonal and are summed
+        (SparseMap.combination)."""
         pe = (self.space.parity(gi) + self.space.parity(gj)) % 2
         left_parities = [0]
         terms = []
+        last = len(factors) - 1
         for f, factor in enumerate(factors):
             mat = (factor.gens[(gi, gj)] if isinstance(factor, GLModule)
                    else self.on_basis(factor, gi, gj))
             rdim = prod(g.dim for g in factors[f + 1:])
-            terms.append((1, mat.lift(
-                len(left_parities), rdim, left_parities if pe else None)))
-            left_parities = [p ^ q for p in left_parities for q in factor.parities]
+            terms.append(mat.lift(
+                len(left_parities), rdim, left_parities if pe else None))
+            if f < last:
+                left_parities = [p ^ q for p in left_parities
+                                 for q in factor.parities]
         dim = prod(f.dim for f in factors)
-        return SparseMap.combination(dim, dim, terms)
+        if gi == gj:
+            return SparseMap.combination(dim, dim, [(1, t) for t in terms])
+        den = lcm(*(t.den for t in terms))
+        ent = {}
+        for t in terms:
+            s = den // t.den
+            ent.update(t.entries if s == 1
+                       else {k: s * v for k, v in t.entries.items()})
+        return SparseMap._from_ints(dim, dim, ent, den)
 
 
 def check_equivariance(ctx, act, name, spot, even=False):
@@ -592,12 +610,11 @@ class Constructor:
             if z_sub.dim == 0:
                 raise ValueError(
                     f"the Z summand is empty for these parameters, got {(k, l, m)}")
-            spot = ctx.spot_space(Spot(k, l + 1, m + 1))
-            sw, sp = spot.weights(), spot.parities()
-            pivots = ctx.lifted_d_image(k, l, m).pivots
+            sym, imd = ctx.sym_basis(k), self.image_module(l, m)
             self._built[key] = module_from_subspace(
-                self.act, (ctx.sym_basis(k), self.image_module(l, m)),
-                [sw[q] for q in pivots], [sp[q] for q in pivots], z_sub,
+                self.act, (sym, imd),
+                [tuple(map(add, a, b)) for a in sym.weights for b in imd.weights],
+                [p ^ q for p in sym.parities for q in imd.parities], z_sub,
                 f"Z({k},{l},{m})")
         return self._built[key]
 

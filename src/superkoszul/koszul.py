@@ -349,11 +349,6 @@ class KoszulContext:
                 self.pair_space(k + 1, l + 1).weights())
         return self._d_images[key]
 
-    def lifted_d_image(self, i, k, l):
-        """S_i (x) Im d_(k,l) inside the spot (i, k+1, l+1): the shared pair
-        image lifted on the left (Subspace.lift), with no elimination."""
-        return self.d_image(k, l).lift(left=self.sym_basis(i).dim)
-
     # -- identities -------------------------------------------------------------
 
     def d_del_identity(self, k, l):
@@ -747,18 +742,20 @@ class KoszulContext:
             spot = end
         return steps, spot
 
-    def _word_images(self, steps, columns, weights):
+    def _word_images(self, steps, columns, weights, heads=None):
         """({w: [image]}, den): the line steps applied to the int vectors
         columns[w], of weight w; image c of weight w is den times the image
         of columns[w][c], den the product of the maps' dens.  The one
         grading check of a word: an image entry of another weight (weights,
         those of the spot where the word ends) raises KoszulError with the
-        row, the column (the vector's largest index) and both weights."""
+        row, the column and both weights.  The column is heads[w][c], the
+        pivot of the vector the word started from, or without heads the
+        vector's largest index."""
         ops = [(self.operator(name, line), right) for name, line, right in steps]
         images = {}
         for w, vecs in columns.items():
             images[w] = []
-            for vec in vecs:
+            for c, vec in enumerate(vecs):
                 img = vec
                 for op, right in ops:
                     img = op.apply_numerators(img, right)
@@ -766,7 +763,9 @@ class KoszulContext:
                     if weights[r] != w:
                         raise KoszulError(
                             "word is not weight-graded",
-                            witness={"row": r, "column": max(vec),
+                            witness={"row": r,
+                                     "column": (max(vec) if heads is None
+                                                else heads[w][c]),
                                      "row_weight": weights[r],
                                      "column_weight": w})
                 images[w].append(img)
@@ -791,40 +790,56 @@ class KoszulContext:
         which="prop2": (i,k,a); with l = a+i+k+1, inside W = image of d on
             the spot (i+1, k, l), the summand Z = W intersected with
             Ker(P.del), taken as the kernel of P.del on W; W is
-            S_(i+1) (x) Im d_(k,l) (lifted_d_image).
+            S_(i+1) (x) Im d_(k,l), w_t = e_s (x) v_j for t = s*dim Im d + j,
+            which pivots at s*D + p_j (D the pair space's dimension), as
+            Subspace.lift would put it.  del leaves S_(i+1) alone, so it is
+            applied once per Im d basis vector v_j at its line spot and
+            each image shifted to every copy s; W's vectors are never
+            built.
 
-        Each case only picks the word, the spot and W, a reduced echelon
-        basis w_t; one body does the rest.  The word is applied to the w_t
-        at its line spots, and the summand is returned as the kernel K in
-        W's coordinates: the summand is spanned by the sum_t K[t] w_t.  For
-        prop1 the w_t are the unit vectors, so K is in the spot's own
-        coordinates; for prop2 W is S_(i+1) (x) ImD(k,l) indexed as kron,
-        the space a Z module acts on (Constructor.zk).
+        Each case only picks the word, the spot, W's pivots and its vectors'
+        images under the word's first steps; one body does the rest.  The
+        remaining steps are applied at their line spots, and the summand
+        is returned as the kernel K in W's coordinates: the summand is
+        spanned by the sum_t K[t] w_t.  For prop1 the w_t are the unit
+        vectors, so K is in the spot's own coordinates; for prop2 W is
+        S_(i+1) (x) ImD(k,l) indexed as kron, the space a Z module acts on
+        (Constructor.zk).
         """
         if which == "prop1":
             i, a = params
-            word, spot = ["P", "del"], Spot(i + 1, 0, a + i + 1)
-            w_sub = Subspace.full(self.spot_space(spot).dim)
+            spot = Spot(i + 1, 0, a + i + 1)
+            steps, end = self._line_steps(["P", "del"], spot)
+            pivots = range(self.spot_space(spot).dim)
+            vecs, den = [{t: 1} for t in pivots], 1
         elif which == "prop2":
             i, k, a = params
             l = a + i + k + 1
-            word, spot = ["del", "P"], Spot(i + 1, k + 1, l + 1)
-            w_sub = self.lifted_d_image(i + 1, k, l)
+            spot = Spot(i + 1, k + 1, l + 1)
+            steps, end = self._line_steps(["del", "P"], spot)
+            (_, line, _), steps = steps[0], steps[1:]
+            op, im = self.operator("del", line), self.d_image(k, l)
+            once = [op.apply_numerators(v) for v in im.nums]
+            copies = range(self.sym_basis(i + 1).dim)
+            pivots = [s * op.dom_dim + p for s in copies for p in im.pivots]
+            vecs = [{s * op.cod_dim + r: x for r, x in u.items()}
+                    for s in copies for u in once]
+            den = op.den
         else:
             raise ValueError(f"unknown splitting {which!r}")
         weights = self.spot_space(spot).weights()
         by_weight = {}
-        for t, p in enumerate(w_sub.pivots):
+        for t, p in enumerate(pivots):
             by_weight.setdefault(weights[p], []).append(t)
-        steps, end = self._line_steps(word, spot)
         end_dim = self.spot_space(end).dim
-        images, den = self._word_images(
+        images, rest = self._word_images(
             steps,
-            {w: [w_sub.nums[t] for t in ts] for w, ts in by_weight.items()},
-            self.spot_space(end).weights())
-        return join(w_sub.dim, ((SparseMap._from_ints(len(ts), end_dim, {
+            {w: [vecs[t] for t in ts] for w, ts in by_weight.items()},
+            self.spot_space(end).weights(),
+            {w: [pivots[t] for t in ts] for w, ts in by_weight.items()})
+        return join(len(pivots), ((SparseMap._from_ints(len(ts), end_dim, {
             (r, c): v for c, img in enumerate(images[w]) for r, v in img.items()
-        }, den).kernel(), ts) for w, ts in by_weight.items()))
+        }, den * rest).kernel(), ts) for w, ts in by_weight.items()))
 
     def xdanh_check(self, k, l):
         """Dimension bookkeeping for the pair splitting

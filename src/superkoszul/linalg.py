@@ -352,15 +352,16 @@ class SparseMap:
     def restrict(self, dom, cod):
         """Matrix of self as a map dom -> cod in the subspace bases.
 
-        One product per basis vector b of dom: its image, read at cod's
-        pivots, gives b's coordinates, certified by the image's residue
-        modulo cod (Subspace.read_coordinates), the check cod's basis times
-        C = the images taken column by column.  Otherwise RestrictionError
-        names the first domain basis vector whose image leaves cod.
+        One pass per basis vector b of dom: cod.read_coordinates builds b's
+        image straight into its residue modulo cod, reads b's coordinates at
+        cod's pivots and certifies them by that residue, the check cod's
+        basis times C = the images taken column by column.  No image is
+        kept.  Otherwise RestrictionError names the first domain basis
+        vector whose image leaves cod.
         """
         if dom.ambient_dim != self.dom_dim or cod.ambient_dim != self.cod_dim:
             raise DimensionError("restrict: ambient mismatch")
-        ent, bad = cod.read_coordinates(map(self.apply_numerators, dom.nums))
+        ent, bad = cod.read_coordinates(dom.nums, self)
         if bad is not None:
             b = dom.vectors[bad]
             raise RestrictionError(
@@ -602,25 +603,37 @@ class Subspace:
             return None
         return [vec.get(p, 0) for p in self.pivots]
 
-    def read_coordinates(self, images):
+    def read_coordinates(self, vectors, op=None):
         """(entries, bad): y[p_j] at (j, c) for the int vectors y =
-        images[c], y's coordinates over its den, each certified by its
-        residue den*y - sum y[p_j]*nums[j], as in residue but built in
-        place in one dict as the pivots are read; bad is the first c
-        outside the span, where reading stops, or None.  One pivot ->
-        position dict finds the pivots y meets, so y costs its own support
-        and the basis vectors at those pivots, not a pass over the basis."""
+        vectors[c], or with a SparseMap op their images under op's
+        numerators, y's coordinates over its den.  Each is certified by its
+        residue den*y - sum y[p_j]*nums[j], the one residue code of a
+        coordinate read: the residue is built in one dict, op's image
+        accumulated straight into it, and y[p_j] is read back off it as
+        den*y[p_j] // den.  bad is the first c outside the span, where
+        reading stops, or None.  One pivot -> position dict finds the
+        pivots y meets, so y costs its own support and the basis vectors
+        at those pivots, not a pass over the basis."""
         at = {p: j for j, p in enumerate(self.pivots)}
         nums, den = self.nums, self.den
+        cols = None if op is None else op.columns()
         ent = {}
-        for c, y in enumerate(images):
-            res = {i: den * x for i, x in y.items()} if den != 1 else dict(y)
-            for i, x in y.items():
-                j = at.get(i)
-                if j is not None:
-                    ent[(j, c)] = x
-                    for k, z in nums[j].items():
-                        res[k] = res.get(k, 0) - x * z
+        for c, v in enumerate(vectors):
+            if cols is None:
+                res = {i: den * x for i, x in v.items()} if den != 1 else dict(v)
+            else:
+                res = {}
+                for i, x in v.items():
+                    col = cols.get(i)
+                    if col is not None:
+                        x *= den
+                        for r, a in col.items():
+                            res[r] = res.get(r, 0) + x * a
+            for j, x in [(at[i], x // den) for i, x in res.items()
+                         if x and i in at]:
+                ent[(j, c)] = x
+                for k, z in nums[j].items():
+                    res[k] = res.get(k, 0) - x * z
             if any(res.values()):
                 return ent, c
         return ent, None

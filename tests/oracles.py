@@ -24,7 +24,9 @@ reports, a graded subspace split into its weight blocks, the two routes of
 a mixed square composed on the full triple spot, maps stacked as numerator
 blocks, the pair splitting's ranks from the composite del.d and the stacked
 map, the pair splitting and every summand of the two triple-spot splittings
-as subspaces, a Z module restricted from its whole triple spot, tensor
+as subspaces, the Z summand taken on every vector of a lifted W, the
+derivation on a product summed by SparseMap.combination, a Z module
+restricted from its whole triple spot, tensor
 products of modules, the calibration of d against del, and
 Laurent-polynomial helpers (powers, inverted and permuted variables,
 fraction equality).
@@ -34,7 +36,7 @@ from collections import Counter
 from fractions import Fraction
 from hashlib import sha256
 from itertools import permutations
-from math import factorial
+from math import factorial, prod
 
 from superkoszul.characters import (
     CharacterError,
@@ -920,6 +922,14 @@ OTHER_PROP2_CELLS = (
 )
 
 
+def lifted_w(ctx, params):
+    """W = S_(i+1) (x) Im d_(k,l) of the prop2 (i,k,a) splitting, l =
+    a+i+k+1, as a Subspace of its triple spot: the shared Im d lifted on
+    the left (Subspace.lift)."""
+    i, k, a = params
+    return ctx.d_image(k, a + i + k + 1).lift(left=ctx.sym_basis(i + 1).dim)
+
+
 def z_on_the_spot(ctx, params, ker):
     """The prop2 (i,k,a) summand on its triple spot, from the kernel K that
     KoszulContext.splitting gives in the coordinates of W =
@@ -929,13 +939,58 @@ def z_on_the_spot(ctx, params, ker):
     w_t's pivots increase and each w_t vanishes at the others' pivots, so z
     pivots where its last w_t does, and vanishes at the other pivots of Z
     because K does at the other pivots of K."""
-    i, k, a = params
-    w_sub = ctx.d_image(k, a + i + k + 1).lift(left=ctx.sym_basis(i + 1).dim)
+    w_sub = lifted_w(ctx, params)
     basis = w_sub.basis_matrix()
     return Subspace(w_sub.ambient_dim,
                     [basis.apply_numerators(v) for v in ker.nums],
                     [w_sub.pivots[q] for q in ker.pivots],
                     ker.den * w_sub.den)
+
+
+def z_splitting_on_w(ctx, params):
+    """The prop2 (i,k,a) summand in W's coordinates, taken on every vector of
+    the lifted W: del and then P applied at their line spots to each w_t
+    (del lifted on the left, P on the right), and the kernel of the images
+    taken per weight of the w_t's pivots, with no grading check."""
+    i, k, a = params
+    spot = Spot(i + 1, k + 1, a + i + k + 2)
+    mid = op_target("del", spot)
+    delta = ctx.operator("del", spot._replace(sym=0))
+    p = ctx.operator("P", mid._replace(dual=0))
+    right = ctx.dual_basis(mid.dual).dim
+    end_dim = ctx.spot_space(op_target("P", mid)).dim
+    w_sub = lifted_w(ctx, params)
+    weights = ctx.spot_space(spot).weights()
+    by_weight = {}
+    for t, q in enumerate(w_sub.pivots):
+        by_weight.setdefault(weights[q], []).append(t)
+    blocks = []
+    for ts in by_weight.values():
+        ent = {}
+        for c, t in enumerate(ts):
+            img = p.apply_numerators(delta.apply_numerators(w_sub.nums[t]), right)
+            ent.update(((r, c), x) for r, x in img.items())
+        blocks.append((SparseMap._from_ints(len(ts), end_dim, ent).kernel(), ts))
+    return join(w_sub.dim, blocks)
+
+
+def product_matrix_by_combination(act, factors, gi, gj):
+    """E_(gi,gj) on the tensor product of the factors (power bases or built
+    modules) as the derivation, its lifted terms summed by
+    SparseMap.combination: each factor's matrix lifted past the others and
+    signed where an odd E crosses an odd left part."""
+    pe = (act.space.parity(gi) + act.space.parity(gj)) % 2
+    left_parities = [0]
+    terms = []
+    for f, factor in enumerate(factors):
+        mat = (factor.gens[(gi, gj)] if isinstance(factor, GLModule)
+               else act.on_basis(factor, gi, gj))
+        rdim = prod(g.dim for g in factors[f + 1:])
+        terms.append((1, mat.lift(len(left_parities), rdim,
+                                  left_parities if pe else None)))
+        left_parities = [p ^ q for p in left_parities for q in factor.parities]
+    dim = prod(f.dim for f in factors)
+    return SparseMap.combination(dim, dim, terms)
 
 
 def z_summand_on_the_spot(ctx, k, l, m):

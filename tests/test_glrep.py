@@ -34,6 +34,7 @@ from oracles import (
     highest_weight,
     irreducible_three_legs,
     kron_sum_on_product,
+    product_matrix_by_combination,
     singular_space,
     submodule_closure,
     supercommutator_check,
@@ -306,6 +307,34 @@ def test_a_z_module_is_its_restriction_from_the_whole_spot(constructors, mn,
     for key, g in mod.gens.items():
         assert g == want.gens[key], key
     assert (mod.weights, mod.parities) == (want.weights, want.parities)
+
+
+@pytest.mark.parametrize("mn,klm", Z_CELLS, ids=lambda x: "_".join(map(str, x)))
+def test_product_matrix_on_w_is_the_sum_of_its_lifted_terms(constructors, mn,
+                                                            klm):
+    # on W = S_k (x) ImD(l,m) the terms are written into one dict; the ImD
+    # factor's matrices carry a den > 1, so the terms are scaled first
+    con = constructors(mn)
+    k, l, m = klm
+    factors = (con.ctx.sym_basis(k), con.image_module(l, m))
+    assert max(g.den for g in factors[1].gens.values()) > 1
+    for i, j in simple_pairs(con.ctx.space):
+        assert con.act.product_matrix(factors, i, j) == \
+            product_matrix_by_combination(con.act, factors, i, j), (i, j)
+
+
+@pytest.mark.parametrize("space", [SuperSpace(3, 1), SuperSpace(2, 2)],
+                         ids=["3|1", "2|2"])
+@pytest.mark.parametrize("shape", PRODUCT_SHAPES, ids=lambda shape: ".".join(
+    f"{kind}{deg}{'*' if dual else ''}" for kind, deg, dual in shape))
+def test_product_matrix_is_the_sum_of_its_lifted_terms(space, shape):
+    act = GLAction(space)
+    factors = tuple(power_basis(space, kind, deg, dual)
+                    for kind, deg, dual in shape)
+    for i in range(space.dim):
+        for j in range(space.dim):
+            assert act.product_matrix(factors, i, j) == \
+                product_matrix_by_combination(act, factors, i, j), (i, j)
 
 
 # ---------------------------------------------------------------------------

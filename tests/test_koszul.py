@@ -30,6 +30,7 @@ from oracles import (
     unindex_word,
     xdanh_splitting,
     z_on_the_spot,
+    z_splitting_on_w,
 )
 from superkoszul import glrep, koszul
 from superkoszul.koszul import (
@@ -1173,6 +1174,47 @@ def test_splitting_is_the_oracle_summand(ctx31, which, params, mn):
     if which == "prop2":
         z = z_on_the_spot(ctx, params, z)
     assert z == splitting_summands(ctx, which, params)[1]
+
+
+# one prop2 cell on each other alphabet, each the first in OTHER_PROP2_CELLS
+ONE_PROP2_CELL_OFF_3_1 = (((2, 1), (0, 1, 1)), ((2, 2), (0, 2, -1)),
+                          ((1, 2), (0, 2, 0)), ((4, 1), (0, 2, -2)))
+
+
+@pytest.mark.parametrize("params, mn", [
+    *(pytest.param(params, (3, 1), id=f"params{j}")
+      for j, (which, params) in enumerate(DEFAULT_SPLITTING_CELLS)
+      if which == "prop2"),
+    *(pytest.param(params, mn, id="{}{}-{}".format(*mn, "_".join(map(str, params))))
+      for mn, params in ONE_PROP2_CELL_OFF_3_1),
+])
+def test_z_splitting_is_the_word_on_every_vector_of_w(ctx31, params, mn):
+    # del applied once per Im d vector and shifted to every S copy gives the
+    # kernel the word gives on each vector of the lifted W, as stored
+    ctx = ctx31 if mn == (3, 1) else KoszulContext(SuperSpace(*mn))
+    z = ctx.splitting("prop2", params)
+    assert z.dim > 0
+    assert z == z_splitting_on_w(ctx, params)
+
+
+def test_the_z_splitting_applies_del_once_per_im_d_vector(monkeypatch):
+    # W = S_2 (x) Im d_(2,3) on (3|1) has ten copies of Im d; del is applied
+    # to each Im d basis vector once, never to a vector of W
+    ctx = KoszulContext(SuperSpace(3, 1))
+    i, k, a = 1, 2, 0
+    line = Spot(0, k + 1, a + i + k + 2)
+    delta = ctx.operator("del", line)
+    applied = []
+    apply = SparseMap.apply_numerators
+
+    def counted(self, vec, right=1):
+        if self is delta:
+            applied.append(vec)
+        return apply(self, vec, right)
+
+    monkeypatch.setattr(SparseMap, "apply_numerators", counted)
+    ctx.splitting("prop2", (i, k, a))
+    assert applied == ctx.d_image(k, a + i + k + 1).nums
 
 
 def test_an_undefined_step_of_a_splitting_word_raises_the_operators_error(ctx31):

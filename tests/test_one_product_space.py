@@ -8,6 +8,9 @@ Kronecker product of factor maps anywhere else would be a second builder.
 GLAction.product_matrix is the one super derivation: only it lifts a
 generator past a left factor with the crossing sign, on power bases and
 built modules alike.
+SparseMap.restrict keeps no image: each domain vector's image is built
+inside the certified coordinate read.  W = S_k (x) Im d is laid out once
+per Z, by the Z splitting, and no Im d is lifted as a Subspace.
 GLModule.is_irreducible is the one irreducibility test: only it closes a
 singular line (submodule_span), and no dual module is built, since a unique
 singular line that generates the module already decides irreducibility.
@@ -90,6 +93,27 @@ def test_the_super_derivation_sign_is_applied_only_in_product_matrix():
             k.arg == "left_parities" for k in call.keywords)
 
     assert _package_calls("lift", signed) == ["glrep.py:GLAction.product_matrix"]
+
+
+def test_restrict_keeps_no_image():
+    # each domain vector's image is built inside the certified coordinate
+    # read, straight into its residue: no image list, no image dict
+    body = _function("linalg.py", "SparseMap.restrict")
+    assert not _calls(body, "apply_numerators")
+    assert _calls(body, "read_coordinates")
+
+
+def test_w_is_laid_out_once_per_z():
+    # W = S_k (x) Im d is laid out by the Z splitting alone, which applies
+    # del once per Im d vector and shifts the images to every S_k copy;
+    # Constructor.zk reads W's grading off its two factors, and no Im d is
+    # lifted as a Subspace
+    assert "koszul.py:KoszulContext.splitting" in _package_calls("d_image")
+    zk = _function("glrep.py", "Constructor.zk")
+    assert not [c for c in ("d_image", "lifted_d_image", "lift")
+                if _calls(zk, c)]
+    assert _package_calls("lifted_d_image") == []
+    assert not _calls(_function("koszul.py", "KoszulContext.splitting"), "lift")
 
 
 def test_composed_is_called_only_by_the_identities_and_the_squares():
