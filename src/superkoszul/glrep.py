@@ -15,7 +15,13 @@ with S the diagonal sign (-1)^(p(E) p) on the degree N-1 basis, and
 letters; at degree 0, E_ij is zero.  A factor of a product may also be a
 built module, whose restricted simple generators stand in for a power
 basis's matrices: a Z summand lives in S_k (x) ImD(l,m) and is restricted
-from E_S (x) 1 + sigma_S (x) E_ImD, never from its whole triple spot.
+from E_S (x) 1 + sigma_S (x) E_ImD, never from its whole triple spot.  An
+off-diagonal E_ij moves a weight, so each factor's matrix has no diagonal
+entry and the lifted terms of the derivation never meet: they are written
+into one dict over one den, and only the Cartan E_jj sums overlapping
+terms.  A module build restricts each ambient generator matrix in one
+pass per basis vector (SparseMap.restrict), keeping no image, and drops
+the matrix after it.
 
 A module carries only the simple-root generators E_(i,i+1) and E_(i+1,i),
 2(m+n-1) matrices, together with the weight and parity of each basis vector.
@@ -57,7 +63,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm, prod
-from operator import add
 
 from .linalg import RestrictionError, SparseMap, WitnessedError
 from .superspace import GradedSpan, is_dominant, join, power_basis, weight_blocks
@@ -435,7 +440,8 @@ def module_from_subspace(act, factors, weights, parities, sub, name):
     stabiliser of a subspace is a Lie sub-superalgebra, which then contains
     the subalgebra generated by the Cartan and the simple-root generators,
     the whole of gl(m|n).  Each ambient generator matrix is built for its
-    restriction and dropped after it.
+    restriction, read in one pass per basis vector of sub, and dropped
+    after it.
     """
     weights, parities = _grading(weights, parities, sub)
     gens = {
@@ -598,8 +604,10 @@ class Constructor:
         The kernel comes in W's coordinates, and W is the tensor product of
         S_k and the ImD(l,m) module, so Z restricts E_S (x) 1 +
         sigma_S (x) E_ImD (GLAction.product_matrix) with no generator
-        matrix on the triple spot.  The weights and parities of W's basis
-        are the spot's at W's pivots."""
+        matrix on the triple spot.  W's basis vector t = s*dim ImD + j is
+        e_s (x) b_j: its weight is the spot's at its pivot
+        (KoszulContext.lifted_d_pivots), and its parity the sum of its
+        factors'."""
         if k < 1 or min(l, m) < 0:
             raise ValueError(
                 f"k must be at least 1 and l, m at least 0, got {(k, l, m)}")
@@ -611,9 +619,10 @@ class Constructor:
                 raise ValueError(
                     f"the Z summand is empty for these parameters, got {(k, l, m)}")
             sym, imd = ctx.sym_basis(k), self.image_module(l, m)
+            sw = ctx.spot_space(Spot(k, l + 1, m + 1)).weights()
             self._built[key] = module_from_subspace(
                 self.act, (sym, imd),
-                [tuple(map(add, a, b)) for a in sym.weights for b in imd.weights],
+                [sw[q] for q in ctx.lifted_d_pivots(k, l, m)],
                 [p ^ q for p in sym.parities for q in imd.parities], z_sub,
                 f"Z({k},{l},{m})")
         return self._built[key]

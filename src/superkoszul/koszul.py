@@ -93,10 +93,15 @@ taken.
 Im d at each pair is built once (KoszulContext.d_image), for the rank of
 d, the homology, the pair splitting, the ImD modules and the Z summands;
 Im(del.d) = del(Im d), so the splitting's ranks come from del applied to
-that image's basis.  An echelon basis
-lifted by an identity factor stays reduced echelon (Subspace.lift), so
-Ker(P (x) id) and W = S (x) Im d need no elimination of their own, and
-Ker(P (x) id) = Im(P (x) id) is decided at the line spot.
+that image's basis.  An echelon basis lifted by an identity factor stays
+reduced echelon (Subspace.lift), so Ker(P (x) id) needs no elimination of
+its own, and Ker(P (x) id) = Im(P (x) id) is decided at the line spot.
+W = S_k (x) Im d is never built as a subspace: its vector e_s (x) v_j
+pivots where Subspace.lift would put it (KoszulContext.lifted_d_pivots),
+and the Z splitting applies del, which leaves S_k alone, once per basis
+vector v_j of Im d, each image shifted to every copy s before P is
+applied.  The Z module reads W's weights at those pivots and its
+parities off its two factors (glrep.Constructor.zk).
 """
 
 from __future__ import annotations
@@ -348,6 +353,15 @@ class KoszulContext:
                 self.pair_d(k, l), self.pair_space(k, l).weights(),
                 self.pair_space(k + 1, l + 1).weights())
         return self._d_images[key]
+
+    def lifted_d_pivots(self, i, k, l):
+        """The pivots of S_i (x) Im d_(k,l) inside the spot (i, k+1, l+1),
+        where Subspace.lift puts them: s*D + p_j for each copy s of S_i and
+        each pivot p_j of the shared pair image, D the dimension of the pair
+        space Lambda_(k+1) (x) S*_(l+1).  No lifted vector is built."""
+        im, dim = self.d_image(k, l), self.pair_space(k + 1, l + 1).dim
+        return [s * dim + p for s in range(self.sym_basis(i).dim)
+                for p in im.pivots]
 
     # -- identities -------------------------------------------------------------
 
@@ -667,17 +681,18 @@ class KoszulContext:
         bases = {w: [_combine(0, {}, [(x, parts[w][t][0]) for t, x in k.items()])
                      for k in ker.nums]
                  for w, ker in kept.items()}
-        images, den = self._word_images(steps, bases, weights)
+        heads = {w: [parts[w][t][1] for t in ker.pivots]
+                 for w, ker in kept.items()}
+        images, den = self._word_images(steps, bases, weights, heads)
         blocks = []
         for w, ker in kept.items():
-            u_mu = Subspace(sub.ambient_dim, bases[w],
-                            [parts[w][t][1] for t in ker.pivots],
+            u_mu = Subspace(sub.ambient_dim, bases[w], heads[w],
                             sub.den * ker.den)
             ent, bad = u_mu.read_coordinates(images[w])
             if bad is not None:
                 raise RestrictionError(
                     "loop carries a vector out of its block",
-                    witness={"column": max(bases[w][bad]), "column_weight": w})
+                    witness={"column": heads[w][bad], "column_weight": w})
             blocks.append(SparseMap._from_ints(
                 ker.dim, ker.dim, ent, den * sub.den * ker.den))
         return blocks, [sizes[w] for w in kept], sub.dim
@@ -742,15 +757,14 @@ class KoszulContext:
             spot = end
         return steps, spot
 
-    def _word_images(self, steps, columns, weights, heads=None):
+    def _word_images(self, steps, columns, weights, heads):
         """({w: [image]}, den): the line steps applied to the int vectors
         columns[w], of weight w; image c of weight w is den times the image
         of columns[w][c], den the product of the maps' dens.  The one
         grading check of a word: an image entry of another weight (weights,
         those of the spot where the word ends) raises KoszulError with the
-        row, the column and both weights.  The column is heads[w][c], the
-        pivot of the vector the word started from, or without heads the
-        vector's largest index."""
+        row, the column heads[w][c] (the pivot of the basis vector the word
+        started from) and both weights."""
         ops = [(self.operator(name, line), right) for name, line, right in steps]
         images = {}
         for w, vecs in columns.items():
@@ -763,9 +777,7 @@ class KoszulContext:
                     if weights[r] != w:
                         raise KoszulError(
                             "word is not weight-graded",
-                            witness={"row": r,
-                                     "column": (max(vec) if heads is None
-                                                else heads[w][c]),
+                            witness={"row": r, "column": heads[w][c],
                                      "row_weight": weights[r],
                                      "column_weight": w})
                 images[w].append(img)
@@ -791,20 +803,19 @@ class KoszulContext:
             the spot (i+1, k, l), the summand Z = W intersected with
             Ker(P.del), taken as the kernel of P.del on W; W is
             S_(i+1) (x) Im d_(k,l), w_t = e_s (x) v_j for t = s*dim Im d + j,
-            which pivots at s*D + p_j (D the pair space's dimension), as
-            Subspace.lift would put it.  del leaves S_(i+1) alone, so it is
-            applied once per Im d basis vector v_j at its line spot and
-            each image shifted to every copy s; W's vectors are never
-            built.
+            which pivots where Subspace.lift would put it
+            (lifted_d_pivots).  del leaves S_(i+1) alone, so it is applied
+            once per Im d basis vector v_j at its line spot and each image
+            shifted to every copy s; W's vectors are never built.
 
-        Each case only picks the word, the spot, W's pivots and its vectors'
-        images under the word's first steps; one body does the rest.  The
-        remaining steps are applied at their line spots, and the summand
-        is returned as the kernel K in W's coordinates: the summand is
-        spanned by the sum_t K[t] w_t.  For prop1 the w_t are the unit
-        vectors, so K is in the spot's own coordinates; for prop2 W is
-        S_(i+1) (x) ImD(k,l) indexed as kron, the space a Z module acts on
-        (Constructor.zk).
+        Each case only picks the spot, W's pivots and the vectors that the
+        rest of the word is applied to (the w_t for prop1, their del images
+        for prop2); one body does the rest.  Those steps are applied at
+        their line spots, and the summand is returned as the kernel K in
+        W's coordinates: the summand is spanned by the sum_t K[t] w_t.  For
+        prop1 the w_t are the unit vectors, so K is in the spot's own
+        coordinates; for prop2 W is S_(i+1) (x) ImD(k,l) indexed as kron,
+        the space a Z module acts on (Constructor.zk).
         """
         if which == "prop1":
             i, a = params
@@ -818,12 +829,11 @@ class KoszulContext:
             spot = Spot(i + 1, k + 1, l + 1)
             steps, end = self._line_steps(["del", "P"], spot)
             (_, line, _), steps = steps[0], steps[1:]
-            op, im = self.operator("del", line), self.d_image(k, l)
-            once = [op.apply_numerators(v) for v in im.nums]
-            copies = range(self.sym_basis(i + 1).dim)
-            pivots = [s * op.dom_dim + p for s in copies for p in im.pivots]
+            op = self.operator("del", line)
+            once = [op.apply_numerators(v) for v in self.d_image(k, l).nums]
+            pivots = self.lifted_d_pivots(i + 1, k, l)
             vecs = [{s * op.cod_dim + r: x for r, x in u.items()}
-                    for s in copies for u in once]
+                    for s in range(self.sym_basis(i + 1).dim) for u in once]
             den = op.den
         else:
             raise ValueError(f"unknown splitting {which!r}")

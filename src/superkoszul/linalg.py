@@ -10,7 +10,8 @@ through _over_common_den, which takes ints and Fractions and raises
 TypeError on anything else; Subspace.residue, contains and coordinates_of
 refuse the same values; and a residual either is zero or it is not.
 SparseMap.combination is the one sum of maps: add, scaled, +, - and c *
-are each one call of it.
+are each one call of it; only glrep's derivation writes terms it knows to
+be disjoint into one dict instead.
 
 SparseMap.rational_spectrum finds eigenvalues by a bounded integer-root
 search, with no factoring and no modular or probabilistic step: the
@@ -604,16 +605,20 @@ class Subspace:
         return [vec.get(p, 0) for p in self.pivots]
 
     def read_coordinates(self, vectors, op=None):
-        """(entries, bad): y[p_j] at (j, c) for the int vectors y =
-        vectors[c], or with a SparseMap op their images under op's
-        numerators, y's coordinates over its den.  Each is certified by its
-        residue den*y - sum y[p_j]*nums[j], the one residue code of a
-        coordinate read: the residue is built in one dict, op's image
-        accumulated straight into it, and y[p_j] is read back off it as
-        den*y[p_j] // den.  bad is the first c outside the span, where
-        reading stops, or None.  One pivot -> position dict finds the
-        pivots y meets, so y costs its own support and the basis vectors
-        at those pivots, not a pass over the basis."""
+        """(entries, bad): the coordinates of int vectors in this basis,
+        each certified by its residue.
+
+        y is vectors[c], or given a SparseMap op, the image of vectors[c]
+        under op's numerators, which is built here and never kept.  y[p_j]
+        goes to (j, c): y's coordinates, over y's den.  The residue
+        den*y - sum y[p_j]*nums[j] is built in one dict; for op, den*y is
+        accumulated straight into it and y[p_j] is read back as its entry
+        at p_j over den.  y lies in the span exactly when the residue is
+        zero; this is the one residue code of a coordinate read.  bad is
+        the first c outside the span, where reading stops, or None.  One
+        pivot -> position dict finds the pivots y meets, so y costs its own
+        support and the basis vectors at those pivots, not a pass over the
+        basis."""
         at = {p: j for j, p in enumerate(self.pivots)}
         nums, den = self.nums, self.den
         cols = None if op is None else op.columns()

@@ -200,8 +200,10 @@ def test_on_product_matches_the_kron_sum(space, shape):
                              for kind, deg, dual in shape))
     for i in range(space.dim):
         for j in range(space.dim):
-            assert act.on_product(product, i, j) == kron_sum_on_product(
-                act, product, i, j), (i, j)
+            got = act.on_product(product, i, j)
+            assert got == kron_sum_on_product(act, product, i, j), (i, j)
+            assert got == product_matrix_by_combination(
+                act, product.factors, i, j), (i, j)
 
 
 def test_cartan_on_a_product_acts_by_the_weights(ctx, act):
@@ -321,20 +323,6 @@ def test_product_matrix_on_w_is_the_sum_of_its_lifted_terms(constructors, mn,
     for i, j in simple_pairs(con.ctx.space):
         assert con.act.product_matrix(factors, i, j) == \
             product_matrix_by_combination(con.act, factors, i, j), (i, j)
-
-
-@pytest.mark.parametrize("space", [SuperSpace(3, 1), SuperSpace(2, 2)],
-                         ids=["3|1", "2|2"])
-@pytest.mark.parametrize("shape", PRODUCT_SHAPES, ids=lambda shape: ".".join(
-    f"{kind}{deg}{'*' if dual else ''}" for kind, deg, dual in shape))
-def test_product_matrix_is_the_sum_of_its_lifted_terms(space, shape):
-    act = GLAction(space)
-    factors = tuple(power_basis(space, kind, deg, dual)
-                    for kind, deg, dual in shape)
-    for i in range(space.dim):
-        for j in range(space.dim):
-            assert act.product_matrix(factors, i, j) == \
-                product_matrix_by_combination(act, factors, i, j), (i, j)
 
 
 # ---------------------------------------------------------------------------

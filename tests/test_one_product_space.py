@@ -9,8 +9,9 @@ GLAction.product_matrix is the one super derivation: only it lifts a
 generator past a left factor with the crossing sign, on power bases and
 built modules alike.
 SparseMap.restrict keeps no image: each domain vector's image is built
-inside the certified coordinate read.  W = S_k (x) Im d is laid out once
-per Z, by the Z splitting, and no Im d is lifted as a Subspace.
+inside the certified coordinate read.  W = S_k (x) Im d is never lifted
+as a Subspace: only the Z splitting moves Im d's vectors onto S_k, once
+per Z.
 GLModule.is_irreducible is the one irreducibility test: only it closes a
 singular line (submodule_span), and no dual module is built, since a unique
 singular line that generates the module already decides irreducibility.
@@ -104,16 +105,17 @@ def test_restrict_keeps_no_image():
 
 
 def test_w_is_laid_out_once_per_z():
-    # W = S_k (x) Im d is laid out by the Z splitting alone, which applies
-    # del once per Im d vector and shifts the images to every S_k copy;
-    # Constructor.zk reads W's grading off its two factors, and no Im d is
-    # lifted as a Subspace
-    assert "koszul.py:KoszulContext.splitting" in _package_calls("d_image")
-    zk = _function("glrep.py", "Constructor.zk")
-    assert not [c for c in ("d_image", "lifted_d_image", "lift")
-                if _calls(zk, c)]
+    # W = S_k (x) Im d is never lifted as a Subspace: the Z splitting alone
+    # moves Im d's vectors, applying del once per vector and shifting the
+    # images to every S_k copy, and Constructor.zk reads only W's pivots
     assert _package_calls("lifted_d_image") == []
-    assert not _calls(_function("koszul.py", "KoszulContext.splitting"), "lift")
+    assert sorted(_package_calls("lifted_d_pivots")) == [
+        "glrep.py:Constructor.zk", "koszul.py:KoszulContext.splitting"]
+    for module, name in (("glrep.py", "Constructor.zk"),
+                         ("koszul.py", "KoszulContext.splitting")):
+        assert not _calls(_function(module, name), "lift"), name
+    assert not _calls(_function("glrep.py", "Constructor.zk"),
+                      "apply_numerators")
 
 
 def test_composed_is_called_only_by_the_identities_and_the_squares():
