@@ -14,14 +14,19 @@ with S the diagonal sign (-1)^(p(E) p) on the degree N-1 basis, and
 (src, dst, c) = (j, i, 1) on letters, (i, j, -(-1)^(p(E) p_i)) on dual
 letters; at degree 0, E_ij is zero.  A factor of a product may also be a
 built module, whose restricted simple generators stand in for a power
-basis's matrices: a Z summand lives in S_k (x) ImD(l,m) and is restricted
-from E_S (x) 1 + sigma_S (x) E_ImD, never from its whole triple spot.  An
-off-diagonal E_ij moves a weight, so each factor's matrix has no diagonal
-entry and the lifted terms of the derivation never meet: they are written
-into one dict over one den, and only the Cartan E_jj sums overlapping
-terms.  A module build restricts each ambient generator matrix in one
-pass per basis vector (SparseMap.restrict), keeping no image, and drops
-the matrix after it.
+basis's matrices: a Z summand lives in ProductSpace(S_k, ImD(l,m)) and is
+restricted from E_S (x) 1 + sigma_S (x) E_ImD, never from its whole triple
+spot.  An off-diagonal E_ij moves a weight, so each factor's matrix has no
+diagonal entry and the lifted terms of the derivation never meet: they
+are written into one dict over one den, and only the Cartan E_jj sums
+overlapping terms.
+
+module_from_subspace is the one module builder: it grades a subspace's
+basis by a ProductSpace's weights and parities and restricts each ambient
+generator matrix in one pass per basis vector (SparseMap.restrict),
+keeping no image.  ambient_module restricts to the full subspace, and
+quotient_module reads the quotient's coordinates through the same
+certified read, Subspace.read_coordinates.
 
 A module carries only the simple-root generators E_(i,i+1) and E_(i+1,i),
 2(m+n-1) matrices, together with the weight and parity of each basis vector.
@@ -61,11 +66,17 @@ GLModule owns the singular-vector and irreducibility machinery.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm, prod
 
-from .linalg import RestrictionError, SparseMap, WitnessedError
-from .superspace import GradedSpan, is_dominant, join, power_basis, weight_blocks
+from .linalg import RestrictionError, SparseMap, Subspace, WitnessedError
+from .superspace import (
+    GradedSpan,
+    ProductSpace,
+    is_dominant,
+    join,
+    power_basis,
+    weight_blocks,
+)
 from .koszul import Spot, idle_field, op_target
 
 
@@ -427,10 +438,10 @@ def _grading(pw, pp, sub):
     return weights, parities
 
 
-def module_from_subspace(act, factors, weights, parities, sub, name):
-    """Restrict the action on the tensor product of the factors (power
-    bases or built modules, see GLAction.product_matrix) to an invariant
-    subspace; weights and parities are those of the product's basis.
+def module_from_subspace(act, product, sub, name):
+    """Restrict the action on a ProductSpace (its factors power bases or
+    built modules, see GLAction.product_matrix) to an invariant subspace;
+    each basis vector's weight and parity are read off the product's.
 
     Raises ModuleError if a basis vector of the subspace mixes weights or
     parities, and RestrictionError if the subspace is not invariant under a
@@ -443,9 +454,9 @@ def module_from_subspace(act, factors, weights, parities, sub, name):
     restriction, read in one pass per basis vector of sub, and dropped
     after it.
     """
-    weights, parities = _grading(weights, parities, sub)
+    weights, parities = _grading(product.weights(), product.parities(), sub)
     gens = {
-        (i, j): act.product_matrix(factors, i, j).restrict(sub, sub)
+        (i, j): act.product_matrix(product.factors, i, j).restrict(sub, sub)
         for i, j in simple_pairs(act.space)
     }
     return GLModule(space=act.space, name=name, gens=gens, weights=weights,
@@ -453,53 +464,43 @@ def module_from_subspace(act, factors, weights, parities, sub, name):
 
 
 def quotient_module(act, product, ker, im, name):
-    """Action on ker/im, with the complement of im in ker as the basis.
+    """Action on ker/im, with the complement of im in ker as the basis
+    (Subspace.complement_of, which certifies im inside ker).
 
     im is taken to be invariant (it is the image of an equivariant map).
-    A complement vector with mixed weights or parities raises ModuleError,
-    and a simple-root generator carrying a complement vector out of ker, or
-    out of the complement modulo im, raises RestrictionError.  As in
-    module_from_subspace, the weight basis and the simple-root generators
-    together certify that ker is invariant under all of gl(m|n).
+    Each simple-root generator's images of the complement's vectors are
+    reduced modulo im.  A residue vanishes at im's pivots, the pivots of
+    ker that the complement leaves out, so it lies in the complement
+    exactly when the image lies in ker: one certified read of the residues
+    (Subspace.read_coordinates) checks that and gives the quotient's
+    coordinates, or RestrictionError names the first escaping image.  A
+    complement vector with mixed weights or parities raises ModuleError.
+    As in module_from_subspace, the weight basis and the simple-root
+    generators together certify that ker is invariant under all of gl(m|n).
     """
     comp = ker.complement_of(im)
     weights, parities = _grading(product.weights(), product.parities(), comp)
     gens = {}
     for i, j in simple_pairs(act.space):
-        img = act.product_matrix(product.factors, i, j) @ comp.basis_matrix()
-        den = img.den * im.den  # the residue modulo im is im.den times it
-        ent = {}
-        for c, col in img.columns().items():
-            if not ker.contains(col):
-                raise RestrictionError(
-                    "quotient action escapes the kernel",
-                    witness={"generator": (i, j), "index": c,
-                             "vector": comp.vectors[c], "image": img.column(c)},
-                )
-            rem = im.residue(col)
-            coords = comp.coordinates_of(rem)
-            if coords is None:
-                raise RestrictionError(
-                    "reduction modulo the image left the complement",
-                    witness={"generator": (i, j), "index": c,
-                             "vector": comp.vectors[c],
-                             "remainder": {r: Fraction(x, den) for r, x in rem.items()}},
-                )
-            ent.update(((r, c), x) for r, x in enumerate(coords) if x)
-        gens[(i, j)] = SparseMap._from_ints(comp.dim, comp.dim, ent, den)
+        mat = act.product_matrix(product.factors, i, j)
+        ent, bad = comp.read_coordinates(
+            [im.residue(mat.apply_numerators(v)) for v in comp.nums])
+        if bad is not None:
+            raise RestrictionError(
+                "quotient action escapes the kernel",
+                witness={"generator": (i, j), "index": bad,
+                         "vector": comp.vectors[bad],
+                         "image": mat.apply(comp.vectors[bad])})
+        # a residue is im.den times an image over mat.den * comp.den
+        gens[(i, j)] = SparseMap._from_ints(
+            comp.dim, comp.dim, ent, mat.den * comp.den * im.den)
     return GLModule(space=act.space, name=name, gens=gens, weights=weights,
                     parities=parities)
 
 
 def ambient_module(act, product, name):
     """The whole product space as a module."""
-    gens = {
-        (i, j): act.on_product(product, i, j)
-        for i, j in simple_pairs(act.space)
-    }
-    return GLModule(space=act.space, name=name, gens=gens,
-                    weights=list(product.weights()),
-                    parities=list(product.parities()))
+    return module_from_subspace(act, product, Subspace.full(product.dim), name)
 
 
 def dual_module(mod):
@@ -565,10 +566,8 @@ class Constructor:
 
     def _spot_module(self, spot, sub, name):
         """The action on a triple spot restricted to sub."""
-        product = self.ctx.spot_space(spot)
-        return module_from_subspace(self.act, product.factors,
-                                    product.weights(), product.parities(),
-                                    sub, name)
+        return module_from_subspace(self.act, self.ctx.spot_space(spot), sub,
+                                    name)
 
     def image_module(self, k, l):
         """Im d_(k,l) inside the next pair space."""
@@ -604,10 +603,9 @@ class Constructor:
         The kernel comes in W's coordinates, and W is the tensor product of
         S_k and the ImD(l,m) module, so Z restricts E_S (x) 1 +
         sigma_S (x) E_ImD (GLAction.product_matrix) with no generator
-        matrix on the triple spot.  W's basis vector t = s*dim ImD + j is
-        e_s (x) b_j: its weight is the spot's at its pivot
-        (KoszulContext.lifted_d_pivots), and its parity the sum of its
-        factors'."""
+        matrix on the triple spot: W is ProductSpace(S_k, ImD(l,m)), whose
+        basis vector t = s*dim ImD + j is e_s (x) b_j, with the weight and
+        parity the product reads off its two factors."""
         if k < 1 or min(l, m) < 0:
             raise ValueError(
                 f"k must be at least 1 and l, m at least 0, got {(k, l, m)}")
@@ -618,13 +616,9 @@ class Constructor:
             if z_sub.dim == 0:
                 raise ValueError(
                     f"the Z summand is empty for these parameters, got {(k, l, m)}")
-            sym, imd = ctx.sym_basis(k), self.image_module(l, m)
-            sw = ctx.spot_space(Spot(k, l + 1, m + 1)).weights()
-            self._built[key] = module_from_subspace(
-                self.act, (sym, imd),
-                [sw[q] for q in ctx.lifted_d_pivots(k, l, m)],
-                [p ^ q for p in sym.parities for q in imd.parities], z_sub,
-                f"Z({k},{l},{m})")
+            w = ProductSpace(ctx.sym_basis(k), self.image_module(l, m))
+            self._built[key] = module_from_subspace(self.act, w, z_sub,
+                                                    f"Z({k},{l},{m})")
         return self._built[key]
 
     def z1(self, m):

@@ -100,8 +100,9 @@ W = S_k (x) Im d is never built as a subspace: its vector e_s (x) v_j
 pivots where Subspace.lift would put it (KoszulContext.lifted_d_pivots),
 and the Z splitting applies del, which leaves S_k alone, once per basis
 vector v_j of Im d, each image shifted to every copy s before P is
-applied.  The Z module reads W's weights at those pivots and its
-parities off its two factors (glrep.Constructor.zk).
+applied.  The Z module acts on ProductSpace(S_k, ImD(l,m)), indexed as W
+is, and reads W's weights and parities off that product's two factors
+(glrep.Constructor.zk).
 """
 
 from __future__ import annotations
@@ -358,7 +359,9 @@ class KoszulContext:
         """The pivots of S_i (x) Im d_(k,l) inside the spot (i, k+1, l+1),
         where Subspace.lift puts them: s*D + p_j for each copy s of S_i and
         each pivot p_j of the shared pair image, D the dimension of the pair
-        space Lambda_(k+1) (x) S*_(l+1).  No lifted vector is built."""
+        space Lambda_(k+1) (x) S*_(l+1).  No lifted vector is built.  The Z
+        splitting reads W's weights at these pivots to sort its vectors by
+        weight; the Z module needs none of them."""
         im, dim = self.d_image(k, l), self.pair_space(k + 1, l + 1).dim
         return [s * dim + p for s in range(self.sym_basis(i).dim)
                 for p in im.pivots]
@@ -471,7 +474,9 @@ class KoszulContext:
 
     def k_homology(self, a, k):
         """(dim, kernel, image) at the spot, with genuine subspaces; the
-        image is the context's shared d_image, which callers only read."""
+        image is the context's shared d_image, which callers only read.  One
+        certified read (Subspace.read_coordinates) checks the image inside
+        the kernel; KoszulError names the first image vector outside."""
         l = k - a
         ps = self.pair_space(k, l)
         ker = blocked_kernel(
@@ -481,12 +486,12 @@ class KoszulContext:
             im = self.d_image(k - 1, l - 1)
         else:
             im = Subspace.zero(ps.dim)
-        for j, v in enumerate(im.nums):
-            if not ker.contains(v):
-                raise KoszulError(
-                    "image of the incoming d is not inside the kernel",
-                    witness={"a": a, "k": k, "vector": im.vectors[j]},
-                )
+        bad = ker.read_coordinates(im.nums)[1]
+        if bad is not None:
+            raise KoszulError(
+                "image of the incoming d is not inside the kernel",
+                witness={"a": a, "k": k, "vector": im.vectors[bad]},
+            )
         return ker.dim - im.dim, ker, im
 
     # -- kernels of the transfer map on triple spots ----------------------------------

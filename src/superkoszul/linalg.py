@@ -7,8 +7,11 @@ one positive denominator, so products, sums, eliminations and membership
 tests are int arithmetic; the values handed out (entries, traces, spectra,
 images, basis vectors) are Fractions.  No floats anywhere: values enter
 through _over_common_den, which takes ints and Fractions and raises
-TypeError on anything else; Subspace.residue, contains and coordinates_of
-refuse the same values; and a residual either is zero or it is not.
+TypeError on anything else; Subspace.residue refuses the same values; and
+a residual either is zero or it is not.  Subspace.read_coordinates is the
+one membership test: restrict, complement_of, the homology quotient and
+the homology's own check read a vector's coordinates through it, each
+certified by its residue.
 SparseMap.combination is the one sum of maps: add, scaled, +, - and c *
 are each one call of it; only glrep's derivation writes terms it knows to
 be disjoint into one dict instead.
@@ -85,8 +88,8 @@ class SparseMap:
     so two maps are equal exactly when their shapes, entries and dens are.
     The map sends the unit vector e_col to sum value[row, col] * e_row, and
     compose(A, B) is A after B.  Values leave the map as Fractions: entry,
-    column, trace, char_poly, rational_spectrum, to_triples, and apply on
-    Fraction vectors.
+    trace, char_poly, rational_spectrum, to_triples, and apply on Fraction
+    vectors.
     """
 
     __slots__ = ("dom_dim", "cod_dim", "entries", "den", "_cols")
@@ -154,11 +157,6 @@ class SparseMap:
                 cols.setdefault(c, {})[r] = v
             self._cols = cols
         return self._cols
-
-    def column(self, c):
-        """Column c as a sparse vector of Fraction values."""
-        den = self.den
-        return {r: Fraction(v, den) for r, v in self.columns().get(c, {}).items()}
 
     def nnz(self):
         return len(self.entries)
@@ -511,8 +509,9 @@ class Subspace:
     The vectors are sorted by pivot, each one's largest index, where its
     numerator is den; each vanishes at the others' pivots.  So v lies in
     the span exactly when den*v - sum v[p_j]*nums[j] is zero, and then its
-    coordinates are the v[p_j].  Fractions appear only at the boundary:
-    vectors, and residue and coordinates_of of Fraction input.
+    coordinates are the v[p_j]: read_coordinates reads and certifies them,
+    the package's one membership test.  Fractions appear only at the
+    boundary: vectors, and the residue of Fraction input.
     """
 
     __slots__ = ("ambient_dim", "nums", "pivots", "den")
@@ -595,15 +594,6 @@ class Subspace:
         self.nums, self.den = _cancel(nums, a * den)
         return self.nums[at]
 
-    def contains(self, vec):
-        return not self.residue(vec)
-
-    def coordinates_of(self, vec):
-        """Coordinates in the echelon basis, or None if vec is outside."""
-        if self.residue(vec):
-            return None
-        return [vec.get(p, 0) for p in self.pivots]
-
     def read_coordinates(self, vectors, op=None):
         """(entries, bad): the coordinates of int vectors in this basis,
         each certified by its residue.
@@ -658,11 +648,6 @@ class Subspace:
                     pivots.append(a * n + p * right + b)
         return Subspace(n * left, nums, pivots, self.den)
 
-    def basis_matrix(self):
-        """The basis vectors as the columns of a map into the ambient space."""
-        ent = {(i, j): v for j, b in enumerate(self.nums) for i, v in b.items()}
-        return SparseMap._from_ints(self.dim, self.ambient_dim, ent, self.den)
-
     def intersect(self, other):
         """Spanned by N x over the kernel x of the columns [N | -N_other]."""
         self._check_ambient(other)
@@ -671,23 +656,24 @@ class Subspace:
         cols = self.nums + [{i: -x for i, x in b.items()} for b in other.nums]
         stacked = SparseMap._from_ints(len(cols), self.ambient_dim, {
             (i, j): x for j, b in enumerate(cols) for i, x in b.items()})
-        mine, k = self.basis_matrix(), self.dim
+        k = self.dim
+        mine = SparseMap._from_ints(k, self.ambient_dim, {
+            (i, j): x for j, b in enumerate(self.nums) for i, x in b.items()})
         return Subspace.from_vectors(self.ambient_dim, [
             mine.apply_numerators({j: x for j, x in kv.items() if j < k})
             for kv in stacked.kernel().nums])
 
     def complement_of(self, inner):
-        """An echelon complement of inner inside self (inner must sit inside):
-        the basis vectors off the pivots of inner's coordinates."""
+        """An echelon complement of inner inside self: self's basis vectors
+        off inner's pivots, with no elimination, once one read_coordinates
+        call certifies inner inside self (SubspaceError otherwise).  A
+        vector of self pivots where the last basis vector it uses does, so
+        inner's pivots are among self's."""
         self._check_ambient(inner)
-        coords = []
-        for v in inner.nums:
-            c = self.coordinates_of(v)
-            if c is None:
-                raise SubspaceError("complement_of: inner subspace not contained")
-            coords.append({i: x for i, x in enumerate(c) if x})
-        used = set(Subspace.from_vectors(self.dim, coords).pivots)
-        keep = [j for j in range(self.dim) if j not in used]
+        if self.read_coordinates(inner.nums)[1] is not None:
+            raise SubspaceError("complement_of: inner subspace not contained")
+        used = set(inner.pivots)
+        keep = [j for j, p in enumerate(self.pivots) if p not in used]
         return Subspace(self.ambient_dim, [self.nums[j] for j in keep],
                         [self.pivots[j] for j in keep], self.den)
 

@@ -25,7 +25,7 @@ from itertools import (
     permutations,
     product,
 )
-from math import factorial, lcm
+from math import comb, lcm
 from operator import add
 
 from .characters import _perm_sign
@@ -244,29 +244,27 @@ def sym_dim(m, n, degree):
     """Count of admissible sym multisets, by choice of the odd subset."""
     total = 0
     for j in range(min(n, degree) + 1):
-        total += _binom(n, j) * _binom(m - 1 + degree - j, m - 1)
+        total += comb(n, j) * comb(m - 1 + degree - j, m - 1)
     return total
 
 
 def alt_dim(m, n, degree):
     total = 0
     for j in range(min(m, degree) + 1):
-        total += _binom(m, j) * _binom(n - 1 + degree - j, n - 1)
+        total += comb(m, j) * comb(n - 1 + degree - j, n - 1)
     return total
 
 
-def _binom(n, k):
-    if k < 0 or k > n:
-        return 0
-    return factorial(n) // (factorial(k) * factorial(n - k))
-
-
 # ---------------------------------------------------------------------------
-# tensor products of power bases
+# tensor products of power bases and modules
 
 
 class ProductSpace:
-    """Ordered tensor product of PowerBasis factors, row-major indexing."""
+    """Ordered tensor product, row-major indexing.  A factor is a PowerBasis
+    or a built glrep.GLModule: either has a space, a dim, and the weight and
+    parity of each basis vector, which is all the product reads.  The
+    product is the one place a tensor basis's weights and parities are
+    worked out."""
 
     def __init__(self, *factors):
         if not factors:
@@ -279,12 +277,12 @@ class ProductSpace:
 
     def weights(self):
         """Each index's weight, the sum of its factors' weights, folded in
-        factor by factor in row-major order; a degree-0 factor (one vector
-        of weight zero) adds nothing and is skipped."""
+        factor by factor in row-major order; a factor that is one vector of
+        weight zero (S_0, S*_0) adds nothing and is skipped."""
         if self._weights is None:
             ws = [(0,) * self.factors[0].space.dim]
             for f in self.factors:
-                if f.degree:
+                if f.dim != 1 or any(f.weights[0]):
                     ws = [tuple(map(add, a, b)) for a in ws for b in f.weights]
             self._weights = ws
         return self._weights

@@ -13,8 +13,9 @@ check made at a spot itself with no line spot, the highest weight of
 a module, the three-leg irreducibility test (an unblocked singular space,
 the closure of arbitrary vectors under every simple generator, and the
 singular space of the dual), the inverse of SparseMap.to_triples,
-transposes, letter weights, row-major indices of a product space, subspace
-sums and containment, Ker(P (x) id) against the incoming image of
+transposes, letter weights, row-major indices of a product space, a
+map's column, a subspace's basis matrix, coordinates and containment,
+subspace sums, Ker(P (x) id) against the incoming image of
 P (x) id eliminated on the whole spot, the homology of the transfer
 complex, the eigenvalue ladder of the insertion-side loop, the loop
 spectra from every weight block with no reduction to gl(m) + gl(n)-singular
@@ -564,7 +565,7 @@ def full_action(act, product, basis, modulo=None, pairs=None):
         cols = {}
         for c, v in enumerate(basis.vectors):
             # the residue is modulo.den times the image modulo the subspace
-            coords = basis.coordinates_of(modulo.residue(amb.apply(v)))
+            coords = coordinates_of(basis, modulo.residue(amb.apply(v)))
             if coords is None:
                 raise RestrictionError("image leaves the span modulo the subspace",
                                        witness={"generator": (i, j), "index": c})
@@ -622,7 +623,32 @@ def irreducible_three_legs(mod):
 
 
 # ---------------------------------------------------------------------------
-# subspace sums and containment
+# columns, basis matrices, coordinates, containment and sums
+
+
+def column(m, c):
+    """Column c of a SparseMap as a sparse vector of Fraction values."""
+    return {r: Fraction(v, m.den) for (r, k), v in m.entries.items() if k == c}
+
+
+def basis_matrix(sub):
+    """A subspace's basis vectors as the columns of a map into its ambient
+    space."""
+    return SparseMap._from_ints(sub.dim, sub.ambient_dim, {
+        (i, j): x for j, b in enumerate(sub.nums) for i, x in b.items()}, sub.den)
+
+
+def coordinates_of(sub, vec):
+    """vec's coordinates in sub's echelon basis, its entries at the pivots,
+    or None if vec lies outside: Subspace.residue decides."""
+    if sub.residue(vec):
+        return None
+    return [vec.get(p, 0) for p in sub.pivots]
+
+
+def contains(sub, vec):
+    """Whether vec lies in sub: its residue is zero."""
+    return not sub.residue(vec)
 
 
 def subspace_sum(a, b):
@@ -634,7 +660,7 @@ def subspace_sum(a, b):
 
 def subspace_le(a, b):
     """Whether a lies inside b."""
-    return all(b.contains(v) for v in a.nums)
+    return all(contains(b, v) for v in a.nums)
 
 
 # ---------------------------------------------------------------------------
@@ -905,7 +931,7 @@ def splitting_summands(ctx, which, params):
         wspot = Spot(i + 1, k + 1, l + 1)
         w, w_k = ctx.spot_space(wspot).weights(), ctx.spot_space(kspot).weights()
         dq = ctx.composed_to(["Q", "d"], kspot, wspot)
-        a_sub = (dq @ ctx.kerp_space(kspot).basis_matrix()).image()
+        a_sub = (dq @ basis_matrix(ctx.kerp_space(kspot))).image()
         w_sub = blocked_image(ctx.operator("d", src), ctx.spot_space(src).weights(), w)
         pk = blocked_kernel(ctx.composed_to(["del", "P"], wspot, kspot), w, w_k)
         return a_sub, graded_intersect(w_sub, pk, w), w_sub
@@ -940,7 +966,7 @@ def z_on_the_spot(ctx, params, ker):
     pivots where its last w_t does, and vanishes at the other pivots of Z
     because K does at the other pivots of K."""
     w_sub = lifted_w(ctx, params)
-    basis = w_sub.basis_matrix()
+    basis = basis_matrix(w_sub)
     return Subspace(w_sub.ambient_dim,
                     [basis.apply_numerators(v) for v in ker.nums],
                     [w_sub.pivots[q] for q in ker.pivots],
@@ -1005,8 +1031,7 @@ def ambient_z_module(act, ctx, k, l, m):
     """Z(k,l,m) restricted from the whole triple spot's action, with no
     ImD module as a factor."""
     product, sub = z_summand_on_the_spot(ctx, k, l, m)
-    return module_from_subspace(act, product.factors, product.weights(),
-                                product.parities(), sub, f"Z({k},{l},{m})")
+    return module_from_subspace(act, product, sub, f"Z({k},{l},{m})")
 
 
 def graded_intersect(a, b, weights):

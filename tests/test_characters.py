@@ -484,9 +484,7 @@ def test_splitting_additivity(con):
     ctx = con.ctx
     a_sub, b_sub = xdanh_splitting(ctx, 2, 1)
     def on(product, sub, name):
-        return module_from_subspace(con.act, product.factors,
-                                    product.weights(), product.parities(),
-                                    sub, name)
+        return module_from_subspace(con.act, product, sub, name)
 
     ps = ctx.pair_space(2, 1)
     amb = ambient_module(con.act, ps, "pair(2,1)")

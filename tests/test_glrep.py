@@ -22,6 +22,7 @@ from superkoszul.glrep import (
     even_raising_pairs,
     generator_matrix,
     module_from_subspace,
+    quotient_module,
     raising_pairs,
     simple_pairs,
 )
@@ -90,7 +91,9 @@ def origins(ctx, monkeypatch):
 
     A Z module acts on S_k (x) ImD(l,m), not on a product of power bases:
     its origin is its triple spot and Z on it (z_summand_on_the_spot), in
-    place of the ImD module and the W it was built from."""
+    place of the ImD module and the W it was built from.  A whole product
+    (ambient_module) is recorded by the module_from_subspace spy, as the
+    full subspace."""
     seen = []
 
     def spy(build, origin):
@@ -101,14 +104,10 @@ def origins(ctx, monkeypatch):
 
     monkeypatch.setattr(glrep, "module_from_subspace", spy(
         glrep.module_from_subspace,
-        lambda factors, weights, parities, sub, name: (
-            ProductSpace(*factors), sub, None)))
+        lambda product, sub, name: (product, sub, None)))
     monkeypatch.setattr(glrep, "quotient_module", spy(
         glrep.quotient_module,
         lambda product, ker, im, name: (product, ker.complement_of(im), im)))
-    monkeypatch.setattr(glrep, "ambient_module", spy(
-        glrep.ambient_module,
-        lambda product, name: (product, Subspace.full(product.dim), None)))
     zk = Constructor.zk
 
     def zk_on_the_spot(self, k, l, m):
@@ -596,6 +595,20 @@ def test_h31_is_the_odd_berezinian_line(con):
     assert dual_module(h).singular_weights()[0].dim == 1
 
 
+def test_a_product_reads_the_grading_of_a_module_factor(ctx, con):
+    # S_1 (x) ImD(2,2) is graded as W = S_1 (x) Im d_(2,2) at its pivots on
+    # the triple spot; the odd line H31 is one vector, but not of weight
+    # zero, so unlike S_0 it shifts every weight and flips every parity
+    v = ctx.sym_basis(1)
+    spot = ctx.spot_space(Spot(1, 3, 3)).weights()
+    w = ProductSpace(v, con.image_module(2, 2))
+    assert w.weights() == [spot[q] for q in ctx.lifted_d_pivots(1, 2, 2)]
+    h = ProductSpace(v, con.h31())
+    assert h.weights() == [(a + 1, b + 1, c + 1, d - 1)
+                           for a, b, c, d in v.weights]
+    assert h.parities() == [p ^ 1 for p in v.parities]
+
+
 IMD = [
     # (k, l, dim, highest weight)   frozen from construction
     (1, 1, 15, (1, 0, 0, -1)),
@@ -988,8 +1001,22 @@ def test_non_invariant_subspace_raises(ctx, act):
     product = ctx.spot_space(Spot(0, 1, 1))
     line = Subspace.from_vectors(product.dim, [{0: F(1)}])
     with pytest.raises(RestrictionError):
-        module_from_subspace(act, product.factors, product.weights(),
-                             product.parities(), line, "bogus")
+        module_from_subspace(act, product, line, "bogus")
+
+
+def test_quotient_of_a_kernel_that_is_not_invariant_raises(ctx, act):
+    # span(e_0, e_1) modulo e_0 on Lambda_1 (x) S*_1: the complement
+    # x_0 (x) xi^1 is killed by E_01 and sent by E_12 to -x_0 (x) xi^2,
+    # outside the kernel
+    product = ctx.pair_space(1, 1)
+    ker = Subspace.from_vectors(product.dim, [{0: F(1)}, {1: F(1)}])
+    im = Subspace.from_vectors(product.dim, [{0: F(1)}])
+    with pytest.raises(RestrictionError,
+                       match="quotient action escapes the kernel") as exc:
+        quotient_module(act, product, ker, im, "bogus")
+    assert exc.value.witness == {"generator": (1, 2), "index": 0,
+                                 "vector": {1: F(1)}, "image": {2: F(-1)}}
+    assert act.product_matrix(product.factors, 0, 1).apply({1: F(1)}) == {}
 
 
 def test_non_homogeneous_subspace_basis_raises(ctx, act):
@@ -998,7 +1025,7 @@ def test_non_homogeneous_subspace_basis_raises(ctx, act):
     mixed = Subspace(4, [{0: F(1), 1: F(1)}, {1: F(1)}, {2: F(1)}, {3: F(1)}],
                      [0, 1, 2, 3])
     with pytest.raises(ModuleError) as exc:
-        module_from_subspace(act, (v,), v.weights, v.parities, mixed, "mixed")
+        module_from_subspace(act, ProductSpace(v), mixed, "mixed")
     assert exc.value.witness["index"] == 0
     assert len(exc.value.witness["weights"]) == 2
 

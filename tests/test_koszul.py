@@ -14,6 +14,7 @@ import oracles
 from oracles import (
     calibration_ratio,
     commute_by_composition,
+    contains,
     delpqd_table,
     dense,
     dense_lift,
@@ -494,6 +495,29 @@ def test_k_homology_rejects_an_image_outside_the_kernel():
     assert exc.value.witness["vector"] == {0: 1}
 
 
+def test_k_homology_names_the_first_image_vector_outside_the_kernel(monkeypatch):
+    # Ker d_(3,1) without its third basis vector still holds the first
+    # vector of Im d_(2,0), but not the second: the certified read stops
+    # at the second and names it
+    ctx = KoszulContext(SuperSpace(3, 1))
+    whole = koszul.blocked_kernel
+
+    def smaller(*args):
+        ker = whole(*args)
+        return Subspace(ker.ambient_dim, ker.nums[:2] + ker.nums[3:],
+                        ker.pivots[:2] + ker.pivots[3:], ker.den)
+
+    monkeypatch.setattr(koszul, "blocked_kernel", smaller)
+    im = ctx.d_image(2, 0)
+    ker = smaller(ctx.pair_d(3, 1), ctx.pair_space(3, 1).weights(),
+                  ctx.pair_space(4, 2).weights())
+    assert [j for j, v in enumerate(im.vectors) if not contains(ker, v)][0] == 1
+    with pytest.raises(KoszulError, match="image of the incoming d is not "
+                       "inside the kernel") as exc:
+        ctx.k_homology(2, 3)
+    assert exc.value.witness == {"a": 2, "k": 3, "vector": im.vectors[1]}
+
+
 def test_l_complexes_exact_except_constants(ctx31):
     for a in range(0, 5):
         for p in range(0, a + 1):
@@ -585,8 +609,8 @@ def test_del_does_not_restrict_to_kerp(ctx31):
     # the witness really lives in the kernel upstairs and escapes downstairs
     sub = ctx31.kerp_space(spot)
     target = ctx31.kerp_space(op_target("del", spot))
-    assert sub.contains(w["vector"])
-    assert not target.contains(w["image"])
+    assert contains(sub, w["vector"])
+    assert not contains(target, w["image"])
     assert ctx31.operator("del", spot).apply(w["vector"]) == w["image"]
 
 

@@ -1,8 +1,13 @@
 """The package builds its tensor spaces and its operators in one place each,
 and tests irreducibility one way.
 
-KoszulContext.spot_space caches one ProductSpace per spot; a ProductSpace
-built anywhere else would walk the same grading a second time.
+KoszulContext.spot_space caches one ProductSpace per spot, and
+Constructor.zk builds the one product with a module factor,
+S_k (x) ImD(l,m), once per Z; a ProductSpace built anywhere else would walk
+the same grading a second time.
+module_from_subspace is the one module builder: only it, the homology
+quotient, a twist and the dual construct a GLModule, and the complement
+of a subspace is read off its pivots with no elimination.
 KoszulContext.operator is the one builder and cache of d, del, P and Q; a
 Kronecker product of factor maps anywhere else would be a second builder.
 GLAction.product_matrix is the one super derivation: only it lifts a
@@ -11,7 +16,7 @@ built modules alike.
 SparseMap.restrict keeps no image: each domain vector's image is built
 inside the certified coordinate read.  W = S_k (x) Im d is never lifted
 as a Subspace: only the Z splitting moves Im d's vectors onto S_k, once
-per Z.
+per Z, and the Z module reads W's grading off its ProductSpace.
 GLModule.is_irreducible is the one irreducibility test: only it closes a
 singular line (submodule_span), and no dual module is built, since a unique
 singular line that generates the module already decides irreducibility.
@@ -67,7 +72,18 @@ def _package_calls(callee, keep=lambda call: True):
 
 
 def test_product_space_is_built_only_in_spot_space():
-    assert _package_calls("ProductSpace") == ["koszul.py:KoszulContext.spot_space"]
+    assert _package_calls("ProductSpace") == [
+        "glrep.py:Constructor.zk", "koszul.py:KoszulContext.spot_space"]
+
+
+def test_a_module_is_built_only_by_the_module_builders():
+    # every restricted module goes through module_from_subspace; the
+    # quotient, a twist and the dual write their own matrices
+    assert _package_calls("GLModule") == [
+        "glrep.py:GLModule.twist", "glrep.py:module_from_subspace",
+        "glrep.py:quotient_module", "glrep.py:dual_module"]
+    body = _function("linalg.py", "Subspace.complement_of")
+    assert not [c for c in ("from_vectors", "insert") if _calls(body, c)]
 
 
 def test_kron_is_called_only_in_operator():
@@ -107,15 +123,15 @@ def test_restrict_keeps_no_image():
 def test_w_is_laid_out_once_per_z():
     # W = S_k (x) Im d is never lifted as a Subspace: the Z splitting alone
     # moves Im d's vectors, applying del once per vector and shifting the
-    # images to every S_k copy, and Constructor.zk reads only W's pivots
+    # images to every S_k copy, and reads W's pivots; Constructor.zk reads
+    # W's grading off ProductSpace(S_k, ImD) and none of W's vectors
     assert _package_calls("lifted_d_image") == []
-    assert sorted(_package_calls("lifted_d_pivots")) == [
-        "glrep.py:Constructor.zk", "koszul.py:KoszulContext.splitting"]
-    for module, name in (("glrep.py", "Constructor.zk"),
-                         ("koszul.py", "KoszulContext.splitting")):
-        assert not _calls(_function(module, name), "lift"), name
-    assert not _calls(_function("glrep.py", "Constructor.zk"),
-                      "apply_numerators")
+    assert _package_calls("lifted_d_pivots") == [
+        "koszul.py:KoszulContext.splitting"]
+    assert not _calls(_function("koszul.py", "KoszulContext.splitting"), "lift")
+    zk = _function("glrep.py", "Constructor.zk")
+    assert not [c for c in ("lift", "apply_numerators", "lifted_d_pivots")
+                if _calls(zk, c)]
 
 
 def test_composed_is_called_only_by_the_identities_and_the_squares():

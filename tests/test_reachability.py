@@ -74,7 +74,6 @@ ALLOWED = {
     # (b) the size budget of ROADMAP item 3 predicts sizes with them
     "superspace.sym_dim",
     "superspace.alt_dim",
-    "superspace._binom",
     # (c) the API the tests build and compare with
     "linalg.SparseMap.__init__",
     "linalg.SparseMap.from_columns",
@@ -102,7 +101,6 @@ ALLOWED = {
     "glrep.GLModule.__delattr__",
     # (e) helpers that only build an error's message or witness
     "superspace._not_graded",
-    "linalg.SparseMap.column",
 }
 
 RUNNER = """
